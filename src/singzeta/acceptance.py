@@ -7,7 +7,7 @@ acceptance module calls the same functions one by one.
 """
 
 from .laurent import LaurentPoly2, ONE
-from .partitions import Partition, iterate_box, partitions_of
+from .partitions import Partition, iterate_box, partitions_of, subpartitions
 from . import hall as hall_mod
 from . import oracle as oracle_mod
 from . import quotzeta as qz
@@ -76,83 +76,68 @@ def criterion_6_skew_cauchy():
 
 def criterion_7_hall(with_oracle=True, budget=oracle_mod.DEFAULT_BUDGET):
     """Hall consistency: box=skew, completeness, symmetry, and the p-oracle."""
-    reports = []
-    with timed() as tm:
-        bad = None
-        for m in (1, 2, 3):
-            for d in (1, 2, 3):
-                for mu in iterate_box(m, d):
-                    if hall_mod.hall_box(m, d, mu) != hall_mod.hall_skew(Partition.box(m, d), mu):
-                        bad = (m, d, str(mu))
-                        break
-    reports.append(VerificationReport("hall-box-vs-skew", {"m<=": 3, "d<=": 3},
-                                      "pass" if bad is None else "fail",
-                                      discrepancy=(0, 0) if bad else None,
-                                      detail=str(bad) if bad else "", wall_time=tm.elapsed))
-    with timed() as tm:
-        bad = None
-        for n in range(0, 7):
-            for lam in partitions_of(n):
-                for mu in _subparts(lam):
-                    total = LaurentPoly2()
-                    for nu in partitions_of(n - mu.size()):
-                        total = total + hall_mod.hall_general(lam, mu, nu)
-                    if total != hall_mod.hall_skew(lam, mu):
-                        bad = (str(lam), str(mu))
-                        break
-    reports.append(VerificationReport("hall-completeness", {"|lam|<=": 6},
-                                      "pass" if bad is None else "fail",
-                                      discrepancy=(0, 0) if bad else None,
-                                      detail=str(bad) if bad else "", wall_time=tm.elapsed))
-    with timed() as tm:
-        bad = None
-        for n in range(0, 7):
-            for lam in partitions_of(n):
-                for a in range(n + 1):
-                    for mu in partitions_of(a):
-                        for nu in partitions_of(n - a):
-                            if hall_mod.hall_general(lam, mu, nu) != hall_mod.hall_general(lam, nu, mu):
-                                bad = (str(lam), str(mu), str(nu))
-                                break
-    reports.append(VerificationReport("hall-symmetry", {"|lam|<=": 6},
-                                      "pass" if bad is None else "fail",
-                                      discrepancy=(0, 0) if bad else None,
-                                      detail=str(bad) if bad else "", wall_time=tm.elapsed))
+    reports = [_first_mismatch_report("hall-box-vs-skew", {"m<=": 3, "d<=": 3},
+                                      _box_vs_skew_mismatches()),
+               _first_mismatch_report("hall-completeness", {"|lam|<=": 6},
+                                      _completeness_mismatches()),
+               _first_mismatch_report("hall-symmetry", {"|lam|<=": 6},
+                                      _symmetry_mismatches())]
     if with_oracle:
-        with timed() as tm:
-            bad = None
-            for p in (2, 3):
-                for n in range(0, 6):
-                    for lam in partitions_of(n):
-                        census = oracle_mod.dvr_type_cotype_census(lam, p, budget=budget)
-                        for a in range(n + 1):
-                            for mu in partitions_of(a):
-                                for nu in partitions_of(n - a):
-                                    want = census.get((mu.parts, nu.parts), 0)
-                                    got = hall_mod.hall_general(lam, mu, nu).eval_int(p)
-                                    if got != want:
-                                        bad = (p, str(lam), str(mu), str(nu), got, want)
-                                        break
-        reports.append(VerificationReport("hall-oracle", {"|lam|<=": 5, "p": (2, 3)},
-                                          "pass" if bad is None else "fail",
-                                          discrepancy=(0, 0) if bad else None,
-                                          detail=str(bad) if bad else "", wall_time=tm.elapsed))
+        reports.append(_first_mismatch_report("hall-oracle", {"|lam|<=": 5, "p": (2, 3)},
+                                              _oracle_mismatches(budget)))
     return reports
 
 
-def _subparts(lam):
-    out = set()
+def _first_mismatch_report(name, params, mismatches):
+    """Run a scan until its first mismatch and report that one."""
+    with timed() as tm:
+        bad = next(mismatches, None)
+    return VerificationReport(name, params, "pass" if bad is None else "fail",
+                              discrepancy=(0, 0) if bad else None,
+                              detail=str(bad) if bad else "", wall_time=tm.elapsed)
 
-    def rec(i, prefix):
-        if i == len(lam.parts):
-            out.add(Partition(prefix))
-            return
-        cap = min(lam.parts[i], prefix[-1]) if prefix else lam.parts[i]
-        for p in range(0, cap + 1):
-            rec(i + 1, prefix + (p,))
 
-    rec(0, ())
-    return sorted(out)
+def _box_vs_skew_mismatches():
+    for m in (1, 2, 3):
+        for d in (1, 2, 3):
+            for mu in iterate_box(m, d):
+                if hall_mod.hall_box(m, d, mu) != hall_mod.hall_skew(Partition.box(m, d), mu):
+                    yield (m, d, str(mu))
+
+
+def _completeness_mismatches():
+    for n in range(0, 7):
+        for lam in partitions_of(n):
+            for mu in subpartitions(lam):
+                total = LaurentPoly2()
+                for nu in partitions_of(n - mu.size()):
+                    total = total + hall_mod.hall_general(lam, mu, nu)
+                if total != hall_mod.hall_skew(lam, mu):
+                    yield (str(lam), str(mu))
+
+
+def _symmetry_mismatches():
+    for n in range(0, 7):
+        for lam in partitions_of(n):
+            for a in range(n + 1):
+                for mu in partitions_of(a):
+                    for nu in partitions_of(n - a):
+                        if hall_mod.hall_general(lam, mu, nu) != hall_mod.hall_general(lam, nu, mu):
+                            yield (str(lam), str(mu), str(nu))
+
+
+def _oracle_mismatches(budget):
+    for p in (2, 3):
+        for n in range(0, 6):
+            for lam in partitions_of(n):
+                census = oracle_mod.dvr_type_cotype_census(lam, p, budget=budget)
+                for a in range(n + 1):
+                    for mu in partitions_of(a):
+                        for nu in partitions_of(n - a):
+                            want = census.get((mu.parts, nu.parts), 0)
+                            got = hall_mod.hall_general(lam, mu, nu).eval_int(p)
+                            if got != want:
+                                yield (p, str(lam), str(mu), str(nu), got, want)
 
 
 def criterion_8_oracle_vs_formula(budget=oracle_mod.DEFAULT_BUDGET):
@@ -214,8 +199,7 @@ def criterion_11_limit():
 
 def criterion_12_conversion(with_oracle=True, budget=oracle_mod.DEFAULT_BUDGET):
     """Conversion identities, node m=1, d <= 3, window (u^6, t^4)."""
-    from .cli import conversion_check
-    return conversion_check(1, 3, 6, 4, with_oracle=with_oracle, budget=budget)
+    return cl_mod.conversion_check(1, 3, 6, 4, with_oracle=with_oracle, budget=budget)
 
 
 def criterion_13_coh_quot(budget=oracle_mod.DEFAULT_BUDGET):

@@ -2,8 +2,8 @@
 
 Commands: nz, z, cl, hall, oracle {quot,hall,matrix,solomon}, verify {...},
 table {1,2,3}, suite {fast,full}.  Exit codes: 0 success/pass, 1 verification
-failure, 2 usage error, 3 resource-budget error.  Results go to stdout,
-diagnostics to stderr.
+failure, 2 usage error (a non-prime p among them), 3 resource-budget error.
+Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
@@ -305,9 +305,9 @@ def _run_verify(args, fmt):
                                                 _parse_d_list(args.d_list),
                                                 args.uprec, args.tprec), fmt)
     if cmd == "conversion":
-        return _emit_reports(conversion_check(args.m, args.d, args.uprec,
-                                              args.tprec, with_oracle=args.oracle,
-                                              budget=args.budget), fmt)
+        return _emit_reports(cl_mod.conversion_check(args.m, args.d, args.uprec,
+                                                     args.tprec, with_oracle=args.oracle,
+                                                     budget=args.budget), fmt)
     if cmd == "matrix-count":
         formula = cl_mod.matrix_count_formula(args.n).eval_int(args.p)
         brute = oracle_mod.matrix_pair_count(args.n, args.p, budget=args.budget)
@@ -322,69 +322,6 @@ def _run_verify(args, fmt):
                                                  _parse_d_list(args.d_list),
                                                  budget=args.budget), fmt)
     raise ValueError("unhandled verify command %r" % cmd)
-
-
-def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
-                     budget=oracle_mod.DEFAULT_BUDGET):
-    """Round-trip and cross-consistency checks of the conversion identities.
-
-    Node family.  Builds Z_{mR^r} from the quot series via (B), converts back
-    via (A), and compares both CL assemblies with the direct CL series; with
-    with_oracle also matches Z_{mR^d} coefficients at q=2 against the census of
-    the m*(R/m^{tprec})^d models.
-    """
-    from .report import compare_report, timed
-    reports = []
-    need = max(t_prec, d_max + 1)
-    zq_long = [cl_mod.z_series("node", m, r, need + d_max) for r in range(need)]
-    mhilb = {}
-    for dd in range(need):
-        ls = cl_mod.convert_rank(zq_long[:dd + 1], "quot_to_mhilb", u_prec, need)
-        mhilb[dd] = cl_mod.extract_polynomial_coefficients(ls, u_prec)
-    with timed() as tm:
-        ok = True
-        disc = None
-        for dd in range(1, d_max + 1):
-            back = cl_mod.convert_rank([mhilb[r] for r in range(dd + 1)],
-                                       "mhilb_to_quot", u_prec, t_prec)
-            direct = cl_mod.z_series("node", m, dd, t_prec)
-            for j in range(t_prec):
-                if back.t_coefficient_poly(j) != direct[j]:
-                    ok = False
-                    disc = (dd, j)
-                    break
-            if not ok:
-                break
-    reports.append(VerificationReport("conversion-roundtrip",
-                                      {"m": m, "d_max": d_max}, "pass" if ok else "fail",
-                                      discrepancy=disc, wall_time=tm.elapsed))
-    cl_a = cl_mod.convert_rank([mhilb[r] for r in range(t_prec)],
-                               "cl_from_mhilb", u_prec, t_prec).to_trunc(u_prec, t_prec)
-    cl_b = cl_mod.convert_rank([z[:t_prec] for z in zq_long[:t_prec]],
-                               "cl_from_quot", u_prec, t_prec).to_trunc(u_prec, t_prec)
-    direct_cl = cl_mod.cl_node(m, u_prec, t_prec).full.truncate(u_prec, t_prec)
-    reports.append(compare_report("conversion-cl-from-mhilb", {"m": m}, cl_a, direct_cl))
-    reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
-    if with_oracle:
-        with timed() as tm:
-            ok = True
-            disc = None
-            N = t_prec
-            for dd in range(1, d_max + 1):
-                got = oracle_mod.quot_coeffs_oracle("node", m, dd, 2, N,
-                                                    module="max_ideal", budget=budget)
-                for k in range(min(len(got), t_prec, N)):
-                    want = mhilb[dd][k].eval_int(2)
-                    if want != got[k]:
-                        ok = False
-                        disc = (dd, k)
-                        break
-                if not ok:
-                    break
-        reports.append(VerificationReport("conversion-oracle", {"m": m, "p": 2},
-                                          "pass" if ok else "fail",
-                                          discrepancy=disc, wall_time=tm.elapsed))
-    return reports
 
 
 # -- acceptance suite --------------------------------------------------------------

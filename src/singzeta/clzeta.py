@@ -13,8 +13,8 @@ node term is u-positive: deg_q g^lam_mu = sum mu'_i(lam'_i - mu'_i) is
 dominated by the u^{sum lam'_i^2} prefactor, asserted during assembly.  The
 full series is the numerator times 1/(ut;u)_inf^s.
 
-Rank-conversion identities (intermediates are Laurent in u, carried by
-LaurentSeriesUT with its precision bookkeeping):
+Rank-conversion identities (intermediates have negative u-exponents; the
+TruncSeries2 precision bookkeeping carries them):
 
     (A) Z_{R^d}(t)      = sum_r [d r]_q t^r Z_{mR^r}(q^{d-r} t)
     (B) t^d Z_{mR^d}(t) = (u;u)_d sum_r (-1)^{d-r} u^{C(d-r,2)} / ((u;u)_{d-r}
@@ -27,12 +27,13 @@ using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
 """
 
 from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv
-from .partitions import Partition, iterate_bounded_parts
+from .partitions import iterate_bounded_parts, subpartitions
 from .quotzeta import SingularityFamily, nz, full_z
 from .hall import hall_skew
+from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, timed,
                      BudgetExceededError)
-from .series import TruncSeries2, LaurentSeriesUT, poch_inf, inv_qpoch_u
+from .series import TruncSeries2, poch_inf, inv_qpoch_u
 
 
 class ClSeries:
@@ -47,11 +48,6 @@ class ClSeries:
         self.full = numerator * poch_inf(1, 1, numerator.u_prec, numerator.t_prec).inverse() ** s
         self.u_prec = numerator.u_prec
         self.t_prec = numerator.t_prec
-
-
-def _lift(tfree, t_prec):
-    """View a t-free series on a taller window."""
-    return TruncSeries2(tfree.u_prec, t_prec, tfree.coeffs)
 
 
 def _to_u_trunc(p, shift, u_prec, t_prec):
@@ -77,7 +73,7 @@ def cl_cusp(m, u_prec, t_prec):
         term = TruncSeries2.monomial(1, order, 2 * mu.size(), u_prec, t_prec)
         for i, c in enumerate(conj):
             gap = c - (conj[i + 1] if i + 1 < len(conj) else 0)
-            term = term * _lift(inv_qpoch_u(gap, u_prec), t_prec)
+            term = term * TruncSeries2(u_prec, t_prec, inv_qpoch_u(gap, u_prec).coeffs)
         total = total + term
     return ClSeries("cusp", m, total, s=1)
 
@@ -94,9 +90,10 @@ def cl_node(m, u_prec, t_prec):
         inv_a_tail = TruncSeries2.one(u_prec, t_prec)
         for i, c in enumerate(lam_conj):
             gap = c - (lam_conj[i + 1] if i + 1 < len(lam_conj) else 0)
-            inv_a_tail = inv_a_tail * _lift(inv_qpoch_u(gap, u_prec), t_prec)
+            inv_a_tail = inv_a_tail * TruncSeries2(u_prec, t_prec,
+                                                   inv_qpoch_u(gap, u_prec).coeffs)
         inv_ut_sq = _inv_ut_poch(lam_m, u_prec, t_prec) ** 2
-        for mu in _subpartitions(lam):
+        for mu in subpartitions(lam):
             t_order = 2 * lam.size() - mu.size()
             if t_order >= t_prec:
                 continue
@@ -109,7 +106,8 @@ def cl_node(m, u_prec, t_prec):
                 continue
             term = _to_u_trunc(exact, sum_sq, u_prec, t_prec)
             term = term * inv_a_tail
-            term = term * _lift(inv_qpoch_u(mu.conj_part(m), u_prec), t_prec)
+            term = term * TruncSeries2(u_prec, t_prec,
+                                       inv_qpoch_u(mu.conj_part(m), u_prec).coeffs)
             term = term * inv_ut_sq
             total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
     return ClSeries("node", m, outer * total, s=2)
@@ -117,20 +115,6 @@ def cl_node(m, u_prec, t_prec):
 
 def cl_series(kind, m, u_prec, t_prec):
     return cl_cusp(m, u_prec, t_prec) if kind == "cusp" else cl_node(m, u_prec, t_prec)
-
-
-def _subpartitions(lam):
-    rows = lam.parts
-
-    def rec(i, prefix):
-        if i == len(rows):
-            yield Partition(prefix)
-            return
-        cap = min(rows[i], prefix[-1]) if prefix else rows[i]
-        for p in range(0, cap + 1):
-            yield from rec(i + 1, prefix + (p,))
-
-    yield from rec(0, ())
 
 
 def _inv_ut_poch(n, u_prec, t_prec):
@@ -150,25 +134,15 @@ def z_series(kind, m, d, t_prec, module="free"):
     return full_z(nz(fam, d, module), fam.s, d, t_prec)
 
 
-def _z_to_ls(z_list, t_prec):
-    """Exact Laurent-series view of a t-list of q-polynomial coefficients."""
-    coeffs = {}
-    for j, poly in enumerate(z_list[:t_prec]):
-        for (a, b), c in poly.terms.items():
-            if b:
-                raise ValueError("Z coefficients must be pure q-polynomials")
-            coeffs[(-a, j)] = c
-    return LaurentSeriesUT(t_prec, coeffs)
-
-
 # -- rank conversion identities ---------------------------------------------------
 
 
 def convert_rank(z_list, direction, u_prec, t_prec):
-    """Apply one of the four conversion identities; Laurent-tolerant output.
+    """Apply one of the four conversion identities.
 
     z_list holds per-rank inputs: full-Z t-lists (either lists of pure-q
-    LaurentPoly2 or LaurentSeriesUT).  Directions:
+    LaurentPoly2 or TruncSeries2).  The output may hold negative u-exponents;
+    it is known below u^u_prec at least.  Directions:
 
       quot_to_mhilb: inputs Z_{R^r}, r = 0..d   -> Z_{mR^d} via (B)
       mhilb_to_quot: inputs Z_{mR^r}, r = 0..d  -> Z_{R^d} via (A)
@@ -178,118 +152,95 @@ def convert_rank(z_list, direction, u_prec, t_prec):
     For quot_to_mhilb the inputs must extend to t-degree t_prec + d; d is
     inferred as len(z_list) - 1 for the first two directions.
     """
-    ls = [x if isinstance(x, LaurentSeriesUT) else _z_to_ls(x, _len_of(x)) for x in z_list]
+    ls = []
+    for z in z_list:
+        if not isinstance(z, TruncSeries2):
+            if not all(poly.is_pure_q() for poly in z):
+                raise ValueError("Z coefficients must be pure q-polynomials")
+            z = TruncSeries2(None, len(z), {(-a, j): c for j, poly in enumerate(z)
+                                            for (a, _), c in poly.terms.items()})
+        ls.append(z)
     if direction == "mhilb_to_quot":
         d = len(ls) - 1
-        total = LaurentSeriesUT(t_prec)
+        total = TruncSeries2(None, t_prec)
         for r, zr in enumerate(ls):
             if zr.t_prec < t_prec - r:
                 raise ValueError("rank %d input too short in t" % r)
-            part = zr.subst_t_times_upow(-(d - r))
-            pref = LaurentSeriesUT.from_laurent(
-                qbinomial(d, r) * LaurentPoly2.monomial(1, 0, r), t_prec)
-            total = total + pref * _cap_t(part, t_prec)
+            pref = TruncSeries2.from_laurent(qbinomial(d, r), None, t_prec)
+            total = total + pref * zr.subst_t_times_upow(r - d).shift(0, r)
         return total
     if direction == "quot_to_mhilb":
         d = len(ls) - 1
         inner_t = t_prec + d
-        total = LaurentSeriesUT(inner_t)
+        total = TruncSeries2(None, inner_t)
         for r, zr in enumerate(ls):
             if zr.t_prec < inner_t:
                 raise ValueError("rank %d input too short in t (need %d)" % (r, inner_t))
             l = d - r
-            exact = _cap_t(zr, inner_t).subst_t_times_upow(-l)
             sign = -1 if l % 2 else 1
-            exact = exact.shift(l * (l - 1) // 2) * sign
-            exact = LaurentSeriesUT.from_laurent(_qpoch_u_poly(d), inner_t) * exact
-            low = exact.min_u_exp()
-            need = u_prec + max(0, -int(low) if low != float("inf") else 0)
-            series = LaurentSeriesUT.from_trunc(
-                _series_prod(inv_qpoch_u(l, need), inv_qpoch_u(r, need)), inner_t)
-            total = total + exact * series
-        return _drop_t_power(total, d, u_prec)
+            part = zr.subst_t_times_upow(-l).shift(l * (l - 1) // 2) * sign
+            part = TruncSeries2.from_laurent(qpoch_qinv(d), None, inner_t) * part
+            total = total + _over_qpochs(part, (l, r), u_prec, inner_t)
+        _assert_t_divisible(total, d, u_prec)
+        return TruncSeries2(total.u_prec, total.t_prec - d,
+                            {(i, j - d): c for (i, j), c in total.coeffs.items()})
     if direction == "cl_from_mhilb":
-        total = LaurentSeriesUT(t_prec)
-        for D, zD in enumerate(ls):
-            if D >= t_prec:
-                break
+        total = TruncSeries2(None, t_prec)
+        for D, zD in enumerate(ls[:t_prec]):
             if zD.t_prec + D < t_prec:
                 raise ValueError("rank %d input too short in t (need %d)" % (D, t_prec - D))
             part = zD.subst_t_times_upow(D).shift(D * D, D)
-            low = part.min_u_exp()
-            need = u_prec + max(0, -int(low) if low != float("inf") else 0)
-            series = LaurentSeriesUT.from_trunc(inv_qpoch_u(D, need), t_prec)
-            total = total + _cap_t(part, t_prec) * series
+            total = total + _over_qpochs(part, (D,), u_prec, t_prec)
         return total
     if direction == "cl_from_quot":
-        total = LaurentSeriesUT(t_prec)
         prepared = []
-        for r, zr in enumerate(ls):
-            if r >= t_prec:
-                break
+        for r, zr in enumerate(ls[:t_prec]):
             if zr.t_prec < t_prec:
                 raise ValueError("rank %d input too short in t (need %d)" % (r, t_prec))
-            prepared.append(_cap_t(zr.subst_t_times_upow(r), t_prec))
-        for D in range(min(t_prec, len(prepared))):
-            inner = LaurentSeriesUT(t_prec)
+            prepared.append(TruncSeries2(zr.u_prec, t_prec, zr.coeffs).subst_t_times_upow(r))
+        total = TruncSeries2(None, t_prec)
+        for D in range(len(prepared)):
+            inner = TruncSeries2(None, t_prec)
             for r in range(D + 1):
                 l = D - r
                 sign = -1 if l % 2 else 1
                 part = prepared[r].shift(l * (l - 1) // 2) * sign
-                low = part.min_u_exp()
-                need = u_prec + max(0, -int(low) if low != float("inf") else 0)
-                series = LaurentSeriesUT.from_trunc(
-                    _series_prod(inv_qpoch_u(l, need), inv_qpoch_u(r, need)), t_prec)
-                inner = inner + part * series
+                inner = inner + _over_qpochs(part, (l, r), u_prec, t_prec)
             _assert_t_divisible(inner, D, u_prec)
             total = total + inner
         return total
     raise ValueError("unknown direction %r" % direction)
 
 
-def _len_of(x):
-    return len(x)
+def _over_qpochs(part, ns, u_prec, t_prec):
+    """part / prod_{n in ns} (u;u)_n on the t-window, known below u^u_prec.
 
-
-def _cap_t(ls, t_prec):
-    if t_prec > ls.t_prec:
-        raise ValueError("cannot enlarge a t-window (have %d, want %d)" % (ls.t_prec, t_prec))
-    return LaurentSeriesUT(t_prec, ls.coeffs, u_hi=ls.u_hi)
-
-
-def _qpoch_u_poly(n):
-    """(u;u)_n as an exact q-Laurent polynomial (in the q slot, exponents <= 0)."""
-    return qpoch_qinv(n)
-
-
-def _series_prod(a, b):
-    return a * b
-
-
-def _drop_t_power(ls, d, u_prec):
-    """Divide by t^d, asserting the low t-coefficients vanish where known."""
-    for (i, j), c in ls.coeffs.items():
-        if j < d and c and (ls.u_hi is None or i < ls.u_hi) and i < u_prec:
-            raise AssertionError("expected divisibility by t^%d, found t^%d" % (d, j))
-    out = {(i, j - d): c for (i, j), c in ls.coeffs.items() if j >= d}
-    return LaurentSeriesUT(ls.t_prec - d, out, u_hi=ls.u_hi)
+    part may hold negative u-exponents, so the series factors are taken that
+    much further in u.
+    """
+    need = u_prec - min(0, part.min_u_exp())
+    series = inv_qpoch_u(ns[0], need)
+    for n in ns[1:]:
+        series = series * inv_qpoch_u(n, need)
+    return part * TruncSeries2(need, t_prec, series.coeffs)
 
 
 def _assert_t_divisible(ls, d, u_prec):
-    for (i, j), c in ls.coeffs.items():
-        if j < d and c and i < u_prec:
-            raise AssertionError("inner sum not divisible by t^%d" % d)
+    """Internal check: no term below t^d, as far as u^u_prec shows."""
+    low = sorted(j for (i, j) in ls.coeffs if j < d and i < u_prec)
+    if low:
+        raise AssertionError("expected divisibility by t^%d, found t^%d" % (d, low[0]))
 
 
 def extract_polynomial_coefficients(ls, u_prec):
-    """Exact q-polynomial t-coefficients of a Laurent-tolerant series.
+    """Exact q-polynomial t-coefficients of a series with negative u-exponents.
 
     Valid when the series is a priori a polynomial-coefficient object (the
     conversion identities guarantee this); asserts that every positive
     u-exponent visible on the window has cancelled, then drops the unknown
-    region.  Returns a list of pure-q LaurentPoly2 plus the exact view.
+    region.  Returns a list of pure-q LaurentPoly2, one per t-degree.
     """
-    hi = ls.u_hi if ls.u_hi is not None else u_prec
+    hi = ls.u_prec if ls.u_prec is not None else u_prec
     bad = sorted(k for k, c in ls.coeffs.items() if 0 < k[0] < min(hi, u_prec) and c)
     if bad:
         raise AssertionError("uncancelled positive u-exponents at %s" % (bad[:5],))
@@ -300,20 +251,82 @@ def extract_polynomial_coefficients(ls, u_prec):
     return out
 
 
+def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
+                     budget=oracle_mod.DEFAULT_BUDGET):
+    """Round-trip and cross-consistency checks of the conversion identities.
+
+    Node family.  Builds Z_{mR^r} from the quot series via (B), converts back
+    via (A), and compares both CL assemblies with the direct CL series; with
+    with_oracle also matches Z_{mR^d} coefficients at q=2 against the census of
+    the m*(R/m^{tprec})^d models.
+    """
+    reports = []
+    need = max(t_prec, d_max + 1)
+    # (B) at rank dd reads Z_{R^r} to t-degree need + dd
+    zq_long = [z_series("node", m, r, 2 * need - 1) for r in range(need)]
+    mhilb = {}
+    for dd in range(need):
+        ls = convert_rank(zq_long[:dd + 1], "quot_to_mhilb", u_prec, need)
+        mhilb[dd] = extract_polynomial_coefficients(ls, u_prec)
+    with timed() as tm:
+        ok = True
+        disc = None
+        for dd in range(1, d_max + 1):
+            back = convert_rank([mhilb[r] for r in range(dd + 1)],
+                                "mhilb_to_quot", u_prec, t_prec)
+            direct = z_series("node", m, dd, t_prec)
+            for j in range(t_prec):
+                if back.t_coefficient_poly(j) != direct[j]:
+                    ok = False
+                    disc = (dd, j)
+                    break
+            if not ok:
+                break
+    reports.append(VerificationReport("conversion-roundtrip",
+                                      {"m": m, "d_max": d_max}, "pass" if ok else "fail",
+                                      discrepancy=disc, wall_time=tm.elapsed))
+    cl_a = convert_rank([mhilb[r] for r in range(t_prec)],
+                        "cl_from_mhilb", u_prec, t_prec).truncate(u_prec, t_prec)
+    cl_b = convert_rank([z[:t_prec] for z in zq_long[:t_prec]],
+                        "cl_from_quot", u_prec, t_prec).truncate(u_prec, t_prec)
+    direct_cl = cl_node(m, u_prec, t_prec).full.truncate(u_prec, t_prec)
+    reports.append(compare_report("conversion-cl-from-mhilb", {"m": m}, cl_a, direct_cl))
+    reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
+    if with_oracle:
+        with timed() as tm:
+            ok = True
+            disc = None
+            N = t_prec
+            for dd in range(1, d_max + 1):
+                got = oracle_mod.quot_coeffs_oracle("node", m, dd, 2, N,
+                                                    module="max_ideal", budget=budget)
+                for k in range(min(len(got), t_prec, N)):
+                    want = mhilb[dd][k].eval_int(2)
+                    if want != got[k]:
+                        ok = False
+                        disc = (dd, k)
+                        break
+                if not ok:
+                    break
+        reports.append(VerificationReport("conversion-oracle", {"m": m, "p": 2},
+                                          "pass" if ok else "fail",
+                                          discrepancy=disc, wall_time=tm.elapsed))
+    return reports
+
+
 # -- rank -> infinity limit -------------------------------------------------------
 
 
 def scaled_z_trunc(kind, m, d, u_prec, t_prec):
     """Z_{R^d}(u^d t) on the window, asserting nonnegative u-exponents."""
     fam = SingularityFamily(kind, m)
-    nz_ls = LaurentSeriesUT.from_laurent(nz(fam, d, "free"), t_prec).subst_t_times_upow(d)
-    if nz_ls.min_u_exp() < 0:
+    prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
+    if prod.min_u_exp() < 0:
         raise AssertionError("NZ(u^d t) has a negative u-exponent")
-    prod = nz_ls
     for j in range(1, d + 1):
-        factor = LaurentSeriesUT(t_prec, {(0, 0): 1, (j, 1): -1})
+        factor = TruncSeries2(None, t_prec, {(0, 0): 1, (j, 1): -1})
         prod = prod * (factor.inverse() ** fam.s)
-    return prod.to_trunc(u_prec, t_prec, what="Z(u^d t)")
+    return prod.truncate(u_prec, t_prec)
 
 
 def limit_check(kind, m, d_list, u_prec, t_prec):

@@ -210,36 +210,8 @@ class LaurentPoly2:
     __repr__ = __str__
 
     def grouped_str(self, var="q"):
-        """Table-style form: terms grouped by t-degree, q ascending per group.
-
-        A multi-term group is parenthesized; when the lowest term of a group is
-        negative a single minus is factored out, e.g. `1 - (q^2 + q^3)*t^3`.
-        """
-        groups = self.t_coefficients()
-        if not groups:
-            return "0"
-        pieces = []
-        for b in sorted(groups):
-            poly = groups[b]
-            items = poly.sorted_terms()
-            neg = items[0][1] < 0
-            if neg:
-                items = [(k, -c) for k, c in items]
-            if len(items) == 1:
-                (a, _), c = items[0]
-                body = _monomial_str(c, a, b, var=var)
-            else:
-                inner = []
-                for (a, _), c in items:
-                    m = _monomial_str(abs(c), a, 0, var=var)
-                    inner.append(("- " if c < 0 else "+ ") + m if inner else ("-" if c < 0 else "") + m)
-                body = "(" + " ".join(inner) + ")"
-                if b:
-                    body += "*" + ("t" if b == 1 else "t^%d" % b)
-            pieces.append(("- " if neg else "+ ") + body)
-        head = pieces[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + pieces[1:])
+        """Table-style form, terms grouped by t-degree (see grouped_text)."""
+        return grouped_text(self.terms, var)
 
     def to_json_obj(self):
         return {
@@ -276,6 +248,41 @@ def _monomial_str(c, a, b, var="q"):
         parts.insert(0, str(abs(c)))
     s = "*".join(parts)
     return "-" + s if c < 0 else s
+
+
+def grouped_text(terms, var="q"):
+    """Table-style text of a {(e_var, e_t): coeff} dict.
+
+    Terms are grouped by t-degree, ascending in var within a group.  A
+    multi-term group is parenthesized; when the lowest term of a group is
+    negative a single minus is factored out, e.g. `1 - (q^2 + q^3)*t^3`.
+    """
+    groups = {}
+    for (a, b), c in terms.items():
+        groups.setdefault(b, []).append((a, c))
+    if not groups:
+        return "0"
+    pieces = []
+    for b in sorted(groups):
+        items = sorted(groups[b])
+        neg = items[0][1] < 0
+        if neg:
+            items = [(a, -c) for a, c in items]
+        if len(items) == 1:
+            a, c = items[0]
+            body = _monomial_str(c, a, b, var=var)
+        else:
+            inner = []
+            for a, c in items:
+                m = _monomial_str(abs(c), a, 0, var=var)
+                inner.append(("- " if c < 0 else "+ ") + m if inner else ("-" if c < 0 else "") + m)
+            body = "(" + " ".join(inner) + ")"
+            if b:
+                body += "*" + ("t" if b == 1 else "t^%d" % b)
+        pieces.append(("- " if neg else "+ ") + body)
+    head = pieces[0]
+    head = "-" + head[2:] if head.startswith("- ") else head[2:]
+    return " ".join([head] + pieces[1:])
 
 
 ZERO = LaurentPoly2()

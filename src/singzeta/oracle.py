@@ -16,11 +16,18 @@ reduced-echelon basis is the dedup key.  Only prime fields are supported.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .partitions import Partition
 from .report import BudgetExceededError, VerificationReport, timed
 
 DEFAULT_BUDGET = 10**7
+
+
+def _require_prime(p):
+    """Reject a p that is not prime: the oracle's arithmetic is that of F_p."""
+    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise ValueError("p must be prime, got %d" % p)
 
 
 # -- linear algebra over F_p ---------------------------------------------------
@@ -90,6 +97,7 @@ class FqModulePresentation:
     """
 
     def __init__(self, p, dim, generators, labels=None, check=True):
+        _require_prime(p)
         self.p = p
         self.dim = dim
         self.generators = [tuple(tuple(x % p for x in row) for row in g) for g in generators]
@@ -461,6 +469,7 @@ def _vector_tuples(elements, d):
 
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search."""
+    _require_prime(p)
     if p ** (2 * n * n) > budget:
         raise BudgetExceededError("matrix enumeration %d^%d exceeds budget"
                                   % (p, 2 * n * n))

@@ -97,21 +97,23 @@ def iterate_box(m, d):
     """All mu contained in the d-by-m box, graded by |mu| then lexicographic."""
     if m < 0 or d < 0:
         raise ValueError("m, d must be nonnegative")
-    by_size = {}
-    for mu in _box_rec((), m, d):
-        by_size.setdefault(sum(mu), []).append(mu)
-    for n in sorted(by_size):
-        for mu in sorted(by_size[n]):
-            yield Partition(mu)
+    yield from subpartitions(Partition.box(m, d))
 
 
-def _box_rec(prefix, m, rows_left):
+def subpartitions(lam):
+    """All mu contained in lam as diagrams, graded by |mu| then lexicographic."""
+    subs = sorted(_sub_rec((), lam.parts))
+    subs.sort(key=sum)  # stable: lexicographic within each size
+    return [Partition(mu) for mu in subs]
+
+
+def _sub_rec(prefix, rows):
     yield prefix
-    if rows_left == 0:
+    if len(prefix) == len(rows):
         return
-    cap = prefix[-1] if prefix else m
+    cap = min(rows[len(prefix)], prefix[-1]) if prefix else rows[0]
     for p in range(1, cap + 1):
-        yield from _box_rec(prefix + (p,), m, rows_left - 1)
+        yield from _sub_rec(prefix + (p,), rows)
 
 
 def iterate_bounded_parts(m, max_size):

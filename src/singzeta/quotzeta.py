@@ -19,7 +19,7 @@ asserted to land in Z[q,t].
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer,
                       qbinomial, qpoch_qinv_ratio)
 from .hall import hall_box, hall_skew
-from .partitions import iterate_box
+from .partitions import iterate_box, subpartitions
 from .report import VerificationReport, compare_report, timed
 from .series import TruncSeries2
 
@@ -105,25 +105,14 @@ def nz_node_free(m, d):
             glam = hall_box(m, d, lam)
             lam_m = lam.conj_part(m)
             poch2 = qpochhammer(T, Q, d - lam_m) ** 2
-            for mu in iterate_box(lam.part(1) if lam.parts else 0, lam.length()):
-                if not lam.contains(mu):
-                    continue
+            for mu in subpartitions(lam):
                 gskew = hall_skew(lam, mu)
                 k = lam.size() - mu.size()
                 term = (glam * gskew * poch2
                         * LaurentPoly2.monomial(1, d * k, lam.size() + k))
-                ratio = _qinv_ratio_range(mu.conj_part(m), lam_m)
-                total = total + term * ratio
+                total = total + term * qpoch_qinv_ratio(lam_m, lam_m - mu.conj_part(m))
         _NZ_CACHE[key] = _check_poly(total)
     return _NZ_CACHE[key]
-
-
-def _qinv_ratio_range(lo, hi):
-    """(1/q;1/q)_hi / (1/q;1/q)_lo as prod_{j=lo+1}^{hi} (1 - q^-j)."""
-    result = ONE
-    for j in range(lo + 1, hi + 1):
-        result = result * (ONE - LaurentPoly2.monomial(1, -j, 0))
-    return result
 
 
 def _check_poly(p):

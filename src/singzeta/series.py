@@ -1,34 +1,47 @@
-"""Truncated bivariate power series in (u, t), u = 1/q, and q-series primitives.
+"""Truncated bivariate series in (u, t), u = 1/q, and q-series primitives.
 
-TruncSeries2 stores coefficients on an explicit rectangular window
-0 <= i < u_prec, 0 <= j < t_prec; arithmetic never claims anything outside the
-window and comparisons of mismatched windows use the intersection.  The module
-also provides infinite Pochhammer products, the basic hypergeometric evaluator,
-and an internal Laurent-tolerant series used where exact q-polynomial
-coefficients (negative u-exponents) appear in intermediate steps.
+TruncSeries2 is the one series type.  Its coefficients are exact below
+t^t_prec and below u^u_prec, where u_prec None means exact in u: each
+t-coefficient is then a Laurent polynomial in u.  Negative u-exponents are
+allowed, so the exact q-polynomial intermediates of the rank-conversion
+identities and the power series on a window share the type.  Products track
+how far exactness survives, the standard Laurent-series bookkeeping: a series
+known below u^hA with lowest u-exponent lowA times one known below u^hB with
+lowest exponent lowB is known below min(hA + lowB, hB + lowA).  For power
+series with constant term 1 that is the smaller of the two windows.
+Comparisons of mismatched windows use the intersection.  The module also
+provides infinite Pochhammer products and the basic hypergeometric evaluator.
 """
 
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, grouped_text
 
 
 class WindowError(ValueError):
     """Raised when a value cannot be represented on the requested window."""
 
 
+_INF = float("inf")
+
+
 class TruncSeries2:
-    """Series in Z[[u,t]] known exactly on a u_prec-by-t_prec window."""
+    """Series in t with u-Laurent coefficients, exact below (u^u_prec, t^t_prec).
+
+    u_prec None means exact in u.  from_laurent and truncate onto a finite
+    window give a power series on 0 <= i < u_prec, 0 <= j < t_prec: they
+    refuse negative u-exponents.
+    """
 
     __slots__ = ("u_prec", "t_prec", "coeffs")
 
     def __init__(self, u_prec, t_prec, coeffs=None):
-        if u_prec < 1 or t_prec < 1:
+        if (u_prec is not None and u_prec < 1) or t_prec < 1:
             raise WindowError("window must be at least 1x1")
         self.u_prec = u_prec
         self.t_prec = t_prec
         c = {}
         if coeffs:
             for (i, j), v in coeffs.items():
-                if v and 0 <= i < u_prec and 0 <= j < t_prec:
+                if v and 0 <= j < t_prec and (u_prec is None or i < u_prec):
                     c[(i, j)] = int(v)
         self.coeffs = c
 
@@ -47,32 +60,40 @@ class TruncSeries2:
         """Convert a LaurentPoly2; q-exponent a maps to u-exponent -a.
 
         With var="q" the first variable is kept as a positive power of q (used
-        by the m->infinity checks, which live in Z[[q,t]]).  A conversion that
-        would need a negative exponent in the target variable raises.
+        by the m->infinity checks, which live in Z[[q,t]]).  u_prec None gives
+        the exact series; a finite window raises on a negative exponent in the
+        target variable.
         """
         out = {}
         for (a, b), c in p.terms.items():
             i = -a if var == "u" else a
-            if i < 0:
+            if i < 0 and u_prec is not None:
                 raise WindowError("negative %s-exponent in conversion" % var)
             if b < 0:
                 raise WindowError("negative t-exponent in conversion")
-            if i < u_prec and b < t_prec:
-                out[(i, b)] = c
+            out[(i, b)] = c
         return TruncSeries2(u_prec, t_prec, out)
 
     # -- arithmetic ------------------------------------------------------------
 
     def _window(self, other):
-        return min(self.u_prec, other.u_prec), min(self.t_prec, other.t_prec)
+        known = [p for p in (self.u_prec, other.u_prec) if p is not None]
+        return min(known, default=None), min(self.t_prec, other.t_prec)
+
+    def min_u_exp(self):
+        """The lowest u-exponent present (infinity for the zero series)."""
+        return min(self.coeffs)[0] if self.coeffs else _INF
+
+    def _order_bound(self):
+        """A lower bound for the u-order: terms at u^u_prec and up are unknown."""
+        return min(self.min_u_exp(), _INF if self.u_prec is None else self.u_prec)
 
     def __add__(self, other):
         up, tp = self._window(other)
         out = {}
         for src in (self.coeffs, other.coeffs):
-            for (i, j), v in src.items():
-                if i < up and j < tp:
-                    out[(i, j)] = out.get((i, j), 0) + v
+            for k, v in src.items():
+                out[k] = out.get(k, 0) + v
         return TruncSeries2(up, tp, out)
 
     def __neg__(self):
@@ -85,39 +106,71 @@ class TruncSeries2:
         if isinstance(other, int):
             return TruncSeries2(self.u_prec, self.t_prec,
                                 {k: other * v for k, v in self.coeffs.items()})
-        up, tp = self._window(other)
+        tp = min(self.t_prec, other.t_prec)
+        low_a, low_b = self._order_bound(), other._order_bound()
+        # O(u^hA) times other's lowest term, and vice versa, bound what is known
+        up = min(_INF if self.u_prec is None else self.u_prec + low_b,
+                 _INF if other.u_prec is None else other.u_prec + low_a)
         out = {}
         for (i1, j1), v1 in self.coeffs.items():
-            if i1 >= up or j1 >= tp:
+            if i1 + low_b >= up or j1 >= tp:
                 continue
             for (i2, j2), v2 in other.coeffs.items():
                 i, j = i1 + i2, j1 + j2
                 if i < up and j < tp:
                     out[(i, j)] = out.get((i, j), 0) + v1 * v2
-        return TruncSeries2(up, tp, out)
+        return TruncSeries2(None if up == _INF else up, tp, out)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; requires constant term +-1."""
-        c0 = self.coeffs.get((0, 0), 0)
+        """Multiplicative inverse, solved t-degree by t-degree.
+
+        The t^0 coefficient a_0 must be +-1 plus higher powers of u, and exactly
+        +-1 when the series is exact in u.  Each t-coefficient b_j of the
+        inverse solves a_0 b_j = [j = 0] - sum_{k=1..j} a_k b_{j-k}, by long
+        division in u.  A series known only below a power of u must have no
+        negative u-exponent.
+        """
+        up, tp = self.u_prec, self.t_prec
+        if up is not None and self.min_u_exp() < 0:
+            raise WindowError("inverse of a series with negative u-exponents "
+                              "needs it exact in u")
+        cols = [{} for _ in range(tp)]
+        for (i, j), v in self.coeffs.items():
+            cols[j][i] = v
+        c0 = cols[0].get(0, 0)
         if c0 not in (1, -1):
             raise WindowError("inverse requires constant term +-1, got %r" % c0)
-        up, tp = self.u_prec, self.t_prec
-        inv = {(0, 0): c0}
-        # graded recursion: coefficient at (i,j) depends on strictly smaller i+j
-        nonunit = [(k, v) for k, v in self.coeffs.items() if k != (0, 0)]
-        for n in range(1, up + tp - 1):
-            for i in range(max(0, n - tp + 1), min(n + 1, up)):
-                j = n - i
-                s = 0
-                for (a, b), v in nonunit:
-                    w = inv.get((i - a, j - b))
-                    if w is not None:
-                        s += v * w
-                if s:
-                    inv[(i, j)] = -c0 * s
-        return TruncSeries2(up, tp, inv)
+        tail = sorted((i, v) for i, v in cols[0].items() if i)
+        if tail and up is None:
+            raise WindowError("inverse of an exact series requires t^0 coefficient +-1")
+        inv = []
+        for j in range(tp):
+            rhs = {0: 1} if j == 0 else {}
+            for k in range(1, j + 1):
+                for i1, v1 in cols[k].items():
+                    for i2, v2 in inv[j - k].items():
+                        i = i1 + i2
+                        if up is None or i < up:
+                            rhs[i] = rhs.get(i, 0) - v1 * v2
+            col = {}
+            if tail:
+                for i in range(min(rhs, default=up), up):
+                    s = rhs.get(i, 0)
+                    for a, v in tail:
+                        if a > i:
+                            break
+                        w = col.get(i - a)
+                        if w:
+                            s -= v * w
+                    if s:
+                        col[i] = c0 * s
+            else:
+                col = {i: c0 * v for i, v in rhs.items() if v}
+            inv.append(col)
+        return TruncSeries2(up, tp, {(i, j): v for j, col in enumerate(inv)
+                                     for i, v in col.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -127,11 +180,39 @@ class TruncSeries2:
             result = result * self
         return result
 
+    def shift(self, du, dt=0):
+        """Multiply by the monomial u^du t^dt (exact; the t-window grows with dt)."""
+        if dt < 0:
+            raise WindowError("negative t-shift not supported")
+        up = None if self.u_prec is None else self.u_prec + du
+        return TruncSeries2(up, self.t_prec + dt,
+                            {(i + du, j + dt): v for (i, j), v in self.coeffs.items()})
+
+    def subst_t_times_upow(self, d):
+        """The substitution t -> u^d t: (i, j) -> (i + d*j, j), exact shape change."""
+        if self.u_prec is not None and d < 0:
+            raise WindowError("t-substitution with negative shift on an inexact series")
+        # a nonnegative shift only improves per-degree exactness
+        return TruncSeries2(self.u_prec, self.t_prec,
+                            {(i + d * j, j): v for (i, j), v in self.coeffs.items()})
+
     # -- comparison -------------------------------------------------------------
 
     def truncate(self, u_prec, t_prec):
-        if u_prec > self.u_prec or t_prec > self.t_prec:
-            raise WindowError("cannot enlarge a window by truncation")
+        """The series on a window no larger than the one it is known on.
+
+        u_prec None keeps an exact series exact.  A finite window is a
+        power-series window, so a negative u-exponent raises.
+        """
+        have = _INF if self.u_prec is None else self.u_prec
+        want = _INF if u_prec is None else u_prec
+        if want > have or t_prec > self.t_prec:
+            raise WindowError("series known below (u^%s, t^%d), window wants (u^%s, t^%d)"
+                              % (have, self.t_prec, want, t_prec))
+        if u_prec is not None:
+            neg = sorted(k for k in self.coeffs if k[0] < 0)
+            if neg:
+                raise WindowError("series has negative u-exponents, e.g. %s" % (neg[:5],))
         return TruncSeries2(u_prec, t_prec, self.coeffs)
 
     def __eq__(self, other):
@@ -145,7 +226,7 @@ class TruncSeries2:
         Returns (equal, (u_prec, t_prec), first_discrepancy_or_None).
         """
         up, tp = self._window(other)
-        a, b = self.truncate(up, tp), other.truncate(up, tp)
+        a, b = TruncSeries2(up, tp, self.coeffs), TruncSeries2(up, tp, other.coeffs)
         if a.coeffs == b.coeffs:
             return True, (up, tp), None
         diffs = sorted(k for k in set(a.coeffs) | set(b.coeffs)
@@ -159,6 +240,10 @@ class TruncSeries2:
         """The t^j coefficient as a dict {u-exponent: int}."""
         return {i: v for (i, jj), v in self.coeffs.items() if jj == j}
 
+    def t_coefficient_poly(self, j):
+        """The t^j coefficient as a pure-q LaurentPoly2 (u-exponent i -> q^-i)."""
+        return LaurentPoly2({(-i, 0): v for i, v in self.t_coefficient(j).items()})
+
     def t_coefficient_orders(self):
         """Minimal u-order of each nonzero t-coefficient, as {j: order}."""
         orders = {}
@@ -170,33 +255,7 @@ class TruncSeries2:
     # -- serialization -------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        from .laurent import _monomial_str
-        pieces = []
-        for j in range(self.t_prec):
-            col = sorted(self.t_coefficient(j).items())
-            if not col:
-                continue
-            neg = col[0][1] < 0
-            if neg:
-                col = [(i, -v) for i, v in col]
-            if len(col) == 1:
-                i, v = col[0]
-                body = _monomial_str(v, i, j, var="u")
-            else:
-                inner = []
-                for i, v in col:
-                    m = _monomial_str(abs(v), i, 0, var="u")
-                    inner.append((("- " if v < 0 else "+ ") + m) if inner else
-                                 ("-" if v < 0 else "") + m)
-                body = "(" + " ".join(inner) + ")"
-                if j:
-                    body += "*" + ("t" if j == 1 else "t^%d" % j)
-            pieces.append(("- " if neg else "+ ") + body)
-        head = pieces[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + pieces[1:])
+        return grouped_text(self.coeffs, var="u")
 
     __repr__ = __str__
 
@@ -325,178 +384,3 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec, max_terms=10000):
         total = total + term * denom.inverse()
         k += 1
     return total
-
-
-# -- Laurent-tolerant series (internal) ---------------------------------------
-
-
-_INF = float("inf")
-
-
-class LaurentSeriesUT:
-    """Series in t (truncated at t_prec) with u-Laurent coefficients.
-
-    Coefficients are exact for u-exponents below `u_hi` (None means exact
-    everywhere, i.e. the object is an exact Laurent polynomial in u per
-    t-degree).  Multiplication tracks how far exactness survives, the standard
-    Laurent-series precision bookkeeping.
-    """
-
-    __slots__ = ("coeffs", "t_prec", "u_hi")
-
-    def __init__(self, t_prec, coeffs=None, u_hi=None):
-        self.t_prec = t_prec
-        self.u_hi = u_hi
-        c = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                if v and 0 <= j < t_prec and (u_hi is None or i < u_hi):
-                    c[(i, j)] = int(v)
-        self.coeffs = c
-
-    @staticmethod
-    def from_laurent(p, t_prec):
-        """Exact conversion; q-exponent a becomes u-exponent -a."""
-        return LaurentSeriesUT(t_prec, {(-a, b): c for (a, b), c in p.terms.items()})
-
-    @staticmethod
-    def from_trunc(ts, t_prec=None):
-        return LaurentSeriesUT(t_prec if t_prec is not None else ts.t_prec,
-                               dict(ts.coeffs), u_hi=ts.u_prec)
-
-    @staticmethod
-    def one(t_prec):
-        return LaurentSeriesUT(t_prec, {(0, 0): 1})
-
-    def _low(self):
-        return min((i for (i, _) in self.coeffs), default=_INF)
-
-    def min_u_exp(self):
-        return self._low()
-
-    def __add__(self, other):
-        tp = min(self.t_prec, other.t_prec)
-        hi = _min_hi(self.u_hi, other.u_hi)
-        out = {}
-        for src in (self.coeffs, other.coeffs):
-            for k, v in src.items():
-                out[k] = out.get(k, 0) + v
-        return LaurentSeriesUT(tp, out, u_hi=hi)
-
-    def __neg__(self):
-        return LaurentSeriesUT(self.t_prec, {k: -v for k, v in self.coeffs.items()}, u_hi=self.u_hi)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentSeriesUT(self.t_prec, {k: other * v for k, v in self.coeffs.items()},
-                                   u_hi=self.u_hi)
-        tp = min(self.t_prec, other.t_prec)
-        # exactness of the product: O(u^hA)*lowB and O(u^hB)*lowA both limit it
-        cands = []
-        if self.u_hi is not None:
-            cands.append(self.u_hi + other._low())
-        if other.u_hi is not None:
-            cands.append(other.u_hi + self._low())
-        hi = min(cands, default=_INF)
-        hi = None if hi == _INF else int(hi)
-        out = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                j = j1 + j2
-                if j >= tp:
-                    continue
-                i = i1 + i2
-                if hi is not None and i >= hi:
-                    continue
-                out[(i, j)] = out.get((i, j), 0) + v1 * v2
-        return LaurentSeriesUT(tp, out, u_hi=hi)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise WindowError("negative powers not supported")
-        result = LaurentSeriesUT.one(self.t_prec)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def shift(self, du, dt=0):
-        """Multiply by the monomial u^du t^dt (exact; t-window grows with dt)."""
-        if dt < 0:
-            raise WindowError("negative t-shift not supported")
-        hi = None if self.u_hi is None else self.u_hi + du
-        return LaurentSeriesUT(self.t_prec + dt,
-                               {(i + du, j + dt): v for (i, j), v in self.coeffs.items()},
-                               u_hi=hi)
-
-    def subst_t_times_upow(self, d):
-        """The substitution t -> u^d t: (i, j) -> (i + d*j, j), exact shape change."""
-        if self.u_hi is not None and d < 0:
-            raise WindowError("t-substitution with negative shift on an inexact series")
-        hi = self.u_hi  # nonneg shift only improves per-degree exactness
-        return LaurentSeriesUT(self.t_prec,
-                               {(i + d * j, j): v for (i, j), v in self.coeffs.items()},
-                               u_hi=hi)
-
-    def inverse(self):
-        """t-adic inverse for exact series with unit constant term.
-
-        Works per t-degree with u-Laurent-polynomial coefficients; requires the
-        object to be exact (u_hi None).
-        """
-        if self.u_hi is not None:
-            raise WindowError("inverse implemented for exact series only")
-        a = [dict() for _ in range(self.t_prec)]
-        for (i, j), v in self.coeffs.items():
-            a[j][i] = v
-        if a[0] not in ({0: 1}, {0: -1}):
-            raise WindowError("inverse requires constant term +-1")
-        c0 = a[0][0]
-        b = [dict() for _ in range(self.t_prec)]
-        b[0] = {0: c0}
-        for j in range(1, self.t_prec):
-            acc = {}
-            for k in range(1, j + 1):
-                for i1, v1 in a[k].items():
-                    for i2, v2 in b[j - k].items():
-                        acc[i1 + i2] = acc.get(i1 + i2, 0) + v1 * v2
-            b[j] = {i: -c0 * v for i, v in acc.items() if v}
-        out = {(i, j): v for j, col in enumerate(b) for i, v in col.items()}
-        return LaurentSeriesUT(self.t_prec, out)
-
-    def t_coefficient_poly(self, j):
-        """The t^j coefficient as a pure-q LaurentPoly2 (u-exponent i -> q^-i)."""
-        return LaurentPoly2({(-i, 0): v for (i, jj), v in self.coeffs.items() if jj == j})
-
-    def assert_no_positive_u_below(self, bound):
-        """Check that no term has u-exponent in (0, bound) (cancellation check)."""
-        bad = sorted(k for k in self.coeffs if 0 < k[0] < bound)
-        if bad:
-            raise AssertionError("uncancelled positive u-exponents at %s" % (bad[:5],))
-
-    def to_trunc(self, u_prec, t_prec, what="series"):
-        """Truncate to a TruncSeries2 window, asserting validity.
-
-        Requires exactness at least to u_prec and no negative u-exponents.
-        """
-        if self.u_hi is not None and self.u_hi < u_prec:
-            raise WindowError("%s known only below u^%d, window wants u^%d"
-                              % (what, self.u_hi, u_prec))
-        if t_prec > self.t_prec:
-            raise WindowError("cannot enlarge the t-window")
-        neg = sorted(k for k in self.coeffs if k[0] < 0)
-        if neg:
-            raise WindowError("%s has negative u-exponents, e.g. %s" % (what, neg[:5]))
-        return TruncSeries2(u_prec, t_prec, self.coeffs)
-
-
-def _min_hi(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)

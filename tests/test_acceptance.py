@@ -8,6 +8,7 @@ timing limits from the statement of each criterion are asserted as well
 import time
 
 from singzeta import acceptance
+from singzeta.partitions import Partition
 
 
 def _run(label, fn, limit=None, **kw):
@@ -52,6 +53,24 @@ def test_criterion_06_skew_cauchy():
 
 def test_criterion_07_hall():
     _run("7 Hall consistency", acceptance.criterion_7_hall, limit=60.0)
+
+
+def test_criterion_07_names_first_mismatch(monkeypatch):
+    real = acceptance.hall_mod.hall_general
+    wrong = (Partition((2, 1)), Partition((1,)), Partition((1, 1)))
+
+    def hall_general(lam, mu, nu):
+        value = real(lam, mu, nu)
+        return value + 1 if (lam, mu, nu) == wrong else value
+
+    monkeypatch.setattr(acceptance.hall_mod, "hall_general", hall_general)
+    reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
+    assert reports["hall-box-vs-skew"].status == "pass"
+    assert reports["hall-completeness"].detail == str(("[2,1]", "[1]"))
+    # the symmetry scan meets the wrong value as g^[2,1]_{[1],[1,1]} and again,
+    # later, as the mirror of g^[2,1]_{[1,1],[1]}; the report names the first
+    assert reports["hall-symmetry"].status == "fail"
+    assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
 
 
 def test_criterion_08_oracle_vs_formula():

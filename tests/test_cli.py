@@ -115,8 +115,30 @@ def test_verify_conversion(capsys):
                     "--uprec", "5", "--tprec", "3")
     assert code == EXIT_PASS
     assert out.count("[PASS]") == 3
+    # a t-window wider than d + 1 needs the quot series to t-degree 2*tprec - 1
+    code, out = run(capsys, "verify", "conversion", "--m", "1", "--d", "1",
+                    "--uprec", "5", "--tprec", "4")
+    assert code == EXIT_PASS
+    assert out.count("[PASS]") == 3
 
 
 def test_verify_matrix_count(capsys):
     code, out = run(capsys, "verify", "matrix-count", "--n", "2", "--p", "2")
     assert code == EXIT_PASS
+
+
+def test_non_prime_p_is_a_usage_error(capsys):
+    for p in ("4", "1"):
+        for argv in (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1",
+                      "--p", p, "--max-codim", "2"],
+                     ["oracle", "hall", "--lambda", "2,1", "--mu", "1", "--p", p],
+                     ["oracle", "matrix", "--n", "1", "--p", p],
+                     ["oracle", "solomon", "--d", "1", "--p", p, "--N", "2"],
+                     ["hall", "--lambda", "2,1", "--mu", "1", "--oracle", p],
+                     ["verify", "matrix-count", "--n", "1", "--p", p],
+                     ["verify", "coh-quot", "--family", "node", "--m", "1", "--p", p,
+                      "--n", "1", "--r", "1", "--d-list", "1,2"]):
+            assert dispatch(argv) == EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: p must be prime, got %s\n" % p

@@ -71,6 +71,9 @@ def test_conversion_roundtrip():
     direct = z_series("node", 1, d, t_prec)
     for j in range(t_prec):
         assert back.t_coefficient_poly(j) == direct[j]
+    # (A) needs Z_{mR^r} only to t^(t_prec - r)
+    short = [z[:t_prec - r] for r, z in enumerate(mhilb)]
+    assert convert_rank(short, "mhilb_to_quot", u_prec, t_prec) == back
 
 
 def test_conversion_d0_identity():
@@ -88,9 +91,9 @@ def test_conversion_cl_agreement():
         ls = convert_rank([z[:t_prec + dd] for z in zq[:dd + 1]],
                           "quot_to_mhilb", u_prec, t_prec)
         mhilb.append(extract_polynomial_coefficients(ls, u_prec))
-    cl_a = convert_rank(mhilb, "cl_from_mhilb", u_prec, t_prec).to_trunc(u_prec, t_prec)
+    cl_a = convert_rank(mhilb, "cl_from_mhilb", u_prec, t_prec).truncate(u_prec, t_prec)
     cl_b = convert_rank([z[:t_prec] for z in zq], "cl_from_quot",
-                        u_prec, t_prec).to_trunc(u_prec, t_prec)
+                        u_prec, t_prec).truncate(u_prec, t_prec)
     direct = cl_node(1, u_prec, t_prec).full
     assert cl_a == cl_b == direct.truncate(u_prec, t_prec)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from singzeta.partitions import (Partition, box_complement, iterate_box,
-                                 iterate_bounded_parts, partitions_of)
+                                 iterate_bounded_parts, partitions_of, subpartitions)
 
 
 def test_conjugate_examples():
@@ -66,6 +66,12 @@ def test_iterate_box_counts_lattice_paths():
 def test_iterate_box_graded_order():
     sizes = [p.size() for p in iterate_box(3, 3)]
     assert sizes == sorted(sizes)
+
+
+def test_subpartitions():
+    got = [str(p) for p in subpartitions(Partition((2, 1)))]
+    assert got == ["[]", "[1]", "[1,1]", "[2]", "[2,1]"]
+    assert subpartitions(Partition((3, 3))) == list(iterate_box(3, 2))
 
 
 def test_iterate_bounded_parts():

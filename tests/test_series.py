@@ -4,8 +4,8 @@ import random
 import pytest
 
 from singzeta.laurent import LaurentPoly2, ONE, Q, T, qpochhammer
-from singzeta.series import (TruncSeries2, LaurentSeriesUT, poch_inf,
-                             poch_inf_info, inv_qpoch_u, phi_rs, WindowError)
+from singzeta.series import (TruncSeries2, poch_inf, poch_inf_info, inv_qpoch_u,
+                             phi_rs, WindowError)
 
 
 def geometric(u_prec, t_prec):
@@ -124,34 +124,53 @@ def test_from_laurent_variants():
     assert qt.coeffs == {(0, 0): 1, (1, 1): 1}
 
 
-# -- Laurent-tolerant layer -----------------------------------------------------
+# -- exact and Laurent series (u_prec None, negative u-exponents) ------------------
 
 
 def test_laurent_series_precision_tracking():
-    exact = LaurentSeriesUT.from_laurent(Q ** 2, 4)  # u^-2
-    series = LaurentSeriesUT.from_trunc(inv_qpoch_u(1, 10), 4)
+    exact = TruncSeries2.from_laurent(Q ** 2, None, 4)  # u^-2
+    series = TruncSeries2(10, 4, inv_qpoch_u(1, 10).coeffs)
     prod = exact * series
-    assert prod.u_hi == 8  # 10 + (-2)
+    assert prod.u_prec == 8  # 10 + (-2)
     assert prod.coeffs[(-2, 0)] == 1 and prod.coeffs[(0, 0)] == 1
 
 
 def test_laurent_series_inverse_exact():
-    ls = LaurentSeriesUT(5, {(0, 0): 1, (1, 1): -1})  # 1 - ut
-    inv = ls.inverse()
+    s = TruncSeries2(None, 5, {(0, 0): 1, (1, 1): -1})  # 1 - ut
+    inv = s.inverse()
+    assert inv.u_prec is None
     assert inv.coeffs == {(j, j): 1 for j in range(5)}
-    assert (ls * inv).coeffs == {(0, 0): 1}
+    assert (s * inv).coeffs == {(0, 0): 1}
+
+
+def test_laurent_series_inverse_negative_exponents_random():
+    rng = random.Random(7)
+    for _ in range(10):
+        coeffs = {(rng.randint(-3, 3), rng.randint(1, 4)): rng.randint(-3, 3)
+                  for _ in range(5)}
+        coeffs[(0, 0)] = rng.choice([1, -1])
+        coeffs[(-2, 1)] = 1
+        s = TruncSeries2(None, 5, coeffs)
+        assert s * s.inverse() == TruncSeries2.one(None, 5)
+        assert s.inverse().inverse() == s
+    with pytest.raises(WindowError):  # 1/(1 - u) is not exact in u
+        TruncSeries2(None, 3, {(0, 0): 1, (1, 0): -1}).inverse()
+    with pytest.raises(WindowError):
+        TruncSeries2(5, 3, {(0, 0): 1, (-1, 1): 1}).inverse()
 
 
 def test_laurent_series_to_trunc_guards():
-    ls = LaurentSeriesUT(3, {(-1, 0): 1})
     with pytest.raises(WindowError):
-        ls.to_trunc(3, 3)
-    capped = LaurentSeriesUT.from_trunc(inv_qpoch_u(2, 4), 3)
+        TruncSeries2(None, 3, {(-1, 0): 1}).truncate(3, 3)
+    capped = TruncSeries2(4, 3, inv_qpoch_u(2, 4).coeffs)
     with pytest.raises(WindowError):
-        capped.to_trunc(6, 3)
+        capped.truncate(6, 3)
+    with pytest.raises(WindowError):
+        capped.truncate(None, 3)
+    assert TruncSeries2(None, 3, {(-1, 0): 1}).truncate(None, 2).coeffs == {(-1, 0): 1}
 
 
 def test_laurent_series_t_substitution():
-    ls = LaurentSeriesUT.from_laurent(qpochhammer(T, Q, 1), 4)  # 1 - t
-    shifted = ls.subst_t_times_upow(2)  # 1 - u^2 t
+    s = TruncSeries2.from_laurent(qpochhammer(T, Q, 1), None, 4)  # 1 - t
+    shifted = s.subst_t_times_upow(2)  # 1 - u^2 t
     assert shifted.coeffs == {(0, 0): 1, (2, 1): -1}
