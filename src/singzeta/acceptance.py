@@ -6,6 +6,8 @@ level and never fail).  run_criteria drives the CLI suite; the pytest
 acceptance module calls the same functions one by one.
 """
 
+from itertools import zip_longest
+
 from .laurent import LaurentPoly2, ONE
 from .partitions import Partition, iterate_box, partitions_of, subpartitions
 from . import hall as hall_mod
@@ -13,7 +15,7 @@ from . import oracle as oracle_mod
 from . import quotzeta as qz
 from . import clzeta as cl_mod
 from .quotzeta import SingularityFamily
-from .report import VerificationReport, compare_report, timed
+from .report import VerificationReport, compare_report, first_discrepancy, timed
 from .series import phi_rs
 from . import tables
 
@@ -89,20 +91,24 @@ def criterion_7_hall(with_oracle=True, budget=oracle_mod.DEFAULT_BUDGET):
 
 
 def _first_mismatch_report(name, params, mismatches):
-    """Run a scan until its first mismatch and report that one."""
+    """Run a scan of (case, lhs, rhs) until its first mismatch and report that one."""
     with timed() as tm:
         bad = next(mismatches, None)
-    return VerificationReport(name, params, "pass" if bad is None else "fail",
-                              discrepancy=(0, 0) if bad else None,
-                              detail=str(bad) if bad else "", wall_time=tm.elapsed)
+    if bad is None:
+        return VerificationReport(name, params, "pass", wall_time=tm.elapsed)
+    case, lhs, rhs = bad
+    return VerificationReport(name, params, "fail", discrepancy=first_discrepancy(lhs, rhs),
+                              detail=str(case), wall_time=tm.elapsed)
 
 
 def _box_vs_skew_mismatches():
     for m in (1, 2, 3):
         for d in (1, 2, 3):
             for mu in iterate_box(m, d):
-                if hall_mod.hall_box(m, d, mu) != hall_mod.hall_skew(Partition.box(m, d), mu):
-                    yield (m, d, str(mu))
+                box = hall_mod.hall_box(m, d, mu)
+                skew = hall_mod.hall_skew(Partition.box(m, d), mu)
+                if box != skew:
+                    yield (m, d, str(mu)), box, skew
 
 
 def _completeness_mismatches():
@@ -112,8 +118,9 @@ def _completeness_mismatches():
                 total = LaurentPoly2()
                 for nu in partitions_of(n - mu.size()):
                     total = total + hall_mod.hall_general(lam, mu, nu)
-                if total != hall_mod.hall_skew(lam, mu):
-                    yield (str(lam), str(mu))
+                skew = hall_mod.hall_skew(lam, mu)
+                if total != skew:
+                    yield (str(lam), str(mu)), total, skew
 
 
 def _symmetry_mismatches():
@@ -122,8 +129,10 @@ def _symmetry_mismatches():
             for a in range(n + 1):
                 for mu in partitions_of(a):
                     for nu in partitions_of(n - a):
-                        if hall_mod.hall_general(lam, mu, nu) != hall_mod.hall_general(lam, nu, mu):
-                            yield (str(lam), str(mu), str(nu))
+                        g = hall_mod.hall_general(lam, mu, nu)
+                        mirror = hall_mod.hall_general(lam, nu, mu)
+                        if g != mirror:
+                            yield (str(lam), str(mu), str(nu)), g, mirror
 
 
 def _oracle_mismatches(budget):
@@ -137,7 +146,7 @@ def _oracle_mismatches(budget):
                             want = census.get((mu.parts, nu.parts), 0)
                             got = hall_mod.hall_general(lam, mu, nu).eval_int(p)
                             if got != want:
-                                yield (p, str(lam), str(mu), str(nu), got, want)
+                                yield (p, str(lam), str(mu), str(nu), got, want), got, want
 
 
 def criterion_8_oracle_vs_formula(budget=oracle_mod.DEFAULT_BUDGET):
@@ -152,13 +161,10 @@ def criterion_8_oracle_vs_formula(budget=oracle_mod.DEFAULT_BUDGET):
                                                             module=module, budget=budget)
                         want = [c.eval_int(2) for c in
                                 cl_mod.z_series(kind, m, d, 4, module=module)]
-                        ok = [int(x) for x in got] == [int(x) for x in want]
-                    reports.append(VerificationReport(
+                    reports.append(_census_report(
                         "oracle-vs-formula",
                         {"family": kind, "m": m, "d": d, "module": module, "p": 2},
-                        "pass" if ok else "fail",
-                        lhs=str(got), rhs=str(want),
-                        discrepancy=None if ok else (0, 0), wall_time=tm.elapsed))
+                        got, want, tm.elapsed))
     return reports
 
 
@@ -170,25 +176,24 @@ def criterion_9_solomon(budget=oracle_mod.DEFAULT_BUDGET):
             with timed() as tm:
                 got = oracle_mod.solomon_census(d, p, 4, budget=budget).coefficients(4)
                 want = [c.eval_int(p) for c in qz.full_z(ONE, 1, d, 5)]
-                ok = [int(x) for x in got] == [int(x) for x in want]
-            reports.append(VerificationReport("solomon", {"d": d, "p": p, "N": 4},
-                                              "pass" if ok else "fail",
-                                              lhs=str(got), rhs=str(want),
-                                              discrepancy=None if ok else (0, 0),
-                                              wall_time=tm.elapsed))
+            reports.append(_census_report("solomon", {"d": d, "p": p, "N": 4},
+                                          got, want, tm.elapsed))
     return reports
+
+
+def _census_report(name, params, got, want, wall_time):
+    """Census counts against formula values; a failure names the first t-degree k
+    where they differ, as (0, k)."""
+    k = next((k for k, (a, b) in enumerate(zip_longest(got, want)) if a != b), None)
+    return VerificationReport(name, params, "pass" if k is None else "fail",
+                              lhs=str(got), rhs=str(want),
+                              discrepancy=None if k is None else (0, k),
+                              wall_time=wall_time)
 
 
 def criterion_10_matrix_counts(budget=oracle_mod.DEFAULT_BUDGET):
     """Eq-level matrix-pair counts vs brute force, n <= 2, p in {2,3}."""
-    reports = []
-    for n in (0, 1, 2):
-        for p in (2, 3):
-            formula = cl_mod.matrix_count_formula(n).eval_int(p)
-            brute = oracle_mod.matrix_pair_count(n, p, budget=budget)
-            reports.append(compare_report("matrix-count", {"n": n, "p": p},
-                                          formula, brute))
-    return reports
+    return [cl_mod.matrix_count_check(n, p, budget=budget) for n in (0, 1, 2) for p in (2, 3)]
 
 
 def criterion_11_limit():

@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments and renders results, nothing more.
 
 Commands: nz, z, cl, hall, oracle {quot,hall,matrix,solomon}, verify {...},
 table {1,2,3}, suite {fast,full}.  Exit codes: 0 success/pass, 1 verification
-failure, 2 usage error (a non-prime p among them), 3 resource-budget error.
-Results go to stdout, diagnostics to stderr.
+failure or internal error, 2 usage error (a non-prime p or a negative size
+among them), 3 resource-budget error.  Results go to stdout, diagnostics to
+stderr.
 """
 
 import argparse
@@ -160,6 +161,24 @@ def _emit_reports(reports, fmt):
     return EXIT_PASS if all(r.status != "fail" for r in reports) else EXIT_FAIL
 
 
+def _emit_suite(name, groups, fmt):
+    """One line per criterion group and the failing reports of failing groups."""
+    failing = {label for label, reports in groups if any(r.status == "fail" for r in reports)}
+    if fmt == "json":
+        print(json.dumps([{"group": label,
+                           "status": "fail" if label in failing else "pass",
+                           "reports": [r.to_json_obj() for r in reports]}
+                          for label, reports in groups], indent=2))
+    else:
+        for label, reports in groups:
+            print("[%s] %s" % ("FAIL" if label in failing else "PASS", label))
+            for r in reports:
+                if r.status == "fail":
+                    print("    %s" % r)
+        print("suite %s: %d/%d groups passed" % (name, len(groups) - len(failing), len(groups)))
+    return EXIT_FAIL if failing else EXIT_PASS
+
+
 def dispatch(argv):
     parser = _build_parser()
     try:
@@ -174,6 +193,9 @@ def dispatch(argv):
     except (ValueError, WindowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return EXIT_FAIL
 
 
 def _run(args):
@@ -236,7 +258,9 @@ def _run(args):
         return EXIT_PASS
 
     if cmd == "suite":
-        return run_suite(args.name, fmt, budget=args.budget)
+        from . import acceptance
+        groups = acceptance.run_criteria(full=(args.name == "full"), budget=args.budget)
+        return _emit_suite(args.name, groups, fmt)
 
     raise ValueError("unhandled command %r" % cmd)
 
@@ -244,13 +268,9 @@ def _run(args):
 def _run_oracle(args, fmt):
     cmd = args.oracle_command
     if cmd == "quot":
-        module = args.module.replace("-", "_")
-        model = oracle_mod.build_local_model((args.family, args.m), args.d,
-                                             args.max_codim if module != "max_ideal"
-                                             else args.max_codim + 1,
-                                             args.p, target=module)
-        census = oracle_mod.enumerate_submodules(model, args.max_codim,
-                                                 budget=args.budget)
+        census = oracle_mod.quot_census(args.family, args.m, args.d, args.p,
+                                        args.max_codim, args.module.replace("-", "_"),
+                                        budget=args.budget)
         if fmt == "json":
             print(json.dumps(census.to_json_obj()))
         else:
@@ -309,12 +329,8 @@ def _run_verify(args, fmt):
                                                      args.tprec, with_oracle=args.oracle,
                                                      budget=args.budget), fmt)
     if cmd == "matrix-count":
-        formula = cl_mod.matrix_count_formula(args.n).eval_int(args.p)
-        brute = oracle_mod.matrix_pair_count(args.n, args.p, budget=args.budget)
-        from .report import compare_report
-        return _emit_reports(compare_report("matrix-count",
-                                            {"n": args.n, "p": args.p},
-                                            formula, brute), fmt)
+        return _emit_reports(cl_mod.matrix_count_check(args.n, args.p, budget=args.budget),
+                             fmt)
     if cmd == "coh-quot":
         return _emit_reports(
             oracle_mod.coh_quot_invariance_check(args.family, args.m, args.p,
@@ -322,31 +338,6 @@ def _run_verify(args, fmt):
                                                  _parse_d_list(args.d_list),
                                                  budget=args.budget), fmt)
     raise ValueError("unhandled verify command %r" % cmd)
-
-
-# -- acceptance suite --------------------------------------------------------------
-
-
-def run_suite(name, fmt="text", budget=oracle_mod.DEFAULT_BUDGET):
-    """The acceptance battery; 'fast' is symbolic only, 'full' adds oracle runs."""
-    from . import acceptance
-    reports = acceptance.run_criteria(full=(name == "full"), budget=budget)
-    bad = 0
-    for label, rs in reports:
-        if isinstance(rs, VerificationReport):
-            rs = [rs]
-        worst = "pass"
-        for r in rs:
-            if r.status == "fail":
-                worst = "fail"
-        print("[%s] %s" % (worst.upper() if worst == "fail" else "PASS", label))
-        if worst == "fail":
-            bad += 1
-            for r in rs:
-                if r.status == "fail":
-                    print("    %s" % r)
-    print("suite %s: %d/%d groups passed" % (name, len(reports) - bad, len(reports)))
-    return EXIT_PASS if bad == 0 else EXIT_FAIL
 
 
 def main():

@@ -361,6 +361,8 @@ def matrix_count_formula(n):
 
     sum_{j<=n/2} (-1)^j q^{(3j^2-j)/2 + n(n-2j)} (q;q)_n / ((q;q)_j (q;q)_{n-2j}).
     """
+    if n < 0:
+        raise ValueError("n must be at least 0, got %d" % n)
     total = LaurentPoly2()
     for j in range(n // 2 + 1):
         sign = -1 if j % 2 else 1
@@ -370,6 +372,13 @@ def matrix_count_formula(n):
             ratio = ratio * (ONE - LaurentPoly2.monomial(1, i, 0))
         total = total + LaurentPoly2.monomial(sign, e, 0) * ratio
     return total
+
+
+def matrix_count_check(n, p, budget=oracle_mod.DEFAULT_BUDGET):
+    """matrix_count_formula(n) at q=p against the brute-force count over F_p."""
+    return compare_report("matrix-count", {"n": n, "p": p},
+                          matrix_count_formula(n).eval_int(p),
+                          oracle_mod.matrix_pair_count(n, p, budget=budget))
 
 
 # -- special values -----------------------------------------------------------------

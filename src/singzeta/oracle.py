@@ -6,16 +6,21 @@ generator matrices, and submodules are enumerated exhaustively.  A submodule of
 codimension n of R^d contains m^n R^d (Nakayama chain: if [M:L] = n then the
 descending chain L + m^j M must drop at every step), so codim <= N submodules
 of R^d biject with those of the truncated model (R/m^N)^d.  That containment
-argument is the whole correctness story for the Quot-coefficient oracle.
+argument is the whole correctness story for the Quot-coefficient oracle;
+quot_census is the one place that sizes the model by it.
 
-Enumeration walks downward from the full module: the children of an invariant
-subspace L are its invariant hyperplanes, i.e. hyperplanes of L containing m*L.
-Every invariant subspace of codimension k lies under one of codimension k-1
-(composition series of the quotient), so the walk is exhaustive; a canonical
-reduced-echelon basis is the dedup key.  Only prime fields are supported.
+One builder, _presentation, turns partial maps on named basis vectors into the
+0/1 generator matrices of every model (germs and Jordan modules alike).  One
+walk, _walk, goes downward from the full module: the children of an invariant
+subspace L are its invariant hyperplanes, i.e. hyperplanes of L containing
+m*L.  Every invariant subspace of codimension k lies under one of codimension
+k-1 (composition series of the quotient), so the walk is exhaustive; a
+canonical reduced-echelon basis is the dedup key.  A census only says how to
+classify each node.  Only prime fields are supported.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .partitions import Partition
@@ -129,10 +134,36 @@ class FqModulePresentation:
 
 
 def _mat_mul(a, b, p):
-    n = len(a)
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
                  for row in a)
+
+
+def _presentation(p, names, maps, d, labels):
+    """d copies of the basis `names`, one generator per partial map name -> image
+    name; a name the map leaves out, or an image outside the basis, goes to 0."""
+    index = {nm: k for k, nm in enumerate(names)}
+    block = len(names)
+    dim = block * d
+    mats = []
+    for act in maps:
+        mat = [[0] * dim for _ in range(dim)]
+        for nm, k in index.items():
+            tgt = index.get(act.get(nm))
+            if tgt is not None:
+                for off in range(0, dim, block):
+                    mat[off + tgt][off + k] = 1
+        mats.append(mat)
+    return FqModulePresentation(p, dim, mats, labels=labels)
+
+
+def _jordan_module(parts, p, d=1):
+    """(+) F_p[T]/T^{q} over q in parts, d times over, under the generator T."""
+    names = [(j, i) for j, q in enumerate(parts) for i in range(q)]
+    return _presentation(p, names, [{(j, i): (j, i + 1) for j, i in names}], d, ["T"])
+
+
+# -- the submodule walk ---------------------------------------------------------
 
 
 class SubmoduleCensus:
@@ -160,40 +191,32 @@ class SubmoduleCensus:
         return {"census": obj, "params": {k: str(v) for k, v in self.params.items()}}
 
 
-def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET, schedule="lex"):
-    """Census of invariant subspaces of codimension <= max_codim.
+def _walk(module, max_codim, classify, budget, what, schedule="lex", progress=dict):
+    """Counts of the invariant subspaces of codim <= max_codim by classify(basis).
 
-    Rank of the quotient M/L is dim M - dim(L + m*M).  The DFS is deduplicated
-    on canonical echelon bases, so counts are independent of the schedule
-    ('lex' or 'revlex' child order, asserted equal by a test).
-    """
-    p = module.p
-    gens = module.generators
+    Every child visited costs one unit of budget; past it, BudgetExceededError
+    carries progress(counts so far)."""
+    p, gens = module.p, module.generators
     full = module.full_basis()
-    m_full = _image_basis(gens, full, p)
-    visited = set()
     counts = {}
-    work = 0
+    visited = {full}
     stack = [full]
-    visited.add(full)
+    work = 0
     while stack:
         basis = stack.pop()
-        codim = module.dim - len(basis)
-        rank = module.dim - len(_join(basis, m_full, p))
-        counts[(codim, rank)] = counts.get((codim, rank), 0) + 1
-        if codim >= max_codim:
+        key = classify(basis)
+        counts[key] = counts.get(key, 0) + 1
+        if module.dim - len(basis) >= max_codim:
             continue
         for child in _invariant_hyperplanes(basis, gens, p, schedule):
             work += 1
             if work > budget:
-                raise BudgetExceededError(
-                    "submodule enumeration exceeded budget %d" % budget,
-                    progress=SubmoduleCensus(counts))
+                raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
+                                          progress=progress(counts))
             if child not in visited:
                 visited.add(child)
                 stack.append(child)
-    return SubmoduleCensus(counts, params={"p": p, "dim": module.dim,
-                                           "max_codim": max_codim})
+    return counts
 
 
 def _invariant_hyperplanes(basis, gens, p, schedule="lex"):
@@ -210,7 +233,7 @@ def _invariant_hyperplanes(basis, gens, p, schedule="lex"):
     r = len(comp)
     out = []
     for i0 in range(r):
-        for tail in _tuples(p, r - 1 - i0):
+        for tail in product(range(p), repeat=r - 1 - i0):
             phi = (0,) * i0 + (1,) + tail
             kernel = [tuple((c - phi[j] * k) % p for c, k in zip(comp[j], comp[i0]))
                       for j in range(r) if j != i0]
@@ -220,22 +243,24 @@ def _invariant_hyperplanes(basis, gens, p, schedule="lex"):
     return out
 
 
-def _tuples(p, n):
-    if n == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _tuples(p, n - 1):
-            yield (head,) + tail
+def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET, schedule="lex"):
+    """Census of invariant subspaces of codimension <= max_codim.
+
+    Rank of the quotient M/L is dim M - dim(L + m*M).  Counts are independent
+    of the schedule ('lex' or 'revlex' child order, asserted equal by a test).
+    """
+    p, dim = module.p, module.dim
+    m_full = _image_basis(module.generators, module.full_basis(), p)
+
+    def codim_rank(basis):
+        return dim - len(basis), dim - len(_join(basis, m_full, p))
+
+    counts = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
+                   schedule, progress=SubmoduleCensus)
+    return SubmoduleCensus(counts, params={"p": p, "dim": dim, "max_codim": max_codim})
 
 
 # -- local models of the curve germs -------------------------------------------
-
-
-def _kind_m(family):
-    if isinstance(family, tuple):
-        return family
-    return family.kind, family.m
 
 
 def build_local_model(family, d, N, p, target="free"):
@@ -248,7 +273,7 @@ def build_local_model(family, d, N, p, target="free"):
     target='max_ideal':     m*(R/m^N)^d, the same free model without the unit
                             monomials (used by the conversion-identity check).
     """
-    kind, m = _kind_m(family)
+    kind, m = family if isinstance(family, tuple) else (family.kind, family.m)
     if N < 1:
         raise ValueError("N must be at least 1")
     if kind not in ("cusp", "node"):
@@ -258,94 +283,49 @@ def build_local_model(family, d, N, p, target="free"):
         # monomial x^i has m-adic order i, monomial x^i*y has order i+1
         lo = 1 if target == "max_ideal" else 0
         names = [("x", i) for i in range(lo, N)] + [("y", i) for i in range(N - 1)]
-        index = {nm: k for k, nm in enumerate(names)}
-
-        def x_act(nm):
-            kindc, i = nm
-            tgt = (kindc, i + 1)
-            return tgt if tgt in index else None
-
-        if kind == "cusp":
-            def y_act(nm):
-                kindc, i = nm
-                tgt = ("y", i) if kindc == "x" else ("x", i + 2 * m + 1)
-                return tgt if tgt in index else None
-        else:
-            def y_act(nm):
-                kindc, i = nm
-                tgt = ("y", i) if kindc == "x" else ("y", i + m)
-                return tgt if tgt in index else None
-
-        acts = [x_act, y_act]
+        y_on_y = ("x", 2 * m + 1) if kind == "cusp" else ("y", m)
+        maps = [{(c, i): (c, i + 1) for c, i in names},
+                {(c, i): ("y", i) if c == "x" else (y_on_y[0], i + y_on_y[1])
+                 for c, i in names}]
     elif target == "normalization":
         if kind == "cusp":
             names = [("T", i) for i in range(2 * N)]
-            index = {nm: k for k, nm in enumerate(names)}
-
-            def x_act(nm):
-                tgt = ("T", nm[1] + 2)
-                return tgt if tgt in index else None
-
-            def y_act(nm):
-                tgt = ("T", nm[1] + 2 * m + 1)
-                return tgt if tgt in index else None
+            maps = [{(b, i): (b, i + 2) for b, i in names},
+                    {(b, i): (b, i + 2 * m + 1) for b, i in names}]
         else:
-            names = [("T1", i) for i in range(2 * N)] + [("T2", i) for i in range(2 * N)]
-            index = {nm: k for k, nm in enumerate(names)}
-
-            def x_act(nm):
-                tgt = (nm[0], nm[1] + 1)
-                return tgt if tgt in index else None
-
-            def y_act(nm):
-                if nm[0] != "T1":
-                    return None
-                tgt = ("T1", nm[1] + m)
-                return tgt if tgt in index else None
-
-        acts = [x_act, y_act]
+            names = [(b, i) for b in ("T1", "T2") for i in range(2 * N)]
+            maps = [{(b, i): (b, i + 1) for b, i in names},
+                    {(b, i): (b, i + m) for b, i in names if b == "T1"}]
     else:
         raise ValueError("unknown target %r" % target)
+    return _presentation(p, names, maps, d, ["x", "y"])
 
-    block = len(names)
-    dim = block * d
-    mats = []
-    for act in acts:
-        mat = [[0] * dim for _ in range(dim)]
-        for copy in range(d):
-            off = copy * block
-            for nm, k in index.items():
-                tgt = act(nm)
-                if tgt is not None:
-                    mat[off + index[tgt]][off + k] = 1
-        mats.append(mat)
-    return FqModulePresentation(p, dim, mats, labels=["x", "y"])
+
+def quot_census(family, m, d, p, max_codim, module="free", budget=DEFAULT_BUDGET):
+    """Census of the codim <= max_codim submodules of the rank-d ambient.
+
+    module selects the ambient: 'free' R^d, 'normalization' Rtilde^d, or
+    'max_ideal' (m R)^d.  Its model truncates at N = max(max_codim, 1), or at
+    N = max_codim + 1 for 'max_ideal', which is exact only to codim N - 1.
+    """
+    if max_codim < 0:
+        raise ValueError("max_codim must be at least 0, got %d" % max_codim)
+    kind = family if isinstance(family, str) else family.kind
+    N = max_codim + 1 if module == "max_ideal" else max(max_codim, 1)
+    model = build_local_model((kind, m), d, N, p, target=module)
+    return enumerate_submodules(model, max_codim, budget=budget)
 
 
 def quot_coeffs_oracle(family, m, d, p, N, module="free", budget=DEFAULT_BUDGET):
-    """t^0..t^N coefficients of the rank-d Quot zeta function at q=p.
-
-    module selects the ambient: 'free' R^d, 'normalization' Rtilde^d, or
-    'max_ideal' (m R)^d (the last is exact only to codim N-1).
-    """
-    kind = family if isinstance(family, str) else family.kind
-    model = build_local_model((kind, m), d, N, p, target=module)
+    """t^0..t^N coefficients of the rank-d Quot zeta function at q=p (to t^{N-1}
+    for module 'max_ideal'); the ambients are those of quot_census."""
     max_codim = N - 1 if module == "max_ideal" else N
-    census = enumerate_submodules(model, max_codim, budget=budget)
-    return census.coefficients(max_codim)
+    return quot_census(family, m, d, p, max_codim, module, budget).coefficients(max_codim)
 
 
 def solomon_census(d, p, N, budget=DEFAULT_BUDGET):
     """Census of (F_p[T]/T^N)^d under the single generator T."""
-    block = N
-    dim = N * d
-    mat = [[0] * dim for _ in range(dim)]
-    for copy in range(d):
-        off = copy * block
-        for i in range(N - 1):
-            mat[off + i + 1][off + i] = 1
-    model = FqModulePresentation(p, dim, [mat], labels=["T"])
-    return enumerate_submodules(model, N, budget=budget)
+    return enumerate_submodules(_jordan_module((N,), p, d), N, budget=budget)
 
 
 # -- DVR-module census for Hall polynomial checks -------------------------------
@@ -364,43 +344,16 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     got = _DVR_CENSUS_CACHE.get(key)
     if got is not None:
         return got
-    parts = lam.parts
-    dim = sum(parts)
-    offs = []
-    pos = 0
-    for q in parts:
-        offs.append(pos)
-        pos += q
-    mat = [[0] * dim for _ in range(dim)]
-    for off, q in zip(offs, parts):
-        for i in range(q - 1):
-            mat[off + i + 1][off + i] = 1
-    model = FqModulePresentation(p, dim, [mat], labels=["T"])
-
+    model = _jordan_module(lam.parts, p)
     tmat = model.generators[0]
-    full = model.full_basis()
-    m_powers = [full]
+    m_powers = [model.full_basis()]
     while m_powers[-1]:
         m_powers.append(_image_basis([tmat], m_powers[-1], p))
 
-    counts = {}
-    visited = set()
-    stack = [full]
-    visited.add(full)
-    work = 0
-    while stack:
-        basis = stack.pop()
-        tm = _module_type(basis, tmat, p)
-        cot = _cotype(basis, m_powers, p)
-        key2 = (tm, cot)
-        counts[key2] = counts.get(key2, 0) + 1
-        for child in _invariant_hyperplanes(basis, [tmat], p):
-            work += 1
-            if work > budget:
-                raise BudgetExceededError("DVR census exceeded budget %d" % budget)
-            if child not in visited:
-                visited.add(child)
-                stack.append(child)
+    def type_cotype(basis):
+        return _module_type(basis, tmat, p), _cotype(basis, m_powers, p)
+
+    counts = _walk(model, model.dim, type_cotype, budget, "DVR census")
     _DVR_CENSUS_CACHE[key] = counts
     return counts
 
@@ -428,22 +381,12 @@ def surjective_homs_count(mu, d, p):
     A hom is a d-tuple of elements of M; it is onto iff the T-closure of the
     images spans.
     """
-    parts = mu.parts
-    dim = sum(parts)
+    dim = mu.size()
     if dim == 0:
         return 1
-    offs = []
-    pos = 0
-    for q in parts:
-        offs.append(pos)
-        pos += q
-    tmat = [[0] * dim for _ in range(dim)]
-    for off, q in zip(offs, parts):
-        for i in range(q - 1):
-            tmat[off + i + 1][off + i] = 1
-    elements = list(_tuples(p, dim))
+    tmat = _jordan_module(mu.parts, p).generators[0]
     count = 0
-    for combo in _vector_tuples(elements, d):
+    for combo in product(product(range(p), repeat=dim), repeat=d):
         vecs = []
         for v in combo:
             w = v
@@ -455,28 +398,21 @@ def surjective_homs_count(mu, d, p):
     return count
 
 
-def _vector_tuples(elements, d):
-    if d == 0:
-        yield ()
-        return
-    for head in elements:
-        for tail in _vector_tuples(elements, d - 1):
-            yield (head,) + tail
-
-
 # -- matrix-pair counting --------------------------------------------------------
 
 
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search."""
     _require_prime(p)
+    if n < 0:
+        raise ValueError("n must be at least 0, got %d" % n)
     if p ** (2 * n * n) > budget:
         raise BudgetExceededError("matrix enumeration %d^%d exceeds budget"
                                   % (p, 2 * n * n))
     if n == 0:
         return 1
-    mats = [tuple(tuple(row) for row in _chunk(flat, n))
-            for flat in _tuples(p, n * n)]
+    mats = [tuple(flat[i:i + n] for i in range(0, n * n, n))
+            for flat in product(range(p), repeat=n * n)]
     squares = {a: _mat_mul(a, a, p) for a in mats}
     count = 0
     for b in mats:
@@ -485,10 +421,6 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
             if squares[a] == b3 and _mat_mul(a, b, p) == _mat_mul(b, a, p):
                 count += 1
     return count
-
-
-def _chunk(flat, n):
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 # -- Coh/Quot invariance ----------------------------------------------------------
@@ -504,13 +436,14 @@ def _poch_frac(x, n):
 def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET):
     """Check that p^{-dn} (1/p;1/p)_{d-r} / (1/p;1/p)_d #Quot^r_{d,n} is d-independent."""
     kind = family if isinstance(family, str) else family.kind
+    if not d_list:
+        raise ValueError("d_list must name at least one rank")
     values = []
     with timed() as tm:
         for d in d_list:
             if r > min(d, n):
                 raise ValueError("need r <= min(d, n)")
-            model = build_local_model((kind, m), d, max(n, 1), p, target="free")
-            census = enumerate_submodules(model, n, budget=budget)
+            census = quot_census(kind, m, d, p, n, budget=budget)
             quot_count = census.counts.get((n, r), 0)
             x = Fraction(1, p)
             val = Fraction(quot_count) * x**(d * n) * _poch_frac(x, d - r) / _poch_frac(x, d)

@@ -8,6 +8,8 @@ timing limits from the statement of each criterion are asserted as well
 import time
 
 from singzeta import acceptance
+from singzeta.laurent import LaurentPoly2
+from singzeta.oracle import SubmoduleCensus
 from singzeta.partitions import Partition
 
 
@@ -71,6 +73,56 @@ def test_criterion_07_names_first_mismatch(monkeypatch):
     # later, as the mirror of g^[2,1]_{[1,1],[1]}; the report names the first
     assert reports["hall-symmetry"].status == "fail"
     assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
+
+
+def test_criterion_07_locates_first_mismatch(monkeypatch):
+    # each polynomial scan names the first exponent pair where its two sides differ
+    real_box, real_general = acceptance.hall_mod.hall_box, acceptance.hall_mod.hall_general
+
+    def hall_box(m, d, mu):
+        value = real_box(m, d, mu)
+        return value + LaurentPoly2.monomial(1, 1, 0) if (m, d, mu.parts) == (2, 2, (2, 1)) else value
+
+    def hall_general(lam, mu, nu):
+        value = real_general(lam, mu, nu)
+        wrong = (lam.parts, mu.parts, nu.parts) == ((2, 1), (1,), (1, 1))
+        return value + LaurentPoly2.monomial(1, 2, 0) if wrong else value
+
+    monkeypatch.setattr(acceptance.hall_mod, "hall_box", hall_box)
+    monkeypatch.setattr(acceptance.hall_mod, "hall_general", hall_general)
+    reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
+    assert reports["hall-box-vs-skew"].detail == str((2, 2, "[2,1]"))
+    assert reports["hall-box-vs-skew"].discrepancy == (1, 0)
+    assert reports["hall-completeness"].discrepancy == (2, 0)
+    assert reports["hall-symmetry"].discrepancy == (2, 0)
+
+
+def test_criteria_08_09_name_first_wrong_degree(monkeypatch):
+    # censuses that agree with the formula except at one t-degree; the failing
+    # report names that degree k as (0, k), the others still pass
+    def quot_coeffs_oracle(kind, m, d, p, N, module, budget):
+        got = [int(c.eval_int(p)) for c in acceptance.cl_mod.z_series(kind, m, d, N + 1, module)]
+        if (kind, m, d, module) == ("node", 2, 1, "normalization"):
+            got[2] += 1
+        return got
+
+    def solomon_census(d, p, N, budget):
+        want = [int(c.eval_int(p)) for c in acceptance.qz.full_z(acceptance.ONE, 1, d, N + 1)]
+        if (d, p) == (2, 3):
+            want[3] -= 1
+        return SubmoduleCensus({(k, 0): c for k, c in enumerate(want)})
+
+    monkeypatch.setattr(acceptance.oracle_mod, "quot_coeffs_oracle", quot_coeffs_oracle)
+    monkeypatch.setattr(acceptance.oracle_mod, "solomon_census", solomon_census)
+    for reports, size, wrong, k in (
+            (acceptance.criterion_8_oracle_vs_formula(), 16,
+             {"family": "node", "m": "2", "d": "1", "module": "normalization", "p": "2"}, 2),
+            (acceptance.criterion_9_solomon(), 4, {"d": "2", "p": "3", "N": "4"}, 3)):
+        failing = [r for r in reports if r.status == "fail"]
+        assert len(reports) == size and len(failing) == 1
+        assert failing[0].to_json_obj()["params"] == wrong
+        assert failing[0].discrepancy == (0, k)
+        assert "first-discrepancy=(0, %d)" % k in str(failing[0])
 
 
 def test_criterion_08_oracle_vs_formula():

@@ -1,5 +1,6 @@
 import json
 
+from singzeta import acceptance, cli
 from singzeta.cli import dispatch, EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, _emit_reports
 from singzeta.report import VerificationReport
 from singzeta.tables import table_text
@@ -81,6 +82,31 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert dispatch(["table", "4"]) == EXIT_USAGE
     capsys.readouterr()
+    # bad sizes are rejected by the library, with one line naming the value
+    for argv, message in (
+            (["oracle", "matrix", "--n", "-1", "--p", "2"], "n must be at least 0, got -1"),
+            (["oracle", "matrix", "--n", "-2", "--p", "2"], "n must be at least 0, got -2"),
+            (["verify", "matrix-count", "--n", "-1", "--p", "2"],
+             "n must be at least 0, got -1"),
+            (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2",
+              "--n", "1", "--r", "1", "--d-list", ","], "d_list must name at least one rank"),
+            (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
+              "--max-codim", "-1"], "max_codim must be at least 0, got -1")):
+        assert dispatch(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("numerator left Z[q,t]")
+
+    monkeypatch.setattr(cli.qz, "nz", broken)
+    assert dispatch(["nz", "--family", "node", "--m", "1", "--d", "1"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: numerator left Z[q,t]\n"
 
 
 def test_budget_exit_code(capsys):
@@ -108,6 +134,51 @@ def test_oracle_commands(capsys):
     assert code == EXIT_PASS
     payload = json.loads(out)
     assert payload["census"]["(0,0)"] == "1"
+
+
+def test_oracle_quot_codim_zero(capsys):
+    # the whole module is the one codim-0 submodule, as verify coh-quot --n 0 finds
+    for module in ("free", "normalization", "max-ideal"):
+        code, out = run(capsys, "oracle", "quot", "--family", "node", "--m", "1",
+                        "--d", "2", "--p", "2", "--max-codim", "0", "--module", module)
+        assert code == EXIT_PASS
+        assert out == "codim=0 rank=0 count=1\n"
+
+
+def _stub_criteria(monkeypatch):
+    passing = VerificationReport("stub-pass", {"k": 1}, "pass")
+    failing = VerificationReport("stub-fail", {"k": 2}, "fail", discrepancy=(0, 3))
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("1 passing", lambda: [passing], "fast"),
+        ("2 failing", lambda: [passing, failing], "fast"),
+        ("3 oracle only", lambda budget: [failing], "oracle")])
+    return passing, failing
+
+
+def test_suite_text(capsys, monkeypatch):
+    passing, failing = _stub_criteria(monkeypatch)
+    code, out = run(capsys, "suite", "fast")
+    assert code == EXIT_FAIL
+    assert out == ("[PASS] 1 passing\n[FAIL] 2 failing\n    %s\n"
+                   "suite fast: 1/2 groups passed\n" % failing)
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:1])
+    code, out = run(capsys, "suite", "full")
+    assert code == EXIT_PASS
+    assert out == "[PASS] 1 passing\nsuite full: 1/1 groups passed\n"
+
+
+def test_suite_json(capsys, monkeypatch):
+    passing, failing = _stub_criteria(monkeypatch)
+    code, out = run(capsys, "--format", "json", "suite", "full")
+    assert code == EXIT_FAIL
+    assert json.loads(out) == [
+        {"group": "1 passing", "status": "pass", "reports": [passing.to_json_obj()]},
+        {"group": "2 failing", "status": "fail",
+         "reports": [passing.to_json_obj(), failing.to_json_obj()]},
+        {"group": "3 oracle only", "status": "fail", "reports": [failing.to_json_obj()]}]
+    code, out = run(capsys, "suite", "fast", "--format", "json")
+    assert code == EXIT_FAIL
+    assert [g["group"] for g in json.loads(out)] == ["1 passing", "2 failing"]
 
 
 def test_verify_conversion(capsys):

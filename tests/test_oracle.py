@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from singzeta import oracle
 from singzeta.partitions import Partition
-from singzeta.oracle import (FqModulePresentation, build_local_model,
+from singzeta.oracle import (quot_census, FqModulePresentation, build_local_model,
                              enumerate_submodules, quot_coeffs_oracle,
                              solomon_census, matrix_pair_count,
                              coh_quot_invariance_check, dvr_type_cotype_census,
@@ -58,6 +59,37 @@ def test_census_budget():
         enumerate_submodules(model, 3, budget=5)
 
 
+def test_walk_budget_stops():
+    # the least budget each census needs; it pins the basis order of the
+    # models and the number of children the walk visits
+    model = build_local_model(("node", 1), 2, 3, 2)
+    with pytest.raises(BudgetExceededError) as stop:
+        enumerate_submodules(model, 3, budget=140)
+    assert stop.value.progress.counts[(0, 0)] == 1
+    assert enumerate_submodules(model, 3, budget=141) == enumerate_submodules(model, 3)
+    with pytest.raises(BudgetExceededError):
+        solomon_census(2, 3, 4, budget=231)
+    assert solomon_census(2, 3, 4, budget=232).coefficients(4) == [1, 4, 13, 40, 121]
+    lam = Partition([2, 1, 1])
+    oracle._DVR_CENSUS_CACHE.clear()
+    with pytest.raises(BudgetExceededError):
+        dvr_type_cotype_census(lam, 3, budget=147)
+    oracle._DVR_CENSUS_CACHE.clear()
+    assert sum(dvr_type_cotype_census(lam, 3, budget=148).values()) > 0
+
+
+def test_quot_census_sizing():
+    # N = max(max_codim, 1), or max_codim + 1 for the maximal ideal
+    assert quot_census("node", 1, 2, 2, 0).counts == {(0, 0): 1}
+    for module, n in (("free", 3), ("max_ideal", 2), ("normalization", 2)):
+        got = quot_census("cusp", 1, 2, 2, n, module).coefficients(n)
+        n_model = n + 1 if module == "max_ideal" else n
+        model = build_local_model(("cusp", 1), 2, n_model, 2, module)
+        assert got == enumerate_submodules(model, n).coefficients(n)
+    with pytest.raises(ValueError):
+        quot_census("node", 1, 1, 2, -1)
+
+
 def test_solomon_census():
     # coefficients of 1/(t;p)_d are h_k(1, p, ..., p^{d-1})
     for p in (2, 3):
@@ -81,6 +113,8 @@ def test_matrix_pair_count():
     assert matrix_pair_count(1, 3) == 3
     with pytest.raises(BudgetExceededError):
         matrix_pair_count(3, 3, budget=100)
+    with pytest.raises(ValueError):
+        matrix_pair_count(-1, 2)
 
 
 def test_dvr_census():
@@ -103,3 +137,5 @@ def test_coh_quot_invariance():
     assert rep.passed
     with pytest.raises(ValueError):
         coh_quot_invariance_check("node", 1, 2, 1, 2, [2])
+    with pytest.raises(ValueError):
+        coh_quot_invariance_check("node", 1, 2, 1, 1, [])
