@@ -32,6 +32,18 @@ class LaurentPoly2:
         self.terms = t
         self._hash = None
 
+    @classmethod
+    def _adopt(cls, terms):
+        """Take ownership of a freshly built dict of nonzero int coefficients.
+
+        Neither copies nor re-validates: the caller must hand over int keys
+        and nonzero int values, and never touch the dict again.
+        """
+        self = cls.__new__(cls)
+        self.terms = terms
+        self._hash = None
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -56,18 +68,13 @@ class LaurentPoly2:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return LaurentPoly2(out)
+        add_into(out, other)
+        return LaurentPoly2._adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly2({k: -c for k, c in self.terms.items()})
+        return LaurentPoly2._adopt({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = LaurentPoly2._coerce(other)
@@ -91,7 +98,7 @@ class LaurentPoly2:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return LaurentPoly2(out)
+        return LaurentPoly2._adopt(out)
 
     __rmul__ = __mul__
 
@@ -172,7 +179,7 @@ class LaurentPoly2:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return LaurentPoly2(out)
+        return LaurentPoly2._adopt(out)
 
     def eval_int(self, q_val, t_val=1):
         """Exact value at integer q and rational t, as a Fraction.
@@ -224,6 +231,20 @@ class LaurentPoly2:
         if obj.get("vars") != ["q", "t"]:
             raise ValueError("expected vars ['q','t']")
         return LaurentPoly2({(a, b): int(c) for a, b, c in obj["terms"]})
+
+
+def add_into(acc, poly):
+    """Add poly's terms into the plain {(e_q, e_t): coeff} dict acc, in place.
+
+    A coefficient that cancels to 0 is deleted, so acc keeps the stored-term
+    invariant of LaurentPoly2 and can be summed into without copying.
+    """
+    for k, c in poly.terms.items():
+        s = acc.get(k, 0) + c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
 
 
 def _as_unit_monomial(p, what):

@@ -274,6 +274,10 @@ def build_local_model(family, d, N, p, target="free"):
                             monomials (used by the conversion-identity check).
     """
     kind, m = family if isinstance(family, tuple) else (family.kind, family.m)
+    if m < 1:
+        raise ValueError("m must be at least 1, got %d" % m)
+    if d < 0:
+        raise ValueError("d must be at least 0, got %d" % d)
     if N < 1:
         raise ValueError("N must be at least 1")
     if kind not in ("cusp", "node"):
@@ -325,6 +329,10 @@ def quot_coeffs_oracle(family, m, d, p, N, module="free", budget=DEFAULT_BUDGET)
 
 def solomon_census(d, p, N, budget=DEFAULT_BUDGET):
     """Census of (F_p[T]/T^N)^d under the single generator T."""
+    if d < 0:
+        raise ValueError("d must be at least 0, got %d" % d)
+    if N < 0:
+        raise ValueError("N must be at least 0, got %d" % N)
     return enumerate_submodules(_jordan_module((N,), p, d), N, budget=budget)
 
 

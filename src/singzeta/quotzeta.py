@@ -14,9 +14,20 @@ polynomials over partitions in the d-by-m box:
 
 with g_mu = hall_box(m,d,mu).  Everything is assembled division-free and
 asserted to land in Z[q,t].
+
+Each sum is accumulated term by term into one plain dict (laurent.add_into).
+The node's two-index sum is grouped by what each factor depends on, so no
+factor is multiplied in once per (lam, mu) pair.  With j = lam'_m and
+k = |lam| - |mu|, the ratio depends on mu only through (k, mu'_m), so
+
+    NZ = sum_j (t;q)^2_{d-j} sum_{lam'_m = j} g_lam t^|lam|
+             sum_{(k, i)} (q^d t)^k (1/q;1/q)_j/(1/q;1/q)_i
+                 sum_{mu <= lam, |lam|-|mu| = k, mu'_m = i} g^lam_mu,
+
+and (t;q)^2_{d-j}, the largest factor, is multiplied in at most d+1 times.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer,
+from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, add_into, qpochhammer,
                       qbinomial, qpoch_qinv_ratio)
 from .hall import hall_box, hall_skew
 from .partitions import iterate_box, subpartitions
@@ -69,10 +80,10 @@ def nz_cusp_normalization(m, d):
     """NZ of the rank-d normalization module over the cusp germ."""
     key = ("cusp-norm", m, d)
     if key not in _NZ_CACHE:
-        total = ZERO
+        total = {}
         for mu in iterate_box(m, d):
-            total = total + hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size())
-        _NZ_CACHE[key] = _check_poly(total)
+            add_into(total, hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size()))
+        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
     return _NZ_CACHE[key]
 
 
@@ -88,31 +99,44 @@ def nz_node_normalization(m, d):
     """NZ of the rank-d normalization module over the node germ."""
     key = ("node-norm", m, d)
     if key not in _NZ_CACHE:
-        total = ZERO
+        total = {}
         for mu in iterate_box(m, d):
             term = hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size())
-            total = total + term * qpoch_qinv_ratio(d, mu.conj_part(1))
-        _NZ_CACHE[key] = _check_poly(total)
+            add_into(total, term * qpoch_qinv_ratio(d, mu.conj_part(1)))
+        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
     return _NZ_CACHE[key]
 
 
 def nz_node_free(m, d):
-    """NZ of the free rank-d module over the node germ (two-index Hall sum)."""
+    """NZ of the free rank-d module over the node germ (two-index Hall sum,
+    grouped by j = lam'_m as in the module docstring)."""
     key = ("node-free", m, d)
     if key not in _NZ_CACHE:
-        total = ZERO
+        lams_by_j = {}
         for lam in iterate_box(m, d):
-            glam = hall_box(m, d, lam)
-            lam_m = lam.conj_part(m)
-            poch2 = qpochhammer(T, Q, d - lam_m) ** 2
-            for mu in subpartitions(lam):
-                gskew = hall_skew(lam, mu)
-                k = lam.size() - mu.size()
-                term = (glam * gskew * poch2
-                        * LaurentPoly2.monomial(1, d * k, lam.size() + k))
-                total = total + term * qpoch_qinv_ratio(lam_m, lam_m - mu.conj_part(m))
-        _NZ_CACHE[key] = _check_poly(total)
+            lams_by_j.setdefault(lam.conj_part(m), []).append(lam)
+        total = {}
+        for j, lams in lams_by_j.items():
+            lam_sum = {}
+            for lam in lams:
+                add_into(lam_sum, _node_free_lam_term(lam, m, d, j))
+            add_into(total, LaurentPoly2(lam_sum) * qpochhammer(T, Q, d - j) ** 2)
+        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
     return _NZ_CACHE[key]
+
+
+def _node_free_lam_term(lam, m, d, j):
+    """g_lam t^|lam| sum_{mu <= lam} g^lam_mu (q^d t)^k (1/q;1/q)_j/(1/q;1/q)_{mu'_m},
+    with the g^lam_mu summed per (k, mu'_m) before the other factors go in."""
+    buckets = {}
+    for mu in subpartitions(lam):
+        add_into(buckets.setdefault((lam.size() - mu.size(), mu.conj_part(m)), {}),
+                 hall_skew(lam, mu))
+    inner = {}
+    for (k, mu_m), bucket in buckets.items():
+        weight = LaurentPoly2.monomial(1, d * k, k) * qpoch_qinv_ratio(j, j - mu_m)
+        add_into(inner, LaurentPoly2(bucket) * weight)
+    return hall_box(m, d, lam) * LaurentPoly2.monomial(1, 0, lam.size()) * LaurentPoly2(inner)
 
 
 def _check_poly(p):
@@ -139,6 +163,8 @@ def full_z(nz_poly, s, d, t_prec):
     Returns the list of t^0..t^(t_prec-1) coefficients.  Each is a point count,
     so it must be a polynomial in q with nonnegative coefficients; asserted.
     """
+    if t_prec < 1:
+        raise ValueError("t_prec must be at least 1, got %d" % t_prec)
     denom = (qpochhammer(T, Q, d) ** s).t_coefficients()
     inv = [ONE]
     for k in range(1, t_prec):

@@ -91,7 +91,21 @@ def test_usage_errors(capsys):
             (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2",
               "--n", "1", "--r", "1", "--d-list", ","], "d_list must name at least one rank"),
             (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
-              "--max-codim", "-1"], "max_codim must be at least 0, got -1")):
+              "--max-codim", "-1"], "max_codim must be at least 0, got -1"),
+            (["oracle", "quot", "--family", "node", "--m", "-1", "--d", "1", "--p", "2",
+              "--max-codim", "2"], "m must be at least 1, got -1"),
+            (["oracle", "quot", "--family", "cusp", "--m", "0", "--d", "1", "--p", "2",
+              "--max-codim", "2"], "m must be at least 1, got 0"),
+            (["oracle", "quot", "--family", "node", "--m", "1", "--d", "-1", "--p", "2",
+              "--max-codim", "2"], "d must be at least 0, got -1"),
+            (["oracle", "solomon", "--d", "2", "--p", "2", "--N", "-1"],
+             "N must be at least 0, got -1"),
+            (["oracle", "solomon", "--d", "-1", "--p", "2", "--N", "2"],
+             "d must be at least 0, got -1"),
+            (["z", "--family", "node", "--m", "1", "--d", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
+            (["z", "--family", "node", "--m", "1", "--d", "1", "--tprec", "-1"],
+             "t_prec must be at least 1, got -1")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""

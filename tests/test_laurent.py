@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,43 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == ZERO
+
+
+def _assert_canonical(p):
+    for (a, b), c in p.terms.items():
+        assert type(a) is int and type(b) is int and type(c) is int, p.terms
+        assert c != 0, p.terms
+    assert hash(p) == hash(LaurentPoly2(dict(p.terms)))
+
+
+def test_invariants_after_ops_random():
+    rng = random.Random(23)
+    for _ in range(60):
+        a, b = rand_poly(rng), rand_poly(rng, terms=3, span=2)
+        near = -a + b                        # a + near == b: a's terms cancel
+        results = [a + near, a - a, a - (a + b), a * b, -a, a ** 3,
+                   (ONE - Q) * (ONE + Q) * a,  # the q^1 terms cancel
+                   (Q - T).substitute(T, T) * a,  # collapses to 0
+                   a.substitute(T, Q), a.substitute(LaurentPoly2.monomial(-1, -1, 1), T)]
+        assert a + near == b and results[1] == ZERO and results[7] == ZERO
+        for r in results:
+            _assert_canonical(r)
+        assert hash(a * b) == hash(b * a) and hash(a + near) == hash(b)
+        for q in (2, 3, -1):
+            t = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+            av, bv = a.eval_int(q, t), b.eval_int(q, t)
+            assert (a + b).eval_int(q, t) == av + bv
+            assert (a - b).eval_int(q, t) == av - bv
+            assert (a * b).eval_int(q, t) == av * bv
+            assert (-a).eval_int(q, t) == -av
+            assert (a ** 2).eval_int(q, t) == av ** 2
+
+
+def test_public_constructor_normalizes():
+    p = LaurentPoly2({(1.0, 2): 3.0, ("0", True): "5", (2, 2): 0, (3, 0): False})
+    assert p.terms == {(1, 2): 3, (0, 1): 5}
+    _assert_canonical(p)
+    assert LaurentPoly2({(0, 0): 0}) == ZERO and not LaurentPoly2({(0, 0): 0}).terms
 
 
 def test_serialization_roundtrip_random():

@@ -1,6 +1,10 @@
 import pytest
 
-from singzeta.laurent import LaurentPoly2, ONE, Q, T, parse_poly
+from singzeta.hall import hall_box, hall_skew
+from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qpochhammer,
+                              qpoch_qinv_ratio)
+from singzeta.partitions import iterate_box, subpartitions
+from singzeta import quotzeta
 from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
                                nz_cusp_normalization, nz_node_free,
                                nz_node_normalization, full_z, funceq_check,
@@ -46,6 +50,30 @@ def test_nz_node_free_examples():
     assert nz_node_free(1, 1) == parse_poly("1 - t + q*t^2")
     assert nz_node_free(2, 1) == parse_poly("1 - t + q*t^2 - q*t^3 + q^2*t^4")
     assert nz_node_free(3, 0) == ONE
+
+
+def _node_free_double_sum(m, d):
+    """The node's free numerator as written: one term per pair mu <= lam."""
+    total = ZERO
+    for lam in iterate_box(m, d):
+        lam_m = lam.conj_part(m)
+        for mu in subpartitions(lam):
+            k = lam.size() - mu.size()
+            total = total + (hall_box(m, d, lam) * hall_skew(lam, mu)
+                             * qpochhammer(T, Q, d - lam_m) ** 2
+                             * LaurentPoly2.monomial(1, d * k, lam.size() + k)
+                             * qpoch_qinv_ratio(lam_m, lam_m - mu.conj_part(m)))
+    return total
+
+
+def test_nz_node_free_matches_double_sum():
+    for m in range(1, 6):
+        for d in range(0, 7 - m):
+            quotzeta._NZ_CACHE.clear()
+            assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
+    for d in range(8):
+        quotzeta._NZ_CACHE.clear()
+        assert nz_node_free(1, d) == node22_closed_form(d), d
 
 
 def test_degree_bound():
