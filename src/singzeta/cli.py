@@ -18,7 +18,7 @@ from . import quotzeta as qz
 from . import clzeta as cl_mod
 from .quotzeta import SingularityFamily
 from .report import BudgetExceededError, VerificationReport
-from .tables import table_text
+from .tables import table_json_obj, table_text
 from .series import WindowError
 
 EXIT_PASS = 0
@@ -254,7 +254,8 @@ def _run(args):
         return _run_verify(args, fmt)
 
     if cmd == "table":
-        print(table_text(args.which, computed=True))
+        print(json.dumps(table_json_obj(args.which)) if fmt == "json"
+              else table_text(args.which, computed=True))
         return EXIT_PASS
 
     if cmd == "suite":

@@ -9,9 +9,25 @@ series is
           / (a(lam) (u;u)_{mu'_m} (ut;u)^2_{lam'_m}),
 
 where 1/a(lam) = u^{sum lam'_i^2} prod 1/(u;u)_{lam'_i - lam'_{i+1}}.  Each
-node term is u-positive: deg_q g^lam_mu = sum mu'_i(lam'_i - mu'_i) is
-dominated by the u^{sum lam'_i^2} prefactor, asserted during assembly.  The
-full series is the numerator times 1/(ut;u)_inf^s.
+node term is u-positive, asserted during assembly: deg_q g^lam_mu =
+sum mu'_i(lam'_i - mu'_i), so its u-order is at least
+
+    sum lam'_i^2 - sum mu'_i(lam'_i - mu'_i) >= (3/4) sum lam'_i^2,
+
+because x(a - x) <= a^2/4.  So cl_node skips every lam with
+3 sum lam'^2 >= 4 u_prec before enumerating its mu, and drops a remaining
+(lam, mu) when its own bound reaches u_prec.  The sum is grouped by what each
+factor depends on.  With j = lam'_m and (ut;u)_inf/(ut;u)_j = (u^{j+1}t;u)_inf,
+
+    NZ-hat = sum_j (u^{j+1}t;u)^2_inf sum_{lam'_m = j} 1/a(lam)
+                 sum_i (u;u)_j/(u;u)_i sum_{mu <= lam, mu'_m = i} g^lam_mu t^{2|lam|-|mu|}:
+
+the shifted g^lam_mu go into one plain dict per (lam, mu'_m), each bucket
+meets the polynomial (u;u)_j/(u;u)_i = prod_{k=i+1..j} (1 - u^k) once, each
+lam its 1/(u;u)_gap tail once, and each j the Pochhammer square once; no
+series is inverted.  special_values reads NZ-hat(1) and NZ-hat(-1) off one
+numerator per t_prec.  The full series is the numerator times
+1/(ut;u)_inf^s.
 
 Rank-conversion identities (intermediates have negative u-exponents; the
 TruncSeries2 precision bookkeeping carries them):
@@ -26,7 +42,7 @@ TruncSeries2 precision bookkeeping carries them):
 using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
 """
 
-from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv
+from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv, qpoch_qinv_ratio
 from .partitions import iterate_bounded_parts, subpartitions
 from .quotzeta import SingularityFamily, nz, full_z
 from .hall import hall_skew
@@ -50,16 +66,17 @@ class ClSeries:
         self.t_prec = numerator.t_prec
 
 
-def _to_u_trunc(p, shift, u_prec, t_prec):
-    """u^shift * p(q -> 1/u) on the window; the result must be u-positive."""
-    out = {}
+def _add_u_shifted(acc, p, shift, dt, u_prec, t_prec):
+    """Add u^shift t^dt p(q -> 1/u) into the dict acc on the window.
+
+    The shifted polynomial must be u-positive.
+    """
     for (a, b), c in p.terms.items():
-        i = shift - a
+        i, j = shift - a, b + dt
         if i < 0 or b < 0:
             raise AssertionError("negative exponent after u-shift")
-        if i < u_prec and b < t_prec:
-            out[(i, b)] = c
-    return TruncSeries2(u_prec, t_prec, out)
+        if i < u_prec and j < t_prec:
+            acc[(i, j)] = acc.get((i, j), 0) + c
 
 
 def cl_cusp(m, u_prec, t_prec):
@@ -79,50 +96,58 @@ def cl_cusp(m, u_prec, t_prec):
 
 
 def cl_node(m, u_prec, t_prec):
-    """CL numerator/series for the node y^2 = x^{2m}."""
-    outer = poch_inf(1, 1, u_prec, t_prec) ** 2
-    total = TruncSeries2(u_prec, t_prec)
+    """CL numerator/series for the node y^2 = x^{2m}, grouped as in the module
+    docstring: lam with 3 sum lam'^2 >= 4 u_prec is skipped unenumerated."""
+    lams_by_j = {}
     for lam in iterate_bounded_parts(m, t_prec - 1):
-        lam_conj = lam.conjugate().parts
-        sum_sq = sum(c * c for c in lam_conj)
-        lam_m = lam.conj_part(m)
-        poch_lam_m = qpoch_qinv(lam_m)
-        inv_a_tail = TruncSeries2.one(u_prec, t_prec)
-        for i, c in enumerate(lam_conj):
-            gap = c - (lam_conj[i + 1] if i + 1 < len(lam_conj) else 0)
-            inv_a_tail = inv_a_tail * TruncSeries2(u_prec, t_prec,
-                                                   inv_qpoch_u(gap, u_prec).coeffs)
-        inv_ut_sq = _inv_ut_poch(lam_m, u_prec, t_prec) ** 2
-        for mu in subpartitions(lam):
-            t_order = 2 * lam.size() - mu.size()
-            if t_order >= t_prec:
-                continue
-            mu_conj = mu.conjugate().parts
-            min_order = sum_sq - sum(mc * (lc - mc) for lc, mc in zip(lam_conj, mu_conj))
-            if min_order >= u_prec:
-                continue
-            exact = hall_skew(lam, mu) * poch_lam_m
-            if exact.is_zero():
-                continue
-            term = _to_u_trunc(exact, sum_sq, u_prec, t_prec)
-            term = term * inv_a_tail
-            term = term * TruncSeries2(u_prec, t_prec,
-                                       inv_qpoch_u(mu.conj_part(m), u_prec).coeffs)
-            term = term * inv_ut_sq
-            total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
-    return ClSeries("node", m, outer * total, s=2)
+        sum_sq = sum(c * c for c in lam.conjugate().parts)
+        if 3 * sum_sq < 4 * u_prec:
+            lams_by_j.setdefault(lam.conj_part(m), []).append((lam, sum_sq))
+    total = TruncSeries2(u_prec, t_prec)
+    for j, lams in lams_by_j.items():
+        j_sum = TruncSeries2(u_prec, t_prec)
+        for lam, sum_sq in lams:
+            j_sum = j_sum + _cl_node_lam_term(lam, sum_sq, m, j, u_prec, t_prec)
+        if j_sum.coeffs:
+            total = total + j_sum * poch_inf(j + 1, 1, u_prec, t_prec) ** 2
+    return ClSeries("node", m, total, s=2)
+
+
+def _cl_node_lam_term(lam, sum_sq, m, j, u_prec, t_prec):
+    """(1/a(lam)) sum_{mu <= lam} g^lam_mu(1/u) (u;u)_j/(u;u)_{mu'_m} t^{2|lam|-|mu|},
+    with the shifted g^lam_mu summed per mu'_m before the other factors go in."""
+    lam_conj = lam.conjugate().parts
+    buckets = {}
+    for mu in subpartitions(lam):
+        t_order = 2 * lam.size() - mu.size()
+        if t_order >= t_prec:
+            continue
+        mu_conj = mu.conjugate().parts
+        if sum_sq - sum(mc * (lc - mc) for lc, mc in zip(lam_conj, mu_conj)) >= u_prec:
+            continue
+        mu_m = mu_conj[m - 1] if len(mu_conj) >= m else 0
+        _add_u_shifted(buckets.setdefault(mu_m, {}), hall_skew(lam, mu),
+                       sum_sq, t_order, u_prec, t_prec)
+    inner = TruncSeries2(u_prec, t_prec)
+    if not buckets:
+        return inner
+    for mu_m, bucket in buckets.items():
+        part = TruncSeries2(u_prec, t_prec, bucket)
+        if mu_m < j:
+            part = part * TruncSeries2.from_laurent(qpoch_qinv_ratio(j, j - mu_m),
+                                                    u_prec, t_prec)
+        inner = inner + part
+    tail = TruncSeries2.one(u_prec, 1)
+    for i, c in enumerate(lam_conj):
+        gap = c - (lam_conj[i + 1] if i + 1 < len(lam_conj) else 0)
+        if gap:
+            tail = tail * inv_qpoch_u(gap, u_prec)
+    return inner * TruncSeries2(u_prec, t_prec, tail.coeffs)
 
 
 def cl_series(kind, m, u_prec, t_prec):
-    return cl_cusp(m, u_prec, t_prec) if kind == "cusp" else cl_node(m, u_prec, t_prec)
-
-
-def _inv_ut_poch(n, u_prec, t_prec):
-    """1/(ut;u)_n = 1/prod_{k=1}^n (1 - u^k t) on the window."""
-    poly = ONE
-    for k in range(1, n + 1):
-        poly = poly * (ONE - LaurentPoly2.monomial(1, -k, 1))
-    return _to_u_trunc(poly, 0, u_prec, t_prec).inverse()
+    fam = SingularityFamily(kind, m)
+    return cl_cusp(m, u_prec, t_prec) if fam.kind == "cusp" else cl_node(m, u_prec, t_prec)
 
 
 # -- full Quot zeta helpers ----------------------------------------------------
@@ -405,21 +430,33 @@ def node_minus1_product(m, u_prec):
     return num * den.inverse()
 
 
-def _eval_pm_one(kind, m, sign, u_prec, t_start=8, t_cap=2048):
-    """NZ-hat(+-1) as the u-adic limit of partial sums, doubling t_prec."""
-    prev = None
+def _eval_pm_one(kind, m, u_prec, t_start=8, t_cap=2048):
+    """NZ-hat(1) and NZ-hat(-1) as u-adic limits of partial sums.
+
+    t_prec doubles from t_start; each numerator serves both signs, and each
+    sign stops at the first t_prec whose value repeats the previous one.
+    Returns {sign: (value, t_prec used)}.
+    """
+    prev = {}
+    done = {}
     t_prec = t_start
     while t_prec <= t_cap:
         numerator = cl_series(kind, m, u_prec, t_prec).numerator
-        acc = {}
-        for (i, j), c in numerator.coeffs.items():
-            v = c if (sign > 0 or j % 2 == 0) else -c
-            acc[(i, 0)] = acc.get((i, 0), 0) + v
-        val = TruncSeries2(u_prec, 1, acc)
-        if prev is not None and val == prev:
-            return val, t_prec
-        prev = val
+        for sign in (1, -1):
+            if sign in done:
+                continue
+            acc = {}
+            for (i, j), c in numerator.coeffs.items():
+                v = c if (sign > 0 or j % 2 == 0) else -c
+                acc[(i, 0)] = acc.get((i, 0), 0) + v
+            val = TruncSeries2(u_prec, 1, acc)
+            if sign in prev and prev[sign] == val:
+                done[sign] = (val, t_prec)
+            prev[sign] = val
+        if len(done) == 2:
+            return done
         t_prec *= 2
+    sign = 1 if 1 not in done else -1
     raise BudgetExceededError("t=%+d evaluation did not stabilize below t_prec=%d"
                               % (sign, t_cap), progress=(u_prec, t_cap))
 
@@ -428,19 +465,20 @@ def special_values(kind, m, u_prec):
     """The t = +-1 identities for NZ-hat; conjecture-level ones are 'reported'."""
     reports = []
     with timed() as tm:
+        values = _eval_pm_one(kind, m, u_prec)
         if kind == "cusp":
             target = andrews_gordon_product(m, u_prec)
             for sign in (1, -1):
-                val, used_t = _eval_pm_one(kind, m, sign, u_prec)
+                val, used_t = values[sign]
                 reports.append(compare_report(
                     "special-cusp-AG", {"m": m, "t": sign, "u_prec": u_prec,
                                         "t_prec_used": used_t}, val, target))
         else:
-            val, used_t = _eval_pm_one(kind, m, 1, u_prec)
+            val, used_t = values[1]
             reports.append(compare_report(
                 "special-node-plus1", {"m": m, "u_prec": u_prec, "t_prec_used": used_t},
                 val, TruncSeries2.one(u_prec, 1)))
-            val, used_t = _eval_pm_one(kind, m, -1, u_prec)
+            val, used_t = values[-1]
             reports.append(compare_report(
                 "special-node-minus1", {"m": m, "u_prec": u_prec, "t_prec_used": used_t},
                 val, node_minus1_product(m, u_prec), conjectural=(m >= 2)))

@@ -376,6 +376,7 @@ def qpochhammer(x, step, n):
 
 
 _QBINOM_CACHE = {(0, 0): ONE}
+_QBINOM_QINV_CACHE = {}
 
 
 def qbinomial(n, r):
@@ -396,8 +397,13 @@ def qbinomial(n, r):
 
 
 def qbinomial_qinv(n, r):
-    """[n r] evaluated at q -> q^-1 (a Laurent polynomial)."""
-    return qbinomial(n, r).substitute(QINV, T)
+    """[n r] evaluated at q -> q^-1 (a Laurent polynomial), memoized."""
+    key = (n, r)
+    got = _QBINOM_QINV_CACHE.get(key)
+    if got is None:
+        got = qbinomial(n, r).substitute(QINV, T)
+        _QBINOM_QINV_CACHE[key] = got
+    return got
 
 
 def qpoch_qinv(n):

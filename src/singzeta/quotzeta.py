@@ -46,7 +46,7 @@ class SingularityFamily:
         if kind not in ("cusp", "node"):
             raise ValueError("kind must be 'cusp' or 'node'")
         if m < 1:
-            raise ValueError("m must be >= 1")
+            raise ValueError("m must be at least 1, got %d" % m)
         self.kind = kind
         self.m = m
 

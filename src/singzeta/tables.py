@@ -150,12 +150,16 @@ def table12_text(which):
     return render_table12(free, norm)
 
 
-def computed_table12_text(which):
+def _computed_table12(which):
     from .quotzeta import nz_node_free, nz_node_normalization
     m = which
     free = {d: nz_node_free(m, d) for d in (1, 2, 3)}
     norm = {d: nz_node_normalization(m, d) for d in (1, 2, 3)}
-    return render_table12(free, norm)
+    return free, norm
+
+
+def computed_table12_text(which):
+    return render_table12(*_computed_table12(which))
 
 
 def _truncate_to_bounds(series, bounds):
@@ -177,12 +181,17 @@ def table3_text(m):
     return "m=%d: %s" % (m, table3_golden_series(m))
 
 
-def computed_table3_text(m):
+def _computed_table3_row(m):
+    """The CL numerator of row m cut to the printed coefficients."""
     from .clzeta import cl_node
     bounds = table3_entry_bounds(m)
     u_prec = max(bounds.values()) + 1
     numerator = cl_node(m, u_prec, TABLE3_T_PREC).numerator
-    return "m=%d: %s" % (m, _truncate_to_bounds(numerator, bounds))
+    return _truncate_to_bounds(numerator, bounds)
+
+
+def computed_table3_text(m):
+    return "m=%d: %s" % (m, _computed_table3_row(m))
 
 
 def table_text(which, computed=False):
@@ -192,3 +201,22 @@ def table_text(which, computed=False):
         rows = [computed_table3_text(m) if computed else table3_text(m) for m in (1, 2, 3)]
         return "\n".join(rows)
     raise ValueError("tables are 1, 2, 3")
+
+
+def table_json_obj(which):
+    """The computed table as JSON data: its number and one object per row.
+
+    Tables 1 and 2 have a row per d with the free and normalization numerators
+    as LaurentPoly2 JSON; table 3 a row per m with the printed part of the CL
+    numerator as TruncSeries2 JSON.  The rows are the ones table_text renders.
+    """
+    if which in (1, 2):
+        free, norm = _computed_table12(which)
+        rows = [{"d": d, "free": free[d].to_json_obj(),
+                 "normalization": norm[d].to_json_obj()} for d in sorted(free)]
+    elif which == 3:
+        rows = [{"m": m, "numerator": _computed_table3_row(m).to_json_obj()}
+                for m in (1, 2, 3)]
+    else:
+        raise ValueError("tables are 1, 2, 3")
+    return {"table": which, "rows": rows}

@@ -2,7 +2,9 @@ import json
 
 from singzeta import acceptance, cli
 from singzeta.cli import dispatch, EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, _emit_reports
+from singzeta.laurent import LaurentPoly2
 from singzeta.report import VerificationReport
+from singzeta.series import TruncSeries2
 from singzeta.tables import table_text
 
 
@@ -75,6 +77,32 @@ def test_table_commands(capsys):
         assert out.strip() == table_text(int(which), computed=False)
 
 
+def test_table_json(capsys):
+    # the JSON rows round-trip to the values the text table prints
+    for which in ("1", "2"):
+        code, out = run(capsys, "--format", "json", "table", which)
+        assert code == EXIT_PASS
+        obj = json.loads(out)
+        assert obj["table"] == int(which)
+        lines = []
+        for row in obj["rows"]:
+            for column in ("free", "normalization"):
+                poly = LaurentPoly2.from_json_obj(row[column])
+                assert poly.to_json_obj() == row[column]
+                lines.append("d=%d %s: %s" % (row["d"], column, poly.grouped_str()))
+        assert "\n".join(lines) == table_text(int(which))
+    code, out = run(capsys, "table", "3", "--format", "json")
+    assert code == EXIT_PASS
+    obj = json.loads(out)
+    assert obj["table"] == 3
+    lines = []
+    for row in obj["rows"]:
+        series = TruncSeries2.from_json_obj(row["numerator"])
+        assert series.to_json_obj() == row["numerator"]
+        lines.append("m=%d: %s" % (row["m"], series))
+    assert "\n".join(lines) == table_text(3)
+
+
 def test_usage_errors(capsys):
     assert dispatch(["nonsense"]) == EXIT_USAGE
     capsys.readouterr()
@@ -105,7 +133,14 @@ def test_usage_errors(capsys):
             (["z", "--family", "node", "--m", "1", "--d", "1", "--tprec", "0"],
              "t_prec must be at least 1, got 0"),
             (["z", "--family", "node", "--m", "1", "--d", "1", "--tprec", "-1"],
-             "t_prec must be at least 1, got -1")):
+             "t_prec must be at least 1, got -1"),
+            (["cl", "--family", "node", "--m", "0", "--uprec", "5", "--tprec", "4"],
+             "m must be at least 1, got 0"),
+            (["cl", "--family", "cusp", "--m", "-1"], "m must be at least 1, got -1"),
+            (["verify", "special", "--family", "node", "--m", "0", "--uprec", "5"],
+             "m must be at least 1, got 0"),
+            (["nz", "--family", "node", "--m", "0", "--d", "1"],
+             "m must be at least 1, got 0")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""

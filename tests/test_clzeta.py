@@ -1,8 +1,13 @@
+import types
+
 import pytest
 
-from singzeta.laurent import ONE, Q, parse_poly
-from singzeta.series import poch_inf
-from singzeta.clzeta import (cl_cusp, cl_node, convert_rank,
+from singzeta import clzeta
+from singzeta.hall import hall_skew
+from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
+from singzeta.partitions import iterate_bounded_parts, subpartitions
+from singzeta.series import TruncSeries2, inv_qpoch_u, poch_inf
+from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank,
                              extract_polynomial_coefficients, limit_check,
                              matrix_count_formula, special_values, z_series,
                              scaled_z_trunc, andrews_gordon_product,
@@ -34,6 +39,62 @@ def test_cl_node_table3_coefficients():
             got = numerator.t_coefficient(j)
             for a, c in col:
                 assert got.get(a, 0) == c, (m, j, a)
+
+
+def _cl_node_term_by_term(m, u_prec, t_prec):
+    """The node numerator as one series term per (lam, mu), no lam-level prune:
+    (ut;u)^2_inf sum g^lam_mu (u;u)_{lam'_m} t^{2|lam|-|mu|}
+                     / (a(lam) (u;u)_{mu'_m} (ut;u)^2_{lam'_m})."""
+    def u_series(poly, shift):
+        out = {}
+        for (a, b), c in poly.terms.items():
+            assert shift - a >= 0
+            if shift - a < u_prec and b < t_prec:
+                out[(shift - a, b)] = c
+        return TruncSeries2(u_prec, t_prec, out)
+
+    def inv_u_poch(n):
+        return TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs)
+
+    total = TruncSeries2(u_prec, t_prec)
+    for lam in iterate_bounded_parts(m, t_prec - 1):
+        lam_conj = lam.conjugate().parts
+        sum_sq = sum(c * c for c in lam_conj)
+        lam_m = lam.conj_part(m)
+        inv_a_tail = TruncSeries2.one(u_prec, t_prec)
+        for i, c in enumerate(lam_conj):
+            gap = c - (lam_conj[i + 1] if i + 1 < len(lam_conj) else 0)
+            inv_a_tail = inv_a_tail * inv_u_poch(gap)
+        ut_poch = ONE
+        for k in range(1, lam_m + 1):
+            ut_poch = ut_poch * (ONE - LaurentPoly2.monomial(1, -k, 1))
+        inv_ut_sq = u_series(ut_poch, 0).inverse() ** 2
+        for mu in subpartitions(lam):
+            t_order = 2 * lam.size() - mu.size()
+            if t_order >= t_prec:
+                continue
+            mu_conj = mu.conjugate().parts
+            if sum_sq - sum(mc * (lc - mc) for lc, mc in zip(lam_conj, mu_conj)) >= u_prec:
+                continue
+            term = u_series(hall_skew(lam, mu) * qpoch_qinv(lam_m), sum_sq)
+            term = term * inv_a_tail * inv_u_poch(mu.conj_part(m)) * inv_ut_sq
+            total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
+    return poch_inf(1, 1, u_prec, t_prec) ** 2 * total
+
+
+def test_cl_node_matches_term_by_term_sum():
+    for m in (1, 2, 3):
+        for u_prec, t_prec in ((13, 8), (21, 8), (13, 16), (5, 12)):
+            want = _cl_node_term_by_term(m, u_prec, t_prec)
+            got = cl_node(m, u_prec, t_prec).numerator
+            assert (got.u_prec, got.t_prec) == (want.u_prec, want.t_prec) == (u_prec, t_prec)
+            assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
+
+
+def test_cl_series_rejects_unknown_kind():
+    # m < 1 is covered through the CLI in test_cli.test_usage_errors
+    with pytest.raises(ValueError, match="kind must be 'cusp' or 'node'"):
+        cl_series("tacnode", 1, 5, 4)
 
 
 def test_cl_node_sigma_orders_monotone():
@@ -111,6 +172,39 @@ def test_special_values_quick():
     assert all(r.passed for r in reports)
     reports = special_values("node", 2, 9)
     assert {r.name: r.status for r in reports}["special-node-minus1"] == "reported"
+
+
+def _count_cl_series(monkeypatch, fake=None):
+    calls = []
+    real = fake or clzeta.cl_series
+
+    def counting(kind, m, u_prec, t_prec):
+        calls.append(t_prec)
+        return real(kind, m, u_prec, t_prec)
+
+    monkeypatch.setattr(clzeta, "cl_series", counting)
+    return calls
+
+
+def test_special_values_build_one_numerator_per_t_prec(monkeypatch):
+    calls = _count_cl_series(monkeypatch)
+    reports = special_values("node", 1, 9)
+    assert calls == [8, 16]
+    assert [r.params["t_prec_used"] for r in reports] == [16, 16]
+    assert all(r.passed for r in reports)
+
+
+def test_special_values_keep_each_sign_stopping_point(monkeypatch):
+    # NZ-hat(1) repeats from t_prec 8 to 16, NZ-hat(-1) only from 16 to 32
+    def fake(kind, m, u_prec, t_prec):
+        coeffs = {(0, 0): 1} if t_prec < 16 else {(0, 0): 1, (1, 1): 1, (1, 2): -1}
+        return types.SimpleNamespace(numerator=TruncSeries2(u_prec, t_prec, coeffs))
+
+    calls = _count_cl_series(monkeypatch, fake)
+    values = clzeta._eval_pm_one("node", 1, 5)
+    assert calls == [8, 16, 32]
+    assert values[1] == (TruncSeries2.one(5, 1), 16)
+    assert values[-1] == (TruncSeries2(5, 1, {(0, 0): 1, (1, 0): -2}), 32)
 
 
 def test_products():
