@@ -9,6 +9,7 @@ stderr.
 
 import argparse
 import json
+import os
 import sys
 
 from .partitions import Partition
@@ -342,7 +343,15 @@ def _run_verify(args, fmt):
 
 
 def main():
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`singzeta ... | head`); point stdout at
+        # devnull so the flush at shutdown does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -140,12 +140,6 @@ class LaurentPoly2:
     def is_pure_q(self):
         return all(b == 0 for (_, b) in self.terms)
 
-    def min_q_exp(self):
-        return min((a for (a, _) in self.terms), default=0)
-
-    def max_q_exp(self):
-        return max((a for (a, _) in self.terms), default=0)
-
     def t_degree(self):
         return max((b for (_, b) in self.terms), default=0)
 

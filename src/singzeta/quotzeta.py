@@ -258,6 +258,7 @@ def skew_cauchy_bounded_check(m, d):
     sum_{lam: mu <= lam <= (m^d)} g_lam(q) g^lam_mu(q) t^|lam| (t;q)_{d-lam'_m}
         = g_mu(q) t^|mu|.
     """
+    SingularityFamily("node", m)  # rejects m < 1
     with timed() as tm:
         for mu in iterate_box(m, d):
             lhs = ZERO
@@ -279,6 +280,7 @@ def skew_cauchy_bounded_check(m, d):
 
 def cusp_t2_check(m, d):
     """Thm-level identity: free cusp numerator is the normalization one at t^2."""
+    SingularityFamily("cusp", m)  # rejects m < 1
     lhs = nz_cusp_free(m, d)
     rhs = nz_cusp_normalization(m, d).substitute(Q, T * T)
     return compare_report("t2", {"m": m, "d": d}, lhs, rhs)

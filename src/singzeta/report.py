@@ -1,6 +1,5 @@
 """Structured pass/fail records for identity checks."""
 
-import json
 import time
 
 
@@ -62,20 +61,23 @@ class VerificationReport:
             "detail": self.detail,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=2)
-
 
 class timed:
-    """Context manager measuring wall time for a report."""
+    """Context manager measuring wall time for a report; elapsed reads the
+    time so far inside the block and the block's time after it."""
 
     def __enter__(self):
         self.start = time.perf_counter()
+        self.stop = None
         return self
 
     def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
+        self.stop = time.perf_counter()
         return False
+
+    @property
+    def elapsed(self):
+        return (time.perf_counter() if self.stop is None else self.stop) - self.start
 
 
 def compare_report(name, params, lhs, rhs, lhs_text=None, rhs_text=None,

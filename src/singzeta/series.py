@@ -233,9 +233,6 @@ class TruncSeries2:
                        if a.coeffs.get(k, 0) != b.coeffs.get(k, 0))
         return False, (up, tp), diffs[0]
 
-    def is_one(self):
-        return self.coeffs == {(0, 0): 1}
-
     def t_coefficient(self, j):
         """The t^j coefficient as a dict {u-exponent: int}."""
         return {i: v for (i, jj), v in self.coeffs.items() if jj == j}

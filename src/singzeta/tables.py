@@ -127,96 +127,53 @@ def table3_entry_bounds(m):
     return {j: max(a for a, _ in col) for j, col in TABLE3[m].items()}
 
 
-def table12_golden(which):
-    """(free, normalization) golden polynomial dicts for table 1 or 2."""
-    if which == 1:
-        return TABLE1_FREE, TABLE1_NORM
-    if which == 2:
-        return TABLE2_FREE, TABLE2_NORM
-    raise ValueError("polynomial tables are 1 and 2")
+def table_rows(which, computed=False):
+    """The rows of table 1, 2 or 3, from the golden data or the closed forms.
 
-
-def render_table12(polys_free, polys_norm):
-    lines = []
-    for d in sorted(polys_free):
-        lines.append("d=%d free: %s" % (d, polys_free[d].grouped_str()))
-        lines.append("d=%d normalization: %s" % (d, polys_norm[d].grouped_str()))
-    return "\n".join(lines)
-
-
-def table12_text(which):
-    """Golden canonical text of table 1 or 2."""
-    free, norm = table12_golden(which)
-    return render_table12(free, norm)
-
-
-def _computed_table12(which):
-    from .quotzeta import nz_node_free, nz_node_normalization
-    m = which
-    free = {d: nz_node_free(m, d) for d in (1, 2, 3)}
-    norm = {d: nz_node_normalization(m, d) for d in (1, 2, 3)}
-    return free, norm
-
-
-def computed_table12_text(which):
-    return render_table12(*_computed_table12(which))
-
-
-def _truncate_to_bounds(series, bounds):
-    kept = {}
-    for (i, j), c in series.coeffs.items():
-        if j in bounds and i <= bounds[j]:
-            kept[(i, j)] = c
-    return TruncSeries2(series.u_prec, series.t_prec, kept)
-
-
-def table3_golden_series(m):
-    bounds = table3_entry_bounds(m)
-    u_prec = max(bounds.values()) + 1
-    coeffs = {(a, j): c for j, col in TABLE3[m].items() for a, c in col}
-    return TruncSeries2(u_prec, TABLE3_T_PREC, coeffs)
-
-
-def table3_text(m):
-    return "m=%d: %s" % (m, table3_golden_series(m))
-
-
-def _computed_table3_row(m):
-    """The CL numerator of row m cut to the printed coefficients."""
-    from .clzeta import cl_node
-    bounds = table3_entry_bounds(m)
-    u_prec = max(bounds.values()) + 1
-    numerator = cl_node(m, u_prec, TABLE3_T_PREC).numerator
-    return _truncate_to_bounds(numerator, bounds)
-
-
-def computed_table3_text(m):
-    return "m=%d: %s" % (m, _computed_table3_row(m))
+    Tables 1 and 2 (node m = which) have a row {"d", "free", "normalization"}
+    per d with the two NZ numerators; table 3 a row {"m", "numerator"} per m
+    with the CL numerator cut to the printed coefficients.
+    """
+    if which in (1, 2):
+        free, norm = (TABLE1_FREE, TABLE1_NORM) if which == 1 else (TABLE2_FREE, TABLE2_NORM)
+        if computed:
+            from .quotzeta import nz_node_free, nz_node_normalization
+            free = {d: nz_node_free(which, d) for d in free}
+            norm = {d: nz_node_normalization(which, d) for d in norm}
+        return [{"d": d, "free": free[d], "normalization": norm[d]} for d in sorted(free)]
+    if which != 3:
+        raise ValueError("tables are 1, 2, 3")
+    rows = []
+    for m, printed in sorted(TABLE3.items()):
+        bounds = table3_entry_bounds(m)
+        u_prec = max(bounds.values()) + 1
+        coeffs = {(a, j): c for j, col in printed.items() for a, c in col}
+        if computed:
+            from .clzeta import cl_node
+            coeffs = {(i, j): c for (i, j), c in
+                      cl_node(m, u_prec, TABLE3_T_PREC).numerator.coeffs.items()
+                      if j in bounds and i <= bounds[j]}
+        rows.append({"m": m, "numerator": TruncSeries2(u_prec, TABLE3_T_PREC, coeffs)})
+    return rows
 
 
 def table_text(which, computed=False):
-    if which in (1, 2):
-        return computed_table12_text(which) if computed else table12_text(which)
-    if which == 3:
-        rows = [computed_table3_text(m) if computed else table3_text(m) for m in (1, 2, 3)]
-        return "\n".join(rows)
-    raise ValueError("tables are 1, 2, 3")
+    """Canonical text of a table: a line per column of a table 1 or 2 row, a
+    line per table 3 row."""
+    lines = []
+    for row in table_rows(which, computed):
+        if which == 3:
+            lines.append("m=%d: %s" % (row["m"], row["numerator"]))
+        else:
+            lines.extend("d=%d %s: %s" % (row["d"], column, row[column].grouped_str())
+                         for column in ("free", "normalization"))
+    return "\n".join(lines)
 
 
 def table_json_obj(which):
-    """The computed table as JSON data: its number and one object per row.
-
-    Tables 1 and 2 have a row per d with the free and normalization numerators
-    as LaurentPoly2 JSON; table 3 a row per m with the printed part of the CL
-    numerator as TruncSeries2 JSON.  The rows are the ones table_text renders.
-    """
-    if which in (1, 2):
-        free, norm = _computed_table12(which)
-        rows = [{"d": d, "free": free[d].to_json_obj(),
-                 "normalization": norm[d].to_json_obj()} for d in sorted(free)]
-    elif which == 3:
-        rows = [{"m": m, "numerator": _computed_table3_row(m).to_json_obj()}
-                for m in (1, 2, 3)]
-    else:
-        raise ValueError("tables are 1, 2, 3")
+    """The computed table as JSON data: its number and its rows, each value
+    as LaurentPoly2 or TruncSeries2 JSON.  The rows are the ones table_text
+    renders."""
+    rows = [{key: value if isinstance(value, int) else value.to_json_obj()
+             for key, value in row.items()} for row in table_rows(which, computed=True)]
     return {"table": which, "rows": rows}

@@ -1,4 +1,10 @@
+import hashlib
+import importlib.util
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from singzeta import acceptance, cli
 from singzeta.cli import dispatch, EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, _emit_reports
@@ -6,6 +12,8 @@ from singzeta.laurent import LaurentPoly2
 from singzeta.report import VerificationReport
 from singzeta.series import TruncSeries2
 from singzeta.tables import table_text
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -140,11 +148,61 @@ def test_usage_errors(capsys):
             (["verify", "special", "--family", "node", "--m", "0", "--uprec", "5"],
              "m must be at least 1, got 0"),
             (["nz", "--family", "node", "--m", "0", "--d", "1"],
-             "m must be at least 1, got 0")):
+             "m must be at least 1, got 0"),
+            (["verify", "t2", "--m", "0", "--d", "2"], "m must be at least 1, got 0"),
+            (["verify", "squaring", "--m", "0", "--d", "2"], "m must be at least 1, got 0")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
+
+
+def test_failing_check_inside_its_timing_block(capsys):
+    # limit_check builds this report while its time is still running
+    code, out = run(capsys, "verify", "limit", "--family", "node", "--m", "2",
+                    "--d-list", "4,5", "--uprec", "6", "--tprec", "4")
+    assert code == EXIT_FAIL
+    assert out == ("[FAIL] limit d_list=(4, 5) kind=node m=2 first-discrepancy=(5, 1)"
+                   " (consecutive ranks disagree)\n")
+
+
+def test_closed_stdout_gives_no_traceback():
+    # about 72 KB of output, more than a pipe holds, so the program still
+    # writes after the reader has gone, as under `| head -c 10`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "singzeta.cli", "--format", "json", "cl",
+                             "--family", "cusp", "--m", "3", "--uprec", "80", "--tprec", "60"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert os.read(proc.stdout.fileno(), 10) == b'{"numerato'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_FAIL
+    assert err == b""  # neither a traceback nor an "Exception ignored" line
+
+
+# sha256 of the stdout of `--format json table N`: the JSON of the published
+# tables changes only on purpose
+TABLE_JSON_SHA256 = {
+    1: "5e8487e003b2a93fe94cc199a759a07ecadeb02554afab63869e2d289f15b47c",
+    2: "bf4b24aeb9178ccc46e8dc7e9904c46af37742f8b7885aa3a128dd8744ad3be1",
+    3: "908452654b86e3c9d28f424b0774a33652de4d3ff0ff9f1c38c58829e2f78d79",
+}
+
+
+def test_cli_tour_output_bytes(capsys):
+    # every README tour command of the benchmark prints the bytes whose digest
+    # bench/reference.json holds
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())["digests"]
+    for rid, command in workloads.CLI_COMMANDS:
+        code = dispatch(command.split())
+        stdout = capsys.readouterr().out.encode()
+        assert workloads.cli_digest(code, stdout) == reference[rid], command
+    for which, digest in TABLE_JSON_SHA256.items():
+        assert dispatch(["--format", "json", "table", str(which)]) == EXIT_PASS
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -181,6 +181,10 @@ def test_m_limit():
     assert m_limit_check("node", 2, 3, 4).passed
     # d=0: both sides are 1
     assert m_limit_check("node", 0, 3, 3).passed
+    # no stabilization below the cap: a failing report, built while timed
+    rep = m_limit_check("node", 2, 8, 8, m_cap=2)
+    assert rep.status == "fail"
+    assert rep.detail == "no stabilization up to m=2"
 
 
 def test_positivity_scan():
