@@ -285,6 +285,8 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     with_oracle also matches Z_{mR^d} coefficients at q=2 against the census of
     the m*(R/m^{tprec})^d models.
     """
+    if d_max < 0:
+        raise ValueError("d must be at least 0, got %d" % d_max)
     reports = []
     need = max(t_prec, d_max + 1)
     # (B) at rank dd reads Z_{R^r} to t-degree need + dd

@@ -2,21 +2,24 @@
 
 Everything here is independent of the closed-form machinery: finite models of
 the curve germs are built as explicit modules over F_p with commuting nilpotent
-generator matrices, and submodules are enumerated exhaustively.  A submodule of
+generators, and submodules are enumerated exhaustively.  A submodule of
 codimension n of R^d contains m^n R^d (Nakayama chain: if [M:L] = n then the
 descending chain L + m^j M must drop at every step), so codim <= N submodules
 of R^d biject with those of the truncated model (R/m^N)^d.  That containment
 argument is the whole correctness story for the Quot-coefficient oracle;
 quot_census is the one place that sizes the model by it.
 
-One builder, _presentation, turns partial maps on named basis vectors into the
-0/1 generator matrices of every model (germs and Jordan modules alike).  One
-walk, _walk, goes downward from the full module: the children of an invariant
-subspace L are its invariant hyperplanes, i.e. hyperplanes of L containing
-m*L.  Every invariant subspace of codimension k lies under one of codimension
-k-1 (composition series of the quotient), so the walk is exhaustive; a
-canonical reduced-echelon basis is the dedup key.  A census only says how to
-classify each node.  Only prime fields are supported.
+Each generator sends each basis vector to one basis vector or to 0, so it is an
+index map: per basis vector, the index of its image or None.  One builder,
+_presentation, makes these for every model (germs and Jordan modules alike).
+A subspace is a reduced echelon basis {pivot: row}, grown one vector at a time
+by _add; its rows sorted by pivot are its canonical key.  One walk, _walk, goes
+down from the full module: the children of an invariant subspace L are its
+hyperplanes containing m*L, each m*L plus r - 1 kernel vectors.  Every
+invariant subspace of codimension k lies under one of codimension k-1
+(composition series of the quotient), so the walk is exhaustive; the key
+dedups it.  A census only says how to classify each node.  Only prime fields
+are supported.
 """
 
 from fractions import Fraction
@@ -38,56 +41,46 @@ def _require_prime(p):
 # -- linear algebra over F_p ---------------------------------------------------
 
 
-def _rref(vectors, p):
-    """Canonical reduced row-echelon basis of the span, as a tuple of tuples."""
-    rows = [list(v) for v in vectors if any(v)]
-    dim = len(vectors[0]) if vectors else 0
-    basis = []  # list of (pivot, row)
-    for row in rows:
-        for piv, b in basis:
-            if row[piv]:
-                c = row[piv]
-                row = [(x - c * y) % p for x, y in zip(row, b)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], p - 2, p)
-        row = [(x * inv) % p for x in row]
-        for piv, b in basis:
-            if b[lead]:
-                c = b[lead]
-                b[:] = [(x - c * y) % p for x, y in zip(b, row)]
-        basis.append((lead, row))
-    basis.sort()
-    return tuple(tuple(b) for _, b in basis)
+def _add(rows, vec, p):
+    """Add vec to rows, {pivot: row} with a 1 at its pivot and 0 at the others,
+    keeping that form; return whether the span grew."""
+    for piv, row in rows.items():
+        c = vec[piv]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    lead = next((i for i, x in enumerate(vec) if x), None)
+    if lead is None:
+        return False
+    inv = pow(vec[lead], p - 2, p)
+    vec = tuple(x * inv % p for x in vec)
+    for piv, row in rows.items():
+        c = row[lead]
+        if c:
+            rows[piv] = tuple((x - c * y) % p for x, y in zip(row, vec))
+    rows[lead] = vec
+    return True
 
 
-def _mat_apply(mat, vec, p):
-    return tuple(sum(r * v for r, v in zip(row, vec)) % p for row in mat)
+def _span(vectors, p, rows=()):
+    """Reduced echelon basis of span(rows) + span(vectors), as a new dict."""
+    rows = dict(rows)
+    for v in vectors:
+        _add(rows, v, p)
+    return rows
 
 
-def _image_basis(mats, basis, p):
-    """Echelon basis of sum_g g(span basis)."""
-    vecs = [_mat_apply(m, v, p) for m in mats for v in basis]
-    return _rref(vecs, p) if vecs else ()
+def _apply(g, vec, p):
+    """g(vec) for an index map g; images add, as two basis vectors may share one."""
+    out = [0] * len(g)
+    for k, tgt in enumerate(g):
+        if tgt is not None and vec[k]:
+            out[tgt] += vec[k]
+    return [x % p for x in out]
 
 
-def _join(a, b, p):
-    if not a:
-        return b
-    if not b:
-        return a
-    return _rref(list(a) + list(b), p)
-
-
-def _reduce_mod(vec, basis, p):
-    row = list(vec)
-    for b in basis:
-        piv = next(i for i, x in enumerate(b) if x)
-        if row[piv]:
-            c = row[piv]
-            row = [(x - c * y) % p for x, y in zip(row, b)]
-    return tuple(row)
+def _image(gens, basis, p):
+    """Reduced echelon basis of sum_g g(span basis)."""
+    return _span((_apply(g, v, p) for g in gens for v in basis), p)
 
 
 # -- module presentations ------------------------------------------------------
@@ -96,47 +89,43 @@ def _reduce_mod(vec, basis, p):
 class FqModulePresentation:
     """A finite module over a commutative local F_p-algebra.
 
-    Given by the prime, the F_p-dimension, and one dim-by-dim action matrix per
-    algebra generator.  Generators must commute; for the local models they are
-    also nilpotent (they lie in the maximal ideal) -- both checked at build.
+    Given by the prime, the F_p-dimension, and one index map per algebra
+    generator: a tuple with one entry per basis vector, the index of its image
+    or None for 0.  Generators must commute; for the local models they are also
+    nilpotent (they lie in the maximal ideal) -- both checked at build.
     """
 
-    def __init__(self, p, dim, generators, labels=None, check=True):
+    def __init__(self, p, dim, generators, labels=None):
         _require_prime(p)
-        self.p = p
-        self.dim = dim
-        self.generators = [tuple(tuple(x % p for x in row) for row in g) for g in generators]
+        self.p, self.dim = p, dim
+        self.generators = [tuple(g) for g in generators]
         self.labels = list(labels) if labels else ["g%d" % i for i in range(len(generators))]
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
-        p, n = self.p, self.dim
+        n = self.dim
         for g in self.generators:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise ValueError("generator matrix is not %dx%d" % (n, n))
+            if len(g) != n or any(t is not None and not 0 <= t < n for t in g):
+                raise ValueError("generator is not an index map on %d basis vectors" % n)
         for a in self.generators:
             for b in self.generators:
-                if _mat_mul(a, b, p) != _mat_mul(b, a, p):
-                    raise ValueError("generator matrices do not commute")
+                if _compose(a, b) != _compose(b, a):
+                    raise ValueError("generators do not commute")
         for g in self.generators:
-            power = g
-            for _ in range(n + 1):
-                if all(all(x == 0 for x in row) for row in power):
-                    break
-                power = _mat_mul(power, g, p)
-            else:
-                raise ValueError("generator matrix is not nilpotent")
+            power = tuple(range(n))
+            for _ in range(n):
+                power = _compose(g, power)
+            if any(t is not None for t in power):
+                raise ValueError("generator is not nilpotent")
 
     def full_basis(self):
         return tuple(tuple(1 if i == j else 0 for j in range(self.dim))
                      for i in range(self.dim))
 
 
-def _mat_mul(a, b, p):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-                 for row in a)
+def _compose(a, b):
+    """The index map of a after b."""
+    return tuple(None if t is None else a[t] for t in b)
 
 
 def _presentation(p, names, maps, d, labels):
@@ -144,17 +133,16 @@ def _presentation(p, names, maps, d, labels):
     name; a name the map leaves out, or an image outside the basis, goes to 0."""
     index = {nm: k for k, nm in enumerate(names)}
     block = len(names)
-    dim = block * d
-    mats = []
+    gens = []
     for act in maps:
-        mat = [[0] * dim for _ in range(dim)]
+        g = [None] * (block * d)
         for nm, k in index.items():
             tgt = index.get(act.get(nm))
             if tgt is not None:
-                for off in range(0, dim, block):
-                    mat[off + tgt][off + k] = 1
-        mats.append(mat)
-    return FqModulePresentation(p, dim, mats, labels=labels)
+                for off in range(0, block * d, block):
+                    g[off + k] = off + tgt
+        gens.append(g)
+    return FqModulePresentation(p, block * d, gens, labels=labels)
 
 
 def _jordan_module(parts, p, d=1):
@@ -191,11 +179,13 @@ class SubmoduleCensus:
         return {"census": obj, "params": {k: str(v) for k, v in self.params.items()}}
 
 
-def _walk(module, max_codim, classify, budget, what, schedule="lex", progress=dict):
+def _walk(module, max_codim, classify, budget, what, progress=dict):
     """Counts of the invariant subspaces of codim <= max_codim by classify(basis).
 
     Every child visited costs one unit of budget; past it, BudgetExceededError
     carries progress(counts so far)."""
+    if budget < 0:
+        raise ValueError("budget must be at least 0, got %d" % budget)
     p, gens = module.p, module.generators
     full = module.full_basis()
     counts = {}
@@ -208,7 +198,7 @@ def _walk(module, max_codim, classify, budget, what, schedule="lex", progress=di
         counts[key] = counts.get(key, 0) + 1
         if module.dim - len(basis) >= max_codim:
             continue
-        for child in _invariant_hyperplanes(basis, gens, p, schedule):
+        for child in _invariant_hyperplanes(basis, gens, p):
             work += 1
             if work > budget:
                 raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
@@ -219,44 +209,33 @@ def _walk(module, max_codim, classify, budget, what, schedule="lex", progress=di
     return counts
 
 
-def _invariant_hyperplanes(basis, gens, p, schedule="lex"):
-    """All invariant hyperplanes of span(basis): hyperplanes containing m*L."""
-    sub = _image_basis(gens, basis, p)
-    # complement representatives of m*L inside L
-    comp = []
-    cur = sub
-    for v in basis:
-        red = _reduce_mod(v, cur, p)
-        if any(red):
-            comp.append(v)
-            cur = _join(cur, _rref([red], p), p)
+def _invariant_hyperplanes(basis, gens, p):
+    """All invariant hyperplanes of span(basis), hyperplanes containing m*L, each
+    as its canonical key: its reduced echelon rows sorted by pivot."""
+    sub = _image(gens, basis, p)
+    cur = dict(sub)  # picks complement representatives of m*L inside L
+    comp = [v for v in basis if _add(cur, v, p)]
     r = len(comp)
-    out = []
     for i0 in range(r):
         for tail in product(range(p), repeat=r - 1 - i0):
             phi = (0,) * i0 + (1,) + tail
-            kernel = [tuple((c - phi[j] * k) % p for c, k in zip(comp[j], comp[i0]))
-                      for j in range(r) if j != i0]
-            out.append(_rref(list(sub) + kernel, p))
-    if schedule == "revlex":
-        out.reverse()
-    return out
+            kernel = ([(c - phi[j] * k) % p for c, k in zip(comp[j], comp[i0])]
+                      for j in range(r) if j != i0)
+            child = _span(kernel, p, sub)
+            yield tuple(child[piv] for piv in sorted(child))
 
 
-def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET, schedule="lex"):
-    """Census of invariant subspaces of codimension <= max_codim.
-
-    Rank of the quotient M/L is dim M - dim(L + m*M).  Counts are independent
-    of the schedule ('lex' or 'revlex' child order, asserted equal by a test).
-    """
+def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
+    """Census of invariant subspaces L of codimension <= max_codim by codim and
+    the rank of M/L, which is dim M - dim(L + m*M)."""
     p, dim = module.p, module.dim
-    m_full = _image_basis(module.generators, module.full_basis(), p)
+    m_full = _image(module.generators, module.full_basis(), p)
 
     def codim_rank(basis):
-        return dim - len(basis), dim - len(_join(basis, m_full, p))
+        return dim - len(basis), dim - len(_span(basis, p, m_full))
 
     counts = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
-                   schedule, progress=SubmoduleCensus)
+                   progress=SubmoduleCensus)
     return SubmoduleCensus(counts, params={"p": p, "dim": dim, "max_codim": max_codim})
 
 
@@ -353,32 +332,31 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     if got is not None:
         return got
     model = _jordan_module(lam.parts, p)
-    tmat = model.generators[0]
-    m_powers = [model.full_basis()]
+    gens = model.generators
+    m_powers = [_span(model.full_basis(), p)]
     while m_powers[-1]:
-        m_powers.append(_image_basis([tmat], m_powers[-1], p))
+        m_powers.append(_image(gens, m_powers[-1].values(), p))
 
     def type_cotype(basis):
-        return _module_type(basis, tmat, p), _cotype(basis, m_powers, p)
+        return _module_type(basis, gens, p), _cotype(basis, m_powers, p)
 
     counts = _walk(model, model.dim, type_cotype, budget, "DVR census")
     _DVR_CENSUS_CACHE[key] = counts
     return counts
 
 
-def _module_type(basis, tmat, p):
+def _module_type(basis, gens, p):
     """Type of span(basis) as an F_p[T]-module, as a parts tuple."""
-    dims = [len(basis)]
-    cur = basis
+    dims, cur = [len(basis)], basis
     while cur:
-        cur = _image_basis([tmat], cur, p)
+        cur = _image(gens, cur, p).values()
         dims.append(len(cur))
     cols = [dims[j - 1] - dims[j] for j in range(1, len(dims))]
     return Partition(cols).conjugate().parts
 
 
 def _cotype(basis, m_powers, p):
-    dims = [len(_join(mp, basis, p)) - len(basis) for mp in m_powers]
+    dims = [len(_span(basis, p, mp)) - len(basis) for mp in m_powers]
     cols = [dims[j - 1] - dims[j] for j in range(1, len(dims)) if dims[j - 1] > dims[j]]
     return Partition(cols).conjugate().parts
 
@@ -392,16 +370,15 @@ def surjective_homs_count(mu, d, p):
     dim = mu.size()
     if dim == 0:
         return 1
-    tmat = _jordan_module(mu.parts, p).generators[0]
+    tmap = _jordan_module(mu.parts, p).generators[0]
     count = 0
     for combo in product(product(range(p), repeat=dim), repeat=d):
         vecs = []
         for v in combo:
-            w = v
-            while any(w):
-                vecs.append(w)
-                w = _mat_apply(tmat, w, p)
-        if len(_rref(vecs, p)) == dim:
+            while any(v):
+                vecs.append(v)
+                v = _apply(tmap, v, p)
+        if len(_span(vecs, p)) == dim:
             count += 1
     return count
 
@@ -409,11 +386,19 @@ def surjective_homs_count(mu, d, p):
 # -- matrix-pair counting --------------------------------------------------------
 
 
+def _mat_mul(a, b, p):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+                 for row in a)
+
+
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search."""
     _require_prime(p)
     if n < 0:
         raise ValueError("n must be at least 0, got %d" % n)
+    if budget < 0:
+        raise ValueError("budget must be at least 0, got %d" % budget)
     if p ** (2 * n * n) > budget:
         raise BudgetExceededError("matrix enumeration %d^%d exceeds budget"
                                   % (p, 2 * n * n))

@@ -296,17 +296,6 @@ def poch_inf(x_exp_u, x_exp_t, u_prec, t_prec, step=1):
     return poch_inf_info(x_exp_u, x_exp_t, u_prec, t_prec, step)[0]
 
 
-def qpoch_u(n, u_prec, t_prec=1):
-    """(u;u)_n as a TruncSeries2 on the window."""
-    result = TruncSeries2.one(u_prec, t_prec)
-    for k in range(1, n + 1):
-        if k >= u_prec:
-            break
-        result = result * (TruncSeries2.one(u_prec, t_prec) -
-                           TruncSeries2.monomial(1, k, 0, u_prec, t_prec))
-    return result
-
-
 _INV_POCH_CACHE = {}
 
 
@@ -315,7 +304,7 @@ def inv_qpoch_u(n, u_prec):
     key = (n, u_prec)
     got = _INV_POCH_CACHE.get(key)
     if got is None:
-        got = qpoch_u(n, u_prec).inverse()
+        got = _finite_poch((1, 0), n, u_prec, 1).inverse()
         _INV_POCH_CACHE[key] = got
     return got
 
@@ -324,12 +313,15 @@ def inv_qpoch_u(n, u_prec):
 
 
 def _finite_poch(mono, k, u_prec, t_prec):
-    """(x; u)_k for a monomial x = u^a t^b (or x = 0 encoded as None)."""
+    """(x; u)_k for a monomial x = u^a t^b (or x = 0 encoded as None).
+
+    The product stops at the first factor whose u-exponent a + i reaches
+    u_prec: it and every later factor are 1 on the window."""
     if mono is None:
         return TruncSeries2.one(u_prec, t_prec)
     a, b = mono
     result = TruncSeries2.one(u_prec, t_prec)
-    for i in range(k):
+    for i in range(min(k, u_prec - a)):
         result = result * (TruncSeries2.one(u_prec, t_prec) -
                            TruncSeries2.monomial(1, a + i, b, u_prec, t_prec))
     return result
@@ -375,7 +367,7 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec, max_terms=10000):
         term = TruncSeries2.monomial(sign, e * (k * (k - 1) // 2) + k * zu, k * zt, u_prec, t_prec)
         for mono in upper:
             term = term * _finite_poch(mono, k, u_prec, t_prec)
-        denom = qpoch_u(k, u_prec, t_prec)
+        denom = _finite_poch((1, 0), k, u_prec, t_prec)
         for mono in lower:
             denom = denom * _finite_poch(mono, k, u_prec, t_prec)
         total = total + term * denom.inverse()

@@ -150,7 +150,12 @@ def test_usage_errors(capsys):
             (["nz", "--family", "node", "--m", "0", "--d", "1"],
              "m must be at least 1, got 0"),
             (["verify", "t2", "--m", "0", "--d", "2"], "m must be at least 1, got 0"),
-            (["verify", "squaring", "--m", "0", "--d", "2"], "m must be at least 1, got 0")):
+            (["verify", "squaring", "--m", "0", "--d", "2"], "m must be at least 1, got 0"),
+            (["verify", "conversion", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
+              "--max-codim", "2", "--budget", "-1"], "budget must be at least 0, got -1"),
+            (["oracle", "matrix", "--n", "1", "--p", "2", "--budget", "-1"],
+             "budget must be at least 0, got -1")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from singzeta.oracle import (quot_census, FqModulePresentation, build_local_mode
                              surjective_homs_count)
 from singzeta.report import BudgetExceededError
 from singzeta.clzeta import z_series
+from singzeta.laurent import ONE
+from singzeta.quotzeta import full_z
 
 
 def test_build_local_model_dimensions():
@@ -26,9 +29,59 @@ def test_model_validation():
     # generators must commute and be nilpotent; the builder's always do,
     # and a hand-made bad presentation is rejected
     with pytest.raises(ValueError):
-        FqModulePresentation(2, 1, [[[1]]])  # identity is not nilpotent
+        FqModulePresentation(2, 1, [(0,)])  # identity is not nilpotent
     with pytest.raises(ValueError):
-        FqModulePresentation(2, 2, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])  # no commute
+        FqModulePresentation(2, 2, [(None, 0), (1, None)])  # no commute
+
+
+def _reference_rref(vectors, p):
+    """Canonical reduced row-echelon basis of the span, reduced from scratch."""
+    rows = [list(v) for v in vectors if any(v)]
+    basis = []  # list of (pivot, row)
+    for row in rows:
+        for piv, b in basis:
+            if row[piv]:
+                c = row[piv]
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [(x * inv) % p for x in row]
+        for piv, b in basis:
+            if b[lead]:
+                c = b[lead]
+                b[:] = [(x - c * y) % p for x, y in zip(b, row)]
+        basis.append((lead, row))
+    basis.sort()
+    return tuple(tuple(b) for _, b in basis)
+
+
+def _key(rows):
+    return tuple(rows[piv] for piv in sorted(rows))
+
+
+def test_echelon_basis_matches_reference_rref():
+    # the incremental basis gives the canonical key a from-scratch reduction
+    # gives, and _add reports growth exactly when the rank goes up
+    rng = random.Random(20231)
+    for p in (2, 3, 5):
+        for _ in range(150):
+            dim = rng.randint(1, 7)
+            density = rng.random()
+            vectors = [tuple(rng.randrange(p) if rng.random() < density else 0
+                             for _ in range(dim)) for _ in range(rng.randint(0, 9))]
+            # repeat some vectors and add combinations, so that some do not grow the span
+            if vectors:
+                a, b = rng.choice(vectors), rng.choice(vectors)
+                vectors.append(tuple((x + rng.randrange(p) * y) % p for x, y in zip(a, b)))
+            assert _key(oracle._span(vectors, p)) == _reference_rref(vectors, p)
+            rows = {}
+            for k, v in enumerate(vectors):
+                grew = oracle._add(rows, v, p)
+                assert grew == (len(_reference_rref(vectors[:k + 1], p))
+                                > len(_reference_rref(vectors[:k], p)))
+                assert _key(rows) == _reference_rref(vectors[:k + 1], p)
 
 
 def test_census_codim_zero():
@@ -46,11 +99,15 @@ def test_census_rank_vanishing():
         assert r <= min(2, n) or c == 0
 
 
-def test_census_schedule_independence():
+def test_census_basis_order_independence():
+    # the same module on the reversed basis: the walk visits its subspaces in
+    # another order, and the census must not change
     model = build_local_model(("node", 2), 1, 3, 2)
-    a = enumerate_submodules(model, 3, schedule="lex")
-    b = enumerate_submodules(model, 3, schedule="revlex")
-    assert a == b
+    last = model.dim - 1
+    reversed_gens = [tuple(None if g[last - k] is None else last - g[last - k]
+                           for k in range(model.dim)) for g in model.generators]
+    flipped = FqModulePresentation(model.p, model.dim, reversed_gens)
+    assert enumerate_submodules(flipped, 3) == enumerate_submodules(model, 3)
 
 
 def test_census_budget():
@@ -105,6 +162,17 @@ def test_quot_coeffs_oracle_vs_formula():
     got = quot_coeffs_oracle("cusp", 1, 1, 2, 3, module="normalization")
     want = [c.eval_int(2) for c in z_series("cusp", 1, 1, 4, module="normalization")]
     assert [Fraction(x) for x in got] == want
+
+
+def test_quot_coeffs_oracle_beyond_criterion_8():
+    # larger rank, p = 3 and a longer window than the acceptance criterion uses
+    for kind, m, d, p, N, module in (("node", 1, 3, 2, 3, "free"),
+                                     ("cusp", 1, 2, 3, 4, "free"),
+                                     ("node", 1, 2, 3, 3, "normalization")):
+        got = quot_coeffs_oracle(kind, m, d, p, N, module=module)
+        want = [c.eval_int(p) for c in z_series(kind, m, d, N + 1, module=module)]
+        assert [Fraction(x) for x in got] == want, (kind, m, d, p, N, module)
+    assert solomon_census(3, 2, 4).coefficients(4) == [c.eval_int(2) for c in full_z(ONE, 1, 3, 5)]
 
 
 def test_matrix_pair_count():
