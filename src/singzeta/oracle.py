@@ -10,21 +10,22 @@ argument is the whole correctness story for the Quot-coefficient oracle;
 quot_census is the one place that sizes the model by it.
 
 Each generator sends each basis vector to one basis vector or to 0, so it is an
-index map: per basis vector, the index of its image or None.  One builder,
-_presentation, makes these for every model (germs and Jordan modules alike).
-A subspace is a reduced echelon basis {pivot: row}, grown one vector at a time
-by _add; its rows sorted by pivot are its canonical key.  One walk, _walk, goes
-down from the full module: the children of an invariant subspace L are its
-hyperplanes containing m*L, each m*L plus r - 1 kernel vectors.  Every
-invariant subspace of codimension k lies under one of codimension k-1
-(composition series of the quotient), so the walk is exhaustive; the key
-dedups it.  A census only says how to classify each node.  Only prime fields
-are supported.
+index map; one builder, _presentation, makes these for every model.  A vector
+is one int, coordinate i in bits [w*i, w*i + w) with 2^(w-1) >= p (_Lanes), by
+one path for every prime; each generator is compiled once to groups of masked
+lane shifts (_compile).  A subspace is a reduced echelon basis {pivot: row},
+grown one vector at a time by _add; its rows sorted by pivot are its canonical
+key.  One walk, _walk, goes down from the full module: the children of an
+invariant subspace L are its hyperplanes containing m*L.  Every invariant
+subspace of codimension k lies under one of codimension k-1 (composition series
+of the quotient), so the walk is exhaustive; the key dedups it.  m*M is spanned
+by basis vectors, so rank M/(L + m*M) is dim M/mM less the rank of L projected
+to the other lanes.  Only prime fields are supported.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 from .partitions import Partition
 from .report import BudgetExceededError, VerificationReport, timed
@@ -38,49 +39,110 @@ def _require_prime(p):
         raise ValueError("p must be prime, got %d" % p)
 
 
+def _require_budget(budget):
+    if budget < 0:
+        raise ValueError("budget must be at least 0, got %d" % budget)
+
+
 # -- linear algebra over F_p ---------------------------------------------------
 
 
-def _add(rows, vec, p):
+class _Lanes:
+    """Vectors of F_p^dim packed into one int: coordinate i is bits [w*i, w*i + w),
+    with 2^(w-1) >= p, so a lane holds the sum of two residues."""
+
+    def __init__(self, p, dim):
+        w = (p - 1).bit_length() + 1
+        ones = sum(1 << (w * i) for i in range(dim))
+        self.p, self.w, self.mask = p, w, (1 << w) - 1
+        self.highs, self.ps = ones << (w - 1), ones * p
+        self.offset = ones * ((1 << (w - 1)) - p)  # lane s >= p iff s + offset sets bit w-1
+        self.inv = [None] + [pow(c, p - 2, p) for c in range(1, p)]
+
+    def reduce(self, s):
+        """s mod p lane by lane, for lanes in [0, 2p)."""
+        return s - (((s + self.offset) & self.highs) >> (self.w - 1)) * self.p
+
+    def sub(self, a, b):
+        return self.reduce(a + self.ps - b)
+
+    def scale(self, c, v):
+        """c*v for 0 <= c < p, by doubling and adding."""
+        if c == 1:
+            return v
+        out = 0
+        while c:
+            if c & 1:
+                out = self.reduce(out + v)
+            c, v = c >> 1, self.reduce(v + v)
+        return out
+
+    def pack(self, coords):
+        return sum((x % self.p) << (self.w * i) for i, x in enumerate(coords))
+
+
+def _add(rows, vec, lanes):
     """Add vec to rows, {pivot: row} with a 1 at its pivot and 0 at the others,
     keeping that form; return whether the span grew."""
-    for piv, row in rows.items():
-        c = vec[piv]
-        if c:
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
-    lead = next((i for i, x in enumerate(vec) if x), None)
-    if lead is None:
+    w, mask = lanes.w, lanes.mask
+    # rows are 0 at each other's pivots, so clearing one pivot lane of vec
+    # leaves every other pivot lane as it was: clear where vec starts nonzero
+    rest = vec
+    while rest:
+        i = ((rest & -rest).bit_length() - 1) // w
+        c = (rest >> (w * i)) & mask
+        rest ^= c << (w * i)
+        if i in rows:
+            vec = lanes.sub(vec, lanes.scale(c, rows[i]))
+    if not vec:
         return False
-    inv = pow(vec[lead], p - 2, p)
-    vec = tuple(x * inv % p for x in vec)
+    lead = ((vec & -vec).bit_length() - 1) // w
+    vec = lanes.scale(lanes.inv[(vec >> (w * lead)) & mask], vec)
     for piv, row in rows.items():
-        c = row[lead]
+        c = (row >> (w * lead)) & mask
         if c:
-            rows[piv] = tuple((x - c * y) % p for x, y in zip(row, vec))
+            rows[piv] = lanes.sub(row, lanes.scale(c, vec))
     rows[lead] = vec
     return True
 
 
-def _span(vectors, p, rows=()):
+def _span(vectors, lanes, rows=()):
     """Reduced echelon basis of span(rows) + span(vectors), as a new dict."""
     rows = dict(rows)
     for v in vectors:
-        _add(rows, v, p)
+        _add(rows, v, lanes)
     return rows
 
 
-def _apply(g, vec, p):
-    """g(vec) for an index map g; images add, as two basis vectors may share one."""
-    out = [0] * len(g)
-    for k, tgt in enumerate(g):
-        if tgt is not None and vec[k]:
-            out[tgt] += vec[k]
-    return [x % p for x in out]
+def _compile(g, w):
+    """An index map as groups of (mask, left, right) lane shifts; the sources of
+    one group go to distinct targets, so their shifted lanes OR together."""
+    groups = []  # (targets, {shift: mask of its sources})
+    for k, t in enumerate(g):
+        if t is not None:
+            group = next((gr for gr in groups if t not in gr[0]), None)
+            if group is None:
+                groups.append(group := (set(), {}))
+            group[0].add(t)
+            group[1][w * (t - k)] = group[1].get(w * (t - k), 0) | ((1 << w) - 1) << (w * k)
+    return tuple(tuple((mask, max(s, 0), max(-s, 0)) for s, mask in parts.items())
+                 for _, parts in groups)
 
 
-def _image(gens, basis, p):
-    """Reduced echelon basis of sum_g g(span basis)."""
-    return _span((_apply(g, v, p) for g in gens for v in basis), p)
+def _apply(g, vec, lanes):
+    """g(vec) for a compiled index map g; groups add, as their targets may meet."""
+    out = 0
+    for parts in g:
+        img = 0
+        for mask, left, right in parts:
+            img |= ((vec & mask) << left) >> right
+        out = lanes.reduce(out + img)
+    return out
+
+
+def _image(gens, basis, lanes):
+    """Reduced echelon basis of sum_g g(span basis), for compiled generators."""
+    return _span((_apply(g, v, lanes) for g in gens for v in basis), lanes)
 
 
 # -- module presentations ------------------------------------------------------
@@ -92,7 +154,7 @@ class FqModulePresentation:
     Given by the prime, the F_p-dimension, and one index map per algebra
     generator: a tuple with one entry per basis vector, the index of its image
     or None for 0.  Generators must commute; for the local models they are also
-    nilpotent (they lie in the maximal ideal) -- both checked at build.
+    nilpotent (they lie in the maximal ideal); both are checked, then compiled.
     """
 
     def __init__(self, p, dim, generators, labels=None):
@@ -101,6 +163,8 @@ class FqModulePresentation:
         self.generators = [tuple(g) for g in generators]
         self.labels = list(labels) if labels else ["g%d" % i for i in range(len(generators))]
         self._validate()
+        self.lanes = _Lanes(p, dim)
+        self.compiled = [_compile(g, self.lanes.w) for g in self.generators]
 
     def _validate(self):
         n = self.dim
@@ -119,8 +183,7 @@ class FqModulePresentation:
                 raise ValueError("generator is not nilpotent")
 
     def full_basis(self):
-        return tuple(tuple(1 if i == j else 0 for j in range(self.dim))
-                     for i in range(self.dim))
+        return tuple(1 << (self.lanes.w * i) for i in range(self.dim))
 
 
 def _compose(a, b):
@@ -161,15 +224,12 @@ class SubmoduleCensus:
         self.counts = dict(counts)
         self.params = dict(params or {})
 
-    def by_codim(self):
-        out = {}
-        for (n, _), c in self.counts.items():
-            out[n] = out.get(n, 0) + c
-        return out
-
     def coefficients(self, max_codim):
-        by = self.by_codim()
-        return [by.get(n, 0) for n in range(max_codim + 1)]
+        out = [0] * (max_codim + 1)
+        for (n, _), c in self.counts.items():
+            if n <= max_codim:
+                out[n] += c
+        return out
 
     def __eq__(self, other):
         return isinstance(other, SubmoduleCensus) and self.counts == other.counts
@@ -180,25 +240,21 @@ class SubmoduleCensus:
 
 
 def _walk(module, max_codim, classify, budget, what, progress=dict):
-    """Counts of the invariant subspaces of codim <= max_codim by classify(basis).
+    """Counts of the invariant subspaces of codim <= max_codim by classify(basis),
+    and the work (children visited) the walk took.
 
     Every child visited costs one unit of budget; past it, BudgetExceededError
     carries progress(counts so far)."""
-    if budget < 0:
-        raise ValueError("budget must be at least 0, got %d" % budget)
-    p, gens = module.p, module.generators
-    full = module.full_basis()
-    counts = {}
-    visited = {full}
-    stack = [full]
-    work = 0
+    _require_budget(budget)
+    lanes, gens, full = module.lanes, module.compiled, module.full_basis()
+    counts, visited, stack, work = {}, {full}, [full], 0
     while stack:
         basis = stack.pop()
         key = classify(basis)
         counts[key] = counts.get(key, 0) + 1
         if module.dim - len(basis) >= max_codim:
             continue
-        for child in _invariant_hyperplanes(basis, gens, p):
+        for child in _invariant_hyperplanes(basis, gens, lanes):
             work += 1
             if work > budget:
                 raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
@@ -206,36 +262,37 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
             if child not in visited:
                 visited.add(child)
                 stack.append(child)
-    return counts
+    return counts, work
 
 
-def _invariant_hyperplanes(basis, gens, p):
+def _invariant_hyperplanes(basis, gens, lanes):
     """All invariant hyperplanes of span(basis), hyperplanes containing m*L, each
     as its canonical key: its reduced echelon rows sorted by pivot."""
-    sub = _image(gens, basis, p)
+    sub = _image(gens, basis, lanes)
     cur = dict(sub)  # picks complement representatives of m*L inside L
-    comp = [v for v in basis if _add(cur, v, p)]
+    comp = [v for v in basis if _add(cur, v, lanes)]
     r = len(comp)
     for i0 in range(r):
-        for tail in product(range(p), repeat=r - 1 - i0):
+        multiples = [lanes.scale(c, comp[i0]) for c in range(lanes.p)]
+        for tail in product(range(lanes.p), repeat=r - 1 - i0):
             phi = (0,) * i0 + (1,) + tail
-            kernel = ([(c - phi[j] * k) % p for c, k in zip(comp[j], comp[i0])]
-                      for j in range(r) if j != i0)
-            child = _span(kernel, p, sub)
+            kernel = (lanes.sub(comp[j], multiples[phi[j]]) for j in range(r) if j != i0)
+            child = _span(kernel, lanes, sub)
             yield tuple(child[piv] for piv in sorted(child))
 
 
 def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
     """Census of invariant subspaces L of codimension <= max_codim by codim and
-    the rank of M/L, which is dim M - dim(L + m*M)."""
-    p, dim = module.p, module.dim
-    m_full = _image(module.generators, module.full_basis(), p)
+    the rank of M/L: dim M/mM less the rank of L on the lanes outside m*M."""
+    p, dim, lanes = module.p, module.dim, module.lanes
+    hit = {t for g in module.generators for t in g if t is not None}
+    outside = sum(lanes.mask << (lanes.w * k) for k in range(dim) if k not in hit)
 
     def codim_rank(basis):
-        return dim - len(basis), dim - len(_span(basis, p, m_full))
+        return dim - len(basis), dim - len(hit) - len(_span((v & outside for v in basis), lanes))
 
-    counts = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
-                   progress=SubmoduleCensus)
+    counts, _ = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
+                      progress=SubmoduleCensus)
     return SubmoduleCensus(counts, params={"p": p, "dim": dim, "max_codim": max_codim})
 
 
@@ -318,45 +375,46 @@ def solomon_census(d, p, N, budget=DEFAULT_BUDGET):
 # -- DVR-module census for Hall polynomial checks -------------------------------
 
 
-_DVR_CENSUS_CACHE = {}
+_DVR_CENSUS_CACHE = {}  # (parts, p) -> (counts, work the walk took)
 
 
 def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     """Counts of submodules of (+) F_p[T]/T^{lam_i} by (type, cotype) parts.
 
     Types are read from rank drops of powers of T on the subspace and on the
-    quotient.
+    quotient.  A cached census is returned only within the budget its walk
+    needed; past it the walk runs again and stops where a fresh one would.
     """
+    _require_budget(budget)
     key = (lam.parts, p)
     got = _DVR_CENSUS_CACHE.get(key)
-    if got is not None:
-        return got
+    if got is not None and got[1] <= budget:
+        return got[0]
     model = _jordan_module(lam.parts, p)
-    gens = model.generators
-    m_powers = [_span(model.full_basis(), p)]
+    gens, lanes = model.compiled, model.lanes
+    m_powers = [_span(model.full_basis(), lanes)]
     while m_powers[-1]:
-        m_powers.append(_image(gens, m_powers[-1].values(), p))
+        m_powers.append(_image(gens, m_powers[-1].values(), lanes))
 
     def type_cotype(basis):
-        return _module_type(basis, gens, p), _cotype(basis, m_powers, p)
+        return _module_type(basis, gens, lanes), _cotype(basis, m_powers, lanes)
 
-    counts = _walk(model, model.dim, type_cotype, budget, "DVR census")
-    _DVR_CENSUS_CACHE[key] = counts
-    return counts
+    got = _DVR_CENSUS_CACHE[key] = _walk(model, model.dim, type_cotype, budget, "DVR census")
+    return got[0]
 
 
-def _module_type(basis, gens, p):
+def _module_type(basis, gens, lanes):
     """Type of span(basis) as an F_p[T]-module, as a parts tuple."""
     dims, cur = [len(basis)], basis
     while cur:
-        cur = _image(gens, cur, p).values()
+        cur = _image(gens, cur, lanes).values()
         dims.append(len(cur))
     cols = [dims[j - 1] - dims[j] for j in range(1, len(dims))]
     return Partition(cols).conjugate().parts
 
 
-def _cotype(basis, m_powers, p):
-    dims = [len(_span(basis, p, mp)) - len(basis) for mp in m_powers]
+def _cotype(basis, m_powers, lanes):
+    dims = [len(_span(basis, lanes, mp)) - len(basis) for mp in m_powers]
     cols = [dims[j - 1] - dims[j] for j in range(1, len(dims)) if dims[j - 1] > dims[j]]
     return Partition(cols).conjugate().parts
 
@@ -370,15 +428,17 @@ def surjective_homs_count(mu, d, p):
     dim = mu.size()
     if dim == 0:
         return 1
-    tmap = _jordan_module(mu.parts, p).generators[0]
+    model = _jordan_module(mu.parts, p)
+    lanes, tmap = model.lanes, model.compiled[0]
+    elements = [lanes.pack(v) for v in product(range(p), repeat=dim)]
     count = 0
-    for combo in product(product(range(p), repeat=dim), repeat=d):
+    for combo in product(elements, repeat=d):
         vecs = []
         for v in combo:
-            while any(v):
+            while v:
                 vecs.append(v)
-                v = _apply(tmap, v, p)
-        if len(_span(vecs, p)) == dim:
+                v = _apply(tmap, v, lanes)
+        if len(_span(vecs, lanes)) == dim:
             count += 1
     return count
 
@@ -397,8 +457,7 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     _require_prime(p)
     if n < 0:
         raise ValueError("n must be at least 0, got %d" % n)
-    if budget < 0:
-        raise ValueError("budget must be at least 0, got %d" % budget)
+    _require_budget(budget)
     if p ** (2 * n * n) > budget:
         raise BudgetExceededError("matrix enumeration %d^%d exceeds budget"
                                   % (p, 2 * n * n))
@@ -420,10 +479,7 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
 
 
 def _poch_frac(x, n):
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= 1 - x**k
-    return out
+    return prod((1 - x**k for k in range(1, n + 1)), start=Fraction(1))
 
 
 def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET):
@@ -431,11 +487,13 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     kind = family if isinstance(family, str) else family.kind
     if not d_list:
         raise ValueError("d_list must name at least one rank")
+    if r < 0:
+        raise ValueError("r must be at least 0, got %d" % r)
+    if any(r > min(d, n) for d in d_list):
+        raise ValueError("need r <= min(d, n)")
     values = []
     with timed() as tm:
         for d in d_list:
-            if r > min(d, n):
-                raise ValueError("need r <= min(d, n)")
             census = quot_census(kind, m, d, p, n, budget=budget)
             quot_count = census.counts.get((n, r), 0)
             x = Fraction(1, p)

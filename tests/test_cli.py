@@ -155,7 +155,12 @@ def test_usage_errors(capsys):
             (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
               "--max-codim", "2", "--budget", "-1"], "budget must be at least 0, got -1"),
             (["oracle", "matrix", "--n", "1", "--p", "2", "--budget", "-1"],
-             "budget must be at least 0, got -1")):
+             "budget must be at least 0, got -1"),
+            # checked for every rank before any census runs
+            (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "3",
+              "--r", "2", "--d-list", "3,1", "--budget", "10"], "need r <= min(d, n)"),
+            (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "2",
+              "--r", "-1", "--d-list", "1,2"], "r must be at least 0, got -1")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -78,7 +78,7 @@ def test_hall_count_oracle_examples():
 
 
 def test_hall_vs_oracle():
-    for p in (2, 3):
+    for p in (2, 3, 5):
         for n in range(5):
             for lam in partitions_of(n):
                 for a in range(n + 1):

@@ -57,15 +57,17 @@ def _reference_rref(vectors, p):
     return tuple(tuple(b) for _, b in basis)
 
 
-def _key(rows):
-    return tuple(rows[piv] for piv in sorted(rows))
+def _key(rows, lanes, dim):
+    """The oracle's canonical key with each packed row unpacked to a tuple."""
+    return tuple(tuple((rows[piv] >> (lanes.w * i)) & lanes.mask for i in range(dim))
+                 for piv in sorted(rows))
 
 
 def test_echelon_basis_matches_reference_rref():
     # the incremental basis gives the canonical key a from-scratch reduction
     # gives, and _add reports growth exactly when the rank goes up
     rng = random.Random(20231)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 131):
         for _ in range(150):
             dim = rng.randint(1, 7)
             density = rng.random()
@@ -75,13 +77,16 @@ def test_echelon_basis_matches_reference_rref():
             if vectors:
                 a, b = rng.choice(vectors), rng.choice(vectors)
                 vectors.append(tuple((x + rng.randrange(p) * y) % p for x, y in zip(a, b)))
-            assert _key(oracle._span(vectors, p)) == _reference_rref(vectors, p)
+            # the oracle packs a vector into one int; keys are unpacked to compare
+            lanes = oracle._Lanes(p, dim)
+            packed = [lanes.pack(v) for v in vectors]
+            assert _key(oracle._span(packed, lanes), lanes, dim) == _reference_rref(vectors, p)
             rows = {}
-            for k, v in enumerate(vectors):
-                grew = oracle._add(rows, v, p)
+            for k, v in enumerate(packed):
+                grew = oracle._add(rows, v, lanes)
                 assert grew == (len(_reference_rref(vectors[:k + 1], p))
                                 > len(_reference_rref(vectors[:k], p)))
-                assert _key(rows) == _reference_rref(vectors[:k + 1], p)
+                assert _key(rows, lanes, dim) == _reference_rref(vectors[:k + 1], p)
 
 
 def test_census_codim_zero():
@@ -133,6 +138,64 @@ def test_walk_budget_stops():
         dvr_type_cotype_census(lam, 3, budget=147)
     oracle._DVR_CENSUS_CACHE.clear()
     assert sum(dvr_type_cotype_census(lam, 3, budget=148).values()) > 0
+
+
+def test_dvr_cache_keeps_budget():
+    # a cached census is no way round the budget: after an unbudgeted call the
+    # same stops hold, and a negative budget is still rejected
+    lam = Partition([2, 1, 1])
+    full = dvr_type_cotype_census(lam, 3)
+    assert sum(full.values()) == 50
+    for budget in (1, 147):
+        with pytest.raises(BudgetExceededError):
+            dvr_type_cotype_census(lam, 3, budget=budget)
+    assert dvr_type_cotype_census(lam, 3, budget=148) == full
+    with pytest.raises(ValueError):
+        dvr_type_cotype_census(lam, 3, budget=-1)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 131))
+def test_lane_arithmetic(p):
+    # reduce, sub and scale on packed vectors against coordinate-wise arithmetic
+    rng = random.Random(p)
+    for _ in range(200):
+        dim = rng.randint(0, 12)
+        lanes = oracle._Lanes(p, dim)
+        a = [rng.randrange(p) for _ in range(dim)]
+        b = [rng.randrange(p) for _ in range(dim)]
+        c = rng.randrange(p)
+        # lanes in [0, 2p), as reduce takes them
+        s = sum((x + y) << (lanes.w * i) for i, (x, y) in enumerate(zip(a, b)))
+        assert lanes.reduce(s) == lanes.pack([(x + y) % p for x, y in zip(a, b)])
+        assert lanes.sub(lanes.pack(a), lanes.pack(b)) == lanes.pack(
+            [(x - y) % p for x, y in zip(a, b)])
+        assert lanes.scale(c, lanes.pack(a)) == lanes.pack([c * x % p for x in a])
+
+
+def _plain_apply(g, vec, p):
+    out = [0] * len(g)
+    for k, t in enumerate(g):
+        if t is not None:
+            out[t] = (out[t] + vec[k]) % p
+    return out
+
+
+def test_compiled_apply_matches_index_map():
+    # every model kind and target, Jordan modules, and three sources on one target
+    models = [build_local_model((kind, m), d, N, p, target)
+              for kind in ("cusp", "node") for target in ("free", "normalization", "max_ideal")
+              for m in (1, 2) for d in (1, 2) for N in (2, 3) for p in (2, 5)]
+    models += [oracle._jordan_module(parts, p, d)
+               for parts in ((1,), (3, 1), (2, 2, 1)) for p in (3, 131) for d in (1, 2)]
+    models.append(FqModulePresentation(3, 5, [(3, 3, 3, 4, None)]))
+    rng = random.Random(7)
+    for model in models:
+        p, lanes = model.p, model.lanes
+        for g, compiled in zip(model.generators, model.compiled):
+            for _ in range(10):
+                vec = [rng.randrange(p) for _ in range(model.dim)]
+                got = oracle._apply(compiled, lanes.pack(vec), lanes)
+                assert got == lanes.pack(_plain_apply(g, vec, p)), (model.generators, vec)
 
 
 def test_quot_census_sizing():
