@@ -2,8 +2,8 @@
 
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial,
                       aq, parse_poly)
-from .partitions import (Partition, contains, box_complement, iterate_box,
-                         iterate_bounded_parts, partitions_of)
+from .partitions import (Partition, box_complement, iterate_box, iterate_bounded_parts,
+                         partitions_of)
 from .hall import hall_skew, hall_box, hall_general, hall_count_oracle, surjection_count
 from .series import TruncSeries2, poch_inf, phi_rs
 from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalization,

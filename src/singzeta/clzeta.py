@@ -8,24 +8,22 @@ series is
           g^lam_mu(q) (u;u)_{lam'_m} t^{2|lam|-|mu|}
           / (a(lam) (u;u)_{mu'_m} (ut;u)^2_{lam'_m}),
 
-where 1/a(lam) = u^{sum lam'_i^2} prod 1/(u;u)_{lam'_i - lam'_{i+1}}.  Each
-node term is u-positive, asserted during assembly: deg_q g^lam_mu =
-sum mu'_i(lam'_i - mu'_i), so its u-order is at least
+where 1/a(lam) = u^{sum lam'_i^2} prod 1/(u;u)_{lam'_i - lam'_{i+1}}.  Every
+node factor splits by column, so cl_node is a walk over m columns
+(hall.column_walk) with state (a, b) = (lam'_i, mu'_i): 1/(u;u)_{a-a2}
+between columns (none out of the start), g^lam_mu's binomials as polynomials
+in u, and at column i the shift u^{a^2 - b(a-b)} t^{2a-b} on the window.
+With j = lam'_m, i = mu'_m and (ut;u)_inf/(ut;u)_j = (u^{j+1}t;u)_inf,
 
-    sum lam'_i^2 - sum mu'_i(lam'_i - mu'_i) >= (3/4) sum lam'_i^2,
+    NZ-hat = sum_j (u^{j+1}t;u)^2_inf / (u;u)_j
+                 sum_i [j, i]_u (u;u)_j/(u;u)_i (the walk's value at (j, i)).
 
-because x(a - x) <= a^2/4.  So cl_node skips every lam with
-3 sum lam'^2 >= 4 u_prec before enumerating its mu, and drops a remaining
-(lam, mu) when its own bound reaches u_prec.  The sum is grouped by what each
-factor depends on.  With j = lam'_m and (ut;u)_inf/(ut;u)_j = (u^{j+1}t;u)_inf,
-
-    NZ-hat = sum_j (u^{j+1}t;u)^2_inf sum_{lam'_m = j} 1/a(lam)
-                 sum_i (u;u)_j/(u;u)_i sum_{mu <= lam, mu'_m = i} g^lam_mu t^{2|lam|-|mu|}:
-
-the shifted g^lam_mu go into one plain dict per (lam, mu'_m), each bucket
-meets the polynomial (u;u)_j/(u;u)_i = prod_{k=i+1..j} (1 - u^k) once, each
-lam its 1/(u;u)_gap tail once, and each j the Pochhammer square once; no
-series is inverted.  special_values reads NZ-hat(1) and NZ-hat(-1) off one
+Every factor is a power series in u and t, and a shift has u-order
+a^2 - b(a-b) >= (3/4) a^2, because x(a - x) <= a^2/4, and t-order
+2a - b >= a.  So the walk starts at the first a with a >= t_prec or
+3a^2 >= 4 u_prec, which no column reaches, and a state shifted off the window
+is dropped.  No series is inverted, and a negative u-exponent is refused on
+the window.  special_values reads NZ-hat(1) and NZ-hat(-1) off one
 numerator per t_prec.  The full series is the numerator times
 1/(ut;u)_inf^s.
 
@@ -42,10 +40,10 @@ TruncSeries2 precision bookkeeping carries them):
 using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
 """
 
-from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv, qpoch_qinv_ratio
-from .partitions import iterate_bounded_parts, subpartitions
+from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv
+from .partitions import iterate_bounded_parts
 from .quotzeta import SingularityFamily, nz, full_z
-from .hall import hall_skew
+from .hall import column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, timed,
                      BudgetExceededError)
@@ -66,19 +64,6 @@ class ClSeries:
         self.t_prec = numerator.t_prec
 
 
-def _add_u_shifted(acc, p, shift, dt, u_prec, t_prec):
-    """Add u^shift t^dt p(q -> 1/u) into the dict acc on the window.
-
-    The shifted polynomial must be u-positive.
-    """
-    for (a, b), c in p.terms.items():
-        i, j = shift - a, b + dt
-        if i < 0 or b < 0:
-            raise AssertionError("negative exponent after u-shift")
-        if i < u_prec and j < t_prec:
-            acc[(i, j)] = acc.get((i, j), 0) + c
-
-
 def cl_cusp(m, u_prec, t_prec):
     """CL numerator/series for the cusp y^2 = x^{2m+1}."""
     total = TruncSeries2(u_prec, t_prec)
@@ -96,56 +81,27 @@ def cl_cusp(m, u_prec, t_prec):
 
 
 def cl_node(m, u_prec, t_prec):
-    """CL numerator/series for the node y^2 = x^{2m}, grouped as in the module
-    docstring: lam with 3 sum lam'^2 >= 4 u_prec is skipped unenumerated."""
-    lams_by_j = {}
-    for lam in iterate_bounded_parts(m, t_prec - 1):
-        sum_sq = sum(c * c for c in lam.conjugate().parts)
-        if 3 * sum_sq < 4 * u_prec:
-            lams_by_j.setdefault(lam.conj_part(m), []).append((lam, sum_sq))
+    """CL numerator/series for the node y^2 = x^{2m}, by the column walk of the
+    module docstring."""
+    top = 0
+    while top < t_prec and 3 * top * top < 4 * u_prec:
+        top += 1
+    tails = [TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs) for n in range(top)]
+    one = TruncSeries2.one(u_prec, t_prec)
+    sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
+                       lambda a, a2: one if a == top else tails[a - a2],
+                       lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                           u_prec, t_prec))
     total = TruncSeries2(u_prec, t_prec)
-    for j, lams in lams_by_j.items():
-        j_sum = TruncSeries2(u_prec, t_prec)
-        for lam, sum_sq in lams:
-            j_sum = j_sum + _cl_node_lam_term(lam, sum_sq, m, j, u_prec, t_prec)
-        if j_sum.coeffs:
-            total = total + j_sum * poch_inf(j + 1, 1, u_prec, t_prec) ** 2
+    for j, s in sums.items():
+        total = total + s * (tails[j] * poch_inf(j + 1, 1, u_prec, t_prec) ** 2)
     return ClSeries("node", m, total, s=2)
 
 
-def _cl_node_lam_term(lam, sum_sq, m, j, u_prec, t_prec):
-    """(1/a(lam)) sum_{mu <= lam} g^lam_mu(1/u) (u;u)_j/(u;u)_{mu'_m} t^{2|lam|-|mu|},
-    with the shifted g^lam_mu summed per mu'_m before the other factors go in."""
-    lam_conj = lam.conjugate().parts
-    buckets = {}
-    for mu in subpartitions(lam):
-        t_order = 2 * lam.size() - mu.size()
-        if t_order >= t_prec:
-            continue
-        mu_conj = mu.conjugate().parts
-        if sum_sq - sum(mc * (lc - mc) for lc, mc in zip(lam_conj, mu_conj)) >= u_prec:
-            continue
-        mu_m = mu_conj[m - 1] if len(mu_conj) >= m else 0
-        _add_u_shifted(buckets.setdefault(mu_m, {}), hall_skew(lam, mu),
-                       sum_sq, t_order, u_prec, t_prec)
-    inner = TruncSeries2(u_prec, t_prec)
-    if not buckets:
-        return inner
-    for mu_m, bucket in buckets.items():
-        part = TruncSeries2(u_prec, t_prec, bucket)
-        if mu_m < j:
-            part = part * TruncSeries2.from_laurent(qpoch_qinv_ratio(j, j - mu_m),
-                                                    u_prec, t_prec)
-        inner = inner + part
-    tail = TruncSeries2.one(u_prec, 1)
-    for i, c in enumerate(lam_conj):
-        gap = c - (lam_conj[i + 1] if i + 1 < len(lam_conj) else 0)
-        if gap:
-            tail = tail * inv_qpoch_u(gap, u_prec)
-    return inner * TruncSeries2(u_prec, t_prec, tail.coeffs)
-
-
 def cl_series(kind, m, u_prec, t_prec):
+    for name, prec in (("u_prec", u_prec), ("t_prec", t_prec)):
+        if prec < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, prec))
     fam = SingularityFamily(kind, m)
     return cl_cusp(m, u_prec, t_prec) if fam.kind == "cusp" else cl_node(m, u_prec, t_prec)
 

@@ -15,6 +15,11 @@ structure constants f^lambda_{mu nu}(xi) via
 
 with n(lambda) = sum (i-1) lambda_i.  All arithmetic is exact; every closed
 form is assembled division-free and asserted to land in Z[q].
+
+g^lambda_mu and the box multinomial are products over the columns of lambda
+and mu, so a sum of them over mu <= lambda is a walk over column states
+(lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
+the box (quotzeta.nz_node_free) and over lambda_1 <= m (clzeta.cl_node).
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, T, QINV, qbinomial_qinv,
@@ -40,6 +45,47 @@ def hall_skew(lam, mu):
     if not result.is_polynomial():
         raise AssertionError("hall_skew left Z[q]: %s, %s" % (lam, mu))
     return result
+
+
+def column_walk(columns, top, lift, gap, column):
+    """A two-index Hall sum as a walk over columns, grouped by its last column.
+
+    Sums over lam with lam'_1 <= top and at most `columns` columns, and over
+    mu inside lam, the product over columns i = 1..columns of
+
+        gap(lam'_{i-1}, lam'_i) [lam'_{i-1} - mu'_i, lam'_{i-1} - mu'_{i-1}]_{1/q}
+            (column factor at (lam'_i, mu'_i))
+
+    with lam'_0 = mu'_0 = top, times [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i at
+    (j, i) = (lam'_columns, mu'_columns); the binomials are hall_skew's.  A step
+    from the state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and
+    b2 <= min(b, a2), sums over b per (a, b2), then over a per (a2, b2), then
+    applies the column factor.  lift carries a Laurent polynomial into the
+    caller's ring, gap(a, a2) is an element of it, column(v, a, b) multiplies
+    v by the column factor, and a state that is 0 there is dropped.  Returns
+    {j: the sum over lam with lam'_columns = j}.
+    """
+    binoms = {(n, r): lift(qbinomial_qinv(n, r)) for n in range(top + 1) for r in range(n + 1)}
+    states = {(top, top): lift(ONE)}
+    for _ in range(columns):
+        by_b2 = {}
+        for (a, b), v in states.items():
+            for b2 in range(b + 1):
+                _accumulate(by_b2, (a, b2), binoms[(a - b2, a - b)] * v)
+        steps = {}
+        for (a, b2), w in by_b2.items():
+            for a2 in range(b2, a + 1):
+                _accumulate(steps, (a2, b2), gap(a, a2) * w)
+        states = {key: column(w, *key) for key, w in steps.items()}
+        states = {key: v for key, v in states.items() if v}
+    sums = {}
+    for (j, i), v in states.items():
+        _accumulate(sums, j, lift(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i)) * v)
+    return sums
+
+
+def _accumulate(acc, key, value):
+    acc[key] = acc[key] + value if key in acc else value
 
 
 def hall_box(m, d, mu):

@@ -77,11 +77,6 @@ class Partition:
         return Partition(int(p) for p in text.split(","))
 
 
-def contains(mu, lam):
-    """mu subset-of lam as diagrams."""
-    return lam.contains(mu)
-
-
 def box_complement(m, d, mu):
     """The 180-degree rotated complement of mu inside the d-by-m box.
 

@@ -15,22 +15,25 @@ polynomials over partitions in the d-by-m box:
 with g_mu = hall_box(m,d,mu).  Everything is assembled division-free and
 asserted to land in Z[q,t].
 
-Each sum is accumulated term by term into one plain dict (laurent.add_into).
-The node's two-index sum is grouped by what each factor depends on, so no
-factor is multiplied in once per (lam, mu) pair.  With j = lam'_m and
-k = |lam| - |mu|, the ratio depends on mu only through (k, mu'_m), so
+Each one-index sum is accumulated term by term into one plain dict
+(laurent.add_into).  The node's two-index sum is a walk over columns
+(hall.column_walk), because every factor splits by column.  With
+(a, b) = (lam'_i, mu'_i), g_lam is q^{d|lam| - sum a^2} times the
+q^-1-binomials [lam'_{i-1}, lam'_i] from lam'_0 = d, g^lam_mu is
+q^{sum b(a-b)} times hall_skew's binomials, and column i adds the monomial
+q^{d(2a-b) - a^2 + b(a-b)} t^{2a-b}.  The walk keeps one value per state
+(a, b), about d^2/2 of them, and with j = lam'_m and i = mu'_m
 
-    NZ = sum_j (t;q)^2_{d-j} sum_{lam'_m = j} g_lam t^|lam|
-             sum_{(k, i)} (q^d t)^k (1/q;1/q)_j/(1/q;1/q)_i
-                 sum_{mu <= lam, |lam|-|mu| = k, mu'_m = i} g^lam_mu,
+    NZ = sum_j (t;q)^2_{d-j} sum_i [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i
+             (the walk's value at (j, i)),
 
-and (t;q)^2_{d-j}, the largest factor, is multiplied in at most d+1 times.
+so (t;q)^2_{d-j}, the largest factor, is multiplied in at most d+1 times.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, add_into, qpochhammer,
-                      qbinomial, qpoch_qinv_ratio)
-from .hall import hall_box, hall_skew
-from .partitions import iterate_box, subpartitions
+                      qbinomial, qbinomial_qinv, qpoch_qinv_ratio)
+from .hall import column_walk, hall_box, hall_skew
+from .partitions import iterate_box
 from .report import VerificationReport, compare_report, timed
 from .series import TruncSeries2
 
@@ -108,35 +111,20 @@ def nz_node_normalization(m, d):
 
 
 def nz_node_free(m, d):
-    """NZ of the free rank-d module over the node germ (two-index Hall sum,
-    grouped by j = lam'_m as in the module docstring)."""
+    """NZ of the free rank-d module over the node germ, by the column walk of
+    the module docstring."""
+    if d < 0:
+        raise ValueError("d must be at least 0, got %d" % d)
     key = ("node-free", m, d)
     if key not in _NZ_CACHE:
-        lams_by_j = {}
-        for lam in iterate_box(m, d):
-            lams_by_j.setdefault(lam.conj_part(m), []).append(lam)
+        def column(v, a, b):
+            return v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b)
+
         total = {}
-        for j, lams in lams_by_j.items():
-            lam_sum = {}
-            for lam in lams:
-                add_into(lam_sum, _node_free_lam_term(lam, m, d, j))
-            add_into(total, LaurentPoly2(lam_sum) * qpochhammer(T, Q, d - j) ** 2)
+        for j, s in column_walk(m, d, lambda p: p, qbinomial_qinv, column).items():
+            add_into(total, s * qpochhammer(T, Q, d - j) ** 2)
         _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
     return _NZ_CACHE[key]
-
-
-def _node_free_lam_term(lam, m, d, j):
-    """g_lam t^|lam| sum_{mu <= lam} g^lam_mu (q^d t)^k (1/q;1/q)_j/(1/q;1/q)_{mu'_m},
-    with the g^lam_mu summed per (k, mu'_m) before the other factors go in."""
-    buckets = {}
-    for mu in subpartitions(lam):
-        add_into(buckets.setdefault((lam.size() - mu.size(), mu.conj_part(m)), {}),
-                 hall_skew(lam, mu))
-    inner = {}
-    for (k, mu_m), bucket in buckets.items():
-        weight = LaurentPoly2.monomial(1, d * k, k) * qpoch_qinv_ratio(j, j - mu_m)
-        add_into(inner, LaurentPoly2(bucket) * weight)
-    return hall_box(m, d, lam) * LaurentPoly2.monomial(1, 0, lam.size()) * LaurentPoly2(inner)
 
 
 def _check_poly(p):

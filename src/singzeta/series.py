@@ -80,6 +80,9 @@ class TruncSeries2:
         known = [p for p in (self.u_prec, other.u_prec) if p is not None]
         return min(known, default=None), min(self.t_prec, other.t_prec)
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def min_u_exp(self):
         """The lowest u-exponent present (infinity for the zero series)."""
         return min(self.coeffs)[0] if self.coeffs else _INF

@@ -152,6 +152,17 @@ def test_usage_errors(capsys):
             (["verify", "t2", "--m", "0", "--d", "2"], "m must be at least 1, got 0"),
             (["verify", "squaring", "--m", "0", "--d", "2"], "m must be at least 1, got 0"),
             (["verify", "conversion", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["nz", "--family", "node", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["verify", "node22", "--d", "-1"], "d must be at least 0, got -1"),
+            # the window is checked before either family's sum is set up
+            (["cl", "--family", "node", "--m", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
+            (["cl", "--family", "cusp", "--m", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
+            (["cl", "--family", "node", "--m", "1", "--uprec", "0"],
+             "u_prec must be at least 1, got 0"),
+            (["cl", "--family", "cusp", "--m", "1", "--uprec", "0"],
+             "u_prec must be at least 1, got 0"),
             (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
               "--max-codim", "2", "--budget", "-1"], "budget must be at least 0, got -1"),
             (["oracle", "matrix", "--n", "1", "--p", "2", "--budget", "-1"],

@@ -91,6 +91,18 @@ def test_cl_node_matches_term_by_term_sum():
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
 
 
+def test_cl_node_matches_term_by_term_sum_at_window_edges():
+    # the walk starts at the first column length a with a >= t_prec or
+    # 3a^2 >= 4 u_prec (1, 2, 2 and 3 here), and drops the states it shifts
+    # off these small windows
+    for m in range(1, 5):
+        for u_prec, t_prec in ((1, 1), (1, 6), (2, 3), (5, 3)):
+            want = _cl_node_term_by_term(m, u_prec, t_prec)
+            got = cl_node(m, u_prec, t_prec).numerator
+            assert (got.u_prec, got.t_prec) == (u_prec, t_prec)
+            assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
+
+
 def test_cl_series_rejects_unknown_kind():
     # m < 1 is covered through the CLI in test_cli.test_usage_errors
     with pytest.raises(ValueError, match="kind must be 'cusp' or 'node'"):

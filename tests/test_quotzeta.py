@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from singzeta.hall import hall_box, hall_skew
@@ -147,6 +149,16 @@ def test_node_t1_both_modules():
 def test_specialization_report():
     assert specialization_report(SingularityFamily("node", 2), 2).passed
     assert specialization_report(SingularityFamily("cusp", 2), 2).passed
+
+
+def test_funceq_and_specializations_beyond_the_acceptance_grid():
+    # criteria 4 and 16 stop at m, d <= 3; six seeded (m, d) with m + d in {8, 9}
+    pairs = [(m, size - m) for size in (8, 9) for m in range(1, size)]
+    for m, d in random.Random(0).sample(pairs, 6):
+        for kind in ("cusp", "node"):
+            family = SingularityFamily(kind, m)
+            assert funceq_check(family, d).passed, (kind, m, d)
+            assert specialization_report(family, d).passed, (kind, m, d)
 
 
 def test_remark_t2_vs_qt_differ_at_d2():
