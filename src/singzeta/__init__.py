@@ -5,7 +5,7 @@ from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial,
 from .partitions import (Partition, box_complement, iterate_box, iterate_bounded_parts,
                          partitions_of)
 from .hall import hall_skew, hall_box, hall_general, hall_count_oracle, surjection_count
-from .series import TruncSeries2, poch_inf, phi_rs
+from .series import TruncSeries2, poch, phi_rs
 from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalization,
                        nz_node_free, nz_node_normalization, full_z, funceq_check,
                        specialize, skew_cauchy_bounded_check, cusp_t2_check,

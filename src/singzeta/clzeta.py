@@ -25,7 +25,8 @@ a^2 - b(a-b) >= (3/4) a^2, because x(a - x) <= a^2/4, and t-order
 is dropped.  No series is inverted, and a negative u-exponent is refused on
 the window.  special_values reads NZ-hat(1) and NZ-hat(-1) off one
 numerator per t_prec.  The full series is the numerator times
-1/(ut;u)_inf^s.
+1/(ut;u)_inf^s.  Every Pochhammer product on a window, finite or infinite,
+is built by series.poch.
 
 Rank-conversion identities (intermediates have negative u-exponents; the
 TruncSeries2 precision bookkeeping carries them):
@@ -40,14 +41,14 @@ TruncSeries2 precision bookkeeping carries them):
 using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
 """
 
-from .laurent import LaurentPoly2, ONE, qbinomial, qpoch_qinv
+from .laurent import LaurentPoly2, Q, qbinomial, qpoch_qinv, qpochhammer
 from .partitions import iterate_bounded_parts
 from .quotzeta import SingularityFamily, nz, full_z
 from .hall import column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, timed,
                      BudgetExceededError)
-from .series import TruncSeries2, poch_inf, inv_qpoch_u
+from .series import TruncSeries2, poch, inv_qpoch_u
 
 
 class ClSeries:
@@ -59,7 +60,7 @@ class ClSeries:
         self.kind = kind
         self.m = m
         self.numerator = numerator
-        self.full = numerator * poch_inf(1, 1, numerator.u_prec, numerator.t_prec).inverse() ** s
+        self.full = numerator * poch(1, 1, numerator.u_prec, numerator.t_prec).inverse() ** s
         self.u_prec = numerator.u_prec
         self.t_prec = numerator.t_prec
 
@@ -94,7 +95,7 @@ def cl_node(m, u_prec, t_prec):
                            u_prec, t_prec))
     total = TruncSeries2(u_prec, t_prec)
     for j, s in sums.items():
-        total = total + s * (tails[j] * poch_inf(j + 1, 1, u_prec, t_prec) ** 2)
+        total = total + s * (tails[j] * poch(j + 1, 1, u_prec, t_prec) ** 2)
     return ClSeries("node", m, total, s=2)
 
 
@@ -306,9 +307,7 @@ def scaled_z_trunc(kind, m, d, u_prec, t_prec):
     prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
     if prod.min_u_exp() < 0:
         raise AssertionError("NZ(u^d t) has a negative u-exponent")
-    for j in range(1, d + 1):
-        factor = TruncSeries2(None, t_prec, {(0, 0): 1, (j, 1): -1})
-        prod = prod * (factor.inverse() ** fam.s)
+    prod = prod * poch(1, 1, None, t_prec, d).inverse() ** fam.s
     return prod.truncate(u_prec, t_prec)
 
 
@@ -350,9 +349,7 @@ def matrix_count_formula(n):
     for j in range(n // 2 + 1):
         sign = -1 if j % 2 else 1
         e = (3 * j * j - j) // 2 + n * (n - 2 * j)
-        ratio = qbinomial(n, j)
-        for i in range(n - 2 * j + 1, n - j + 1):
-            ratio = ratio * (ONE - LaurentPoly2.monomial(1, i, 0))
+        ratio = qbinomial(n, j) * qpochhammer(LaurentPoly2.monomial(1, n - 2 * j + 1, 0), Q, j)
         total = total + LaurentPoly2.monomial(sign, e, 0) * ratio
     return total
 
@@ -368,37 +365,37 @@ def matrix_count_check(n, p, budget=oracle_mod.DEFAULT_BUDGET):
 
 
 def andrews_gordon_product(m, u_prec):
-    """prod over n not congruent to 0, +-(m+1) mod 2m+3 of 1/(1-u^n)."""
-    mod = 2 * m + 3
-    excluded = {0, (m + 1) % mod, (m + 2) % mod}
-    poly = TruncSeries2.one(u_prec, 1)
-    for n in range(1, u_prec):
-        if n % mod not in excluded:
-            poly = poly * (TruncSeries2.one(u_prec, 1) - TruncSeries2.monomial(1, n, 0, u_prec, 1))
-    return poly.inverse()
+    """prod over n not congruent to 0, +-(m+1) mod M = 2m+3 of 1/(1-u^n), that
+    is (u^{m+1};u^M)inf (u^{m+2};u^M)inf (u^M;u^M)inf / (u;u)inf."""
+    M = 2 * m + 3
+    num = poch(m + 1, 0, u_prec, 1, step=M) * poch(m + 2, 0, u_prec, 1, step=M)
+    return num * poch(M, 0, u_prec, 1, step=M) * poch(1, 0, u_prec, 1).inverse()
 
 
 def node_minus1_product(m, u_prec):
     """(u^2;u^2)inf (u^{m+1};u^{m+1})inf^2 / ((u;u)inf^2 (u^{2m+2};u^{2m+2})inf)."""
-    def poch(step):
-        return poch_inf(step, 0, u_prec, 1, step=step)
+    def euler(k):
+        return poch(k, 0, u_prec, 1, step=k)
 
-    num = poch(2) * poch(m + 1) ** 2
-    den = poch(1) ** 2 * poch(2 * m + 2)
+    num = euler(2) * euler(m + 1) ** 2
+    den = euler(1) ** 2 * euler(2 * m + 2)
     return num * den.inverse()
 
 
-def _eval_pm_one(kind, m, u_prec, t_start=8, t_cap=2048):
+_T_START, _T_CAP = 8, 2048
+
+
+def _eval_pm_one(kind, m, u_prec):
     """NZ-hat(1) and NZ-hat(-1) as u-adic limits of partial sums.
 
-    t_prec doubles from t_start; each numerator serves both signs, and each
+    t_prec doubles from _T_START; each numerator serves both signs, and each
     sign stops at the first t_prec whose value repeats the previous one.
     Returns {sign: (value, t_prec used)}.
     """
     prev = {}
     done = {}
-    t_prec = t_start
-    while t_prec <= t_cap:
+    t_prec = _T_START
+    while t_prec <= _T_CAP:
         numerator = cl_series(kind, m, u_prec, t_prec).numerator
         for sign in (1, -1):
             if sign in done:
@@ -416,7 +413,7 @@ def _eval_pm_one(kind, m, u_prec, t_start=8, t_cap=2048):
         t_prec *= 2
     sign = 1 if 1 not in done else -1
     raise BudgetExceededError("t=%+d evaluation did not stabilize below t_prec=%d"
-                              % (sign, t_cap), progress=(u_prec, t_cap))
+                              % (sign, _T_CAP), progress=(u_prec, _T_CAP))
 
 
 def special_values(kind, m, u_prec):

@@ -24,6 +24,7 @@ the box (quotzeta.nz_node_free) and over lambda_1 <= m (clzeta.cl_node).
 
 from .laurent import (LaurentPoly2, ZERO, ONE, T, QINV, qbinomial_qinv,
                       qmultinomial_qinv, qpoch_qinv_ratio)
+from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .partitions import Partition
 
 
@@ -283,13 +284,12 @@ def hall_general(lam, mu, nu):
     return g
 
 
-def hall_count_oracle(lam, mu, nu, p, budget=10**7):
+def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
     """Exact submodule count over F_p by exhaustive invariant-subspace search.
 
     Counts submodules of type mu (and cotype nu when given) of the module
     (+) F_p[T]/T^{lam_i}; delegated to the oracle module's census.
     """
-    from .oracle import dvr_type_cotype_census
     census = dvr_type_cotype_census(lam, p, budget=budget)
     if nu is None:
         return sum(c for (tm, _), c in census.items() if tm == mu.parts)

@@ -150,9 +150,6 @@ class LaurentPoly2:
             out.setdefault(b, {})[(a, 0)] = c
         return {b: LaurentPoly2(d) for b, d in sorted(out.items())}
 
-    def coeff(self, eq, et):
-        return self.terms.get((eq, et), 0)
-
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, q_image, t_image):
@@ -210,9 +207,9 @@ class LaurentPoly2:
 
     __repr__ = __str__
 
-    def grouped_str(self, var="q"):
+    def grouped_str(self):
         """Table-style form, terms grouped by t-degree (see grouped_text)."""
-        return grouped_text(self.terms, var)
+        return grouped_text(self.terms)
 
     def to_json_obj(self):
         return {
@@ -408,14 +405,11 @@ def qpoch_qinv(n):
 def qpoch_qinv_ratio(n, k):
     """(q^-1;q^-1)_n / (q^-1;q^-1)_{n-k} assembled division-free.
 
-    Equals prod_{j=n-k+1}^{n} (1 - q^-j); requires 0 <= k <= n.
+    Equals (q^{k-n-1}; q^-1)_k = prod_{j=n-k+1}^{n} (1 - q^-j); needs 0 <= k <= n.
     """
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
-    result = ONE
-    for j in range(n - k + 1, n + 1):
-        result = result * (ONE - LaurentPoly2.monomial(1, -j, 0))
-    return result
+    return qpochhammer(LaurentPoly2.monomial(1, k - n - 1, 0), QINV, k)
 
 
 def qmultinomial_qinv(parts):

@@ -91,7 +91,7 @@ def box_complement(m, d, mu):
 def iterate_box(m, d):
     """All mu contained in the d-by-m box, graded by |mu| then lexicographic."""
     if m < 0 or d < 0:
-        raise ValueError("m, d must be nonnegative")
+        raise ValueError("%s must be at least 0, got %d" % (("m", m) if m < 0 else ("d", d)))
     yield from subpartitions(Partition.box(m, d))
 
 

@@ -34,7 +34,7 @@ from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, add_into, qpochhammer,
                       qbinomial, qbinomial_qinv, qpoch_qinv_ratio)
 from .hall import column_walk, hall_box, hall_skew
 from .partitions import iterate_box
-from .report import VerificationReport, compare_report, timed
+from .report import VerificationReport, compare_report, first_discrepancy, timed
 from .series import TruncSeries2
 
 
@@ -233,7 +233,6 @@ def specialization_report(family, d):
                                   "pass", wall_time=tm.elapsed,
                                   detail="%d specializations" % len(checks))
     tag, got, want = first_bad
-    from .report import first_discrepancy
     return VerificationReport("special", {"family": family.kind, "m": m, "d": d},
                               "fail", lhs=str(got), rhs=str(want),
                               discrepancy=first_discrepancy(got, want),
@@ -258,7 +257,6 @@ def skew_cauchy_bounded_check(m, d):
                              * qpochhammer(T, Q, d - lam.conj_part(m)))
             rhs = hall_box(m, d, mu) * LaurentPoly2.monomial(1, 0, mu.size())
             if lhs != rhs:
-                from .report import first_discrepancy
                 return VerificationReport("squaring", {"m": m, "d": d, "mu": str(mu)},
                                           "fail", lhs=str(lhs), rhs=str(rhs),
                                           discrepancy=first_discrepancy(lhs, rhs),
@@ -304,6 +302,8 @@ def m_limit_closed_form(kind, d, q_prec, t_prec):
 
 def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):
     """Stabilization of nz_*_free in m, and match with the closed-form limit."""
+    if d < 0:
+        raise ValueError("d must be at least 0, got %d" % d)
     free = nz_node_free if kind == "node" else nz_cusp_free
     target = m_limit_closed_form(kind, d, q_prec, t_prec)
     with timed() as tm:

@@ -10,7 +10,8 @@ known below u^hA with lowest u-exponent lowA times one known below u^hB with
 lowest exponent lowB is known below min(hA + lowB, hB + lowA).  For power
 series with constant term 1 that is the smaller of the two windows.
 Comparisons of mismatched windows use the intersection.  The module also
-provides infinite Pochhammer products and the basic hypergeometric evaluator.
+provides poch, the one builder of Pochhammer products (u^a t^b; u^step)_n,
+finite or infinite, and the basic hypergeometric evaluator.
 """
 
 from .laurent import LaurentPoly2, grouped_text
@@ -21,6 +22,7 @@ class WindowError(ValueError):
 
 
 _INF = float("inf")
+_PHI_MAX_TERMS = 10000
 
 
 class TruncSeries2:
@@ -272,31 +274,27 @@ class TruncSeries2:
                             {(i, j): int(v) for i, j, v in obj["terms"]})
 
 
-# -- infinite Pochhammer products ---------------------------------------------
+# -- Pochhammer products and basic hypergeometric series -----------------------
 
 
-def poch_inf_info(x_exp_u, x_exp_t, u_prec, t_prec, step=1):
-    """(u^a t^b; u^step)_infinity on the window, plus the stabilization index.
+def poch(a, b, u_prec, t_prec, n=None, step=1):
+    """(u^a t^b; u^step)_n on the window; n None gives the infinite product.
 
-    Only factors whose leading monomial lies inside the window are multiplied;
-    the returned index is the number of such factors.
+    The product stops at the first factor whose monomial u^{a + k step} t^b
+    lies outside the window: it and every later factor are 1 there.
     """
-    a, b = x_exp_u, x_exp_t
-    if a < 0 or b < 0 or (a == 0 and b == 0):
-        raise WindowError("pochhammer argument must be a nonconstant monomial")
-    if step < 1:
-        raise WindowError("step must be a positive power of u")
+    if a < 0 or b < 0 or step < 1:
+        raise WindowError("pochhammer needs a nonnegative monomial and a positive step")
+    if n is None and ((a, b) == (0, 0) or u_prec is None):
+        raise WindowError("an infinite pochhammer product needs a nonconstant argument "
+                          "and a finite u-window")
     result = TruncSeries2.one(u_prec, t_prec)
     k = 0
-    while b < t_prec and a + k * step < u_prec:
-        factor = TruncSeries2.one(u_prec, t_prec) - TruncSeries2.monomial(1, a + k * step, b, u_prec, t_prec)
-        result = result * factor
+    while (n is None or k < n) and b < t_prec and (u_prec is None or a + k * step < u_prec):
+        result = result * (TruncSeries2.one(u_prec, t_prec) -
+                           TruncSeries2.monomial(1, a + k * step, b, u_prec, t_prec))
         k += 1
-    return result, k
-
-
-def poch_inf(x_exp_u, x_exp_t, u_prec, t_prec, step=1):
-    return poch_inf_info(x_exp_u, x_exp_t, u_prec, t_prec, step)[0]
+    return result
 
 
 _INV_POCH_CACHE = {}
@@ -307,34 +305,17 @@ def inv_qpoch_u(n, u_prec):
     key = (n, u_prec)
     got = _INV_POCH_CACHE.get(key)
     if got is None:
-        got = _finite_poch((1, 0), n, u_prec, 1).inverse()
+        got = poch(1, 0, u_prec, 1, n).inverse()
         _INV_POCH_CACHE[key] = got
     return got
 
 
-# -- basic hypergeometric series ------------------------------------------------
-
-
-def _finite_poch(mono, k, u_prec, t_prec):
-    """(x; u)_k for a monomial x = u^a t^b (or x = 0 encoded as None).
-
-    The product stops at the first factor whose u-exponent a + i reaches
-    u_prec: it and every later factor are 1 on the window."""
-    if mono is None:
-        return TruncSeries2.one(u_prec, t_prec)
-    a, b = mono
-    result = TruncSeries2.one(u_prec, t_prec)
-    for i in range(min(k, u_prec - a)):
-        result = result * (TruncSeries2.one(u_prec, t_prec) -
-                           TruncSeries2.monomial(1, a + i, b, u_prec, t_prec))
-    return result
-
-
-def phi_rs(r, s, upper, lower, z, u_prec, t_prec, max_terms=10000):
+def phi_rs(r, s, upper, lower, z, u_prec, t_prec):
     """Basic hypergeometric series r_phi_s with base u, summed on the window.
 
     Parameters and the argument z are monomials u^a t^b given as (a, b) pairs
-    with nonnegative entries, or None for a zero parameter/argument.  Each term
+    with nonnegative entries (poch refuses others), or None for a zero
+    parameter/argument.  Each term
     is ((-1)^k u^C(k,2))^(s+1-r) * prod (a_i;u)_k / ((u;u)_k prod (b_j;u)_k) * z^k;
     summation stops once the term's guaranteed (u,t)-order exits the window.
     """
@@ -343,9 +324,6 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec, max_terms=10000):
     e = s + 1 - r
     if e < 0:
         raise WindowError("r > s+1 gives negative u-powers; not summable on a window")
-    for mono in upper + lower:
-        if mono is not None and (mono[0] < 0 or mono[1] < 0):
-            raise WindowError("parameters must be nonnegative monomials")
     for mono in lower:
         if mono == (0, 0):
             raise WindowError("lower parameter 1 makes the denominator non-unit")
@@ -364,15 +342,17 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec, max_terms=10000):
         t_lb = k * zt
         if u_lb >= u_prec or (zt > 0 and t_lb >= t_prec):
             break
-        if k > max_terms:
-            raise WindowError("hypergeometric summation exceeded %d terms" % max_terms)
+        if k > _PHI_MAX_TERMS:
+            raise WindowError("hypergeometric summation exceeded %d terms" % _PHI_MAX_TERMS)
         sign = 1 if (k * e) % 2 == 0 else -1
         term = TruncSeries2.monomial(sign, e * (k * (k - 1) // 2) + k * zu, k * zt, u_prec, t_prec)
         for mono in upper:
-            term = term * _finite_poch(mono, k, u_prec, t_prec)
-        denom = _finite_poch((1, 0), k, u_prec, t_prec)
+            if mono is not None:
+                term = term * poch(*mono, u_prec, t_prec, k)
+        denom = poch(1, 0, u_prec, t_prec, k)
         for mono in lower:
-            denom = denom * _finite_poch(mono, k, u_prec, t_prec)
+            if mono is not None:
+                denom = denom * poch(*mono, u_prec, t_prec, k)
         total = total + term * denom.inverse()
         k += 1
     return total

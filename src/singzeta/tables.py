@@ -11,7 +11,9 @@ Tables 1 and 2 give NZ for the free module and for the normalization module at
 m = 1 and m = 2; Table 3 gives the Cohen-Lenstra numerator for m = 1, 2, 3.
 """
 
+from .clzeta import cl_node
 from .laurent import LaurentPoly2
+from .quotzeta import nz_node_free, nz_node_normalization
 from .series import TruncSeries2
 
 
@@ -137,7 +139,6 @@ def table_rows(which, computed=False):
     if which in (1, 2):
         free, norm = (TABLE1_FREE, TABLE1_NORM) if which == 1 else (TABLE2_FREE, TABLE2_NORM)
         if computed:
-            from .quotzeta import nz_node_free, nz_node_normalization
             free = {d: nz_node_free(which, d) for d in free}
             norm = {d: nz_node_normalization(which, d) for d in norm}
         return [{"d": d, "free": free[d], "normalization": norm[d]} for d in sorted(free)]
@@ -149,7 +150,6 @@ def table_rows(which, computed=False):
         u_prec = max(bounds.values()) + 1
         coeffs = {(a, j): c for j, col in printed.items() for a, c in col}
         if computed:
-            from .clzeta import cl_node
             coeffs = {(i, j): c for (i, j), c in
                       cl_node(m, u_prec, TABLE3_T_PREC).numerator.coeffs.items()
                       if j in bounds and i <= bounds[j]}

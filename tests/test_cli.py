@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -154,6 +155,17 @@ def test_usage_errors(capsys):
             (["verify", "conversion", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
             (["nz", "--family", "node", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
             (["verify", "node22", "--d", "-1"], "d must be at least 0, got -1"),
+            (["nz", "--family", "cusp", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["nz", "--family", "node", "--m", "1", "--d", "-1", "--module", "normalization"],
+             "d must be at least 0, got -1"),
+            (["z", "--family", "cusp", "--m", "1", "--d", "-1", "--tprec", "3"],
+             "d must be at least 0, got -1"),
+            (["verify", "funceq", "--family", "cusp", "--m", "1", "--d", "-1"],
+             "d must be at least 0, got -1"),
+            (["verify", "t2", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["verify", "squaring", "--m", "1", "--d", "-1"], "d must be at least 0, got -1"),
+            (["verify", "mlimit", "--family", "node", "--d", "-1"],
+             "d must be at least 0, got -1"),
             # the window is checked before either family's sum is set up
             (["cl", "--family", "node", "--m", "1", "--tprec", "0"],
              "t_prec must be at least 1, got 0"),
@@ -210,9 +222,33 @@ TABLE_JSON_SHA256 = {
 }
 
 
+# cli_digest of each README tour command run with `--format json`, every
+# "wall_time_ms" key removed from its stdout (the only bytes that vary)
+TOUR_JSON_DIGESTS = {
+    "nz": "dce6296a6b197a47fa517b90824efc7b7bc993869fb5b2f4971513331918ce70",
+    "nz-json": "1b5fe9d6c54bfe4a41f599e7275d15cc5471f1a433848e7ab6f3a372ebc4d1a1",
+    "z": "98646250cf3f74cc5d8519ec32ea39f014519e0b89547c057c1a0e331cd8ae6d",
+    "cl": "c6da54f474bfaea196d78ac5ab3bd5da934b979f2a1d107817b3c6a03cd0ad30",
+    "hall": "88658d0c7a66085b0946b6bc5f3912b7a471b8818368284d1f47486ab237d925",
+    "table1": "398ea6dd1f40c91c1e813b8564ea830d26d940b1be4fc7d23877f772b614e2e8",
+    "table3": "4b0b6a420bae14028078369b4be6c5282c395be5ca9c79123e189d51d0af2d3d",
+    "oracle-quot": "22886e26269eef66eb635c01fcd0e54587bbe3b3308c112e53001f12195c4a2a",
+    "oracle-solomon": "dc6ebd9ca0c5506de72687ea07273b5a4beaa1becedb9a56973f53693c75d6af",
+    "oracle-matrix": "30f402a2d31b7cf294f65295cf66e332ae0b9decd17ec1c22564434955aa9982",
+    "verify-funceq": "e20d16b5d65a46016e95a36b797ecf177e4ccfc11f719e34e24a1b31d366bde6",
+    "verify-squaring": "8c1a362500f49e038a2b30bd5812eb3d90f44a9976a1830828d5d498f4eebcc0",
+    "verify-t2": "6046a45839e30043b58b68e201c6edcbb9334b79a363c2db1b798cc2a6ee762b",
+    "verify-limit": "32eb352610e9630bf21563229c67f21410c387096c1729c53f15dc312182d003",
+    "verify-conversion": "01a1e3c883047add56813f5db9f4d6552a48216a5954e1b2495bd29dee9a4cef",
+    "verify-special": "b6c61f238029212fb5590ceee0c815be33bf9d0c878e87c36d1d8d26c1c13bc2",
+    "verify-matrix-count": "0e7d22ef9b01965e1b7cf7e88ef5be78eaadc9c9a7d09c715ce4528fe838d121",
+    "verify-coh-quot": "49ff4d0160ccde209e8b92a14af67221391da0d050cde0f7e3849c85193ef431",
+}
+
+
 def test_cli_tour_output_bytes(capsys):
     # every README tour command of the benchmark prints the bytes whose digest
-    # bench/reference.json holds
+    # bench/reference.json holds, and in JSON the bytes of TOUR_JSON_DIGESTS
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -221,6 +257,9 @@ def test_cli_tour_output_bytes(capsys):
         code = dispatch(command.split())
         stdout = capsys.readouterr().out.encode()
         assert workloads.cli_digest(code, stdout) == reference[rid], command
+        code = dispatch(command.split() + ["--format", "json"])
+        stdout = re.sub(r'\s*"wall_time_ms": [^,]*,', "", capsys.readouterr().out).encode()
+        assert workloads.cli_digest(code, stdout) == TOUR_JSON_DIGESTS[rid], command
     for which, digest in TABLE_JSON_SHA256.items():
         assert dispatch(["--format", "json", "table", str(which)]) == EXIT_PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

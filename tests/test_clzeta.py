@@ -6,7 +6,8 @@ from singzeta import clzeta
 from singzeta.hall import hall_skew
 from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
 from singzeta.partitions import iterate_bounded_parts, subpartitions
-from singzeta.series import TruncSeries2, inv_qpoch_u, poch_inf
+from singzeta.quotzeta import SingularityFamily, nz
+from singzeta.series import TruncSeries2, inv_qpoch_u, poch
 from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank,
                              extract_polynomial_coefficients, limit_check,
                              matrix_count_formula, special_values, z_series,
@@ -26,7 +27,7 @@ def test_cl_cusp_low_coefficients():
 
 def test_cl_full_vs_numerator():
     series = cl_node(1, 6, 4)
-    rebuilt = series.numerator * poch_inf(1, 1, 6, 4).inverse() ** 2
+    rebuilt = series.numerator * poch(1, 1, 6, 4).inverse() ** 2
     assert rebuilt == series.full
 
 
@@ -79,7 +80,7 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
             term = u_series(hall_skew(lam, mu) * qpoch_qinv(lam_m), sum_sq)
             term = term * inv_a_tail * inv_u_poch(mu.conj_part(m)) * inv_ut_sq
             total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
-    return poch_inf(1, 1, u_prec, t_prec) ** 2 * total
+    return poch(1, 1, u_prec, t_prec) ** 2 * total
 
 
 def test_cl_node_matches_term_by_term_sum():
@@ -124,6 +125,25 @@ def test_z_series_matches_oracle_shape():
 def test_scaled_z_constant_term():
     s = scaled_z_trunc("node", 1, 4, 5, 3)
     assert s.coeffs[(0, 0)] == 1
+
+
+def _scaled_z_factor_by_factor(kind, m, d, u_prec, t_prec):
+    """Z_{R^d}(u^d t) dividing by each (1 - u^j t)^s in turn."""
+    fam = SingularityFamily(kind, m)
+    prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
+    for j in range(1, d + 1):
+        factor = TruncSeries2(None, t_prec, {(0, 0): 1, (j, 1): -1})
+        prod = prod * (factor.inverse() ** fam.s)
+    return prod.truncate(u_prec, t_prec)
+
+
+def test_scaled_z_matches_factor_by_factor():
+    for kind in ("cusp", "node"):
+        for m in (1, 2, 3):
+            for d in range(6 - m):
+                for u_prec, t_prec in ((5, 3), (9, 1), (25, 4)):
+                    assert (scaled_z_trunc(kind, m, d, u_prec, t_prec)
+                            == _scaled_z_factor_by_factor(kind, m, d, u_prec, t_prec))
 
 
 def test_limit_check():
@@ -217,6 +237,23 @@ def test_special_values_keep_each_sign_stopping_point(monkeypatch):
     assert calls == [8, 16, 32]
     assert values[1] == (TruncSeries2.one(5, 1), 16)
     assert values[-1] == (TruncSeries2(5, 1, {(0, 0): 1, (1, 0): -2}), 32)
+
+
+def _andrews_gordon_by_residues(m, u_prec):
+    """1 / prod (1 - u^n) over 0 < n < u_prec, n not 0, +-(m+1) mod 2m+3."""
+    mod = 2 * m + 3
+    excluded = {0, (m + 1) % mod, (m + 2) % mod}
+    poly = TruncSeries2.one(u_prec, 1)
+    for n in range(1, u_prec):
+        if n % mod not in excluded:
+            poly = poly * (TruncSeries2.one(u_prec, 1) - TruncSeries2.monomial(1, n, 0, u_prec, 1))
+    return poly.inverse()
+
+
+def test_andrews_gordon_matches_residue_product():
+    for m in (1, 2, 3):
+        for u_prec in range(1, 26):
+            assert andrews_gordon_product(m, u_prec) == _andrews_gordon_by_residues(m, u_prec)
 
 
 def test_products():

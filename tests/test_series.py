@@ -4,8 +4,7 @@ import random
 import pytest
 
 from singzeta.laurent import LaurentPoly2, ONE, Q, T, qpochhammer
-from singzeta.series import (TruncSeries2, poch_inf, poch_inf_info, inv_qpoch_u,
-                             phi_rs, WindowError)
+from singzeta.series import TruncSeries2, poch, inv_qpoch_u, phi_rs, WindowError
 
 
 def geometric(u_prec, t_prec):
@@ -40,46 +39,61 @@ def test_inverse_requires_unit():
 
 
 def test_window_intersection_compare():
-    big = poch_inf(1, 0, 10, 4)
-    small = poch_inf(1, 0, 6, 3)
+    big = poch(1, 0, 10, 4)
+    small = poch(1, 0, 6, 3)
     equal, window, disc = big.agrees_with(small)
     assert equal and window == (6, 3) and disc is None
 
 
 def test_window_monotonicity():
-    assert poch_inf(1, 1, 12, 9).truncate(7, 5) == poch_inf(1, 1, 7, 5)
+    assert poch(1, 1, 12, 9).truncate(7, 5) == poch(1, 1, 7, 5)
     a = phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 10, 6)
     assert a.truncate(6, 4) == phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 6, 4)
 
 
 def test_poch_inf_pentagonal():
     # (u;u)_inf = 1 - u - u^2 + u^5 + u^7 - u^12 - ...
-    series = poch_inf(1, 0, 13, 1)
+    series = poch(1, 0, 13, 1)
     expected = {(0, 0): 1, (1, 0): -1, (2, 0): -1, (5, 0): 1, (7, 0): 1, (12, 0): -1}
     assert series.coeffs == expected
 
 
-def test_poch_inf_stabilization_index():
-    series, k = poch_inf_info(1, 0, 6, 1)
-    assert k == 5
-    _, k = poch_inf_info(1, 1, 6, 2)
-    assert k == 5
-    # a factor whose leading monomial is outside the t-window is never used
-    _, k = poch_inf_info(1, 1, 6, 1)
-    assert k == 0
-    with pytest.raises(WindowError):
-        poch_inf(0, 0, 5, 5)
+def test_poch_window_cut_and_refusals():
+    assert poch(1, 0, 6, 1).coeffs == {(0, 0): 1, (1, 0): -1, (2, 0): -1, (5, 0): 1}
+    assert poch(1, 1, 6, 2).coeffs == {(0, 0): 1, **{(i, 1): -1 for i in range(1, 6)}}
+    # a factor whose monomial is outside the t-window is never used
+    assert poch(1, 1, 6, 1) == TruncSeries2.one(6, 1)
+    # a finite product may have a constant argument: (1; u)_2 = 0
+    assert poch(0, 0, 5, 5, 2) == TruncSeries2(5, 5)
+    for args, kw in (((0, 0, 5, 5), {}),  # (1; u)_inf
+                     ((1, 1, None, 5), {}),  # never leaves an exact u-window
+                     ((-1, 0, 5, 5), {"n": 2}),
+                     ((1, 0, 5, 5), {"n": 2, "step": 0})):
+        with pytest.raises(WindowError):
+            poch(*args, **kw)
+
+
+def test_finite_poch_matches_laurent_qpochhammer():
+    rng = random.Random(11)
+    for _ in range(200):
+        a, b, step, n = rng.randint(0, 5), rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 6)
+        u_prec = rng.choice([None, rng.randint(1, 12)])
+        t_prec = rng.randint(1, 6)
+        want = qpochhammer(LaurentPoly2.monomial(1, -a, b),
+                           LaurentPoly2.monomial(1, -step, 0), n)
+        assert (poch(a, b, u_prec, t_prec, n, step)
+                == TruncSeries2.from_laurent(want, u_prec, t_prec)), (a, b, step, n, u_prec)
 
 
 def test_poch_inf_constant_term():
-    assert poch_inf(1, 1, 9, 5).coeffs[(0, 0)] == 1
+    assert poch(1, 1, 9, 5).coeffs[(0, 0)] == 1
 
 
 def test_euler_identities():
     # (ut;u)_inf equals its alternating sum side, and the product of the
     # product-form with sum_k (ut)^k/(u;u)_k is 1 (both on a 12x8 window)
     u_prec, t_prec = 12, 8
-    prod = poch_inf(1, 1, u_prec, t_prec)
+    prod = poch(1, 1, u_prec, t_prec)
     alt = TruncSeries2(u_prec, t_prec)
     direct = TruncSeries2(u_prec, t_prec)
     for k in range(t_prec):
@@ -94,7 +108,7 @@ def test_euler_identities():
 def test_cauchy_phi11():
     # 1phi1(a; az; u, z) = (z;u)_inf / (az;u)_inf at a = u, z = u^2 t
     lhs = phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 10, 6)
-    rhs = poch_inf(2, 1, 10, 6) * poch_inf(3, 1, 10, 6).inverse()
+    rhs = poch(2, 1, 10, 6) * poch(3, 1, 10, 6).inverse()
     assert lhs == rhs
 
 
@@ -109,7 +123,7 @@ def test_phi_edge_cases():
 
 
 def test_series_serialization():
-    s = poch_inf(1, 1, 5, 4)
+    s = poch(1, 1, 5, 4)
     blob = json.loads(json.dumps(s.to_json_obj()))
     assert TruncSeries2.from_json_obj(blob) == s
 
