@@ -46,7 +46,7 @@ from .partitions import iterate_bounded_parts
 from .quotzeta import SingularityFamily, nz, full_z
 from .hall import column_walk
 from . import oracle as oracle_mod
-from .report import (VerificationReport, compare_report, timed,
+from .report import (VerificationReport, compare_report, require, timed,
                      BudgetExceededError)
 from .series import TruncSeries2, poch, inv_qpoch_u
 
@@ -100,9 +100,7 @@ def cl_node(m, u_prec, t_prec):
 
 
 def cl_series(kind, m, u_prec, t_prec):
-    for name, prec in (("u_prec", u_prec), ("t_prec", t_prec)):
-        if prec < 1:
-            raise ValueError("%s must be at least 1, got %d" % (name, prec))
+    require(1, u_prec=u_prec, t_prec=t_prec)
     fam = SingularityFamily(kind, m)
     return cl_cusp(m, u_prec, t_prec) if fam.kind == "cusp" else cl_node(m, u_prec, t_prec)
 
@@ -242,8 +240,8 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     with_oracle also matches Z_{mR^d} coefficients at q=2 against the census of
     the m*(R/m^{tprec})^d models.
     """
-    if d_max < 0:
-        raise ValueError("d must be at least 0, got %d" % d_max)
+    require(0, d=d_max)
+    require(1, u_prec=u_prec, t_prec=t_prec)
     reports = []
     need = max(t_prec, d_max + 1)
     # (B) at rank dd reads Z_{R^r} to t-degree need + dd
@@ -315,6 +313,7 @@ def limit_check(kind, m, d_list, u_prec, t_prec):
     """Thm-level rank limit: consecutive d agree and match the CL series."""
     if len(d_list) < 2:
         raise ValueError("need at least two ranks")
+    require(1, u_prec=u_prec, t_prec=t_prec)
     with timed() as tm:
         scaled = [scaled_z_trunc(kind, m, d, u_prec, t_prec) for d in d_list]
         for a, b in zip(scaled, scaled[1:]):

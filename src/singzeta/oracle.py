@@ -13,14 +13,18 @@ Each generator sends each basis vector to one basis vector or to 0, so it is an
 index map; one builder, _presentation, makes these for every model.  A vector
 is one int, coordinate i in bits [w*i, w*i + w) with 2^(w-1) >= p (_Lanes), by
 one path for every prime; each generator is compiled once to groups of masked
-lane shifts (_compile).  A subspace is a reduced echelon basis {pivot: row},
-grown one vector at a time by _add; its rows sorted by pivot are its canonical
-key.  One walk, _walk, goes down from the full module: the children of an
-invariant subspace L are its hyperplanes containing m*L.  Every invariant
-subspace of codimension k lies under one of codimension k-1 (composition series
-of the quotient), so the walk is exhaustive; the key dedups it.  m*M is spanned
-by basis vectors, so rank M/(L + m*M) is dim M/mM less the rank of L projected
-to the other lanes.  Only prime fields are supported.
+lane shifts (_compile).  A subspace is a reduced echelon basis {pivot: row}, as
+_add and _span build it; its rows sorted by pivot are its canonical key.  One
+walk, _walk, goes down from the full module: the children of an invariant
+subspace L are its hyperplanes containing m*L, the kernels of the functionals
+psi on L/m*L.  _invariant_hyperplanes builds each child from L's rows: it drops
+the last row b_top that psi does not kill and takes a multiple of b_top off the
+others, which leaves them reduced; it makes one child at a time, so the budget
+stops a wide node at once.  Every invariant subspace of codimension k lies
+under one of codimension k-1 (composition series of the quotient), so the walk
+is exhaustive; the key dedups it.  m*M is spanned by basis vectors, so rank
+M/(L + m*M) is dim M/mM less the rank of L projected to the other lanes.  Only
+prime fields are supported.
 """
 
 from fractions import Fraction
@@ -28,7 +32,7 @@ from itertools import product
 from math import isqrt, prod
 
 from .partitions import Partition
-from .report import BudgetExceededError, VerificationReport, timed
+from .report import BudgetExceededError, VerificationReport, require, timed
 
 DEFAULT_BUDGET = 10**7
 
@@ -37,11 +41,6 @@ def _require_prime(p):
     """Reject a p that is not prime: the oracle's arithmetic is that of F_p."""
     if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise ValueError("p must be prime, got %d" % p)
-
-
-def _require_budget(budget):
-    if budget < 0:
-        raise ValueError("budget must be at least 0, got %d" % budget)
 
 
 # -- linear algebra over F_p ---------------------------------------------------
@@ -245,7 +244,7 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
 
     Every child visited costs one unit of budget; past it, BudgetExceededError
     carries progress(counts so far)."""
-    _require_budget(budget)
+    require(0, budget=budget)
     lanes, gens, full = module.lanes, module.compiled, module.full_basis()
     counts, visited, stack, work = {}, {full}, [full], 0
     while stack:
@@ -266,19 +265,54 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
 
 
 def _invariant_hyperplanes(basis, gens, lanes):
-    """All invariant hyperplanes of span(basis), hyperplanes containing m*L, each
-    as its canonical key: its reduced echelon rows sorted by pivot."""
-    sub = _image(gens, basis, lanes)
-    cur = dict(sub)  # picks complement representatives of m*L inside L
-    comp = [v for v in basis if _add(cur, v, lanes)]
-    r = len(comp)
-    for i0 in range(r):
-        multiples = [lanes.scale(c, comp[i0]) for c in range(lanes.p)]
-        for tail in product(range(lanes.p), repeat=r - 1 - i0):
-            phi = (0,) * i0 + (1,) + tail
-            kernel = (lanes.sub(comp[j], multiples[phi[j]]) for j in range(r) if j != i0)
-            child = _span(kernel, lanes, sub)
-            yield tuple(child[piv] for piv in sorted(child))
+    """The invariant hyperplanes of L = span(basis), as canonical keys; basis is
+    one, rows b_0 < ... < b_{k-1}.  m*L in L's coordinates, row i at lane k-1-i,
+    has an echelon basis rel with pivots at the last rows its vectors use: the
+    other rows are the greedy complement c_0 < ... < c_{r-1}, and rel's row at
+    lane k-1-i says b_i = -sum_j (its value at c_j's lane) c_j mod m*L."""
+    p, w, mask, k = lanes.p, lanes.w, lanes.mask, len(basis)
+    at = {(b & -b).bit_length() - 1: w * (k - 1 - i) for i, b in enumerate(basis)}
+    on_pivots = sum(mask << piv for piv in at)
+    images = []
+    for v in (_apply(g, b, lanes) & on_pivots for g in gens for b in basis):
+        out = 0
+        while v:
+            piv = w * (((v & -v).bit_length() - 1) // w)
+            out |= ((v >> piv) & mask) << at[piv]
+            v &= ~(mask << piv)
+        images.append(out)
+    rel = _span(filter(None, images), lanes)
+    # psi(b_0), ..., psi(b_{k-1}) for psi(c_j) = 1 and psi = 0 on the other c's
+    columns = [sum((p - ((v >> (w * (k - 1 - j))) & mask)) % p << (w * (k - 1 - lane))
+                   for lane, v in rel.items()) | 1 << (w * j)
+               for j in range(k) if k - 1 - j not in rel]
+    # psi = (0, ..., 0, 1, tail) on the c's, tails in product order, one at a
+    # time: when digit j steps up and the digits after it wrap from p-1 to 0,
+    # psi gains the sum of columns j onwards.  ker psi has rows
+    # b_i - (psi(b_i)/psi(b_top)) b_top, top the last row psi does not kill
+    steps = [0]
+    for col in reversed(columns):
+        steps.append(lanes.reduce(steps[-1] + col))
+    for i0, psi in enumerate(columns):
+        tail = [0] * (len(columns) - 1 - i0)
+        while True:
+            top = (psi.bit_length() - 1) // w
+            b_top, neg = basis[top], p - lanes.inv[psi >> (w * top)]
+            child, rest = list(basis), psi & ((1 << (w * top)) - 1)
+            while rest:
+                i = ((rest & -rest).bit_length() - 1) // w
+                c = (rest >> (w * i)) & mask
+                rest ^= c << (w * i)
+                child[i] = lanes.reduce(child[i] + lanes.scale(c * neg % p, b_top))
+            del child[top]
+            yield tuple(child)
+            j = len(tail) - 1
+            while j >= 0 and tail[j] == p - 1:
+                tail[j], j = 0, j - 1
+            if j < 0:
+                break
+            tail[j] += 1
+            psi = lanes.reduce(psi + steps[len(tail) - j])
 
 
 def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
@@ -310,12 +344,9 @@ def build_local_model(family, d, N, p, target="free"):
                             monomials (used by the conversion-identity check).
     """
     kind, m = family if isinstance(family, tuple) else (family.kind, family.m)
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
-    if d < 0:
-        raise ValueError("d must be at least 0, got %d" % d)
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    require(1, m=m)
+    require(0, d=d)
+    require(1, N=N)
     if kind not in ("cusp", "node"):
         raise ValueError("unknown family kind %r" % kind)
 
@@ -348,8 +379,7 @@ def quot_census(family, m, d, p, max_codim, module="free", budget=DEFAULT_BUDGET
     'max_ideal' (m R)^d.  Its model truncates at N = max(max_codim, 1), or at
     N = max_codim + 1 for 'max_ideal', which is exact only to codim N - 1.
     """
-    if max_codim < 0:
-        raise ValueError("max_codim must be at least 0, got %d" % max_codim)
+    require(0, max_codim=max_codim)
     kind = family if isinstance(family, str) else family.kind
     N = max_codim + 1 if module == "max_ideal" else max(max_codim, 1)
     model = build_local_model((kind, m), d, N, p, target=module)
@@ -365,10 +395,7 @@ def quot_coeffs_oracle(family, m, d, p, N, module="free", budget=DEFAULT_BUDGET)
 
 def solomon_census(d, p, N, budget=DEFAULT_BUDGET):
     """Census of (F_p[T]/T^N)^d under the single generator T."""
-    if d < 0:
-        raise ValueError("d must be at least 0, got %d" % d)
-    if N < 0:
-        raise ValueError("N must be at least 0, got %d" % N)
+    require(0, d=d, N=N)
     return enumerate_submodules(_jordan_module((N,), p, d), N, budget=budget)
 
 
@@ -385,7 +412,7 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     quotient.  A cached census is returned only within the budget its walk
     needed; past it the walk runs again and stops where a fresh one would.
     """
-    _require_budget(budget)
+    require(0, budget=budget)
     key = (lam.parts, p)
     got = _DVR_CENSUS_CACHE.get(key)
     if got is not None and got[1] <= budget:
@@ -455,9 +482,7 @@ def _mat_mul(a, b, p):
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search."""
     _require_prime(p)
-    if n < 0:
-        raise ValueError("n must be at least 0, got %d" % n)
-    _require_budget(budget)
+    require(0, n=n, budget=budget)
     if p ** (2 * n * n) > budget:
         raise BudgetExceededError("matrix enumeration %d^%d exceeds budget"
                                   % (p, 2 * n * n))
@@ -487,8 +512,7 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     kind = family if isinstance(family, str) else family.kind
     if not d_list:
         raise ValueError("d_list must name at least one rank")
-    if r < 0:
-        raise ValueError("r must be at least 0, got %d" % r)
+    require(0, r=r)
     if any(r > min(d, n) for d in d_list):
         raise ValueError("need r <= min(d, n)")
     values = []

@@ -34,7 +34,7 @@ from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, add_into, qpochhammer,
                       qbinomial, qbinomial_qinv, qpoch_qinv_ratio)
 from .hall import column_walk, hall_box, hall_skew
 from .partitions import iterate_box
-from .report import VerificationReport, compare_report, first_discrepancy, timed
+from .report import VerificationReport, compare_report, first_discrepancy, require, timed
 from .series import TruncSeries2
 
 
@@ -151,8 +151,7 @@ def full_z(nz_poly, s, d, t_prec):
     Returns the list of t^0..t^(t_prec-1) coefficients.  Each is a point count,
     so it must be a polynomial in q with nonnegative coefficients; asserted.
     """
-    if t_prec < 1:
-        raise ValueError("t_prec must be at least 1, got %d" % t_prec)
+    require(1, t_prec=t_prec)
     denom = (qpochhammer(T, Q, d) ** s).t_coefficients()
     inv = [ONE]
     for k in range(1, t_prec):
@@ -302,8 +301,8 @@ def m_limit_closed_form(kind, d, q_prec, t_prec):
 
 def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):
     """Stabilization of nz_*_free in m, and match with the closed-form limit."""
-    if d < 0:
-        raise ValueError("d must be at least 0, got %d" % d)
+    require(0, d=d)
+    require(1, q_prec=q_prec, t_prec=t_prec)
     free = nz_node_free if kind == "node" else nz_cusp_free
     target = m_limit_closed_form(kind, d, q_prec, t_prec)
     with timed() as tm:

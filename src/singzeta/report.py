@@ -62,6 +62,13 @@ class VerificationReport:
         }
 
 
+def require(low, **values):
+    """Reject the first of values below low, by name: "t_prec must be at least 1, got 0"."""
+    for name, value in values.items():
+        if value < low:
+            raise ValueError("%s must be at least %d, got %d" % (name, low, value))
+
+
 class timed:
     """Context manager measuring wall time for a report; elapsed reads the
     time so far inside the block and the block's time after it."""

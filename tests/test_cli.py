@@ -175,6 +175,18 @@ def test_usage_errors(capsys):
              "u_prec must be at least 1, got 0"),
             (["cl", "--family", "cusp", "--m", "1", "--uprec", "0"],
              "u_prec must be at least 1, got 0"),
+            (["verify", "limit", "--family", "node", "--m", "1", "--uprec", "0"],
+             "u_prec must be at least 1, got 0"),
+            (["verify", "limit", "--family", "cusp", "--m", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
+            (["verify", "mlimit", "--family", "node", "--d", "1", "--qprec", "0"],
+             "q_prec must be at least 1, got 0"),
+            (["verify", "mlimit", "--family", "cusp", "--d", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
+            (["verify", "conversion", "--m", "1", "--d", "1", "--uprec", "0"],
+             "u_prec must be at least 1, got 0"),
+            (["verify", "conversion", "--m", "1", "--d", "1", "--tprec", "0"],
+             "t_prec must be at least 1, got 0"),
             (["oracle", "quot", "--family", "node", "--m", "1", "--d", "1", "--p", "2",
               "--max-codim", "2", "--budget", "-1"], "budget must be at least 0, got -1"),
             (["oracle", "matrix", "--n", "1", "--p", "2", "--budget", "-1"],

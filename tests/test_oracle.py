@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from singzeta import oracle
-from singzeta.partitions import Partition
+from singzeta.partitions import Partition, partitions_of
 from singzeta.oracle import (quot_census, FqModulePresentation, build_local_model,
                              enumerate_submodules, quot_coeffs_oracle,
                              solomon_census, matrix_pair_count,
@@ -89,6 +91,50 @@ def test_echelon_basis_matches_reference_rref():
                 assert _key(rows, lanes, dim) == _reference_rref(vectors[:k + 1], p)
 
 
+def _reference_hyperplanes(basis, gens, lanes):
+    """The invariant hyperplanes as the oracle first built them: m*L's echelon
+    basis, a greedy complement of it in L by _add, then one _span per child."""
+    sub = oracle._image(gens, basis, lanes)
+    cur = dict(sub)
+    comp = [v for v in basis if oracle._add(cur, v, lanes)]
+    r = len(comp)
+    for i0 in range(r):
+        multiples = [lanes.scale(c, comp[i0]) for c in range(lanes.p)]
+        for tail in product(range(lanes.p), repeat=r - 1 - i0):
+            phi = (0,) * i0 + (1,) + tail
+            kernel = (lanes.sub(comp[j], multiples[phi[j]]) for j in range(r) if j != i0)
+            child = oracle._span(kernel, lanes, sub)
+            yield tuple(child[piv] for piv in sorted(child))
+
+
+def test_hyperplanes_match_reference_builder():
+    # the children built from L's rows are the old builder's, in its order, at
+    # the first 40 nodes of seeded walks over Jordan modules and local models
+    rng = random.Random(20261)
+    walks = []  # (module, max_codim)
+    for p, depth in ((2, 4), (3, 4), (5, 3), (131, 2)):
+        shapes = [lam.parts for n in range(1, 3 if p == 131 else 5) for lam in partitions_of(n)]
+        walks += [(oracle._jordan_module(rng.choice(shapes), p), depth) for _ in range(5)]
+        for target in ("free", "normalization", "max_ideal"):
+            kind, m = rng.choice(("cusp", "node")), rng.randint(1, 2)
+            d = rng.randint(1, 1 + (p == 2))
+            walks.append((build_local_model((kind, m), d, 3, p, target), depth))
+    nodes = 0
+    for model, max_codim in walks:
+        gens, lanes = model.compiled, model.lanes
+        stack, seen, stop = [model.full_basis()], set(), nodes + 40
+        while stack and nodes < stop:
+            basis = stack.pop()
+            if model.dim - len(basis) >= max_codim:
+                continue
+            want = list(_reference_hyperplanes(basis, gens, lanes))
+            assert list(oracle._invariant_hyperplanes(basis, gens, lanes)) == want, (
+                model.generators, model.p, basis)
+            nodes += 1
+            stack.extend(c for c in want if c not in seen and not seen.add(c))
+    assert nodes > 400
+
+
 def test_census_codim_zero():
     # the single codim-0 submodule is the whole module; its quotient is 0
     model = build_local_model(("cusp", 1), 2, 2, 3)
@@ -138,6 +184,35 @@ def test_walk_budget_stops():
         dvr_type_cotype_census(lam, 3, budget=147)
     oracle._DVR_CENSUS_CACHE.clear()
     assert sum(dvr_type_cotype_census(lam, 3, budget=148).values()) > 0
+    # mid-walk stops at p = 5, where scale is not the identity: the counts a
+    # stop carries pin which children came first
+    with pytest.raises(BudgetExceededError) as stop:
+        quot_census("node", 1, 2, 5, 2, budget=96)
+    assert stop.value.progress.counts == {(0, 0): 1, (1, 1): 3, (2, 1): 60, (2, 2): 1}
+    assert quot_census("node", 1, 2, 5, 2, budget=192) == quot_census("node", 1, 2, 5, 2)
+    lam = Partition([2, 2, 1])
+    oracle._DVR_CENSUS_CACHE.clear()
+    with pytest.raises(BudgetExceededError) as stop:
+        dvr_type_cotype_census(lam, 5, budget=900)
+    assert sum(stop.value.progress.values()) == 286
+    assert stop.value.progress[((2,), (2, 1))] == 150
+    oracle._DVR_CENSUS_CACHE.clear()
+    assert sum(dvr_type_cotype_census(lam, 5, budget=1845).values()) == 426
+
+
+def test_budget_stops_wide_node_at_once():
+    # the root of F_131^4 under T = 0 has (131^4 - 1)/130 children; they come
+    # lazily, so budget 10 stops at the 11th without building the others; the
+    # root is the only subspace counted, as children count when they are left
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as stop:
+            solomon_census(4, 131, 1, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stop.value.progress.counts == {(0, 0): 1}
+    assert peak < 1 << 20
 
 
 def test_dvr_cache_keeps_budget():
