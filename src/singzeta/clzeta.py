@@ -9,7 +9,7 @@ series is
           / (a(lam) (u;u)_{mu'_m} (ut;u)^2_{lam'_m}),
 
 where 1/a(lam) = u^{sum lam'_i^2} prod 1/(u;u)_{lam'_i - lam'_{i+1}}.  Every
-node factor splits by column, so cl_node is a walk over m columns
+node factor splits by column, so the node numerator is a walk over m columns
 (hall.column_walk) with state (a, b) = (lam'_i, mu'_i): 1/(u;u)_{a-a2}
 between columns (none out of the start), g^lam_mu's binomials as polynomials
 in u, and at column i the shift u^{a^2 - b(a-b)} t^{2a-b} on the window.
@@ -23,10 +23,18 @@ a^2 - b(a-b) >= (3/4) a^2, because x(a - x) <= a^2/4, and t-order
 2a - b >= a.  So the walk starts at the first a with a >= t_prec or
 3a^2 >= 4 u_prec, which no column reaches, and a state shifted off the window
 is dropped.  No series is inverted, and a negative u-exponent is refused on
-the window.  special_values reads NZ-hat(1) and NZ-hat(-1) off one
-numerator per t_prec.  The full series is the numerator times
-1/(ut;u)_inf^s.  Every Pochhammer product on a window, finite or infinite,
-is built by series.poch.
+the window.  The end factors E_j = (u^{j+1}t;u)^2_inf/(u;u)_j of consecutive
+j differ by E_{j-1} = E_j (1 - u^j t)^2 (1 - u^j), so the sum over j is one
+Horner pass from j = 0 up, times E_J at the top j = J.  In the cusp sum the
+term of mu has u-order sum mu'_i^2 >= |mu|^2/m (mu has at most m columns),
+so |mu| <= isqrt(m (u_prec - 1)) on the window.
+
+Below u^u_prec the numerator is thus a polynomial in t, whatever t_prec is.
+special_values builds it once on the window (u_prec, _T_CAP) and reads
+NZ-hat(1) and NZ-hat(-1) off its partial sums below t^8, t^16, ..., t^_T_CAP.
+The full series is the numerator over (ut;u)_inf^s.  Every product or
+quotient by Pochhammer factors on a window, finite or infinite, is one
+TruncSeries2.times_poch pass per factor.
 
 Rank-conversion identities (intermediates have negative u-exponents; the
 TruncSeries2 precision bookkeeping carries them):
@@ -41,6 +49,8 @@ TruncSeries2 precision bookkeeping carries them):
 using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
 """
 
+from math import isqrt
+
 from .laurent import LaurentPoly2, Q, qbinomial, qpoch_qinv, qpochhammer
 from .partitions import iterate_bounded_parts
 from .quotzeta import SingularityFamily, nz, full_z
@@ -48,27 +58,35 @@ from .hall import column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
                      BudgetExceededError)
-from .series import TruncSeries2, poch, inv_qpoch_u
+from .series import TruncSeries2, inv_qpoch_u
 
 
 class ClSeries:
     """A Cohen-Lenstra numerator and full series on a common window."""
 
     def __init__(self, kind, m, numerator, s):
-        if numerator.coeffs.get((0, 0)) != 1:
-            raise AssertionError("CL numerator must have constant term 1")
         self.kind = kind
         self.m = m
         self.numerator = numerator
-        self.full = numerator * poch(1, 1, numerator.u_prec, numerator.t_prec).inverse() ** s
+        self.full = numerator.times_poch(1, 1, power=-s)
         self.u_prec = numerator.u_prec
         self.t_prec = numerator.t_prec
 
 
-def cl_cusp(m, u_prec, t_prec):
-    """CL numerator/series for the cusp y^2 = x^{2m+1}."""
+def cl_numerator(kind, m, u_prec, t_prec):
+    """NZ-hat on the window, checked to have constant term 1."""
+    require(1, u_prec=u_prec, t_prec=t_prec)
+    fam = SingularityFamily(kind, m)
+    numerator = (_cusp_numerator if fam.kind == "cusp" else _node_numerator)(m, u_prec, t_prec)
+    if numerator.coeffs.get((0, 0)) != 1:
+        raise AssertionError("CL numerator must have constant term 1")
+    return numerator
+
+
+def _cusp_numerator(m, u_prec, t_prec):
+    """The cusp sum of the module docstring; |mu|^2 <= m sum mu'_i^2 caps |mu|."""
     total = TruncSeries2(u_prec, t_prec)
-    for mu in iterate_bounded_parts(m, (t_prec - 1) // 2):
+    for mu in iterate_bounded_parts(m, min((t_prec - 1) // 2, isqrt(m * (u_prec - 1)))):
         conj = mu.conjugate().parts
         order = sum(c * c for c in conj)
         if order >= u_prec:
@@ -78,12 +96,12 @@ def cl_cusp(m, u_prec, t_prec):
             gap = c - (conj[i + 1] if i + 1 < len(conj) else 0)
             term = term * TruncSeries2(u_prec, t_prec, inv_qpoch_u(gap, u_prec).coeffs)
         total = total + term
-    return ClSeries("cusp", m, total, s=1)
+    return total
 
 
-def cl_node(m, u_prec, t_prec):
-    """CL numerator/series for the node y^2 = x^{2m}, by the column walk of the
-    module docstring."""
+def _node_numerator(m, u_prec, t_prec):
+    """The node sum of the module docstring: the column walk, then a Horner
+    pass over j for the end factors."""
     top = 0
     while top < t_prec and 3 * top * top < 4 * u_prec:
         top += 1
@@ -93,10 +111,24 @@ def cl_node(m, u_prec, t_prec):
                        lambda a, a2: one if a == top else tails[a - a2],
                        lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
                            u_prec, t_prec))
+    last = max(sums)
     total = TruncSeries2(u_prec, t_prec)
-    for j, s in sums.items():
-        total = total + s * (tails[j] * poch(j + 1, 1, u_prec, t_prec) ** 2)
-    return ClSeries("node", m, total, s=2)
+    for j in range(last + 1):
+        if j:
+            total = total.times_poch(j, 1, 1, power=2).times_poch(j, 0, 1)
+        if j in sums:
+            total = total + sums[j]
+    return total.times_poch(last + 1, 1, power=2).times_poch(1, 0, last, power=-1)
+
+
+def cl_cusp(m, u_prec, t_prec):
+    """CL numerator/series for the cusp y^2 = x^{2m+1}."""
+    return ClSeries("cusp", m, cl_numerator("cusp", m, u_prec, t_prec), s=1)
+
+
+def cl_node(m, u_prec, t_prec):
+    """CL numerator/series for the node y^2 = x^{2m}."""
+    return ClSeries("node", m, cl_numerator("node", m, u_prec, t_prec), s=2)
 
 
 def cl_series(kind, m, u_prec, t_prec):
@@ -305,8 +337,7 @@ def scaled_z_trunc(kind, m, d, u_prec, t_prec):
     prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
     if prod.min_u_exp() < 0:
         raise AssertionError("NZ(u^d t) has a negative u-exponent")
-    prod = prod * poch(1, 1, None, t_prec, d).inverse() ** fam.s
-    return prod.truncate(u_prec, t_prec)
+    return prod.truncate(u_prec, t_prec).times_poch(1, 1, d, power=-fam.s)
 
 
 def limit_check(kind, m, d_list, u_prec, t_prec):
@@ -342,8 +373,7 @@ def matrix_count_formula(n):
 
     sum_{j<=n/2} (-1)^j q^{(3j^2-j)/2 + n(n-2j)} (q;q)_n / ((q;q)_j (q;q)_{n-2j}).
     """
-    if n < 0:
-        raise ValueError("n must be at least 0, got %d" % n)
+    require(0, n=n)
     total = LaurentPoly2()
     for j in range(n // 2 + 1):
         sign = -1 if j % 2 else 1
@@ -367,59 +397,63 @@ def andrews_gordon_product(m, u_prec):
     """prod over n not congruent to 0, +-(m+1) mod M = 2m+3 of 1/(1-u^n), that
     is (u^{m+1};u^M)inf (u^{m+2};u^M)inf (u^M;u^M)inf / (u;u)inf."""
     M = 2 * m + 3
-    num = poch(m + 1, 0, u_prec, 1, step=M) * poch(m + 2, 0, u_prec, 1, step=M)
-    return num * poch(M, 0, u_prec, 1, step=M) * poch(1, 0, u_prec, 1).inverse()
+    one = TruncSeries2.one(u_prec, 1)
+    return (one.times_poch(m + 1, 0, step=M).times_poch(m + 2, 0, step=M)
+            .times_poch(M, 0, step=M).times_poch(1, 0, power=-1))
 
 
 def node_minus1_product(m, u_prec):
     """(u^2;u^2)inf (u^{m+1};u^{m+1})inf^2 / ((u;u)inf^2 (u^{2m+2};u^{2m+2})inf)."""
-    def euler(k):
-        return poch(k, 0, u_prec, 1, step=k)
-
-    num = euler(2) * euler(m + 1) ** 2
-    den = euler(1) ** 2 * euler(2 * m + 2)
-    return num * den.inverse()
+    one = TruncSeries2.one(u_prec, 1)
+    return (one.times_poch(2, 0, step=2).times_poch(m + 1, 0, step=m + 1, power=2)
+            .times_poch(1, 0, power=-2).times_poch(2 * m + 2, 0, step=2 * m + 2, power=-1))
 
 
 _T_START, _T_CAP = 8, 2048
 
 
-def _eval_pm_one(kind, m, u_prec):
-    """NZ-hat(1) and NZ-hat(-1) as u-adic limits of partial sums.
+def _read_pm_one(numerator, u_prec):
+    """NZ-hat(1) and NZ-hat(-1) as u-adic limits of partial sums of numerator.
 
-    t_prec doubles from _T_START; each numerator serves both signs, and each
-    sign stops at the first t_prec whose value repeats the previous one.
-    Returns {sign: (value, t_prec used)}.
+    The partial sum at t_prec sums the terms below t^t_prec.  t_prec doubles
+    from _T_START, and each sign stops at the first t_prec whose value
+    repeats the previous one.  Returns {sign: (value, t_prec used)}.
     """
-    prev = {}
-    done = {}
-    t_prec = _T_START
-    while t_prec <= _T_CAP:
-        numerator = cl_series(kind, m, u_prec, t_prec).numerator
-        for sign in (1, -1):
-            if sign in done:
-                continue
-            acc = {}
-            for (i, j), c in numerator.coeffs.items():
-                v = c if (sign > 0 or j % 2 == 0) else -c
-                acc[(i, 0)] = acc.get((i, 0), 0) + v
-            val = TruncSeries2(u_prec, 1, acc)
-            if sign in prev and prev[sign] == val:
-                done[sign] = (val, t_prec)
-            prev[sign] = val
-        if len(done) == 2:
-            return done
-        t_prec *= 2
-    sign = 1 if 1 not in done else -1
-    raise BudgetExceededError("t=%+d evaluation did not stabilize below t_prec=%d"
-                              % (sign, _T_CAP), progress=(u_prec, _T_CAP))
+    def window_sum(sign, low, high):
+        acc = {}
+        for (i, j), c in numerator.coeffs.items():
+            if low <= j < high:
+                acc[(i, 0)] = acc.get((i, 0), 0) + (c if sign > 0 or j % 2 == 0 else -c)
+        return TruncSeries2(u_prec, 1, acc)
+
+    values = {}
+    for sign in (1, -1):
+        t_prec = _T_START
+        value = window_sum(sign, 0, t_prec)
+        while t_prec < _T_CAP:
+            step = window_sum(sign, t_prec, 2 * t_prec)
+            value, t_prec = value + step, 2 * t_prec
+            if not step:
+                break
+        else:
+            raise BudgetExceededError("t=%+d evaluation did not stabilize below t_prec=%d"
+                                      % (sign, _T_CAP), progress=(u_prec, _T_CAP))
+        values[sign] = (value, t_prec)
+    return values
 
 
 def special_values(kind, m, u_prec):
-    """The t = +-1 identities for NZ-hat; conjecture-level ones are 'reported'."""
+    """The t = +-1 identities for NZ-hat; conjecture-level ones are 'reported'.
+
+    One numerator on the window (u^u_prec, t^_T_CAP) serves every partial
+    sum.  Below u^u_prec it is a polynomial in t (see the module docstring):
+    the cusp sum stops at |mu| <= isqrt(m (u_prec - 1)), the node walk at
+    3a^2 >= 4 u_prec, and the node's end factors are one Horner pass, so the
+    wide t-window costs no more than the numerator's top t-degree.
+    """
     reports = []
     with timed() as tm:
-        values = _eval_pm_one(kind, m, u_prec)
+        values = _read_pm_one(cl_numerator(kind, m, u_prec, _T_CAP), u_prec)
         if kind == "cusp":
             target = andrews_gordon_product(m, u_prec)
             for sign in (1, -1):

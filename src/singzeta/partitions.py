@@ -6,6 +6,8 @@ stored as tuples of weakly decreasing positive parts; the empty partition is
 downstream reports are reproducible.
 """
 
+from .report import require
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers."""
@@ -90,8 +92,7 @@ def box_complement(m, d, mu):
 
 def iterate_box(m, d):
     """All mu contained in the d-by-m box, graded by |mu| then lexicographic."""
-    if m < 0 or d < 0:
-        raise ValueError("%s must be at least 0, got %d" % (("m", m) if m < 0 else ("d", d)))
+    require(0, m=m, d=d)
     yield from subpartitions(Partition.box(m, d))
 
 

@@ -48,8 +48,7 @@ class SingularityFamily:
     def __init__(self, kind, m):
         if kind not in ("cusp", "node"):
             raise ValueError("kind must be 'cusp' or 'node'")
-        if m < 1:
-            raise ValueError("m must be at least 1, got %d" % m)
+        require(1, m=m)
         self.kind = kind
         self.m = m
 
@@ -113,8 +112,7 @@ def nz_node_normalization(m, d):
 def nz_node_free(m, d):
     """NZ of the free rank-d module over the node germ, by the column walk of
     the module docstring."""
-    if d < 0:
-        raise ValueError("d must be at least 0, got %d" % d)
+    require(0, d=d)
     key = ("node-free", m, d)
     if key not in _NZ_CACHE:
         def column(v, a, b):

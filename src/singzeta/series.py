@@ -9,9 +9,13 @@ how far exactness survives, the standard Laurent-series bookkeeping: a series
 known below u^hA with lowest u-exponent lowA times one known below u^hB with
 lowest exponent lowB is known below min(hA + lowB, hB + lowA).  For power
 series with constant term 1 that is the smaller of the two windows.
-Comparisons of mismatched windows use the intersection.  The module also
-provides poch, the one builder of Pochhammer products (u^a t^b; u^step)_n,
-finite or infinite, and the basic hypergeometric evaluator.
+Comparisons of mismatched windows use the intersection.
+
+TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
+product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
+factor 1 - u^e t^b, with no generic product and no inverse.  poch, the
+product itself, is that pass applied to 1; inv_qpoch_u and the basic
+hypergeometric evaluator are built on it.
 """
 
 from .laurent import LaurentPoly2, grouped_text
@@ -177,6 +181,40 @@ class TruncSeries2:
         return TruncSeries2(up, tp, {(i, j): v for j, col in enumerate(inv)
                                      for i, v in col.items()})
 
+    def times_poch(self, a, b, n=None, step=1, power=1):
+        """This series times (u^a t^b; u^step)_n ** power, exactly.
+
+        Each factor 1 - u^e t^b takes |power| linear passes over the
+        coefficients (_times_binomial, _over_binomial).  n None gives the
+        infinite product, which needs a finite u-window and a nonconstant
+        argument.  A factor whose monomial lies outside the window is 1 there.
+        The window is the series' own, less what a negative u-exponent hides
+        on a finite one, as in __mul__; division then raises instead.
+        """
+        if a < 0 or b < 0 or step < 1:
+            raise WindowError("pochhammer needs a nonnegative monomial and a positive step")
+        if n is None and ((a, b) == (0, 0) or self.u_prec is None):
+            raise WindowError("an infinite pochhammer product needs a nonconstant argument "
+                              "and a finite u-window")
+        up, tp, low = self.u_prec, self.t_prec, self.min_u_exp()
+        if up is not None and low < 0:
+            if power < 0:
+                raise WindowError("division of a series with negative u-exponents "
+                                  "needs it exact in u")
+            up += low
+        cols = {}
+        for (i, j), v in self.coeffs.items():
+            cols.setdefault(j, {})[i] = v
+        k = 0
+        while (n is None or k < n) and b < tp and (self.u_prec is None
+                                                  or a + k * step < self.u_prec):
+            e = a + k * step
+            for _ in range(abs(power)):
+                (_times_binomial if power > 0 else _over_binomial)(cols, e, b, up, tp)
+            k += 1
+        return TruncSeries2(up, tp, {(i, j): v for j, col in cols.items()
+                                     for i, v in col.items()})
+
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
@@ -277,24 +315,61 @@ class TruncSeries2:
 # -- Pochhammer products and basic hypergeometric series -----------------------
 
 
+def _times_binomial(cols, e, b, up, tp):
+    """cols {j: {i: c}} times 1 - u^e t^b in place, on the window (u^up, t^tp).
+
+    Each coefficient at (i, j) is subtracted at (i + e, j + b), the sources
+    taken from the top down so that each is read before it is written.
+    """
+    if (e, b) == (0, 0):
+        cols.clear()
+        return
+    for j in sorted(cols, reverse=True):
+        if j + b < tp:
+            src = cols[j]
+            dst = cols.setdefault(j + b, {})
+            for i in sorted(src, reverse=True):
+                if up is None or i + e < up:
+                    dst[i + e] = dst.get(i + e, 0) - src[i]
+
+
+def _over_binomial(cols, e, b, up, tp):
+    """cols {j: {i: c}} divided by 1 - u^e t^b in place, on the window (u^up, t^tp).
+
+    Each finished coefficient at (i, j) is added at (i + e, j + b), from the
+    bottom up: by t-columns when b >= 1, by u-exponents within each column
+    when b = 0, which needs a finite u-window.
+    """
+    if b:
+        for j in range(min(cols, default=tp) + b, tp):
+            src = cols.get(j - b)
+            if src:
+                dst = cols.setdefault(j, {})
+                for i, v in src.items():
+                    if up is None or i + e < up:
+                        dst[i + e] = dst.get(i + e, 0) + v
+        return
+    if e == 0:
+        raise WindowError("division by the zero factor 1 - u^0")
+    if up is None:
+        raise WindowError("division by 1 - u^%d needs a finite u-window" % e)
+    for j, col in cols.items():
+        low = min(col, default=up)
+        vals = [0] * (up - low)
+        for i, v in col.items():
+            vals[i - low] = v
+        for x in range(e, len(vals)):
+            vals[x] += vals[x - e]
+        cols[j] = {low + x: v for x, v in enumerate(vals) if v}
+
+
 def poch(a, b, u_prec, t_prec, n=None, step=1):
     """(u^a t^b; u^step)_n on the window; n None gives the infinite product.
 
     The product stops at the first factor whose monomial u^{a + k step} t^b
     lies outside the window: it and every later factor are 1 there.
     """
-    if a < 0 or b < 0 or step < 1:
-        raise WindowError("pochhammer needs a nonnegative monomial and a positive step")
-    if n is None and ((a, b) == (0, 0) or u_prec is None):
-        raise WindowError("an infinite pochhammer product needs a nonconstant argument "
-                          "and a finite u-window")
-    result = TruncSeries2.one(u_prec, t_prec)
-    k = 0
-    while (n is None or k < n) and b < t_prec and (u_prec is None or a + k * step < u_prec):
-        result = result * (TruncSeries2.one(u_prec, t_prec) -
-                           TruncSeries2.monomial(1, a + k * step, b, u_prec, t_prec))
-        k += 1
-    return result
+    return TruncSeries2.one(u_prec, t_prec).times_poch(a, b, n, step)
 
 
 _INV_POCH_CACHE = {}
@@ -305,7 +380,7 @@ def inv_qpoch_u(n, u_prec):
     key = (n, u_prec)
     got = _INV_POCH_CACHE.get(key)
     if got is None:
-        got = poch(1, 0, u_prec, 1, n).inverse()
+        got = TruncSeries2.one(u_prec, 1).times_poch(1, 0, n, power=-1)
         _INV_POCH_CACHE[key] = got
     return got
 
@@ -314,7 +389,7 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec):
     """Basic hypergeometric series r_phi_s with base u, summed on the window.
 
     Parameters and the argument z are monomials u^a t^b given as (a, b) pairs
-    with nonnegative entries (poch refuses others), or None for a zero
+    with nonnegative entries (times_poch refuses others), or None for a zero
     parameter/argument.  Each term
     is ((-1)^k u^C(k,2))^(s+1-r) * prod (a_i;u)_k / ((u;u)_k prod (b_j;u)_k) * z^k;
     summation stops once the term's guaranteed (u,t)-order exits the window.
@@ -348,11 +423,11 @@ def phi_rs(r, s, upper, lower, z, u_prec, t_prec):
         term = TruncSeries2.monomial(sign, e * (k * (k - 1) // 2) + k * zu, k * zt, u_prec, t_prec)
         for mono in upper:
             if mono is not None:
-                term = term * poch(*mono, u_prec, t_prec, k)
-        denom = poch(1, 0, u_prec, t_prec, k)
+                term = term.times_poch(*mono, k)
+        term = term.times_poch(1, 0, k, power=-1)
         for mono in lower:
             if mono is not None:
-                denom = denom * poch(*mono, u_prec, t_prec, k)
-        total = total + term * denom.inverse()
+                term = term.times_poch(*mono, k, power=-1)
+        total = total + term
         k += 1
     return total

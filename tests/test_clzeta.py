@@ -1,12 +1,14 @@
-import types
+import random
+import re
 
 import pytest
 
 from singzeta import clzeta
-from singzeta.hall import hall_skew
+from singzeta.hall import column_walk, hall_skew
 from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
 from singzeta.partitions import iterate_bounded_parts, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
+from singzeta.report import BudgetExceededError
 from singzeta.series import TruncSeries2, inv_qpoch_u, poch
 from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank,
                              extract_polynomial_coefficients, limit_check,
@@ -102,6 +104,30 @@ def test_cl_node_matches_term_by_term_sum_at_window_edges():
             got = cl_node(m, u_prec, t_prec).numerator
             assert (got.u_prec, got.t_prec) == (u_prec, t_prec)
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
+
+
+def _cl_node_per_j(m, u_prec, t_prec):
+    """The node numerator with each end factor (u^{j+1}t;u)^2_inf/(u;u)_j built
+    on its own and multiplied onto the walk's sum at j."""
+    top = 0
+    while top < t_prec and 3 * top * top < 4 * u_prec:
+        top += 1
+    tails = [TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs) for n in range(top)]
+    one = TruncSeries2.one(u_prec, t_prec)
+    sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
+                       lambda a, a2: one if a == top else tails[a - a2],
+                       lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                           u_prec, t_prec))
+    total = TruncSeries2(u_prec, t_prec)
+    for j, s in sums.items():
+        total = total + s * (tails[j] * poch(j + 1, 1, u_prec, t_prec) ** 2)
+    return total
+
+
+def test_cl_node_horner_matches_per_j_products():
+    for m in (1, 2, 3, 4):
+        for u_prec, t_prec in ((1, 1), (5, 3), (13, 16), (30, 8), (25, 20)):
+            assert cl_node(m, u_prec, t_prec).numerator == _cl_node_per_j(m, u_prec, t_prec)
 
 
 def test_cl_series_rejects_unknown_kind():
@@ -206,37 +232,79 @@ def test_special_values_quick():
     assert {r.name: r.status for r in reports}["special-node-minus1"] == "reported"
 
 
-def _count_cl_series(monkeypatch, fake=None):
+def test_special_values_deep_in_the_identities():
+    for m in (1, 2, 3):
+        assert all(r.passed for r in special_values("cusp", m, 60)), m
+    assert all(r.passed for r in special_values("node", 1, 60))
+
+
+def test_special_values_build_one_numerator_per_call(monkeypatch):
     calls = []
-    real = fake or clzeta.cl_series
+    real = clzeta.cl_numerator
 
     def counting(kind, m, u_prec, t_prec):
-        calls.append(t_prec)
+        calls.append((kind, m, u_prec, t_prec))
         return real(kind, m, u_prec, t_prec)
 
-    monkeypatch.setattr(clzeta, "cl_series", counting)
-    return calls
-
-
-def test_special_values_build_one_numerator_per_t_prec(monkeypatch):
-    calls = _count_cl_series(monkeypatch)
+    monkeypatch.setattr(clzeta, "cl_numerator", counting)
     reports = special_values("node", 1, 9)
-    assert calls == [8, 16]
+    assert calls == [("node", 1, 9, clzeta._T_CAP)]
     assert [r.params["t_prec_used"] for r in reports] == [16, 16]
     assert all(r.passed for r in reports)
 
 
-def test_special_values_keep_each_sign_stopping_point(monkeypatch):
+def test_special_values_keep_each_sign_stopping_point():
     # NZ-hat(1) repeats from t_prec 8 to 16, NZ-hat(-1) only from 16 to 32
-    def fake(kind, m, u_prec, t_prec):
-        coeffs = {(0, 0): 1} if t_prec < 16 else {(0, 0): 1, (1, 1): 1, (1, 2): -1}
-        return types.SimpleNamespace(numerator=TruncSeries2(u_prec, t_prec, coeffs))
-
-    calls = _count_cl_series(monkeypatch, fake)
-    values = clzeta._eval_pm_one("node", 1, 5)
-    assert calls == [8, 16, 32]
+    numerator = TruncSeries2(5, clzeta._T_CAP, {(0, 0): 1, (1, 8): -1, (1, 9): 1})
+    values = clzeta._read_pm_one(numerator, 5)
     assert values[1] == (TruncSeries2.one(5, 1), 16)
     assert values[-1] == (TruncSeries2(5, 1, {(0, 0): 1, (1, 0): -2}), 32)
+
+
+def test_special_values_stop_at_the_t_cap():
+    # a term in every doubling window [2^k, 2^{k+1}), k = 3..10, moves the
+    # partial sums at +1; paired with one at t^{2^k + 1}, only those at -1
+    starts = [1 << k for k in range(3, 11)]
+    for sign, coeffs in ((1, {(1, s): 1 for s in starts}),
+                         (-1, {**{(1, s): 1 for s in starts},
+                               **{(1, s + 1): -1 for s in starts}})):
+        numerator = TruncSeries2(5, clzeta._T_CAP, {(0, 0): 1, **coeffs})
+        message = "t=%+d evaluation did not stabilize below t_prec=%d" % (sign, clzeta._T_CAP)
+        with pytest.raises(BudgetExceededError, match=re.escape(message)) as err:
+            clzeta._read_pm_one(numerator, 5)
+        assert err.value.progress == (5, clzeta._T_CAP)
+
+
+def _eval_pm_one_by_doubling(kind, m, u_prec):
+    """NZ-hat(+-1) with the numerator rebuilt at each t_prec = 8, 16, ...: each
+    sign stops at the first t_prec whose partial sum repeats the previous one.
+    Returns {sign: (value, t_prec used)}."""
+    prev, done = {}, {}
+    for t_prec in (8 << k for k in range(9)):
+        numerator = cl_series(kind, m, u_prec, t_prec).numerator
+        for sign in (1, -1):
+            if sign in done:
+                continue
+            acc = {}
+            for (i, j), c in numerator.coeffs.items():
+                acc[(i, 0)] = acc.get((i, 0), 0) + (c if sign > 0 or j % 2 == 0 else -c)
+            val = TruncSeries2(u_prec, 1, acc)
+            if prev.get(sign) == val:
+                done[sign] = (val, t_prec)
+            prev[sign] = val
+        if len(done) == 2:
+            break
+    return done
+
+
+def test_special_values_match_the_doubling_reader():
+    rng = random.Random(14)
+    cases = [("node", 3, 30), ("cusp", 3, 30)]
+    cases += [(rng.choice(("cusp", "node")), rng.randint(1, 3), rng.randint(1, 30))
+              for _ in range(10)]
+    for kind, m, u_prec in cases:
+        got = clzeta._read_pm_one(clzeta.cl_numerator(kind, m, u_prec, clzeta._T_CAP), u_prec)
+        assert got == _eval_pm_one_by_doubling(kind, m, u_prec), (kind, m, u_prec)
 
 
 def _andrews_gordon_by_residues(m, u_prec):

@@ -85,6 +85,58 @@ def test_finite_poch_matches_laurent_qpochhammer():
                 == TruncSeries2.from_laurent(want, u_prec, t_prec)), (a, b, step, n, u_prec)
 
 
+def _generic_times_poch(x, a, b, n, step, power):
+    """x times (u^a t^b; u^step)_n ** power by __mul__ and inverse()."""
+    factor = poch(a, b, x.u_prec, x.t_prec, n, step)
+    return x * (factor ** power if power > 0 else factor.inverse() ** -power)
+
+
+def test_times_poch_matches_generic_products():
+    rng = random.Random(12)
+    refused = 0
+    for exact in (False, True):
+        for b in (0, 1, 2):
+            for power in (1, -1, 2, -2):
+                for infinite in (False,) if exact else (False, True):
+                    for _ in range(6):
+                        u_prec = None if exact else rng.randint(1, 12)
+                        t_prec = rng.randint(1, 6)
+                        a, step = rng.randint(0 if b else 1, 4), rng.randint(1, 3)
+                        n = None if infinite else rng.randint(0, 5)
+                        # negative u-exponents wherever the pass takes them
+                        low = -3 if exact else max(-3, 1 - u_prec) if power > 0 else 0
+                        top = 8 if exact else u_prec
+                        x = TruncSeries2(u_prec, t_prec, {
+                            (rng.randint(low, top - 1), rng.randrange(t_prec)):
+                            rng.randint(-9, 9) for _ in range(rng.randint(0, 8))})
+                        case = (x, a, b, n, step, power)
+                        if exact and b == 0 and power < 0 and n:
+                            # 1/(1 - u^a) is not exact in u
+                            refused += 1
+                            for build in (_generic_times_poch, TruncSeries2.times_poch):
+                                with pytest.raises(WindowError):
+                                    build(*case)
+                            continue
+                        want = _generic_times_poch(*case)
+                        assert x.times_poch(a, b, n, step, power) == want, case
+    assert refused > 0
+
+
+def test_times_poch_refusals():
+    x = TruncSeries2(6, 4, {(0, 0): 1, (2, 1): 3})
+    exact = TruncSeries2(None, 4, x.coeffs)
+    # (1; u)_inf, division by (1; u)_2 = 0, and an infinite product on an
+    # exact window
+    for case in ((x, 0, 0, None, 1, 1), (x, 0, 0, 2, 1, -1), (exact, 1, 1, None, 1, 1)):
+        for build in (_generic_times_poch, TruncSeries2.times_poch):
+            with pytest.raises(WindowError):
+                build(*case)
+    assert x.times_poch(0, 0, 2) == TruncSeries2(6, 4)
+    # division of a series with negative u-exponents on a finite window
+    with pytest.raises(WindowError):
+        TruncSeries2(6, 4, {(-1, 0): 1, (0, 0): 1}).times_poch(1, 1, power=-1)
+
+
 def test_poch_inf_constant_term():
     assert poch(1, 1, 9, 5).coeffs[(0, 0)] == 1
 
