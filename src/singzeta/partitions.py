@@ -72,11 +72,18 @@ class Partition:
 
     @staticmethod
     def parse(text):
-        """Parse `3,1` or `[3,1]` (empty string or `[]` is the empty partition)."""
+        """Parse `3,1` or `[3,1]` (empty string or `[]` is the empty partition).
+
+        Zero parts are allowed at the end only (`2,0` is [2], `0` is []).
+        """
         text = text.strip().strip("[]")
         if not text:
             return Partition()
-        return Partition(int(p) for p in text.split(","))
+        # checked as typed: the constructor drops zero parts before its own check
+        parts = tuple(int(p) for p in text.split(","))
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+        return Partition(parts)
 
 
 def box_complement(m, d, mu):

@@ -150,24 +150,13 @@ def full_z(nz_poly, s, d, t_prec):
     so it must be a polynomial in q with nonnegative coefficients; asserted.
     """
     require(1, t_prec=t_prec)
-    denom = (qpochhammer(T, Q, d) ** s).t_coefficients()
-    inv = [ONE]
-    for k in range(1, t_prec):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if j in denom:
-                acc = acc + denom[j] * inv[k - j]
-        inv.append(-acc)
-    nz_coeffs = nz_poly.t_coefficients()
+    z = TruncSeries2.from_laurent(nz_poly, None, t_prec, var="q").times_poch(0, 1, d, power=-s)
     out = []
-    for k in range(t_prec):
-        acc = ZERO
-        for j, c in nz_coeffs.items():
-            if j <= k:
-                acc = acc + c * inv[k - j]
-        if any(v < 0 or a < 0 for (a, _), v in acc.terms.items()):
+    for j in range(t_prec):
+        col = z.t_coefficient(j)
+        if any(v < 0 or a < 0 for a, v in col.items()):
             raise AssertionError("Quot coefficient is not a point-count polynomial")
-        out.append(acc)
+        out.append(LaurentPoly2({(a, 0): v for a, v in col.items()}))
     return out
 
 
@@ -289,12 +278,10 @@ def m_limit_closed_form(kind, d, q_prec, t_prec):
 
     node: (t;q)_d / (q^d t^2;q)_d;  cusp: 1 / (q^d t^2;q)_d.
     """
-    denom = TruncSeries2.from_laurent(
-        qpochhammer(LaurentPoly2.monomial(1, d, 2), Q, d), q_prec, t_prec, var="q")
+    num = TruncSeries2.one(q_prec, t_prec)
     if kind == "node":
-        num = TruncSeries2.from_laurent(qpochhammer(T, Q, d), q_prec, t_prec, var="q")
-        return num * denom.inverse()
-    return denom.inverse()
+        num = num.times_poch(0, 1, d)
+    return num.times_poch(d, 2, d, power=-1)
 
 
 def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):

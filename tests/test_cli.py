@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -195,7 +196,14 @@ def test_usage_errors(capsys):
             (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "3",
               "--r", "2", "--d-list", "3,1", "--budget", "10"], "need r <= min(d, n)"),
             (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "2",
-              "--r", "-1", "--d-list", "1,2"], "r must be at least 0, got -1")):
+              "--r", "-1", "--d-list", "1,2"], "r must be at least 0, got -1"),
+            # parts out of order, before any zero part is dropped
+            (["hall", "--lambda", "1,0,1", "--mu", "1"],
+             "parts must be weakly decreasing: (1, 0, 1)"),
+            (["hall", "--lambda", "1,1", "--mu", "0,1"],
+             "parts must be weakly decreasing: (0, 1)"),
+            (["oracle", "hall", "--lambda", "2,1", "--mu", "1", "--nu", "0,1", "--p", "2"],
+             "parts must be weakly decreasing: (0, 1)")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -392,3 +400,117 @@ def test_non_prime_p_is_a_usage_error(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: p must be prime, got %s\n" % p
+
+
+HELP_PATHS = (
+    [], ["nz"], ["z"], ["cl"], ["hall"], ["oracle"], ["oracle", "quot"], ["oracle", "hall"],
+    ["oracle", "matrix"], ["oracle", "solomon"], ["verify"]) + tuple(
+    ["verify", name] for name in ("funceq", "squaring", "t2", "special", "node22", "mlimit",
+                                  "positivity", "limit", "conversion", "matrix-count",
+                                  "coh-quot")) + (["table"], ["suite"])
+
+
+def _help_transcript(capsys):
+    """The --help text of every parser, then the errors of the bare group commands."""
+    chunks = []
+    for path in HELP_PATHS:
+        assert dispatch(path + ["--help"]) == EXIT_PASS, path
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        chunks.append("$ %s\n%s" % (" ".join(["singzeta"] + path + ["--help"]), captured.out))
+    for path in (["oracle"], ["verify"]):
+        assert dispatch(path) == EXIT_USAGE, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        chunks.append("$ %s  (stderr)\n%s" % (" ".join(["singzeta"] + path), captured.err))
+    return "".join(chunks)
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    # every parser's --help and the "required" errors print the bytes of the
+    # golden file, recorded at an 80-column terminal with Python 3.11's argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = (ROOT / "tests" / "cli_help.txt").read_text()
+    assert _help_transcript(capsys) == golden
+
+
+SIZES = ["-1", "0", "1", "2", "3"]
+WINDOWS = ["0", "1", "3", "5"]
+FAMILIES = ["cusp", "node", "bogus"]
+PRIMES = ["1", "2", "3", "4"]
+PARTITION_TEXTS = ["", "1", "2", "1,1", "2,1", "2,0", "1,0,1", "0,1", "-1", "x"]
+D_LISTS = ["1,2", "2", ",", "1,x", "3,1"]
+PARTS_OPTIONS = [("--lambda", PARTITION_TEXTS), ("--mu", PARTITION_TEXTS),
+                 ("--nu", PARTITION_TEXTS)]
+# every leaf command with its options and the values drawn for them
+FUZZ_COMMANDS = {
+    "nz": [("--family", FAMILIES), ("--m", SIZES), ("--d", SIZES),
+           ("--module", ["free", "normalization", "max-ideal"])],
+    "z": [("--family", FAMILIES), ("--m", SIZES), ("--d", SIZES), ("--tprec", WINDOWS)],
+    "cl": [("--family", FAMILIES), ("--m", SIZES), ("--uprec", WINDOWS),
+           ("--tprec", WINDOWS)],
+    "hall": PARTS_OPTIONS + [("--oracle", PRIMES)],
+    "oracle quot": [("--family", FAMILIES), ("--m", SIZES), ("--d", SIZES), ("--p", PRIMES),
+                    ("--max-codim", SIZES),
+                    ("--module", ["free", "normalization", "max-ideal", "bogus"])],
+    "oracle hall": PARTS_OPTIONS + [("--p", PRIMES)],
+    "oracle matrix": [("--n", SIZES), ("--p", PRIMES)],
+    "oracle solomon": [("--d", SIZES), ("--p", PRIMES), ("--N", SIZES)],
+    "verify funceq": [("--family", FAMILIES), ("--m", SIZES), ("--d", SIZES)],
+    "verify squaring": [("--m", SIZES), ("--d", SIZES)],
+    "verify t2": [("--m", SIZES), ("--d", SIZES)],
+    "verify special": [("--family", FAMILIES), ("--m", SIZES), ("--uprec", WINDOWS)],
+    "verify node22": [("--d", SIZES)],
+    "verify mlimit": [("--family", FAMILIES), ("--d", SIZES), ("--qprec", WINDOWS),
+                      ("--tprec", WINDOWS)],
+    "verify positivity": [("--family", FAMILIES), ("--m", SIZES), ("--d", SIZES)],
+    "verify limit": [("--family", FAMILIES), ("--m", SIZES), ("--d-list", D_LISTS),
+                     ("--uprec", WINDOWS), ("--tprec", WINDOWS)],
+    "verify conversion": [("--m", SIZES), ("--d", SIZES), ("--uprec", WINDOWS),
+                          ("--tprec", WINDOWS), ("--oracle", None)],
+    "verify matrix-count": [("--n", SIZES), ("--p", PRIMES)],
+    "verify coh-quot": [("--family", FAMILIES), ("--m", SIZES), ("--p", PRIMES),
+                        ("--n", SIZES), ("--r", SIZES), ("--d-list", D_LISTS)],
+    "table": [(None, ["1", "2", "3", "4"])],
+    "suite": [(None, ["fast", "full", "bogus"])],
+}
+
+
+def _fuzz_argv(rng):
+    """One argument vector: a leaf command, most of its options, a budget and a format."""
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    argv = command.split()
+    for flag, values in FUZZ_COMMANDS[command]:
+        if rng.random() < 0.9:
+            argv += [] if flag is None else [flag]
+            argv += [] if values is None else [rng.choice(values)]
+    argv += ["--budget", rng.choice(["-1", "0", "5", "2000"])]
+    argv += ["--format", rng.choice(["text", "json"])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), "--bogus")
+    return argv
+
+
+def test_cli_fuzz(capsys, monkeypatch):
+    # seeded random argument vectors end in an exit code, never an escaping
+    # exception; a usage error prints nothing on stdout and one error line or
+    # an argparse usage on stderr.  The suite runs on stub criteria.
+    assert set(FUZZ_COMMANDS) == {path for path, _, _, run in cli.COMMANDS if run}
+    _stub_criteria(monkeypatch)
+    rng = random.Random(13)
+    codes = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = dispatch(argv)
+        except Exception as e:
+            raise AssertionError("%s raised %r" % (argv, e)) from e
+        captured = capsys.readouterr()
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), argv
+        codes.add(code)
+        if code == EXIT_USAGE:
+            assert captured.out == "", argv
+            assert (re.fullmatch(r"error: [^\n]*\n", captured.err)
+                    or (captured.err.startswith("usage: ") and ": error: " in captured.err)), \
+                (argv, captured.err)
+    assert codes == {EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET}

@@ -90,6 +90,12 @@ def test_parse_and_str():
     assert Partition.parse("3,1") == Partition([3, 1])
     assert Partition.parse("[3,1]") == Partition([3, 1])
     assert Partition.parse("") == Partition()
+    assert Partition.parse("2,0") == Partition([2])
+    assert Partition.parse("0") == Partition()
+    # the order is checked on the parts as typed, zero parts included
+    for text in ("1,0,1", "0,1"):
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            Partition.parse(text)
     assert str(Partition([3, 1])) == "[3,1]"
     with pytest.raises(ValueError):
         Partition([1, 2])
