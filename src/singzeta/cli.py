@@ -126,7 +126,11 @@ def _run_suite(args, fmt):
 
 
 def _d_list(args):
-    return [int(x) for x in args.d_list.split(",") if x.strip() != ""]
+    try:
+        return [int(x) for x in args.d_list.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValueError("--d-list must be comma-separated integers, got %r"
+                         % args.d_list) from None
 
 
 def _arg(flag, **kw):

@@ -344,6 +344,9 @@ def limit_check(kind, m, d_list, u_prec, t_prec):
     """Thm-level rank limit: consecutive d agree and match the CL series."""
     if len(d_list) < 2:
         raise ValueError("need at least two ranks")
+    repeated = [d for i, d in enumerate(d_list) if d in d_list[:i]]
+    if repeated:
+        raise ValueError("d_list repeats rank %d" % repeated[0])
     require(1, u_prec=u_prec, t_prec=t_prec)
     with timed() as tm:
         scaled = [scaled_z_trunc(kind, m, d, u_prec, t_prec) for d in d_list]

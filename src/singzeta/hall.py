@@ -20,6 +20,8 @@ g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
 the box (quotzeta.nz_node_free) and over lambda_1 <= m (clzeta.cl_node).
+box_walk is the one-index walk over the states mu'_i alone, for both
+normalization numerators (quotzeta._normalization_walk).
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, T, QINV, qbinomial_qinv,
@@ -83,6 +85,29 @@ def column_walk(columns, top, lift, gap, column):
     for (j, i), v in states.items():
         _accumulate(sums, j, lift(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i)) * v)
     return sums
+
+
+def box_walk(columns, top, column):
+    """A one-index Hall sum over the box as a walk over columns.
+
+    Sums over mu with mu'_1 <= top and at most `columns` columns the product
+    over columns i = 1..columns of
+
+        [c_{i-1}, c_i]_{1/q} (column factor at (i, c_i)),  c_i = mu'_i, c_0 = top,
+
+    the binomials being hall_box's multinomial split by column.  A step sums
+    [c, c2]_{1/q} times the value at c over c >= c2 per state c2, then
+    column(v, i, c2) multiplies v by the column factor.  Returns the sum over
+    the last column's states.
+    """
+    states = {top: ONE}
+    for i in range(1, columns + 1):
+        steps = {}
+        for c, v in states.items():
+            for c2 in range(c + 1):
+                _accumulate(steps, c2, qbinomial_qinv(c, c2) * v)
+        states = {c2: column(w, i, c2) for c2, w in steps.items()}
+    return sum(states.values(), ZERO)
 
 
 def _accumulate(acc, key, value):

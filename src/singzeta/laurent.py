@@ -105,14 +105,16 @@ class LaurentPoly2:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = ONE
+        # square only while bits remain, and start from the first factor
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return ONE if result is None else result
 
     def __eq__(self, other):
         other = LaurentPoly2._coerce(other)

@@ -76,11 +76,14 @@ class Partition:
 
         Zero parts are allowed at the end only (`2,0` is [2], `0` is []).
         """
-        text = text.strip().strip("[]")
-        if not text:
+        body = text.strip().strip("[]")
+        if not body:
             return Partition()
+        try:
+            parts = tuple(int(p) for p in body.split(","))
+        except ValueError:
+            raise ValueError("partition parts must be integers, got %r" % text) from None
         # checked as typed: the constructor drops zero parts before its own check
-        parts = tuple(int(p) for p in text.split(","))
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         return Partition(parts)

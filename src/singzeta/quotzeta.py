@@ -15,24 +15,33 @@ polynomials over partitions in the d-by-m box:
 with g_mu = hall_box(m,d,mu).  Everything is assembled division-free and
 asserted to land in Z[q,t].
 
-Each one-index sum is accumulated term by term into one plain dict
-(laurent.add_into).  The node's two-index sum is a walk over columns
-(hall.column_walk), because every factor splits by column.  With
-(a, b) = (lam'_i, mu'_i), g_lam is q^{d|lam| - sum a^2} times the
-q^-1-binomials [lam'_{i-1}, lam'_i] from lam'_0 = d, g^lam_mu is
-q^{sum b(a-b)} times hall_skew's binomials, and column i adds the monomial
-q^{d(2a-b) - a^2 + b(a-b)} t^{2a-b}.  The walk keeps one value per state
-(a, b), about d^2/2 of them, and with j = lam'_m and i = mu'_m
+Every factor splits by column, so each sum is a walk over column states.
+With c_i = mu'_i and c_0 = d, g_mu is q^{d|mu| - sum c_i^2} times the
+q^-1-binomials [c_{i-1}, c_i] (hall_box's multinomial), so a one-index summand
+is
 
-    NZ = sum_j (t;q)^2_{d-j} sum_i [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i
-             (the walk's value at (j, i)),
+    g_mu(q) (q^d t)^|mu| = prod_{i=1..m} [c_{i-1}, c_i]_{1/q} q^{2d c_i - c_i^2} t^{c_i},
 
-so (t;q)^2_{d-j}, the largest factor, is multiplied in at most d+1 times.
+and both normalization forms walk m columns over the states c in [0, d]
+(hall.box_walk), the node multiplying in (1/q;1/q)_d/(1/q;1/q)_{d-c_1} at the
+first column only.  The node's free two-index sum walks the states
+(a, b) = (lam'_i, mu'_i) (hall.column_walk): g_lam is as above with c = a,
+g^lam_mu is q^{sum b(a-b)} times hall_skew's binomials, and column i adds the
+monomial q^{d(2a-b) - a^2 + b(a-b)} t^{2a-b}.  The walk keeps one value per
+state (a, b), about d^2/2 of them, and with j = lam'_m and i = mu'_m its
+values give
+
+    s_j = sum_i [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i (the walk's value at (j, i)),
+    NZ  = sum_j s_j (t;q)^2_{d-j},
+
+summed by Horner over j: acc = s_0, then acc = acc (1 - q^{d-j} t)^2 + s_j for
+j = 1..d, so each step multiplies by one three-term factor and no (t;q)^2_{d-j}
+is built.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, add_into, qpochhammer,
-                      qbinomial, qbinomial_qinv, qpoch_qinv_ratio)
-from .hall import column_walk, hall_box, hall_skew
+from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial,
+                      qbinomial_qinv, qpoch_qinv_ratio)
+from .hall import box_walk, column_walk, hall_box, hall_skew
 from .partitions import iterate_box
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
 from .series import TruncSeries2
@@ -82,10 +91,7 @@ def nz_cusp_normalization(m, d):
     """NZ of the rank-d normalization module over the cusp germ."""
     key = ("cusp-norm", m, d)
     if key not in _NZ_CACHE:
-        total = {}
-        for mu in iterate_box(m, d):
-            add_into(total, hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size()))
-        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
+        _NZ_CACHE[key] = _normalization_walk(m, d)
     return _NZ_CACHE[key]
 
 
@@ -101,12 +107,20 @@ def nz_node_normalization(m, d):
     """NZ of the rank-d normalization module over the node germ."""
     key = ("node-norm", m, d)
     if key not in _NZ_CACHE:
-        total = {}
-        for mu in iterate_box(m, d):
-            term = hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size())
-            add_into(total, term * qpoch_qinv_ratio(d, mu.conj_part(1)))
-        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
+        _NZ_CACHE[key] = _normalization_walk(m, d, first=qpoch_qinv_ratio)
     return _NZ_CACHE[key]
+
+
+def _normalization_walk(m, d, first=None):
+    """sum_mu g_mu(q) (q^d t)^|mu| first(d, mu'_1) by the one-index column walk
+    of the module docstring; first=None is the cusp's sum."""
+    require(0, m=m, d=d)
+
+    def column(v, i, c):
+        v = v * LaurentPoly2.monomial(1, 2 * d * c - c * c, c)
+        return v * first(d, c) if first and i == 1 else v
+
+    return _check_poly(box_walk(m, d, column))
 
 
 def nz_node_free(m, d):
@@ -118,10 +132,11 @@ def nz_node_free(m, d):
         def column(v, a, b):
             return v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b)
 
-        total = {}
-        for j, s in column_walk(m, d, lambda p: p, qbinomial_qinv, column).items():
-            add_into(total, s * qpochhammer(T, Q, d - j) ** 2)
-        _NZ_CACHE[key] = _check_poly(LaurentPoly2(total))
+        sums = column_walk(m, d, lambda p: p, qbinomial_qinv, column)
+        total = sums.get(0, ZERO)
+        for j in range(1, d + 1):
+            total = total * (ONE - LaurentPoly2.monomial(1, d - j, 1)) ** 2 + sums.get(j, ZERO)
+        _NZ_CACHE[key] = _check_poly(total)
     return _NZ_CACHE[key]
 
 

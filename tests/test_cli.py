@@ -203,7 +203,15 @@ def test_usage_errors(capsys):
             (["hall", "--lambda", "1,1", "--mu", "0,1"],
              "parts must be weakly decreasing: (0, 1)"),
             (["oracle", "hall", "--lambda", "2,1", "--mu", "1", "--nu", "0,1", "--p", "2"],
-             "parts must be weakly decreasing: (0, 1)")):
+             "parts must be weakly decreasing: (0, 1)"),
+            # a rank compared with itself would pass whatever the series
+            (["verify", "limit", "--family", "node", "--m", "1", "--d-list", "4,4"],
+             "d_list repeats rank 4"),
+            # a non-integer is named with the option or the text it came in
+            (["verify", "limit", "--family", "node", "--m", "1", "--d-list", "4,x"],
+             "--d-list must be comma-separated integers, got '4,x'"),
+            (["hall", "--lambda", "2,x", "--mu", "1"],
+             "partition parts must be integers, got '2,x'")):
         assert dispatch(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""

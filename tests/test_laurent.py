@@ -145,6 +145,28 @@ def test_invariants_after_ops_random():
             assert (a ** 2).eval_int(q, t) == av ** 2
 
 
+def test_pow_by_squaring(monkeypatch):
+    p = parse_poly("1 - 2*q*t + q^-1*t^2")
+    product = ONE
+    for n in range(7):
+        assert p ** n == product, n
+        product = product * p
+    assert p ** 0 == ONE and ZERO ** 0 == ONE
+    calls = []
+    mul = LaurentPoly2.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", counted)
+    # one product per square taken and per bit after the first
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3)):
+        calls.clear()
+        p ** n
+        assert len(calls) == products, n
+
+
 def test_public_constructor_normalizes():
     p = LaurentPoly2({(1.0, 2): 3.0, ("0", True): "5", (2, 2): 0, (3, 0): False})
     assert p.terms == {(1, 2): 3, (0, 1): 5}

@@ -73,9 +73,33 @@ def test_nz_node_free_matches_double_sum():
         for d in range(0, 7 - m):
             quotzeta._NZ_CACHE.clear()
             assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
+    # three seeded (m, d) just past that grid, where m + d = 7
+    for m, d in random.Random(0).sample([(m, 7 - m) for m in range(1, 7)], 3):
+        quotzeta._NZ_CACHE.clear()
+        assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
     for d in range(8):
         quotzeta._NZ_CACHE.clear()
         assert nz_node_free(1, d) == node22_closed_form(d), d
+
+
+def _normalization_sum(m, d, node):
+    """A normalization numerator as written: one term per mu in the box."""
+    total = ZERO
+    for mu in iterate_box(m, d):
+        term = hall_box(m, d, mu) * LaurentPoly2.monomial(1, d * mu.size(), mu.size())
+        total = total + (term * qpoch_qinv_ratio(d, mu.conj_part(1)) if node else term)
+    return total
+
+
+def test_normalization_walks_match_the_sums_over_mu():
+    for m in range(1, 7):
+        for d in range(0, min(6, 9 - m) + 1):
+            quotzeta._NZ_CACHE.clear()
+            cusp = _normalization_sum(m, d, node=False)
+            assert nz_cusp_normalization(m, d).terms == cusp.terms, (m, d)
+            assert nz_cusp_free(m, d).terms == cusp.substitute(Q, T * T).terms, (m, d)
+            node = _normalization_sum(m, d, node=True)
+            assert nz_node_normalization(m, d).terms == node.terms, (m, d)
 
 
 def test_degree_bound():
