@@ -25,9 +25,12 @@ a^2 - b(a-b) >= (3/4) a^2, because x(a - x) <= a^2/4, and t-order
 is dropped.  No series is inverted, and a negative u-exponent is refused on
 the window.  The end factors E_j = (u^{j+1}t;u)^2_inf/(u;u)_j of consecutive
 j differ by E_{j-1} = E_j (1 - u^j t)^2 (1 - u^j), so the sum over j is one
-Horner pass from j = 0 up, times E_J at the top j = J.  In the cusp sum the
-term of mu has u-order sum mu'_i^2 >= |mu|^2/m (mu has at most m columns),
-so |mu| <= isqrt(m (u_prec - 1)) on the window.
+Horner pass from j = 0 up, times E_J at the top j = J.  The cusp term of mu
+is prod_i u^{c_i^2} t^{2c_i} / (u;u)_{c_i - c_{i+1}} with c_i = mu'_i, i <= m,
+and c_{m+1} = 0: a one-index walk over m columns (hall.box_walk) with gap
+1/(u;u)_{c-c2} (none out of the start) and shift u^{c^2} t^{2c}, each
+last-column state divided by (u;u)_{c_m}.  It starts at the first c with
+2c >= t_prec or c^2 >= u_prec, which no column reaches.
 
 Below u^u_prec the numerator is thus a polynomial in t, whatever t_prec is.
 special_values builds it once on the window (u_prec, _T_CAP) and reads
@@ -36,29 +39,27 @@ The full series is the numerator over (ut;u)_inf^s.  Every product or
 quotient by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
-Rank-conversion identities (intermediates have negative u-exponents; the
-TruncSeries2 precision bookkeeping carries them):
+Rank-conversion identities, with [d r]_u = (u;u)_d/((u;u)_{d-r} (u;u)_r) in
+Z[u] (intermediates have negative u-exponents; the TruncSeries2 precision
+bookkeeping carries them):
 
     (A) Z_{R^d}(t)      = sum_r [d r]_q t^r Z_{mR^r}(q^{d-r} t)
-    (B) t^d Z_{mR^d}(t) = (u;u)_d sum_r (-1)^{d-r} u^{C(d-r,2)} / ((u;u)_{d-r}
-                          (u;u)_r) * Z_{R^r}(q^{d-r} t)
+    (B) t^d Z_{mR^d}(t) = sum_r (-1)^{d-r} u^{C(d-r,2)} [d r]_u Z_{R^r}(q^{d-r} t)
     (C) Zhat(t)         = sum_D t^D u^{D^2}/(u;u)_D Z_{mR^D}(u^D t)
-    (D) Zhat(t)         = sum_D sum_{r<=D} (-1)^{D-r} u^{C(D-r,2)}/((u;u)_{D-r}
-                          (u;u)_r) * Z_{R^r}(u^r t),  inner sum in t^D Z[[u,t]]
+    (D) Zhat(t)         = sum_D 1/(u;u)_D sum_{r<=D} (-1)^{D-r} u^{C(D-r,2)} [D r]_u
+                          Z_{R^r}(u^r t),  inner sum in t^D Z[u^{+-1}][[t]]
 
-using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.
+using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.  So (A) and (B) are exact,
+and (C) and (D) divide once per D by (u;u)_D.
 """
 
-from math import isqrt
-
-from .laurent import LaurentPoly2, Q, qbinomial, qpoch_qinv, qpochhammer
-from .partitions import iterate_bounded_parts
+from .laurent import LaurentPoly2, Q, qbinomial, qbinomial_qinv, qpochhammer
 from .quotzeta import SingularityFamily, nz, full_z
-from .hall import column_walk
+from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
                      BudgetExceededError)
-from .series import TruncSeries2, inv_qpoch_u
+from .series import TruncSeries2
 
 
 class ClSeries:
@@ -84,19 +85,16 @@ def cl_numerator(kind, m, u_prec, t_prec):
 
 
 def _cusp_numerator(m, u_prec, t_prec):
-    """The cusp sum of the module docstring; |mu|^2 <= m sum mu'_i^2 caps |mu|."""
-    total = TruncSeries2(u_prec, t_prec)
-    for mu in iterate_bounded_parts(m, min((t_prec - 1) // 2, isqrt(m * (u_prec - 1)))):
-        conj = mu.conjugate().parts
-        order = sum(c * c for c in conj)
-        if order >= u_prec:
-            continue
-        term = TruncSeries2.monomial(1, order, 2 * mu.size(), u_prec, t_prec)
-        for i, c in enumerate(conj):
-            gap = c - (conj[i + 1] if i + 1 < len(conj) else 0)
-            term = term * TruncSeries2(u_prec, t_prec, inv_qpoch_u(gap, u_prec).coeffs)
-        total = total + term
-    return total
+    """The cusp sum of the module docstring: a one-index column walk, each
+    last-column state divided by (u;u)_{mu'_m}."""
+    top = 0
+    while 2 * top < t_prec and top * top < u_prec:
+        top += 1
+    states = box_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
+                      lambda v, c, c2: v if c == top else v.times_poch(1, 0, c - c2, power=-1),
+                      lambda v, i, c: v.shift(c * c, 2 * c).truncate(u_prec, t_prec))
+    return sum((v.times_poch(1, 0, c, power=-1) for c, v in states.items()),
+               TruncSeries2(u_prec, t_prec))
 
 
 def _node_numerator(m, u_prec, t_prec):
@@ -105,10 +103,8 @@ def _node_numerator(m, u_prec, t_prec):
     top = 0
     while top < t_prec and 3 * top * top < 4 * u_prec:
         top += 1
-    tails = [TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs) for n in range(top)]
-    one = TruncSeries2.one(u_prec, t_prec)
     sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                       lambda a, a2: one if a == top else tails[a - a2],
+                       lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
                        lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
                            u_prec, t_prec))
     last = max(sums)
@@ -121,20 +117,19 @@ def _node_numerator(m, u_prec, t_prec):
     return total.times_poch(last + 1, 1, power=2).times_poch(1, 0, last, power=-1)
 
 
+def cl_series(kind, m, u_prec, t_prec):
+    """The CL numerator and full series of either family on the window."""
+    return ClSeries(kind, m, cl_numerator(kind, m, u_prec, t_prec), s=1 if kind == "cusp" else 2)
+
+
 def cl_cusp(m, u_prec, t_prec):
     """CL numerator/series for the cusp y^2 = x^{2m+1}."""
-    return ClSeries("cusp", m, cl_numerator("cusp", m, u_prec, t_prec), s=1)
+    return cl_series("cusp", m, u_prec, t_prec)
 
 
 def cl_node(m, u_prec, t_prec):
     """CL numerator/series for the node y^2 = x^{2m}."""
-    return ClSeries("node", m, cl_numerator("node", m, u_prec, t_prec), s=2)
-
-
-def cl_series(kind, m, u_prec, t_prec):
-    require(1, u_prec=u_prec, t_prec=t_prec)
-    fam = SingularityFamily(kind, m)
-    return cl_cusp(m, u_prec, t_prec) if fam.kind == "cusp" else cl_node(m, u_prec, t_prec)
+    return cl_series("node", m, u_prec, t_prec)
 
 
 # -- full Quot zeta helpers ----------------------------------------------------
@@ -162,7 +157,8 @@ def convert_rank(z_list, direction, u_prec, t_prec):
       cl_from_quot:  inputs Z_{R^r},  r < t_prec -> Zhat via (D)
 
     For quot_to_mhilb the inputs must extend to t-degree t_prec + d; d is
-    inferred as len(z_list) - 1 for the first two directions.
+    inferred as len(z_list) - 1 for the first two directions.  The results of
+    (A) and (B) are exact in u when the inputs are: they divide by nothing.
     """
     ls = []
     for z in z_list:
@@ -188,12 +184,8 @@ def convert_rank(z_list, direction, u_prec, t_prec):
         for r, zr in enumerate(ls):
             if zr.t_prec < inner_t:
                 raise ValueError("rank %d input too short in t (need %d)" % (r, inner_t))
-            l = d - r
-            sign = -1 if l % 2 else 1
-            part = zr.subst_t_times_upow(-l).shift(l * (l - 1) // 2) * sign
-            part = TruncSeries2.from_laurent(qpoch_qinv(d), None, inner_t) * part
-            total = total + _over_qpochs(part, (l, r), u_prec, inner_t)
-        _assert_t_divisible(total, d, u_prec)
+            total = total + _alternating_term(zr.subst_t_times_upow(r - d), d, r, inner_t)
+        _assert_t_divisible(total, d)
         return TruncSeries2(total.u_prec, total.t_prec - d,
                             {(i, j - d): c for (i, j), c in total.coeffs.items()})
     if direction == "cl_from_mhilb":
@@ -202,7 +194,7 @@ def convert_rank(z_list, direction, u_prec, t_prec):
             if zD.t_prec + D < t_prec:
                 raise ValueError("rank %d input too short in t (need %d)" % (D, t_prec - D))
             part = zD.subst_t_times_upow(D).shift(D * D, D)
-            total = total + _over_qpochs(part, (D,), u_prec, t_prec)
+            total = total + _over_upoch(part, D, u_prec, t_prec)
         return total
     if direction == "cl_from_quot":
         prepared = []
@@ -214,32 +206,36 @@ def convert_rank(z_list, direction, u_prec, t_prec):
         for D in range(len(prepared)):
             inner = TruncSeries2(None, t_prec)
             for r in range(D + 1):
-                l = D - r
-                sign = -1 if l % 2 else 1
-                part = prepared[r].shift(l * (l - 1) // 2) * sign
-                inner = inner + _over_qpochs(part, (l, r), u_prec, t_prec)
-            _assert_t_divisible(inner, D, u_prec)
-            total = total + inner
+                inner = inner + _alternating_term(prepared[r], D, r, t_prec)
+            _assert_t_divisible(inner, D)
+            total = total + _over_upoch(inner, D, u_prec, t_prec)
         return total
     raise ValueError("unknown direction %r" % direction)
 
 
-def _over_qpochs(part, ns, u_prec, t_prec):
-    """part / prod_{n in ns} (u;u)_n on the t-window, known below u^u_prec.
+def _alternating_term(z, d, r, t_prec):
+    """(-1)^l u^C(l,2) [d r]_u z with l = d - r, exact in u as z is."""
+    l = d - r
+    binom = TruncSeries2.from_laurent(qbinomial_qinv(d, r), None, t_prec)
+    return binom * z.shift(l * (l - 1) // 2) * (-1 if l % 2 else 1)
 
-    part may hold negative u-exponents, so the series factors are taken that
-    much further in u.
+
+def _over_upoch(part, n, u_prec, t_prec):
+    """part / (u;u)_n on the t-window, known below u^u_prec.
+
+    times_poch divides only a series with no negative u-exponent on a finite
+    window, so part is shifted up by its lowest negative u-exponent, and onto
+    the window by adding the zero series there, for the division, and back
+    after it.
     """
-    need = u_prec - min(0, part.min_u_exp())
-    series = inv_qpoch_u(ns[0], need)
-    for n in ns[1:]:
-        series = series * inv_qpoch_u(n, need)
-    return part * TruncSeries2(need, t_prec, series.coeffs)
+    low = min(0, part.min_u_exp())
+    lifted = part.shift(-low) + TruncSeries2(u_prec - low, t_prec)
+    return lifted.times_poch(1, 0, n, power=-1).shift(low)
 
 
-def _assert_t_divisible(ls, d, u_prec):
-    """Internal check: no term below t^d, as far as u^u_prec shows."""
-    low = sorted(j for (i, j) in ls.coeffs if j < d and i < u_prec)
+def _assert_t_divisible(ls, d):
+    """Internal check: no term below t^d."""
+    low = sorted(j for (i, j) in ls.coeffs if j < d)
     if low:
         raise AssertionError("expected divisibility by t^%d, found t^%d" % (d, low[0]))
 
@@ -450,9 +446,9 @@ def special_values(kind, m, u_prec):
 
     One numerator on the window (u^u_prec, t^_T_CAP) serves every partial
     sum.  Below u^u_prec it is a polynomial in t (see the module docstring):
-    the cusp sum stops at |mu| <= isqrt(m (u_prec - 1)), the node walk at
-    3a^2 >= 4 u_prec, and the node's end factors are one Horner pass, so the
-    wide t-window costs no more than the numerator's top t-degree.
+    the cusp walk starts at c^2 >= u_prec, the node walk at 3a^2 >= 4 u_prec,
+    and the node's end factors are one Horner pass, so the wide t-window
+    costs no more than the numerator's top t-degree.
     """
     reports = []
     with timed() as tm:

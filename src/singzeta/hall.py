@@ -20,8 +20,10 @@ g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
 the box (quotzeta.nz_node_free) and over lambda_1 <= m (clzeta.cl_node).
-box_walk is the one-index walk over the states mu'_i alone, for both
-normalization numerators (quotzeta._normalization_walk).
+box_walk is the one-index walk over the states mu'_i alone; it serves three
+sums, both normalization numerators (quotzeta._normalization_walk) and the
+cusp's CL numerator (clzeta._cusp_numerator).  Both walks take the same
+callbacks: lift into the caller's ring, and gap and column factors.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, T, QINV, qbinomial_qinv,
@@ -56,17 +58,18 @@ def column_walk(columns, top, lift, gap, column):
     Sums over lam with lam'_1 <= top and at most `columns` columns, and over
     mu inside lam, the product over columns i = 1..columns of
 
-        gap(lam'_{i-1}, lam'_i) [lam'_{i-1} - mu'_i, lam'_{i-1} - mu'_{i-1}]_{1/q}
+        (gap from lam'_{i-1} to lam'_i) [lam'_{i-1} - mu'_i, lam'_{i-1} - mu'_{i-1}]_{1/q}
             (column factor at (lam'_i, mu'_i))
 
     with lam'_0 = mu'_0 = top, times [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i at
     (j, i) = (lam'_columns, mu'_columns); the binomials are hall_skew's.  A step
     from the state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and
     b2 <= min(b, a2), sums over b per (a, b2), then over a per (a2, b2), then
-    applies the column factor.  lift carries a Laurent polynomial into the
-    caller's ring, gap(a, a2) is an element of it, column(v, a, b) multiplies
-    v by the column factor, and a state that is 0 there is dropped.  Returns
-    {j: the sum over lam with lam'_columns = j}.
+    applies the column factor.  The callbacks are box_walk's: lift carries a
+    Laurent polynomial into the caller's ring, gap(v, a, a2) and
+    column(v, a, b) multiply v by the gap and column factors, and a state
+    that is 0 after its column is dropped.  Returns {j: the sum over lam with
+    lam'_columns = j}.
     """
     binoms = {(n, r): lift(qbinomial_qinv(n, r)) for n in range(top + 1) for r in range(n + 1)}
     states = {(top, top): lift(ONE)}
@@ -78,7 +81,7 @@ def column_walk(columns, top, lift, gap, column):
         steps = {}
         for (a, b2), w in by_b2.items():
             for a2 in range(b2, a + 1):
-                _accumulate(steps, (a2, b2), gap(a, a2) * w)
+                _accumulate(steps, (a2, b2), gap(w, a, a2))
         states = {key: column(w, *key) for key, w in steps.items()}
         states = {key: v for key, v in states.items() if v}
     sums = {}
@@ -87,27 +90,31 @@ def column_walk(columns, top, lift, gap, column):
     return sums
 
 
-def box_walk(columns, top, column):
-    """A one-index Hall sum over the box as a walk over columns.
+def box_walk(columns, top, lift, gap, column):
+    """A one-index sum over partitions as a walk over columns.
 
     Sums over mu with mu'_1 <= top and at most `columns` columns the product
     over columns i = 1..columns of
 
-        [c_{i-1}, c_i]_{1/q} (column factor at (i, c_i)),  c_i = mu'_i, c_0 = top,
+        (gap from c_{i-1} to c_i) (column factor of column i at c_i),
 
-    the binomials being hall_box's multinomial split by column.  A step sums
-    [c, c2]_{1/q} times the value at c over c >= c2 per state c2, then
-    column(v, i, c2) multiplies v by the column factor.  Returns the sum over
-    the last column's states.
+    with c_i = mu'_i and c_0 = top.  The callbacks are column_walk's: lift
+    carries a Laurent polynomial into the caller's ring (the start value is
+    lift(1)), gap(v, c, c2) multiplies v by the gap factor, and
+    column(v, i, c) by the column factor, which may depend on i; a state
+    that is 0 after its column is dropped.  A step sums gap(v, c, c2) over
+    c >= c2 per state c2, then applies the column factor.  Returns the
+    last-column states {c_columns: value}.
     """
-    states = {top: ONE}
+    states = {top: lift(ONE)}
     for i in range(1, columns + 1):
         steps = {}
         for c, v in states.items():
             for c2 in range(c + 1):
-                _accumulate(steps, c2, qbinomial_qinv(c, c2) * v)
+                _accumulate(steps, c2, gap(v, c, c2))
         states = {c2: column(w, i, c2) for c2, w in steps.items()}
-    return sum(states.values(), ZERO)
+        states = {c2: v for c2, v in states.items() if v}
+    return states
 
 
 def _accumulate(acc, key, value):

@@ -120,7 +120,8 @@ def _normalization_walk(m, d, first=None):
         v = v * LaurentPoly2.monomial(1, 2 * d * c - c * c, c)
         return v * first(d, c) if first and i == 1 else v
 
-    return _check_poly(box_walk(m, d, column))
+    states = box_walk(m, d, lambda p: p, lambda v, c, c2: qbinomial_qinv(c, c2) * v, column)
+    return _check_poly(sum(states.values(), ZERO))
 
 
 def nz_node_free(m, d):
@@ -132,7 +133,8 @@ def nz_node_free(m, d):
         def column(v, a, b):
             return v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b)
 
-        sums = column_walk(m, d, lambda p: p, qbinomial_qinv, column)
+        sums = column_walk(m, d, lambda p: p, lambda v, a, a2: qbinomial_qinv(a, a2) * v,
+                           column)
         total = sums.get(0, ZERO)
         for j in range(1, d + 1):
             total = total * (ONE - LaurentPoly2.monomial(1, d - j, 1)) ** 2 + sums.get(j, ZERO)
@@ -266,7 +268,8 @@ def skew_cauchy_bounded_check(m, d):
 
 
 def cusp_t2_check(m, d):
-    """Thm-level identity: free cusp numerator is the normalization one at t^2."""
+    """Thm-level identity: free cusp numerator is the normalization one at t^2.
+    nz_cusp_free is defined by this substitution, so the check restates it."""
     SingularityFamily("cusp", m)  # rejects m < 1
     lhs = nz_cusp_free(m, d)
     rhs = nz_cusp_normalization(m, d).substitute(Q, T * T)

@@ -13,9 +13,9 @@ Comparisons of mismatched windows use the intersection.
 
 TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
 product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
-factor 1 - u^e t^b, with no generic product and no inverse.  poch, the
-product itself, is that pass applied to 1; inv_qpoch_u and the basic
-hypergeometric evaluator are built on it.
+factor 1 - u^e t^b, with no generic product and no inverse; it is the one
+way the package divides by (u;u)_n.  poch, the product itself, is that pass
+applied to 1, and the basic hypergeometric evaluator is built on it.
 """
 
 from .laurent import LaurentPoly2, grouped_text
@@ -370,19 +370,6 @@ def poch(a, b, u_prec, t_prec, n=None, step=1):
     lies outside the window: it and every later factor are 1 there.
     """
     return TruncSeries2.one(u_prec, t_prec).times_poch(a, b, n, step)
-
-
-_INV_POCH_CACHE = {}
-
-
-def inv_qpoch_u(n, u_prec):
-    """1/(u;u)_n as a t-free series to the given precision, cached."""
-    key = (n, u_prec)
-    got = _INV_POCH_CACHE.get(key)
-    if got is None:
-        got = TruncSeries2.one(u_prec, 1).times_poch(1, 0, n, power=-1)
-        _INV_POCH_CACHE[key] = got
-    return got
 
 
 def phi_rs(r, s, upper, lower, z, u_prec, t_prec):

@@ -1,5 +1,6 @@
 import random
 import re
+from math import isqrt
 
 import pytest
 
@@ -9,13 +10,18 @@ from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
 from singzeta.partitions import iterate_bounded_parts, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
 from singzeta.report import BudgetExceededError
-from singzeta.series import TruncSeries2, inv_qpoch_u, poch
+from singzeta.series import TruncSeries2, poch
 from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank,
                              extract_polynomial_coefficients, limit_check,
                              matrix_count_formula, special_values, z_series,
                              scaled_z_trunc, andrews_gordon_product,
                              node_minus1_product)
 from singzeta.tables import TABLE3, table3_entry_bounds
+
+
+def inv_upoch(n, u_prec):
+    """1/(u;u)_n as a t-free series below u^u_prec."""
+    return TruncSeries2.one(u_prec, 1).times_poch(1, 0, n, power=-1)
 
 
 def test_cl_cusp_low_coefficients():
@@ -57,7 +63,7 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
         return TruncSeries2(u_prec, t_prec, out)
 
     def inv_u_poch(n):
-        return TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs)
+        return TruncSeries2(u_prec, t_prec, inv_upoch(n, u_prec).coeffs)
 
     total = TruncSeries2(u_prec, t_prec)
     for lam in iterate_bounded_parts(m, t_prec - 1):
@@ -112,15 +118,14 @@ def _cl_node_per_j(m, u_prec, t_prec):
     top = 0
     while top < t_prec and 3 * top * top < 4 * u_prec:
         top += 1
-    tails = [TruncSeries2(u_prec, t_prec, inv_qpoch_u(n, u_prec).coeffs) for n in range(top)]
-    one = TruncSeries2.one(u_prec, t_prec)
     sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                       lambda a, a2: one if a == top else tails[a - a2],
+                       lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
                        lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
                            u_prec, t_prec))
     total = TruncSeries2(u_prec, t_prec)
     for j, s in sums.items():
-        total = total + s * (tails[j] * poch(j + 1, 1, u_prec, t_prec) ** 2)
+        tail = TruncSeries2(u_prec, t_prec, inv_upoch(j, u_prec).coeffs)
+        total = total + s * (tail * poch(j + 1, 1, u_prec, t_prec) ** 2)
     return total
 
 
@@ -128,6 +133,33 @@ def test_cl_node_horner_matches_per_j_products():
     for m in (1, 2, 3, 4):
         for u_prec, t_prec in ((1, 1), (5, 3), (13, 16), (30, 8), (25, 20)):
             assert cl_node(m, u_prec, t_prec).numerator == _cl_node_per_j(m, u_prec, t_prec)
+
+
+def _cl_cusp_per_mu(m, u_prec, t_prec):
+    """The cusp numerator as one term u^{sum mu'_i^2} t^{2|mu|} / prod (u;u)_gap
+    per mu with parts <= m; |mu|^2 <= m sum mu'_i^2 caps |mu|."""
+    total = TruncSeries2(u_prec, t_prec)
+    for mu in iterate_bounded_parts(m, min((t_prec - 1) // 2, isqrt(m * (u_prec - 1)))):
+        conj = mu.conjugate().parts
+        order = sum(c * c for c in conj)
+        if order >= u_prec:
+            continue
+        term = TruncSeries2.monomial(1, order, 2 * mu.size(), u_prec, t_prec)
+        for i, c in enumerate(conj):
+            gap = c - (conj[i + 1] if i + 1 < len(conj) else 0)
+            term = term * TruncSeries2(u_prec, t_prec, inv_upoch(gap, u_prec).coeffs)
+        total = total + term
+    return total
+
+
+def test_cl_cusp_walk_matches_per_mu_sum():
+    # the walk starts at the first c with 2c >= t_prec or c^2 >= u_prec
+    for m in range(1, 5):
+        for u_prec, t_prec in ((1, 1), (1, 6), (2, 3), (5, 3), (13, 16), (21, 8), (60, 30)):
+            want = _cl_cusp_per_mu(m, u_prec, t_prec)
+            got = cl_cusp(m, u_prec, t_prec).numerator
+            assert (got.u_prec, got.t_prec) == (want.u_prec, want.t_prec) == (u_prec, t_prec)
+            assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
 
 
 def test_cl_series_rejects_unknown_kind():
@@ -215,6 +247,67 @@ def test_conversion_cl_agreement():
                         u_prec, t_prec).truncate(u_prec, t_prec)
     direct = cl_node(1, u_prec, t_prec).full
     assert cl_a == cl_b == direct.truncate(u_prec, t_prec)
+
+
+def _convert_by_qpoch_pairs(z_list, direction, u_prec, t_prec):
+    """convert_rank's (B), (C) and (D) dividing every term by (u;u)_l (u;u)_r
+    (by (u;u)_D in (C)), each 1/(u;u)_n a series product taken as far in u as
+    the term's negative u-exponents need."""
+    ls = [TruncSeries2(None, len(z), {(-a, j): c for j, poly in enumerate(z)
+                                      for (a, _), c in poly.terms.items()}) for z in z_list]
+
+    def over(part, ns, t_win):
+        need = u_prec - min(0, part.min_u_exp())
+        series = TruncSeries2.one(need, t_win)
+        for n in ns:
+            series = series * TruncSeries2(need, t_win, inv_upoch(n, need).coeffs)
+        return part * series
+
+    def alternating(z, l):
+        return z.shift(l * (l - 1) // 2) * (-1 if l % 2 else 1)
+
+    if direction == "quot_to_mhilb":
+        d = len(ls) - 1
+        total = TruncSeries2(None, t_prec + d)
+        for r, zr in enumerate(ls):
+            part = TruncSeries2.from_laurent(qpoch_qinv(d), None, t_prec + d) * alternating(
+                zr.subst_t_times_upow(r - d), d - r)
+            total = total + over(part, (d - r, r), t_prec + d)
+        return TruncSeries2(total.u_prec, t_prec,
+                            {(i, j - d): c for (i, j), c in total.coeffs.items() if j >= d})
+    total = TruncSeries2(None, t_prec)
+    for D, zD in enumerate(ls[:t_prec]):
+        if direction == "cl_from_mhilb":
+            total = total + over(zD.subst_t_times_upow(D).shift(D * D, D), (D,), t_prec)
+        else:
+            for r in range(D + 1):
+                part = TruncSeries2(None, t_prec, ls[r].coeffs).subst_t_times_upow(r)
+                total = total + over(alternating(part, D - r), (D - r, r), t_prec)
+    return total
+
+
+def test_convert_rank_matches_division_by_qpoch_pairs():
+    # windows outside criterion 12's (1, 3, 6, 4), ranks d <= 4, the family
+    # seeded; (C) and (D) sum over the ranks D <= 4 they are given
+    rng = random.Random(2023)
+    d = 4
+    for u_prec, t_prec in ((3, 2), (8, 6), (10, 5)):
+        for m in (1, 2, 3):
+            kind = rng.choice(("cusp", "node"))
+            zq = [z_series(kind, m, r, t_prec + d) for r in range(d + 1)]
+            mhilb = []
+            for dd in range(d + 1):
+                args = ([z[:t_prec + dd] for z in zq[:dd + 1]], "quot_to_mhilb", u_prec, t_prec)
+                got = extract_polynomial_coefficients(convert_rank(*args), u_prec)
+                assert got == extract_polynomial_coefficients(
+                    _convert_by_qpoch_pairs(*args), u_prec), (kind, m, dd, u_prec, t_prec)
+                mhilb.append(got)
+            for direction, inputs in (("cl_from_mhilb", mhilb),
+                                      ("cl_from_quot", [z[:t_prec] for z in zq])):
+                got = convert_rank(inputs, direction, u_prec, t_prec)
+                want = _convert_by_qpoch_pairs(inputs, direction, u_prec, t_prec)
+                assert got.truncate(u_prec, t_prec) == want.truncate(u_prec, t_prec), \
+                    (direction, kind, m, u_prec, t_prec)
 
 
 def test_matrix_count_formula_values():

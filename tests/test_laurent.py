@@ -201,3 +201,20 @@ def test_qpoch_qinv_ratio():
 def test_grouped_str():
     p = parse_poly("1 - t - q*t + q^3*t^2 + q^2*t^2")
     assert p.grouped_str() == "1 - (1 + q)*t + (q^2 + q^3)*t^2"
+
+
+def test_parsers_fuzz():
+    # random strings over each parser's alphabet end in a value or a
+    # ValueError, and the canonical text of a polynomial parses back to it
+    rng = random.Random(41)
+    for alphabet, parse in (("0123456789qt^*+- x", parse_poly),
+                            ("0123456789,[] -+x", Partition.parse)):
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            try:
+                parse(text)
+            except ValueError:
+                pass
+    for _ in range(300):
+        p = rand_poly(rng, terms=rng.randint(0, 8), span=rng.randint(1, 12))
+        assert parse_poly(str(p)) == p, p

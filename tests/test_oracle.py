@@ -303,10 +303,16 @@ def test_quot_coeffs_oracle_vs_formula():
 
 
 def test_quot_coeffs_oracle_beyond_criterion_8():
-    # larger rank, p = 3 and a longer window than the acceptance criterion uses
+    # larger rank, p = 3 and a longer window than the acceptance criterion uses;
+    # the last four windows reach t-degrees where z_series tells m from m + 1,
+    # which criterion 8's N = 3 does not for the cusp, nor for the node at m = 2
     for kind, m, d, p, N, module in (("node", 1, 3, 2, 3, "free"),
                                      ("cusp", 1, 2, 3, 4, "free"),
-                                     ("node", 1, 2, 3, 3, "normalization")):
+                                     ("node", 1, 2, 3, 3, "normalization"),
+                                     ("cusp", 2, 1, 2, 6, "free"),
+                                     ("cusp", 2, 2, 2, 6, "free"),
+                                     ("cusp", 3, 1, 2, 8, "free"),
+                                     ("node", 2, 1, 2, 5, "free")):
         got = quot_coeffs_oracle(kind, m, d, p, N, module=module)
         want = [c.eval_int(p) for c in z_series(kind, m, d, N + 1, module=module)]
         assert [Fraction(x) for x in got] == want, (kind, m, d, p, N, module)

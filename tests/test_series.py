@@ -4,7 +4,12 @@ import random
 import pytest
 
 from singzeta.laurent import LaurentPoly2, ONE, Q, T, qpochhammer
-from singzeta.series import TruncSeries2, poch, inv_qpoch_u, phi_rs, WindowError
+from singzeta.series import TruncSeries2, poch, phi_rs, WindowError
+
+
+def inv_upoch(n, u_prec):
+    """1/(u;u)_n as a t-free series below u^u_prec."""
+    return TruncSeries2.one(u_prec, 1).times_poch(1, 0, n, power=-1)
 
 
 def geometric(u_prec, t_prec):
@@ -149,7 +154,7 @@ def test_euler_identities():
     alt = TruncSeries2(u_prec, t_prec)
     direct = TruncSeries2(u_prec, t_prec)
     for k in range(t_prec):
-        inv = TruncSeries2(u_prec, t_prec, inv_qpoch_u(k, u_prec).coeffs)
+        inv = TruncSeries2(u_prec, t_prec, inv_upoch(k, u_prec).coeffs)
         sign = -1 if k % 2 else 1
         alt = alt + TruncSeries2.monomial(sign, k * (k + 1) // 2, k, u_prec, t_prec) * inv
         direct = direct + TruncSeries2.monomial(1, k, k, u_prec, t_prec) * inv
@@ -195,7 +200,7 @@ def test_from_laurent_variants():
 
 def test_laurent_series_precision_tracking():
     exact = TruncSeries2.from_laurent(Q ** 2, None, 4)  # u^-2
-    series = TruncSeries2(10, 4, inv_qpoch_u(1, 10).coeffs)
+    series = TruncSeries2(10, 4, inv_upoch(1, 10).coeffs)
     prod = exact * series
     assert prod.u_prec == 8  # 10 + (-2)
     assert prod.coeffs[(-2, 0)] == 1 and prod.coeffs[(0, 0)] == 1
@@ -228,7 +233,7 @@ def test_laurent_series_inverse_negative_exponents_random():
 def test_laurent_series_to_trunc_guards():
     with pytest.raises(WindowError):
         TruncSeries2(None, 3, {(-1, 0): 1}).truncate(3, 3)
-    capped = TruncSeries2(4, 3, inv_qpoch_u(2, 4).coeffs)
+    capped = TruncSeries2(4, 3, inv_upoch(2, 4).coeffs)
     with pytest.raises(WindowError):
         capped.truncate(6, 3)
     with pytest.raises(WindowError):
