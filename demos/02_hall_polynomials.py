@@ -3,8 +3,8 @@
 g^lambda_{mu nu}(q) counts submodules of type mu and cotype nu inside a finite
 module of type lambda over a DVR with residue field F_q.  The nu-summed
 g^lambda_mu has a product formula; the general three-index polynomial is
-computed from Hall-Littlewood structure constants; and small cases can be
-counted outright over F_2 and F_3.
+computed by the vertical-strip Pieri rule in the Hall algebra; and small
+cases can be counted outright over F_2 and F_3.
 """
 
 from singzeta import (Partition, hall_skew, hall_box, hall_general,

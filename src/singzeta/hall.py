@@ -7,14 +7,14 @@ DVR-module of type lambda.  The nu-summed g^lambda_mu has the closed form
                      prod_i [lam'_i - mu'_{i+1} choose lam'_i - mu'_i]_{1/q},
 
 and for a box lambda = (m^d) it collapses to an m-independent q^-1-multinomial.
-The fully general g^lambda_{mu nu} is computed by expanding a product of
-Hall-Littlewood P-polynomials in ell(mu)+ell(nu) variables and converting the
-structure constants f^lambda_{mu nu}(xi) via
-
-    g^lambda_{mu nu}(q) = q^{n(lambda)-n(mu)-n(nu)} f^lambda_{mu nu}(1/q),
-
-with n(lambda) = sum (i-1) lambda_i.  All arithmetic is exact; every closed
-form is assembled division-free and asserted to land in Z[q].
+The fully general g^lambda_{mu nu} is computed by the vertical-strip Pieri rule
+in the Hall algebra, where u_mu u_nu = sum_lambda g^lambda_{mu nu} u_lambda:
+u_mu times u_(1^m) has a closed form, the products of columns
+u_(1^nu'_1) ... u_(1^nu'_k) are unitriangular over the u_nu, and their inverse
+carries u_mu u_nu into chains of Pieri steps (Macdonald, Symmetric Functions
+and Hall Polynomials, Ch. II Sec. 4 and Ch. III Sec. 3).  All arithmetic is
+exact; every closed form is assembled division-free and asserted to land in
+Z[q].
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
@@ -26,8 +26,8 @@ cusp's CL numerator (clzeta._cusp_numerator).  Both walks take the same
 callbacks: lift into the caller's ring, and gap and column factors.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, T, QINV, qbinomial_qinv,
-                      qmultinomial_qinv, qpoch_qinv_ratio)
+from .laurent import (LaurentPoly2, ZERO, ONE, qbinomial_qinv, qmultinomial_qinv,
+                      qpoch_qinv_ratio)
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .partitions import Partition
 
@@ -155,165 +155,137 @@ def surjection_count(d, mu):
     return result
 
 
-# -- Hall-Littlewood structure constants ----------------------------------------
+# -- the Hall algebra ----------------------------------------------------------
 #
-# Symmetric polynomials in N variables are stored in monomial-symmetric
-# coordinates: {padded descending exponent tuple: coefficient in Z[xi]}, with
-# xi-polynomials carried by LaurentPoly2 in its q slot.
+# An element sum_lam c_lam u_lam is a dict {part tuple: coefficient in Z[q]}.
 
 
-def _horizontal_strips(lam):
-    """All mu with lam/mu a horizontal strip (interlacing condition)."""
-    rows = lam.parts
-    n = len(rows)
-
-    def rec(i, prefix):
-        if i == n:
-            yield Partition(prefix)
-            return
-        hi = rows[i]
-        lo = rows[i + 1] if i + 1 < n else 0
-        upper = min(hi, prefix[-1]) if prefix else hi
-        for p in range(lo, upper + 1):
-            yield from rec(i + 1, prefix + (p,))
-
-    yield from rec(0, ())
+def _n_stat(parts):
+    return sum(i * p for i, p in enumerate(parts))
 
 
-def _psi(lam, mu):
-    """Branching coefficient prod_{i: m_i(mu)=m_i(lam)+1} (1 - xi^{m_i(mu)})."""
-    mult_l, mult_m = {}, {}
-    for p in lam.parts:
-        mult_l[p] = mult_l.get(p, 0) + 1
-    for p in mu.parts:
-        mult_m[p] = mult_m.get(p, 0) + 1
-    result = ONE
-    for i, mm in mult_m.items():
-        if mm == mult_l.get(i, 0) + 1:
-            result = result * (ONE - LaurentPoly2.monomial(1, mm, 0))
-    return result
+def _vertical_strips(mu, m):
+    """All lam with lam/mu a vertical m-strip, as part tuples.
 
-
-_HLP_CACHE = {}
-
-
-def _hl_p_expansion(lam, n):
-    """Monomial-symmetric coordinates of P_lambda in n variables.
-
-    The coefficient of m_kappa is the coefficient of the weakly decreasing
-    representative composition, so we just filter the composition dict.
+    A box may go to each row; within a run of equal parts of mu (and the m
+    empty rows below it) the boxes go to the run's first rows.
     """
-    key = (lam.parts, n)
-    got = _HLP_CACHE.get(key)
+    runs = [(p, mu.count(p)) for p in sorted(set(mu), reverse=True)] + [(0, m)]
+
+    def rec(r, left):
+        if r == len(runs):
+            if not left:
+                yield ()
+            return
+        p, count = runs[r]
+        for k in range(min(count, left) + 1):
+            for rest in rec(r + 1, left - k):
+                yield (p + 1,) * k + (p,) * (count - k) + rest
+
+    for lam in rec(0, m):
+        yield tuple(p for p in lam if p)
+
+
+def _pieri(mu, m):
+    """u_mu times u_(1^m): {lam: g^lam_{mu (1^m)}(q)} by the vertical-strip Pieri rule,
+
+        g^lam_{mu (1^m)} = q^{n(lam)-n(mu)-C(m,2)} prod_i [lam'_i-lam'_{i+1}, lam'_i-mu'_i]_{1/q}
+
+    (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i.
+    """
+    mc = Partition(mu).conjugate().parts
+    out = {}
+    for lam in _vertical_strips(mu, m):
+        lc = Partition(lam).conjugate().parts + (0,)
+        g = LaurentPoly2.monomial(1, _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2, 0)
+        for i in range(len(lc) - 1):
+            n, r = lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0)
+            if 0 < r < n:
+                g = g * qbinomial_qinv(n, r)
+        if not g.is_polynomial():
+            raise AssertionError("Pieri coefficient left Z[q]: %s, %s, %d" % (lam, mu, m))
+        out[lam] = g
+    return out
+
+
+_COLUMNS_CACHE = {}
+
+
+def _times_columns(mu, kappa):
+    """u_mu times the column product u_(1^kappa'_1) ... u_(1^kappa'_k), by Pieri steps.
+
+    Cached per (mu, kappa); the product is that of kappa without its last
+    column, times the last column.
+    """
+    key = (mu, kappa)
+    got = _COLUMNS_CACHE.get(key)
     if got is None:
-        got = {expo: c for expo, c in _hl_composition_expansion(lam, n).items()
-               if expo == tuple(sorted(expo, reverse=True))}
-        _HLP_CACHE[key] = got
+        cols = Partition(kappa).conjugate().parts
+        if len(cols) <= 1:
+            got = _pieri(mu, cols[0]) if cols else {mu: ONE}
+        else:
+            got = {}
+            rest = tuple(p - 1 if p == len(cols) else p for p in kappa)
+            for rho, c in _times_columns(mu, tuple(p for p in rest if p)).items():
+                for lam, g in _times_columns(rho, (1,) * cols[-1]).items():
+                    _accumulate(got, lam, c * g)
+            got = {lam: g for lam, g in got.items() if g}
+        _COLUMNS_CACHE[key] = got
     return got
 
 
-_HLC_CACHE = {}
+_COLUMN_INVERSE_CACHE = {}
 
 
-def _hl_composition_expansion(lam, n):
-    """{composition tuple of length n: xi-poly} for P_lambda(x_1..x_n; xi)."""
-    key = (lam.parts, n)
-    got = _HLC_CACHE.get(key)
-    if got is not None:
-        return got
-    if lam.length() > n:
-        result = {}
-    elif n == 0:
-        result = {(): ONE}
-    else:
-        result = {}
-        for mu in _horizontal_strips(lam):
-            sub = _hl_composition_expansion(mu, n - 1)
-            if not sub:
-                continue
-            coeff = _psi(lam, mu)
-            x_pow = lam.size() - mu.size()
-            for expo, c in sub.items():
-                k = expo + (x_pow,)
-                term = coeff * c
-                prev = result.get(k)
-                result[k] = term if prev is None else prev + term
-        result = {k: v for k, v in result.items() if not v.is_zero()}
-    _HLC_CACHE[key] = result
-    return result
+def _column_inverse(nu):
+    """{kappa: D_{nu kappa}} with u_nu = sum_kappa D_{nu kappa} (column product of kappa).
 
-
-def _n_stat(lam):
-    return sum(i * p for i, p in enumerate(lam.parts))
+    The column product of nu is u_nu plus dominance-lower terms, with
+    coefficient exactly 1 at u_nu (Macdonald Ch. II Sec. 4), so the system is
+    unitriangular and D follows by recursion over the lower terms.
+    """
+    got = _COLUMN_INVERSE_CACHE.get(nu)
+    if got is None:
+        product = _times_columns((), nu)
+        if product.get(nu) != ONE:
+            raise AssertionError("column product of %s has leading coefficient %s"
+                                 % (nu, product.get(nu, ZERO)))
+        got = {nu: ONE}
+        for rho, a in product.items():
+            if rho != nu:
+                for kappa, d in _column_inverse(rho).items():
+                    _accumulate(got, kappa, -(a * d))
+        got = {kappa: d for kappa, d in got.items() if d}
+        _COLUMN_INVERSE_CACHE[nu] = got
+    return got
 
 
 _HALL_PAIR_CACHE = {}
 
 
 def hall_pair_expansion(mu, nu):
-    """{lambda: f^lambda_{mu nu}(xi)} from the product P_mu * P_nu.
+    """{lambda: g^lambda_{mu nu}(q)}, the product u_mu u_nu in the Hall algebra.
 
-    Uses ell(mu)+ell(nu) variables (enough for every lambda with a nonzero
-    constant) and solves the triangular system by repeatedly stripping the
-    lexicographically largest monomial-symmetric component, which is dominance-
-    maximal because P_lambda = m_lambda + (dominance-lower terms).
+    u_nu is written in column products by _column_inverse, and u_mu times each
+    column product is a chain of Pieri steps; lambda with g = 0 are left out.
     """
     key = (mu.parts, nu.parts)
     got = _HALL_PAIR_CACHE.get(key)
-    if got is not None:
-        return got
-    n = mu.length() + nu.length()
-    a = _hl_composition_expansion(mu, n)
-    b = _hl_composition_expansion(nu, n)
-    prod = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            k = tuple(x + y for x, y in zip(e1, e2))
-            term = c1 * c2
-            prev = prod.get(k)
-            prod[k] = term if prev is None else prev + term
-    # monomial-symmetric coordinates: keep only the sorted representatives
-    rem = {}
-    for expo, c in prod.items():
-        srt = tuple(sorted(expo, reverse=True))
-        if expo == srt and not c.is_zero():
-            rem[srt] = c
-    out = {}
-    while rem:
-        top = max(rem)
-        c = rem.pop(top)
-        if c.is_zero():
-            continue
-        lam = Partition(p for p in top if p)
-        out[lam] = c
-        for expo, pc in _hl_p_expansion(lam, n).items():
-            if expo == top:
-                continue
-            delta = -c * pc
-            prev = rem.get(expo)
-            total = delta if prev is None else prev + delta
-            if total.is_zero():
-                rem.pop(expo, None)
-            else:
-                rem[expo] = total
-    _HALL_PAIR_CACHE[key] = out
-    return out
+    if got is None:
+        acc = {}
+        for kappa, d in _column_inverse(nu.parts).items():
+            for lam, g in _times_columns(mu.parts, kappa).items():
+                _accumulate(acc, lam, d * g)
+        got = {Partition(lam): g for lam, g in acc.items() if g}
+        _HALL_PAIR_CACHE[key] = got
+    return got
 
 
 def hall_general(lam, mu, nu):
     """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside lambda."""
     if lam.size() != mu.size() + nu.size():
         return ZERO
-    if not (lam.contains(mu) and lam.contains(nu)):
-        return ZERO
-    f = hall_pair_expansion(mu, nu).get(lam)
-    if f is None:
-        return ZERO
-    shift = _n_stat(lam) - _n_stat(mu) - _n_stat(nu)
-    g = LaurentPoly2.monomial(1, shift, 0) * f.substitute(QINV, T)
-    if not g.is_polynomial():
-        raise AssertionError("hall_general left Z[q]: %s %s %s" % (lam, mu, nu))
-    return g
+    return hall_pair_expansion(mu, nu).get(lam, ZERO)
 
 
 def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):

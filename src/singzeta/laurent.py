@@ -145,13 +145,6 @@ class LaurentPoly2:
     def t_degree(self):
         return max((b for (_, b) in self.terms), default=0)
 
-    def t_coefficients(self):
-        """Split into {t-exponent: pure-q LaurentPoly2}."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            out.setdefault(b, {})[(a, 0)] = c
-        return {b: LaurentPoly2(d) for b, d in sorted(out.items())}
-
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, q_image, t_image):

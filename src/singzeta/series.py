@@ -40,8 +40,7 @@ class TruncSeries2:
     __slots__ = ("u_prec", "t_prec", "coeffs")
 
     def __init__(self, u_prec, t_prec, coeffs=None):
-        if (u_prec is not None and u_prec < 1) or t_prec < 1:
-            raise WindowError("window must be at least 1x1")
+        _check_window(u_prec, t_prec)
         self.u_prec = u_prec
         self.t_prec = t_prec
         c = {}
@@ -50,6 +49,20 @@ class TruncSeries2:
                 if v and 0 <= j < t_prec and (u_prec is None or i < u_prec):
                     c[(i, j)] = int(v)
         self.coeffs = c
+
+    @classmethod
+    def _adopt(cls, u_prec, t_prec, coeffs):
+        """A series from a dict of int coefficients that the class built on the window.
+
+        Checks the window once and drops zeros; unlike the constructor it
+        neither re-checks each coefficient's position nor int()s it.  The
+        caller must not touch the dict again.
+        """
+        _check_window(u_prec, t_prec)
+        self = cls.__new__(cls)
+        self.u_prec, self.t_prec = u_prec, t_prec
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        return self
 
     # -- constructors --------------------------------------------------------
 
@@ -99,10 +112,11 @@ class TruncSeries2:
 
     def __add__(self, other):
         up, tp = self._window(other)
-        out = {}
-        for src in (self.coeffs, other.coeffs):
-            for k, v in src.items():
-                out[k] = out.get(k, 0) + v
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        if (self.u_prec, self.t_prec) == (other.u_prec, other.t_prec):
+            return TruncSeries2._adopt(up, tp, out)
         return TruncSeries2(up, tp, out)
 
     def __neg__(self):
@@ -113,8 +127,8 @@ class TruncSeries2:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncSeries2(self.u_prec, self.t_prec,
-                                {k: other * v for k, v in self.coeffs.items()})
+            return TruncSeries2._adopt(self.u_prec, self.t_prec,
+                                       {k: other * v for k, v in self.coeffs.items()})
         tp = min(self.t_prec, other.t_prec)
         low_a, low_b = self._order_bound(), other._order_bound()
         # O(u^hA) times other's lowest term, and vice versa, bound what is known
@@ -128,7 +142,7 @@ class TruncSeries2:
                 i, j = i1 + i2, j1 + j2
                 if i < up and j < tp:
                     out[(i, j)] = out.get((i, j), 0) + v1 * v2
-        return TruncSeries2(None if up == _INF else up, tp, out)
+        return TruncSeries2._adopt(None if up == _INF else up, tp, out)
 
     __rmul__ = __mul__
 
@@ -204,7 +218,8 @@ class TruncSeries2:
             up += low
         cols = {}
         for (i, j), v in self.coeffs.items():
-            cols.setdefault(j, {})[i] = v
+            if up is None or i < up:
+                cols.setdefault(j, {})[i] = v
         k = 0
         while (n is None or k < n) and b < tp and (self.u_prec is None
                                                   or a + k * step < self.u_prec):
@@ -212,8 +227,8 @@ class TruncSeries2:
             for _ in range(abs(power)):
                 (_times_binomial if power > 0 else _over_binomial)(cols, e, b, up, tp)
             k += 1
-        return TruncSeries2(up, tp, {(i, j): v for j, col in cols.items()
-                                     for i, v in col.items()})
+        return TruncSeries2._adopt(up, tp, {(i, j): v for j, col in cols.items()
+                                            for i, v in col.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -228,8 +243,8 @@ class TruncSeries2:
         if dt < 0:
             raise WindowError("negative t-shift not supported")
         up = None if self.u_prec is None else self.u_prec + du
-        return TruncSeries2(up, self.t_prec + dt,
-                            {(i + du, j + dt): v for (i, j), v in self.coeffs.items()})
+        return TruncSeries2._adopt(up, self.t_prec + dt,
+                                   {(i + du, j + dt): v for (i, j), v in self.coeffs.items()})
 
     def subst_t_times_upow(self, d):
         """The substitution t -> u^d t: (i, j) -> (i + d*j, j), exact shape change."""
@@ -310,6 +325,11 @@ class TruncSeries2:
     def from_json_obj(obj):
         return TruncSeries2(obj["u_prec"], obj["t_prec"],
                             {(i, j): int(v) for i, j, v in obj["terms"]})
+
+
+def _check_window(u_prec, t_prec):
+    if (u_prec is not None and u_prec < 1) or t_prec < 1:
+        raise WindowError("window must be at least 1x1")
 
 
 # -- Pochhammer products and basic hypergeometric series -----------------------

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from singzeta.laurent import ZERO, ONE, Q, parse_poly
+from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2, parse_poly
 from singzeta.partitions import Partition, iterate_box, partitions_of
 from singzeta.hall import (hall_skew, hall_box, hall_general, hall_count_oracle,
                            surjection_count, hall_pair_expansion)
@@ -50,6 +52,86 @@ def test_hall_pair_expansion_trivial():
     assert hall_pair_expansion(P(), P()) == {P(): ONE}
 
 
+# -- reference: g^lambda_{mu nu} from Hall-Littlewood structure constants ----
+#
+# P_mu P_nu = sum_lambda f^lambda_{mu nu}(xi) P_lambda in ell(mu)+ell(nu)
+# variables, and g^lambda_{mu nu}(q) = q^{n(lambda)-n(mu)-n(nu)} f(1/q).
+# Polynomials are {exponent tuple: xi-polynomial}, xi in LaurentPoly2's q slot.
+
+
+def _n_stat(lam):
+    return sum(i * p for i, p in enumerate(lam.parts))
+
+
+def _hl_horizontal_strips(rows, prefix=()):
+    """All mu (part tuples, zeros kept) with rows/mu a horizontal strip."""
+    i = len(prefix)
+    if i == len(rows):
+        yield prefix
+        return
+    lo = rows[i + 1] if i + 1 < len(rows) else 0
+    for p in range(lo, (min(rows[i], prefix[-1]) if prefix else rows[i]) + 1):
+        yield from _hl_horizontal_strips(rows, prefix + (p,))
+
+
+def _hl_psi(lam, mu):
+    """Branching coefficient prod_{i: m_i(mu) = m_i(lam)+1} (1 - xi^{m_i(mu)})."""
+    result = ONE
+    for i in set(p for p in mu if p):
+        if mu.count(i) == lam.count(i) + 1:
+            result = result * (ONE - LaurentPoly2.monomial(1, mu.count(i), 0))
+    return result
+
+
+@lru_cache(maxsize=None)
+def _hl_compositions(lam, n):
+    """{composition of length n: xi-polynomial} for P_lam(x_1..x_n; xi)."""
+    if len(lam) > n:
+        return {}
+    if n == 0:
+        return {(): ONE}
+    out = {}
+    for mu in _hl_horizontal_strips(lam):
+        mu = tuple(p for p in mu if p)
+        coeff = _hl_psi(lam, mu)
+        for expo, c in _hl_compositions(mu, n - 1).items():
+            key = expo + (sum(lam) - sum(mu),)
+            out[key] = out.get(key, ZERO) + coeff * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _hl_pair_expansion(mu, nu):
+    """{lambda: g^lambda_{mu nu}(q)} by stripping the largest monomial-symmetric term."""
+    n = mu.length() + nu.length()
+    rem = {}
+    for e1, c1 in _hl_compositions(mu.parts, n).items():
+        for e2, c2 in _hl_compositions(nu.parts, n).items():
+            k = tuple(x + y for x, y in zip(e1, e2))
+            if k == tuple(sorted(k, reverse=True)):
+                rem[k] = rem.get(k, ZERO) + c1 * c2
+    out = {}
+    while rem:
+        top = max(rem)
+        f = rem.pop(top)
+        if not f:
+            continue
+        lam = P(top)
+        out[lam] = LaurentPoly2.monomial(1, _n_stat(lam) - _n_stat(mu) - _n_stat(nu), 0) \
+            * f.substitute(QINV, T)
+        for expo, pc in _hl_compositions(top[:len(lam.parts)], n).items():
+            if expo != top and expo == tuple(sorted(expo, reverse=True)):
+                rem[expo] = rem.get(expo, ZERO) - f * pc
+    return out
+
+
+def test_hall_pair_expansion_matches_hall_littlewood_reference():
+    for n in range(8):
+        for a in range(n + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(n - a):
+                    assert hall_pair_expansion(mu, nu) == _hl_pair_expansion(mu, nu), (mu, nu)
+
+
 def test_hall_symmetry_small():
     for n in range(5):
         for lam in partitions_of(n):
@@ -88,6 +170,26 @@ def test_hall_vs_oracle():
                             got = hall_general(lam, mu, nu).eval_int(p)
                             want = hall_count_oracle(lam, mu, nu, p)
                             assert got == want, (lam, mu, nu, p)
+
+
+def test_hall_vs_oracle_size_six():
+    # 1^6 and 2,1^4 left out: their censuses dominate the time
+    for lam in partitions_of(6):
+        if lam.parts in ((1,) * 6, (2, 1, 1, 1, 1)):
+            continue
+        for a in range(7):
+            for mu in partitions_of(a):
+                for nu in partitions_of(6 - a):
+                    got = hall_general(lam, mu, nu).eval_int(2)
+                    assert got == hall_count_oracle(lam, mu, nu, 2), (lam, mu, nu)
+
+
+def test_hall_general_with_a_negative_coefficient():
+    lam, mu = P([3, 2, 1]), P([2, 1])
+    g = hall_general(lam, mu, mu)
+    assert g == parse_poly("-1 + q + 2*q^2")
+    assert [g.eval_int(p) for p in (2, 3)] == [9, 20]
+    assert [hall_count_oracle(lam, mu, mu, p) for p in (2, 3)] == [9, 20]
 
 
 def test_surjection_counts():
