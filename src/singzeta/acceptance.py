@@ -105,11 +105,12 @@ def _box_vs_skew_mismatches():
 
 
 def _completeness_mismatches():
+    by_size = [partitions_of(n) for n in range(0, 7)]
     for n in range(0, 7):
-        for lam in partitions_of(n):
+        for lam in by_size[n]:
             for mu in subpartitions(lam):
                 total = LaurentPoly2()
-                for nu in partitions_of(n - mu.size()):
+                for nu in by_size[n - mu.size()]:
                     total = total + hall_mod.hall_general(lam, mu, nu)
                 skew = hall_mod.hall_skew(lam, mu)
                 if total != skew:
@@ -117,11 +118,12 @@ def _completeness_mismatches():
 
 
 def _symmetry_mismatches():
+    by_size = [partitions_of(n) for n in range(0, 7)]
     for n in range(0, 7):
-        for lam in partitions_of(n):
+        for lam in by_size[n]:
             for a in range(n + 1):
-                for mu in partitions_of(a):
-                    for nu in partitions_of(n - a):
+                for mu in by_size[a]:
+                    for nu in by_size[n - a]:
                         g = hall_mod.hall_general(lam, mu, nu)
                         mirror = hall_mod.hall_general(lam, nu, mu)
                         if g != mirror:
@@ -129,13 +131,14 @@ def _symmetry_mismatches():
 
 
 def _oracle_mismatches(budget):
+    by_size = [partitions_of(n) for n in range(0, 6)]
     for p in (2, 3):
         for n in range(0, 6):
-            for lam in partitions_of(n):
+            for lam in by_size[n]:
                 census = oracle_mod.dvr_type_cotype_census(lam, p, budget=budget)
                 for a in range(n + 1):
-                    for mu in partitions_of(a):
-                        for nu in partitions_of(n - a):
+                    for mu in by_size[a]:
+                        for nu in by_size[n - a]:
                             want = census.get((mu.parts, nu.parts), 0)
                             got = hall_mod.hall_general(lam, mu, nu).eval_int(p)
                             if got != want:

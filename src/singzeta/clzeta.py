@@ -54,7 +54,7 @@ and (C) and (D) divide once per D by (u;u)_D.
 """
 
 from .laurent import LaurentPoly2, Q, qbinomial, qbinomial_qinv, qpochhammer
-from .quotzeta import SingularityFamily, nz, full_z
+from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
 from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
@@ -328,16 +328,28 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
 
 
 def scaled_z_trunc(kind, m, d, u_prec, t_prec):
-    """Z_{R^d}(u^d t) on the window, asserting nonnegative u-exponents."""
+    """Z_{R^d}(u^d t) on the window, asserting nonnegative u-exponents.
+
+    The node's NZ is walked only below t^t_prec (quotzeta._node_free_walk);
+    the cusp's is nz's.
+    """
     fam = SingularityFamily(kind, m)
-    prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
+    free = _node_free_walk(m, d, t_prec) if fam.kind == "node" else nz(fam, d, "free")
+    prod = TruncSeries2.from_laurent(free, None, t_prec).subst_t_times_upow(d)
     if prod.min_u_exp() < 0:
         raise AssertionError("NZ(u^d t) has a negative u-exponent")
     return prod.truncate(u_prec, t_prec).times_poch(1, 1, d, power=-fam.s)
 
 
 def limit_check(kind, m, d_list, u_prec, t_prec):
-    """Thm-level rank limit: consecutive d agree and match the CL series."""
+    """Thm-level rank limit: consecutive d agree and match the CL series.
+
+    Rank d fixes the limit only below u^{d+1}.  The quotients of colength 1
+    are the points of P^{d-1}, so the t-coefficient of Z_{R^d}(u^d t) is
+    u^d [d]_q = u + ... + u^d, and ranks d and d + 1 differ at u^{d+1} t.  So
+    a u_prec above min(d_list) + 1 with t_prec >= 2 fails with "consecutive
+    ranks disagree" (d_list [0, 1] and u_prec 3 do).
+    """
     if len(d_list) < 2:
         raise ValueError("need at least two ranks")
     repeated = [d for i, d in enumerate(d_list) if d in d_list[:i]]

@@ -127,19 +127,36 @@ def _normalization_walk(m, d, first=None):
 def nz_node_free(m, d):
     """NZ of the free rank-d module over the node germ, by the column walk of
     the module docstring."""
-    require(0, d=d)
     key = ("node-free", m, d)
     if key not in _NZ_CACHE:
-        def column(v, a, b):
-            return v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b)
-
-        sums = column_walk(m, d, lambda p: p, lambda v, a, a2: qbinomial_qinv(a, a2) * v,
-                           column)
-        total = sums.get(0, ZERO)
-        for j in range(1, d + 1):
-            total = total * (ONE - LaurentPoly2.monomial(1, d - j, 1)) ** 2 + sums.get(j, ZERO)
-        _NZ_CACHE[key] = _check_poly(total)
+        _NZ_CACHE[key] = _node_free_walk(m, d)
     return _NZ_CACHE[key]
+
+
+def _node_free_walk(m, d, t_prec=None):
+    """nz_node_free(m, d), less its terms at t^t_prec and up when t_prec is given.
+
+    Each column callback and each Horner step drops those terms.  That is
+    exact below t^t_prec, because no factor has a negative t-exponent: the
+    binomials and the end factors are pure q, the column monomial is
+    t^{2a-b} with b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a
+    dropped term never comes back below t^t_prec.
+    """
+    require(0, d=d)
+
+    def cut(v):
+        if t_prec is None:
+            return v
+        return LaurentPoly2._adopt({k: c for k, c in v.terms.items() if k[1] < t_prec})
+
+    def column(v, a, b):
+        return cut(v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b))
+
+    sums = column_walk(m, d, lambda p: p, lambda v, a, a2: qbinomial_qinv(a, a2) * v, column)
+    total = sums.get(0, ZERO)
+    for j in range(1, d + 1):
+        total = cut(total * (ONE - LaurentPoly2.monomial(1, d - j, 1)) ** 2) + sums.get(j, ZERO)
+    return _check_poly(total)
 
 
 def _check_poly(p):
@@ -250,14 +267,14 @@ def skew_cauchy_bounded_check(m, d):
     """
     SingularityFamily("node", m)  # rejects m < 1
     with timed() as tm:
-        for mu in iterate_box(m, d):
+        # the lam-side weight g_lam(q) t^|lam| (t;q)_{d-lam'_m}, once per lam
+        weights = [(lam, hall_box(m, d, lam) * LaurentPoly2.monomial(1, 0, lam.size())
+                    * qpochhammer(T, Q, d - lam.conj_part(m))) for lam in iterate_box(m, d)]
+        for mu, _ in weights:
             lhs = ZERO
-            for lam in iterate_box(m, d):
-                if not lam.contains(mu):
-                    continue
-                lhs = lhs + (hall_box(m, d, lam) * hall_skew(lam, mu)
-                             * LaurentPoly2.monomial(1, 0, lam.size())
-                             * qpochhammer(T, Q, d - lam.conj_part(m)))
+            for lam, weight in weights:
+                if lam.contains(mu):
+                    lhs = lhs + weight * hall_skew(lam, mu)
             rhs = hall_box(m, d, mu) * LaurentPoly2.monomial(1, 0, mu.size())
             if lhs != rhs:
                 return VerificationReport("squaring", {"m": m, "d": d, "mu": str(mu)},

@@ -13,9 +13,9 @@ Comparisons of mismatched windows use the intersection.
 
 TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
 product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
-factor 1 - u^e t^b, with no generic product and no inverse; it is the one
-way the package divides by (u;u)_n.  poch, the product itself, is that pass
-applied to 1, and the basic hypergeometric evaluator is built on it.
+factor 1 - u^e t^b, with no generic product; it is the one way the package
+divides, and the type has no generic inverse.  poch, the product itself, is
+that pass applied to 1, and the basic hypergeometric evaluator is built on it.
 """
 
 from .laurent import LaurentPoly2, grouped_text
@@ -146,55 +146,6 @@ class TruncSeries2:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse, solved t-degree by t-degree.
-
-        The t^0 coefficient a_0 must be +-1 plus higher powers of u, and exactly
-        +-1 when the series is exact in u.  Each t-coefficient b_j of the
-        inverse solves a_0 b_j = [j = 0] - sum_{k=1..j} a_k b_{j-k}, by long
-        division in u.  A series known only below a power of u must have no
-        negative u-exponent.
-        """
-        up, tp = self.u_prec, self.t_prec
-        if up is not None and self.min_u_exp() < 0:
-            raise WindowError("inverse of a series with negative u-exponents "
-                              "needs it exact in u")
-        cols = [{} for _ in range(tp)]
-        for (i, j), v in self.coeffs.items():
-            cols[j][i] = v
-        c0 = cols[0].get(0, 0)
-        if c0 not in (1, -1):
-            raise WindowError("inverse requires constant term +-1, got %r" % c0)
-        tail = sorted((i, v) for i, v in cols[0].items() if i)
-        if tail and up is None:
-            raise WindowError("inverse of an exact series requires t^0 coefficient +-1")
-        inv = []
-        for j in range(tp):
-            rhs = {0: 1} if j == 0 else {}
-            for k in range(1, j + 1):
-                for i1, v1 in cols[k].items():
-                    for i2, v2 in inv[j - k].items():
-                        i = i1 + i2
-                        if up is None or i < up:
-                            rhs[i] = rhs.get(i, 0) - v1 * v2
-            col = {}
-            if tail:
-                for i in range(min(rhs, default=up), up):
-                    s = rhs.get(i, 0)
-                    for a, v in tail:
-                        if a > i:
-                            break
-                        w = col.get(i - a)
-                        if w:
-                            s -= v * w
-                    if s:
-                        col[i] = c0 * s
-            else:
-                col = {i: c0 * v for i, v in rhs.items() if v}
-            inv.append(col)
-        return TruncSeries2(up, tp, {(i, j): v for j, col in enumerate(inv)
-                                     for i, v in col.items()})
-
     def times_poch(self, a, b, n=None, step=1, power=1):
         """This series times (u^a t^b; u^step)_n ** power, exactly.
 
@@ -229,14 +180,6 @@ class TruncSeries2:
             k += 1
         return TruncSeries2._adopt(up, tp, {(i, j): v for j, col in cols.items()
                                             for i, v in col.items()})
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncSeries2.one(self.u_prec, self.t_prec)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def shift(self, du, dt=0):
         """Multiply by the monomial u^du t^dt (exact; the t-window grows with dt)."""

@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+import series_reference as ref
 from singzeta import clzeta
 from singzeta.hall import column_walk, hall_skew
 from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
@@ -35,7 +36,7 @@ def test_cl_cusp_low_coefficients():
 
 def test_cl_full_vs_numerator():
     series = cl_node(1, 6, 4)
-    rebuilt = series.numerator * poch(1, 1, 6, 4).inverse() ** 2
+    rebuilt = series.numerator * ref.power(poch(1, 1, 6, 4), -2)
     assert rebuilt == series.full
 
 
@@ -77,7 +78,7 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
         ut_poch = ONE
         for k in range(1, lam_m + 1):
             ut_poch = ut_poch * (ONE - LaurentPoly2.monomial(1, -k, 1))
-        inv_ut_sq = u_series(ut_poch, 0).inverse() ** 2
+        inv_ut_sq = ref.power(u_series(ut_poch, 0), -2)
         for mu in subpartitions(lam):
             t_order = 2 * lam.size() - mu.size()
             if t_order >= t_prec:
@@ -88,7 +89,7 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
             term = u_series(hall_skew(lam, mu) * qpoch_qinv(lam_m), sum_sq)
             term = term * inv_a_tail * inv_u_poch(mu.conj_part(m)) * inv_ut_sq
             total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
-    return poch(1, 1, u_prec, t_prec) ** 2 * total
+    return ref.power(poch(1, 1, u_prec, t_prec), 2) * total
 
 
 def test_cl_node_matches_term_by_term_sum():
@@ -125,7 +126,7 @@ def _cl_node_per_j(m, u_prec, t_prec):
     total = TruncSeries2(u_prec, t_prec)
     for j, s in sums.items():
         tail = TruncSeries2(u_prec, t_prec, inv_upoch(j, u_prec).coeffs)
-        total = total + s * (tail * poch(j + 1, 1, u_prec, t_prec) ** 2)
+        total = total + s * (tail * ref.power(poch(j + 1, 1, u_prec, t_prec), 2))
     return total
 
 
@@ -191,15 +192,18 @@ def _scaled_z_factor_by_factor(kind, m, d, u_prec, t_prec):
     prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
     for j in range(1, d + 1):
         factor = TruncSeries2(None, t_prec, {(0, 0): 1, (j, 1): -1})
-        prod = prod * (factor.inverse() ** fam.s)
+        prod = prod * ref.power(factor, -fam.s)
     return prod.truncate(u_prec, t_prec)
 
 
 def test_scaled_z_matches_factor_by_factor():
+    # NZ has t-degree at most 2md <= 12 here, so on (6, 13) the node walk's
+    # t-window drops nothing
     for kind in ("cusp", "node"):
         for m in (1, 2, 3):
             for d in range(6 - m):
-                for u_prec, t_prec in ((5, 3), (9, 1), (25, 4)):
+                assert nz(SingularityFamily(kind, m), d).t_degree() < 13
+                for u_prec, t_prec in ((5, 3), (9, 1), (25, 4), (6, 13)):
                     assert (scaled_z_trunc(kind, m, d, u_prec, t_prec)
                             == _scaled_z_factor_by_factor(kind, m, d, u_prec, t_prec))
 
@@ -207,6 +211,15 @@ def test_scaled_z_matches_factor_by_factor():
 def test_limit_check():
     assert limit_check("node", 1, [4, 5], 5, 3).passed
     assert limit_check("cusp", 1, [4, 5], 5, 4).passed
+    # rank d fixes the limit below u^{d+1} and no further
+    for kind in ("cusp", "node"):
+        for m in (1, 2):
+            for d in range(5):
+                assert limit_check(kind, m, [d, d + 1], d + 1, 3).passed, (kind, m, d)
+                rep = limit_check(kind, m, [d, d + 1], d + 2, 3)
+                assert rep.status == "fail", (kind, m, d)
+                assert rep.discrepancy == (d + 1, 1), (kind, m, d)
+                assert rep.detail == "consecutive ranks disagree"
     with pytest.raises(ValueError):
         limit_check("node", 1, [4], 5, 3)
 
@@ -408,7 +421,7 @@ def _andrews_gordon_by_residues(m, u_prec):
     for n in range(1, u_prec):
         if n % mod not in excluded:
             poly = poly * (TruncSeries2.one(u_prec, 1) - TruncSeries2.monomial(1, n, 0, u_prec, 1))
-    return poly.inverse()
+    return ref.inverse(poly)
 
 
 def test_andrews_gordon_matches_residue_product():

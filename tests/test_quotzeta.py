@@ -199,6 +199,21 @@ def test_skew_cauchy_examples():
     assert skew_cauchy_bounded_check(3, 2).passed
 
 
+def test_skew_cauchy_names_the_failing_mu(monkeypatch):
+    # g^lam_mu off by +q at lam = [2,1], mu = [1] only: the sum at mu = [1]
+    # gains q times that lam's weight g_lam(q) t^3 (t;q)_1, whose lowest term
+    # is t^3, so the first difference is at q t^3
+    def hall_skew_off_by_q(lam, mu):
+        wrong = (lam.parts, mu.parts) == ((2, 1), (1,))
+        return hall_skew(lam, mu) + (Q if wrong else ZERO)
+
+    monkeypatch.setattr(quotzeta, "hall_skew", hall_skew_off_by_q)
+    rep = skew_cauchy_bounded_check(2, 2)
+    assert rep.status == "fail"
+    assert rep.params == {"m": 2, "d": 2, "mu": "[1]"}
+    assert rep.discrepancy == (1, 3)
+
+
 def test_cusp_t2_check():
     assert cusp_t2_check(3, 4).passed
 
