@@ -7,7 +7,6 @@ them), 3 resource-budget error.  Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -31,9 +30,17 @@ def _to_json(value):
     return value.to_json_obj()
 
 
+def _print_json(obj, indent=None):
+    import json  # here, so that text output does not pay for importing it
+    print(json.dumps(obj, indent=indent))
+
+
 def _emit(fmt, value, to_json, to_text=str):
     """Print to_json(value) as JSON or to_text(value) as text, whichever fmt asks."""
-    print(json.dumps(to_json(value)) if fmt == "json" else to_text(value))
+    if fmt == "json":
+        _print_json(to_json(value))
+    else:
+        print(to_text(value))
     return EXIT_PASS
 
 
@@ -41,7 +48,7 @@ def _emit_reports(reports, fmt):
     if isinstance(reports, VerificationReport):
         reports = [reports]
     if fmt == "json":
-        print(json.dumps([r.to_json_obj() for r in reports], indent=2))
+        _print_json([r.to_json_obj() for r in reports], indent=2)
     else:
         for r in reports:
             print(r)
@@ -80,7 +87,7 @@ def _run_hall(args, fmt):
         payload["oracle_count"] = str(count)
         payload["formula_at_p"] = str(poly.eval_int(args.oracle))
     if fmt == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(poly)
         if args.oracle is not None:
@@ -93,7 +100,7 @@ def _run_quot(args, fmt):
     census = oracle_mod.quot_census(args.family, args.m, args.d, args.p, args.max_codim,
                                     args.module.replace("-", "_"), budget=args.budget)
     if fmt == "json":
-        print(json.dumps(census.to_json_obj()))
+        _print_json(census.to_json_obj())
     else:
         for (n, r), c in sorted(census.counts.items()):
             print("codim=%d rank=%d count=%d" % (n, r, c))
@@ -110,10 +117,10 @@ def _run_suite(args, fmt):
     groups = acceptance.run_criteria(full=(args.name == "full"), budget=args.budget)
     failing = {label for label, reports in groups if any(r.status == "fail" for r in reports)}
     if fmt == "json":
-        print(json.dumps([{"group": label,
-                           "status": "fail" if label in failing else "pass",
-                           "reports": [r.to_json_obj() for r in reports]}
-                          for label, reports in groups], indent=2))
+        _print_json([{"group": label,
+                      "status": "fail" if label in failing else "pass",
+                      "reports": [r.to_json_obj() for r in reports]}
+                     for label, reports in groups], indent=2)
     else:
         for label, reports in groups:
             print("[%s] %s" % ("FAIL" if label in failing else "PASS", label))

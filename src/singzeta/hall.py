@@ -36,8 +36,20 @@ def _conj_with_pad(lam, upto):
     return [lam.conj_part(i) for i in range(1, upto + 1)]
 
 
+_HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> g^lam_mu(q)
+
+
 def hall_skew(lam, mu):
-    """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda."""
+    """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda.
+    Each pair is computed once, by _skew_product, and cached."""
+    key = (lam.parts, mu.parts)
+    got = _HALL_SKEW_CACHE.get(key)
+    if got is None:
+        got = _HALL_SKEW_CACHE[key] = _skew_product(lam, mu)
+    return got
+
+
+def _skew_product(lam, mu):
     if not lam.contains(mu):
         return ZERO
     width = lam.part(1)

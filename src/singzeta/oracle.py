@@ -22,16 +22,23 @@ the last row b_top that psi does not kill and takes a multiple of b_top off the
 others, which leaves them reduced; it makes one child at a time, so the budget
 stops a wide node at once.  Every invariant subspace of codimension k lies
 under one of codimension k-1 (composition series of the quotient), so the walk
-is exhaustive; the key dedups it.  m*M is spanned by basis vectors, so rank
-M/(L + m*M) is dim M/mM less the rank of L projected to the other lanes.  Only
-prime fields are supported.
+is exhaustive; the key dedups it.
+
+A presentation sorts its basis by depth, the longest chain of generators that
+ends at a vector, so m^j M is spanned by the lanes from levels[j] up, levels[j]
+the number of vectors of depth < j.  A reduced echelon row pivots at its lowest
+nonzero lane, so L projected to the first s lanes has rank the number of rows
+pivoting below s: the other rows vanish there, and these are independent at
+their pivots.  So rank M/(L + m*M) is levels[1] less that count, and the
+cotype of a DVR submodule K is read off dim(K + m^j M), dim M - levels[j] plus
+the count below levels[j], with no elimination.  Only prime fields are
+supported.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 
-from .partitions import Partition
 from .report import BudgetExceededError, VerificationReport, require, timed
 
 DEFAULT_BUDGET = 10**7
@@ -153,7 +160,10 @@ class FqModulePresentation:
     Given by the prime, the F_p-dimension, and one index map per algebra
     generator: a tuple with one entry per basis vector, the index of its image
     or None for 0.  Generators must commute; for the local models they are also
-    nilpotent (they lie in the maximal ideal); both are checked, then compiled.
+    nilpotent (they lie in the maximal ideal); both are checked.  The basis is
+    then sorted by depth, stably, so `generators` are the given maps renumbered
+    in depth order, and levels[j] is the number of vectors of depth < j; then
+    they are compiled.
     """
 
     def __init__(self, p, dim, generators, labels=None):
@@ -162,6 +172,16 @@ class FqModulePresentation:
         self.generators = [tuple(g) for g in generators]
         self.labels = list(labels) if labels else ["g%d" % i for i in range(len(generators))]
         self._validate()
+        # reach is the basis of m^j M at step j; it shrinks to {} as g is nilpotent
+        depth, reach = [0] * dim, set(range(dim))
+        while reach:
+            reach = {g[k] for g in self.generators for k in reach if g[k] is not None}
+            for k in reach:
+                depth[k] += 1
+        order = sorted(range(dim), key=depth.__getitem__)
+        lane = {k: i for i, k in enumerate(order)}
+        self.generators = [tuple(lane.get(g[k]) for k in order) for g in self.generators]
+        self.levels = [sum(1 for x in depth if x < j) for j in range(max(depth, default=0) + 2)]
         self.lanes = _Lanes(p, dim)
         self.compiled = [_compile(g, self.lanes.w) for g in self.generators]
 
@@ -317,13 +337,12 @@ def _invariant_hyperplanes(basis, gens, lanes):
 
 def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
     """Census of invariant subspaces L of codimension <= max_codim by codim and
-    the rank of M/L: dim M/mM less the rank of L on the lanes outside m*M."""
-    p, dim, lanes = module.p, module.dim, module.lanes
-    hit = {t for g in module.generators for t in g if t is not None}
-    outside = sum(lanes.mask << (lanes.w * k) for k in range(dim) if k not in hit)
+    the rank of M/L: dim M/mM less the number of L's rows pivoting outside m*M."""
+    p, dim, top = module.p, module.dim, module.levels[1]
+    low = (1 << (module.lanes.w * top)) - 1
 
     def codim_rank(basis):
-        return dim - len(basis), dim - len(hit) - len(_span((v & outside for v in basis), lanes))
+        return dim - len(basis), top - sum(1 for b in basis if b & low)
 
     counts, _ = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
                       progress=SubmoduleCensus)
@@ -418,32 +437,33 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     if got is not None and got[1] <= budget:
         return got[0]
     model = _jordan_module(lam.parts, p)
-    gens, lanes = model.compiled, model.lanes
-    m_powers = [_span(model.full_basis(), lanes)]
-    while m_powers[-1]:
-        m_powers.append(_image(gens, m_powers[-1].values(), lanes))
+    gens, lanes, dim = model.compiled, model.lanes, model.dim
+    # dim T^j(M/K) = dim(K + m^j M) - dim K = (dim - levels[j]) + #pivots below it - dim K
+    lows = [(dim - s, (1 << (lanes.w * s)) - 1) for s in model.levels]
 
     def type_cotype(basis):
-        return _module_type(basis, gens, lanes), _cotype(basis, m_powers, lanes)
+        return _module_type(basis, gens, lanes), _parts(
+            [free - len(basis) + sum(1 for b in basis if b & low) for free, low in lows])
 
     got = _DVR_CENSUS_CACHE[key] = _walk(model, model.dim, type_cotype, budget, "DVR census")
     return got[0]
 
 
 def _module_type(basis, gens, lanes):
-    """Type of span(basis) as an F_p[T]-module, as a parts tuple."""
+    """Type of span(basis) as an F_p[T]-module, as a parts tuple, from the ranks
+    of T^j on it: its kernels are lane prefixes in height order, not in depth."""
     dims, cur = [len(basis)], basis
     while cur:
         cur = _image(gens, cur, lanes).values()
         dims.append(len(cur))
-    cols = [dims[j - 1] - dims[j] for j in range(1, len(dims))]
-    return Partition(cols).conjugate().parts
+    return _parts(dims)
 
 
-def _cotype(basis, m_powers, lanes):
-    dims = [len(_span(basis, lanes, mp)) - len(basis) for mp in m_powers]
-    cols = [dims[j - 1] - dims[j] for j in range(1, len(dims)) if dims[j - 1] > dims[j]]
-    return Partition(cols).conjugate().parts
+def _parts(dims):
+    """The parts of an F_p[T]-module N from dims[j] = dim T^j N, ending at 0:
+    dims[j] - dims[j+1] parts exceed j."""
+    drops = [a - b for a, b in zip(dims, dims[1:])]
+    return tuple(sum(1 for c in drops if c > i) for i in range(max(drops, default=0)))
 
 
 def surjective_homs_count(mu, d, p):

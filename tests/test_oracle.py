@@ -34,6 +34,19 @@ def test_model_validation():
         FqModulePresentation(2, 1, [(0,)])  # identity is not nilpotent
     with pytest.raises(ValueError):
         FqModulePresentation(2, 2, [(None, 0), (1, None)])  # no commute
+    with pytest.raises(ValueError):
+        FqModulePresentation(2, 2, [(1, 0)])  # a 2-cycle is not nilpotent
+
+
+def test_basis_in_depth_order():
+    # the presentation sorts its basis by depth, the longest chain of
+    # generators ending at a vector, so m^j M is the lanes from levels[j] up
+    model = FqModulePresentation(2, 5, [(None, 3, 1, None, 0)])  # 2 -> 1 -> 3, 4 -> 0
+    assert model.generators == [(3, 2, None, 4, None)]  # basis 2, 4, 0, 1, 3
+    assert model.levels == [0, 2, 4, 5]
+    assert FqModulePresentation(2, 0, [()]).levels == [0, 0]
+    free = build_local_model(("node", 1), 2, 3, 2)  # 1, x, x^2, y, xy per copy
+    assert free.levels == [0, 2, 6, 10]
 
 
 def _reference_rref(vectors, p):
@@ -150,15 +163,93 @@ def test_census_rank_vanishing():
         assert r <= min(2, n) or c == 0
 
 
-def test_census_basis_order_independence():
-    # the same module on the reversed basis: the walk visits its subspaces in
-    # another order, and the census must not change
+def _permuted(model, lane):
+    """model with basis vector k renamed lane[k]; the presentation then sorts
+    the new basis by depth, which keeps the new order within each depth."""
+    gens = [[None] * model.dim for _ in model.generators]
+    for g, h in zip(model.generators, gens):
+        for k, t in enumerate(g):
+            if t is not None:
+                h[lane[k]] = lane[t]
+    return FqModulePresentation(model.p, model.dim, gens)
+
+
+def test_census_basis_order_independence(monkeypatch):
+    # the same module on the reversed basis: the lanes come in another order
+    # within each depth, the walk visits its subspaces in another order, and
+    # the census must not change; likewise the DVR census
     model = build_local_model(("node", 2), 1, 3, 2)
-    last = model.dim - 1
-    reversed_gens = [tuple(None if g[last - k] is None else last - g[last - k]
-                           for k in range(model.dim)) for g in model.generators]
-    flipped = FqModulePresentation(model.p, model.dim, reversed_gens)
+    flipped = _permuted(model, list(reversed(range(model.dim))))
+    assert flipped.generators != model.generators
     assert enumerate_submodules(flipped, 3) == enumerate_submodules(model, 3)
+    lam, jordan = Partition([2, 2, 1]), oracle._jordan_module
+    want = dvr_type_cotype_census(lam, 3)
+    monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
+    monkeypatch.setattr(oracle, "_jordan_module", lambda parts, p: _permuted(
+        jordan(parts, p), list(reversed(range(sum(parts))))))
+    assert oracle._jordan_module(lam.parts, 3).generators != jordan(lam.parts, 3).generators
+    assert dvr_type_cotype_census(lam, 3) == want
+
+
+def _reference_rank(module, basis):
+    """rank M/(L + mM) by the span of L masked to the lanes outside mM."""
+    lanes = module.lanes
+    hit = {t for g in module.generators for t in g if t is not None}
+    outside = sum(lanes.mask << (lanes.w * k) for k in range(module.dim) if k not in hit)
+    return module.dim - len(hit) - len(oracle._span((v & outside for v in basis), lanes))
+
+
+def _reference_type_cotype(module, basis):
+    """(type, cotype) of K = span(basis) by spans of T^j K and of K + m^j M."""
+    gens, lanes = module.compiled, module.lanes
+    m_powers = [oracle._span(module.full_basis(), lanes)]
+    while m_powers[-1]:
+        m_powers.append(oracle._image(gens, m_powers[-1].values(), lanes))
+    sub, cur = [len(basis)], basis
+    while cur:
+        cur = oracle._image(gens, cur, lanes).values()
+        sub.append(len(cur))
+    quo = [len(oracle._span(basis, lanes, mp)) - len(basis) for mp in m_powers]
+    return tuple(Partition(a - b for a, b in zip(dims, dims[1:]) if a > b).conjugate().parts
+                 for dims in (sub, quo))
+
+
+def test_pivot_counts_match_spans(monkeypatch):
+    # the quotient rank and the cotype read off pivot counts equal their
+    # span-based reading at every subspace the walk visits, on seeded Jordan
+    # modules and local models under random basis permutations
+    rng, walk, jordan = random.Random(20267), oracle._walk, oracle._jordan_module
+    seen = {"rank": 0, "cotype": 0}
+
+    def checked_walk(module, max_codim, classify, *args, **kwargs):
+        def check(basis):
+            got = classify(basis)
+            if isinstance(got[1], tuple):
+                assert got == _reference_type_cotype(module, basis), (module.generators, basis)
+                seen["cotype"] += 1
+            else:
+                assert got == (module.dim - len(basis), _reference_rank(module, basis))
+                seen["rank"] += 1
+            return got
+        return walk(module, max_codim, check, *args, **kwargs)
+
+    def shuffled(model):
+        lane = list(range(model.dim))
+        rng.shuffle(lane)
+        return _permuted(model, lane)
+
+    monkeypatch.setattr(oracle, "_walk", checked_walk)
+    monkeypatch.setattr(oracle, "_jordan_module", lambda parts, p: shuffled(jordan(parts, p)))
+    for p, size in ((2, 5), (3, 4), (5, 3)):
+        monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
+        for lam in (lam for n in range(1, size + 1) for lam in partitions_of(n)):
+            dvr_type_cotype_census(lam, p)
+        for target in ("free", "normalization", "max_ideal"):
+            for _ in range(2):
+                kind, m, d = rng.choice(("cusp", "node")), rng.randint(1, 2), rng.randint(1, 2)
+                model = shuffled(build_local_model((kind, m), d, 2 + (p == 2), p, target))
+                enumerate_submodules(model, 2 + (p == 2))
+    assert seen["rank"] > 1000 and seen["cotype"] > 1000, seen
 
 
 def test_census_budget():

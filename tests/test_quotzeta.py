@@ -214,6 +214,28 @@ def test_skew_cauchy_names_the_failing_mu(monkeypatch):
     assert rep.discrepancy == (1, 3)
 
 
+def test_skew_cauchy_computes_each_pair_once(monkeypatch):
+    # criterion 6 asks for g^lam_mu 330 times over its nine boxes, for 175
+    # distinct (lam, mu); hall_skew's cache computes each of them once
+    from singzeta import acceptance, hall
+    asked, computed, compute = [], [], hall._skew_product
+
+    def asking(lam, mu):
+        asked.append((lam.parts, mu.parts))
+        return hall_skew(lam, mu)
+
+    def computing(lam, mu):
+        computed.append((lam.parts, mu.parts))
+        return compute(lam, mu)
+
+    monkeypatch.setattr(quotzeta, "hall_skew", asking)
+    monkeypatch.setattr(hall, "_skew_product", computing)
+    monkeypatch.setattr(hall, "_HALL_SKEW_CACHE", {})
+    assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
+    assert (len(asked), len(set(asked))) == (330, 175)
+    assert sorted(computed) == sorted(set(asked))
+
+
 def test_cusp_t2_check():
     assert cusp_t2_check(3, 4).passed
 
