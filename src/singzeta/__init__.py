@@ -13,8 +13,7 @@ from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalizatio
                        positivity_scan, specialization_report)
 from .clzeta import (ClSeries, cl_cusp, cl_node, cl_series, convert_rank,
                      limit_check, matrix_count_formula, special_values, z_series,
-                     andrews_gordon_product, node_minus1_product,
-                     extract_polynomial_coefficients, scaled_z_trunc)
+                     andrews_gordon_product, node_minus1_product, scaled_z_trunc)
 from .oracle import (FqModulePresentation, SubmoduleCensus, build_local_model,
                      enumerate_submodules, quot_coeffs_oracle, solomon_census,
                      matrix_pair_count, coh_quot_invariance_check,

@@ -40,8 +40,7 @@ quotient by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
 Rank-conversion identities, with [d r]_u = (u;u)_d/((u;u)_{d-r} (u;u)_r) in
-Z[u] (intermediates have negative u-exponents; the TruncSeries2 precision
-bookkeeping carries them):
+Z[u]:
 
     (A) Z_{R^d}(t)      = sum_r [d r]_q t^r Z_{mR^r}(q^{d-r} t)
     (B) t^d Z_{mR^d}(t) = sum_r (-1)^{d-r} u^{C(d-r,2)} [d r]_u Z_{R^r}(q^{d-r} t)
@@ -49,11 +48,15 @@ bookkeeping carries them):
     (D) Zhat(t)         = sum_D 1/(u;u)_D sum_{r<=D} (-1)^{D-r} u^{C(D-r,2)} [D r]_u
                           Z_{R^r}(u^r t),  inner sum in t^D Z[u^{+-1}][[t]]
 
-using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.  So (A) and (B) are exact,
-and (C) and (D) divide once per D by (u;u)_D.
+using q^l/(q;q)_l = (-1)^l u^{l(l-1)/2}/(u;u)_l.  (A) and (B) divide by
+nothing: they are exact sums of LaurentPoly2 in Z[q^{+-1}, t].  (C) and (D)
+build each rank's term as an exact LaurentPoly2 too, then put it on the
+window with TruncSeries2.from_laurent and divide it once by (u;u)_D.  That
+term is a power series in u, because the t^j coefficient of Z_{R^r} or
+Z_{mR^r} has q-degree at most rj, so Z(u^r t) has no negative u-exponent.
 """
 
-from .laurent import LaurentPoly2, Q, qbinomial, qbinomial_qinv, qpochhammer
+from .laurent import LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpochhammer
 from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
 from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
@@ -147,116 +150,105 @@ def z_series(kind, m, d, t_prec, module="free"):
 def convert_rank(z_list, direction, u_prec, t_prec):
     """Apply one of the four conversion identities.
 
-    z_list holds per-rank inputs: full-Z t-lists (either lists of pure-q
-    LaurentPoly2 or TruncSeries2).  The output may hold negative u-exponents;
-    it is known below u^u_prec at least.  Directions:
+    z_list holds the per-rank inputs, each a full-Z t-list of pure-q
+    LaurentPoly2.  Directions:
 
       quot_to_mhilb: inputs Z_{R^r}, r = 0..d   -> Z_{mR^d} via (B)
       mhilb_to_quot: inputs Z_{mR^r}, r = 0..d  -> Z_{R^d} via (A)
       cl_from_mhilb: inputs Z_{mR^r}, r < t_prec -> Zhat via (C)
       cl_from_quot:  inputs Z_{R^r},  r < t_prec -> Zhat via (D)
 
-    For quot_to_mhilb the inputs must extend to t-degree t_prec + d; d is
-    inferred as len(z_list) - 1 for the first two directions.  The results of
-    (A) and (B) are exact in u when the inputs are: they divide by nothing.
+    (A) and (B) divide by nothing: they are exact sums of LaurentPoly2 and
+    return t-lists of t_prec pure-q LaurentPoly2, and (B) asserts that its
+    whole result lies in Z[q].  d is len(z_list) - 1 for these two, and the
+    inputs of (B) must extend to t-degree t_prec + d.  (C) and (D) return a
+    TruncSeries2 on (u^u_prec, t^t_prec).  Each builds the term of rank D
+    exactly, puts it on the window and divides it once by (u;u)_D.  The term
+    is a power series in u, because the t^j coefficient of Z_{R^r} or
+    Z_{mR^r} has q-degree at most rj; from_laurent raises if it is not.
     """
-    ls = []
-    for z in z_list:
-        if not isinstance(z, TruncSeries2):
-            if not all(poly.is_pure_q() for poly in z):
-                raise ValueError("Z coefficients must be pure q-polynomials")
-            z = TruncSeries2(None, len(z), {(-a, j): c for j, poly in enumerate(z)
-                                            for (a, _), c in poly.terms.items()})
-        ls.append(z)
     if direction == "mhilb_to_quot":
-        d = len(ls) - 1
-        total = TruncSeries2(None, t_prec)
-        for r, zr in enumerate(ls):
-            if zr.t_prec < t_prec - r:
-                raise ValueError("rank %d input too short in t" % r)
-            pref = TruncSeries2.from_laurent(qbinomial(d, r), None, t_prec)
-            total = total + pref * zr.subst_t_times_upow(r - d).shift(0, r)
-        return total
+        d = len(z_list) - 1
+        total = ZERO
+        for r, z in enumerate(z_list):
+            zr = _rank_input(z, r, t_prec - r)
+            total = total + (LaurentPoly2.monomial(1, 0, r) * qbinomial(d, r)
+                             * _t_times_qpow(zr, d - r))
+        return _to_t_list(total, t_prec)
     if direction == "quot_to_mhilb":
-        d = len(ls) - 1
-        inner_t = t_prec + d
-        total = TruncSeries2(None, inner_t)
-        for r, zr in enumerate(ls):
-            if zr.t_prec < inner_t:
-                raise ValueError("rank %d input too short in t (need %d)" % (r, inner_t))
-            total = total + _alternating_term(zr.subst_t_times_upow(r - d), d, r, inner_t)
+        d = len(z_list) - 1
+        total = ZERO
+        for r, z in enumerate(z_list):
+            zr = _rank_input(z, r, t_prec + d)
+            total = total + _alternating_term(_t_times_qpow(zr, d - r), d, r)
         _assert_t_divisible(total, d)
-        return TruncSeries2(total.u_prec, total.t_prec - d,
-                            {(i, j - d): c for (i, j), c in total.coeffs.items()})
+        low = min(total.terms, default=(0, 0))
+        if low[0] < 0:
+            raise AssertionError("Z_{mR^%d} left Z[q] at q^%d t^%d" % (d, low[0], low[1] - d))
+        return _to_t_list(total * LaurentPoly2.monomial(1, 0, -d), t_prec)
     if direction == "cl_from_mhilb":
-        total = TruncSeries2(None, t_prec)
-        for D, zD in enumerate(ls[:t_prec]):
-            if zD.t_prec + D < t_prec:
-                raise ValueError("rank %d input too short in t (need %d)" % (D, t_prec - D))
-            part = zD.subst_t_times_upow(D).shift(D * D, D)
-            total = total + _over_upoch(part, D, u_prec, t_prec)
+        total = TruncSeries2(u_prec, t_prec)
+        for D, z in enumerate(z_list[:t_prec]):
+            part = _t_times_qpow(_rank_input(z, D, t_prec - D), -D)
+            total = total + _over_upoch(LaurentPoly2.monomial(1, -D * D, D) * part, D,
+                                        u_prec, t_prec)
         return total
     if direction == "cl_from_quot":
-        prepared = []
-        for r, zr in enumerate(ls[:t_prec]):
-            if zr.t_prec < t_prec:
-                raise ValueError("rank %d input too short in t (need %d)" % (r, t_prec))
-            prepared.append(TruncSeries2(zr.u_prec, t_prec, zr.coeffs).subst_t_times_upow(r))
-        total = TruncSeries2(None, t_prec)
+        prepared = [_t_times_qpow(_rank_input(z, r, t_prec), -r)
+                    for r, z in enumerate(z_list[:t_prec])]
+        total = TruncSeries2(u_prec, t_prec)
         for D in range(len(prepared)):
-            inner = TruncSeries2(None, t_prec)
+            inner = ZERO
             for r in range(D + 1):
-                inner = inner + _alternating_term(prepared[r], D, r, t_prec)
+                inner = inner + _alternating_term(prepared[r], D, r)
             _assert_t_divisible(inner, D)
             total = total + _over_upoch(inner, D, u_prec, t_prec)
         return total
     raise ValueError("unknown direction %r" % direction)
 
 
-def _alternating_term(z, d, r, t_prec):
-    """(-1)^l u^C(l,2) [d r]_u z with l = d - r, exact in u as z is."""
+def _rank_input(z, r, t_need):
+    """The rank-r input, a t-list of pure-q LaurentPoly2, below t^t_need as
+    one LaurentPoly2 in (q, t)."""
+    if not all(poly.is_pure_q() for poly in z):
+        raise ValueError("Z coefficients must be pure q-polynomials")
+    if len(z) < t_need:
+        raise ValueError("rank %d input too short in t (need %d)" % (r, t_need))
+    return LaurentPoly2._adopt({(a, j): c for j, poly in enumerate(z) if j < t_need
+                                for (a, _), c in poly.terms.items()})
+
+
+def _to_t_list(poly, t_prec):
+    """The t^0 .. t^(t_prec-1) coefficients of poly as pure-q LaurentPoly2."""
+    cols = [{} for _ in range(t_prec)]
+    for (a, j), c in poly.terms.items():
+        if j < t_prec:
+            cols[j][(a, 0)] = c
+    return [LaurentPoly2._adopt(col) for col in cols]
+
+
+def _t_times_qpow(poly, e):
+    """The substitution t -> q^e t."""
+    return poly.substitute(Q, LaurentPoly2.monomial(1, e, 1))
+
+
+def _alternating_term(z, d, r):
+    """(-1)^l u^C(l,2) [d r]_u z with l = d - r, u = 1/q, exactly."""
     l = d - r
-    binom = TruncSeries2.from_laurent(qbinomial_qinv(d, r), None, t_prec)
-    return binom * z.shift(l * (l - 1) // 2) * (-1 if l % 2 else 1)
+    sign = -1 if l % 2 else 1
+    return LaurentPoly2.monomial(sign, -(l * (l - 1) // 2), 0) * qbinomial_qinv(d, r) * z
 
 
 def _over_upoch(part, n, u_prec, t_prec):
-    """part / (u;u)_n on the t-window, known below u^u_prec.
-
-    times_poch divides only a series with no negative u-exponent on a finite
-    window, so part is shifted up by its lowest negative u-exponent, and onto
-    the window by adding the zero series there, for the division, and back
-    after it.
-    """
-    low = min(0, part.min_u_exp())
-    lifted = part.shift(-low) + TruncSeries2(u_prec - low, t_prec)
-    return lifted.times_poch(1, 0, n, power=-1).shift(low)
+    """The exact power series part on the window, divided by (u;u)_n."""
+    return TruncSeries2.from_laurent(part, u_prec, t_prec).times_poch(1, 0, n, power=-1)
 
 
-def _assert_t_divisible(ls, d):
+def _assert_t_divisible(poly, d):
     """Internal check: no term below t^d."""
-    low = sorted(j for (i, j) in ls.coeffs if j < d)
+    low = sorted(j for (_, j) in poly.terms if j < d)
     if low:
         raise AssertionError("expected divisibility by t^%d, found t^%d" % (d, low[0]))
-
-
-def extract_polynomial_coefficients(ls, u_prec):
-    """Exact q-polynomial t-coefficients of a series with negative u-exponents.
-
-    Valid when the series is a priori a polynomial-coefficient object (the
-    conversion identities guarantee this); asserts that every positive
-    u-exponent visible on the window has cancelled, then drops the unknown
-    region.  Returns a list of pure-q LaurentPoly2, one per t-degree.
-    """
-    hi = ls.u_prec if ls.u_prec is not None else u_prec
-    bad = sorted(k for k, c in ls.coeffs.items() if 0 < k[0] < min(hi, u_prec) and c)
-    if bad:
-        raise AssertionError("uncancelled positive u-exponents at %s" % (bad[:5],))
-    out = [LaurentPoly2() for _ in range(ls.t_prec)]
-    for (i, j), c in ls.coeffs.items():
-        if i <= 0:
-            out[j] = out[j] + LaurentPoly2.monomial(c, -i, 0)
-    return out
 
 
 def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
@@ -274,10 +266,8 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     need = max(t_prec, d_max + 1)
     # (B) at rank dd reads Z_{R^r} to t-degree need + dd
     zq_long = [z_series("node", m, r, 2 * need - 1) for r in range(need)]
-    mhilb = {}
-    for dd in range(need):
-        ls = convert_rank(zq_long[:dd + 1], "quot_to_mhilb", u_prec, need)
-        mhilb[dd] = extract_polynomial_coefficients(ls, u_prec)
+    mhilb = {dd: convert_rank(zq_long[:dd + 1], "quot_to_mhilb", u_prec, need)
+             for dd in range(need)}
     with timed() as tm:
         ok = True
         disc = None
@@ -286,7 +276,7 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
                                 "mhilb_to_quot", u_prec, t_prec)
             direct = z_series("node", m, dd, t_prec)
             for j in range(t_prec):
-                if back.t_coefficient_poly(j) != direct[j]:
+                if back[j] != direct[j]:
                     ok = False
                     disc = (dd, j)
                     break
@@ -295,11 +285,9 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     reports.append(VerificationReport("conversion-roundtrip",
                                       {"m": m, "d_max": d_max}, "pass" if ok else "fail",
                                       discrepancy=disc, wall_time=tm.elapsed))
-    cl_a = convert_rank([mhilb[r] for r in range(t_prec)],
-                        "cl_from_mhilb", u_prec, t_prec).truncate(u_prec, t_prec)
-    cl_b = convert_rank([z[:t_prec] for z in zq_long[:t_prec]],
-                        "cl_from_quot", u_prec, t_prec).truncate(u_prec, t_prec)
-    direct_cl = cl_node(m, u_prec, t_prec).full.truncate(u_prec, t_prec)
+    cl_a = convert_rank([mhilb[r] for r in range(t_prec)], "cl_from_mhilb", u_prec, t_prec)
+    cl_b = convert_rank([z[:t_prec] for z in zq_long[:t_prec]], "cl_from_quot", u_prec, t_prec)
+    direct_cl = cl_node(m, u_prec, t_prec).full
     reports.append(compare_report("conversion-cl-from-mhilb", {"m": m}, cl_a, direct_cl))
     reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
     if with_oracle:
@@ -335,10 +323,10 @@ def scaled_z_trunc(kind, m, d, u_prec, t_prec):
     """
     fam = SingularityFamily(kind, m)
     free = _node_free_walk(m, d, t_prec) if fam.kind == "node" else nz(fam, d, "free")
-    prod = TruncSeries2.from_laurent(free, None, t_prec).subst_t_times_upow(d)
-    if prod.min_u_exp() < 0:
+    scaled = _t_times_qpow(free.below_t(t_prec), -d)
+    if any(a > 0 for a, _ in scaled.terms):
         raise AssertionError("NZ(u^d t) has a negative u-exponent")
-    return prod.truncate(u_prec, t_prec).times_poch(1, 1, d, power=-fam.s)
+    return TruncSeries2.from_laurent(scaled, u_prec, t_prec).times_poch(1, 1, d, power=-fam.s)
 
 
 def limit_check(kind, m, d_list, u_prec, t_prec):

@@ -145,6 +145,10 @@ class LaurentPoly2:
     def t_degree(self):
         return max((b for (_, b) in self.terms), default=0)
 
+    def below_t(self, t_prec):
+        """The terms below t^t_prec."""
+        return LaurentPoly2._adopt({k: c for k, c in self.terms.items() if k[1] < t_prec})
+
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, q_image, t_image):

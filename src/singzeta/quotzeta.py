@@ -39,7 +39,7 @@ j = 1..d, so each step multiplies by one three-term factor and no (t;q)^2_{d-j}
 is built.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial,
+from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer, qbinomial,
                       qbinomial_qinv, qpoch_qinv_ratio)
 from .hall import box_walk, column_walk, hall_box, hall_skew
 from .partitions import iterate_box
@@ -145,9 +145,7 @@ def _node_free_walk(m, d, t_prec=None):
     require(0, d=d)
 
     def cut(v):
-        if t_prec is None:
-            return v
-        return LaurentPoly2._adopt({k: c for k, c in v.terms.items() if k[1] < t_prec})
+        return v if t_prec is None else v.below_t(t_prec)
 
     def column(v, a, b):
         return cut(v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b))
@@ -180,18 +178,25 @@ def nz(family, d, module="free"):
 def full_z(nz_poly, s, d, t_prec):
     """Z = NZ / (t;q)_d^s as a t-series with pure-q polynomial coefficients.
 
-    Returns the list of t^0..t^(t_prec-1) coefficients.  Each is a point count,
-    so it must be a polynomial in q with nonnegative coefficients; asserted.
+    Returns the list of t^0..t^(t_prec-1) coefficients, each a pure-q
+    LaurentPoly2.  Each is a point count, so it must be a polynomial in q with
+    nonnegative coefficients; asserted.  The division runs on a finite window
+    in q, with q in the place of u.  For d >= 1 the t^n coefficient of
+    1/(t;q)_d^s has q-degree at most n(d - 1).  So with top the highest
+    q-exponent of NZ below t^t_prec, every coefficient lies below
+    q^(top + (t_prec - 1)(d - 1) + 1), read as q^(top + 1) at d = 0.
     """
+    require(0, d=d)
     require(1, t_prec=t_prec)
-    z = TruncSeries2.from_laurent(nz_poly, None, t_prec, var="q").times_poch(0, 1, d, power=-s)
-    out = []
-    for j in range(t_prec):
-        col = z.t_coefficient(j)
-        if any(v < 0 or a < 0 for a, v in col.items()):
-            raise AssertionError("Quot coefficient is not a point-count polynomial")
-        out.append(LaurentPoly2({(a, 0): v for a, v in col.items()}))
-    return out
+    nz_poly = nz_poly.below_t(t_prec)
+    top = max((a for a, _ in nz_poly.terms), default=0)
+    window = top + (t_prec - 1) * max(d - 1, 0) + 1
+    z = TruncSeries2.from_laurent(nz_poly.substitute(QINV, T), window, t_prec)
+    z = z.times_poch(0, 1, d, power=-s)
+    if any(v < 0 for v in z.coeffs.values()):
+        raise AssertionError("Quot coefficient is not a point-count polynomial")
+    return [LaurentPoly2({(a, 0): v for a, v in z.t_coefficient(j).items()})
+            for j in range(t_prec)]
 
 
 # -- verification operations ---------------------------------------------------
@@ -313,6 +318,7 @@ def m_limit_closed_form(kind, d, q_prec, t_prec):
 
     node: (t;q)_d / (q^d t^2;q)_d;  cusp: 1 / (q^d t^2;q)_d.
     """
+    SingularityFamily(kind, 1)  # rejects an unknown kind
     num = TruncSeries2.one(q_prec, t_prec)
     if kind == "node":
         num = num.times_poch(0, 1, d)
@@ -328,8 +334,8 @@ def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):
     with timed() as tm:
         stable_at = None
         for m in range(1, m_cap):
-            a = TruncSeries2.from_laurent(free(m, d), q_prec, t_prec, var="q")
-            b = TruncSeries2.from_laurent(free(m + 1, d), q_prec, t_prec, var="q")
+            a = TruncSeries2.from_laurent(free(m, d).substitute(QINV, T), q_prec, t_prec)
+            b = TruncSeries2.from_laurent(free(m + 1, d).substitute(QINV, T), q_prec, t_prec)
             if a == b:
                 stable_at = m
                 break

@@ -1,14 +1,13 @@
-"""Truncated bivariate series in (u, t), u = 1/q, and q-series primitives.
+"""Truncated bivariate power series in (u, t), u = 1/q, and q-series primitives.
 
-TruncSeries2 is the one series type.  Its coefficients are exact below
-t^t_prec and below u^u_prec, where u_prec None means exact in u: each
-t-coefficient is then a Laurent polynomial in u.  Negative u-exponents are
-allowed, so the exact q-polynomial intermediates of the rank-conversion
-identities and the power series on a window share the type.  Products track
-how far exactness survives, the standard Laurent-series bookkeeping: a series
-known below u^hA with lowest u-exponent lowA times one known below u^hB with
-lowest exponent lowB is known below min(hA + lowB, hB + lowA).  For power
-series with constant term 1 that is the smaller of the two windows.
+TruncSeries2 is the one series type: a power series in u and t whose
+coefficients are exact below u^u_prec and t^t_prec, on a finite window with
+no negative exponent.  Exact (q, t) arithmetic lives in LaurentPoly2; a
+value enters a window through from_laurent where it first needs a division.
+Products track how far exactness survives: a series known below u^hA with
+lowest u-exponent lowA times one known below u^hB with lowest exponent lowB
+is known below min(hA + lowB, hB + lowA).  For series with constant term 1
+that is the smaller of the two windows; a positive lowest exponent widens it.
 Comparisons of mismatched windows use the intersection.
 
 TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
@@ -18,23 +17,21 @@ divides, and the type has no generic inverse.  poch, the product itself, is
 that pass applied to 1, and the basic hypergeometric evaluator is built on it.
 """
 
-from .laurent import LaurentPoly2, grouped_text
+from .laurent import grouped_text
 
 
 class WindowError(ValueError):
     """Raised when a value cannot be represented on the requested window."""
 
 
-_INF = float("inf")
 _PHI_MAX_TERMS = 10000
 
 
 class TruncSeries2:
-    """Series in t with u-Laurent coefficients, exact below (u^u_prec, t^t_prec).
+    """A power series in (u, t), exact below (u^u_prec, t^t_prec).
 
-    u_prec None means exact in u.  from_laurent and truncate onto a finite
-    window give a power series on 0 <= i < u_prec, 0 <= j < t_prec: they
-    refuse negative u-exponents.
+    Coefficients live on 0 <= i < u_prec, 0 <= j < t_prec; a negative
+    exponent is refused with WindowError.
     """
 
     __slots__ = ("u_prec", "t_prec", "coeffs")
@@ -46,7 +43,9 @@ class TruncSeries2:
         c = {}
         if coeffs:
             for (i, j), v in coeffs.items():
-                if v and 0 <= j < t_prec and (u_prec is None or i < u_prec):
+                if v and (i < 0 or j < 0):
+                    raise WindowError("negative exponent at %s on a window" % ((i, j),))
+                if v and j < t_prec and i < u_prec:
                     c[(i, j)] = int(v)
         self.coeffs = c
 
@@ -75,40 +74,27 @@ class TruncSeries2:
         return TruncSeries2(u_prec, t_prec, {(i, j): c})
 
     @staticmethod
-    def from_laurent(p, u_prec, t_prec, var="u"):
-        """Convert a LaurentPoly2; q-exponent a maps to u-exponent -a.
+    def from_laurent(p, u_prec, t_prec):
+        """A LaurentPoly2 on the window; q-exponent a maps to u-exponent -a.
 
-        With var="q" the first variable is kept as a positive power of q (used
-        by the m->infinity checks, which live in Z[[q,t]]).  u_prec None gives
-        the exact series; a finite window raises on a negative exponent in the
-        target variable.
+        A positive q-exponent or a negative t-exponent raises WindowError.  A
+        series in q, such as the m -> infinity limits in Z[[q, t]], enters as
+        p.substitute(QINV, T).
         """
-        out = {}
-        for (a, b), c in p.terms.items():
-            i = -a if var == "u" else a
-            if i < 0 and u_prec is not None:
-                raise WindowError("negative %s-exponent in conversion" % var)
-            if b < 0:
-                raise WindowError("negative t-exponent in conversion")
-            out[(i, b)] = c
-        return TruncSeries2(u_prec, t_prec, out)
+        return TruncSeries2(u_prec, t_prec, {(-a, b): c for (a, b), c in p.terms.items()})
 
     # -- arithmetic ------------------------------------------------------------
 
     def _window(self, other):
-        known = [p for p in (self.u_prec, other.u_prec) if p is not None]
-        return min(known, default=None), min(self.t_prec, other.t_prec)
+        return min(self.u_prec, other.u_prec), min(self.t_prec, other.t_prec)
 
     def __bool__(self):
         return bool(self.coeffs)
 
-    def min_u_exp(self):
-        """The lowest u-exponent present (infinity for the zero series)."""
-        return min(self.coeffs)[0] if self.coeffs else _INF
-
     def _order_bound(self):
-        """A lower bound for the u-order: terms at u^u_prec and up are unknown."""
-        return min(self.min_u_exp(), _INF if self.u_prec is None else self.u_prec)
+        """The lowest u-exponent present, or u_prec for the zero series: the
+        terms at u^u_prec and up are unknown."""
+        return min(self.coeffs)[0] if self.coeffs else self.u_prec
 
     def __add__(self, other):
         up, tp = self._window(other)
@@ -132,8 +118,7 @@ class TruncSeries2:
         tp = min(self.t_prec, other.t_prec)
         low_a, low_b = self._order_bound(), other._order_bound()
         # O(u^hA) times other's lowest term, and vice versa, bound what is known
-        up = min(_INF if self.u_prec is None else self.u_prec + low_b,
-                 _INF if other.u_prec is None else other.u_prec + low_a)
+        up = min(self.u_prec + low_b, other.u_prec + low_a)
         out = {}
         for (i1, j1), v1 in self.coeffs.items():
             if i1 + low_b >= up or j1 >= tp:
@@ -142,7 +127,7 @@ class TruncSeries2:
                 i, j = i1 + i2, j1 + j2
                 if i < up and j < tp:
                     out[(i, j)] = out.get((i, j), 0) + v1 * v2
-        return TruncSeries2._adopt(None if up == _INF else up, tp, out)
+        return TruncSeries2._adopt(up, tp, out)
 
     __rmul__ = __mul__
 
@@ -151,29 +136,20 @@ class TruncSeries2:
 
         Each factor 1 - u^e t^b takes |power| linear passes over the
         coefficients (_times_binomial, _over_binomial).  n None gives the
-        infinite product, which needs a finite u-window and a nonconstant
-        argument.  A factor whose monomial lies outside the window is 1 there.
-        The window is the series' own, less what a negative u-exponent hides
-        on a finite one, as in __mul__; division then raises instead.
+        infinite product, which needs a nonconstant argument.  A factor whose
+        monomial lies outside the window is 1 there, and the window is the
+        series' own.
         """
         if a < 0 or b < 0 or step < 1:
             raise WindowError("pochhammer needs a nonnegative monomial and a positive step")
-        if n is None and ((a, b) == (0, 0) or self.u_prec is None):
-            raise WindowError("an infinite pochhammer product needs a nonconstant argument "
-                              "and a finite u-window")
-        up, tp, low = self.u_prec, self.t_prec, self.min_u_exp()
-        if up is not None and low < 0:
-            if power < 0:
-                raise WindowError("division of a series with negative u-exponents "
-                                  "needs it exact in u")
-            up += low
+        if n is None and (a, b) == (0, 0):
+            raise WindowError("an infinite pochhammer product needs a nonconstant argument")
+        up, tp = self.u_prec, self.t_prec
         cols = {}
         for (i, j), v in self.coeffs.items():
-            if up is None or i < up:
-                cols.setdefault(j, {})[i] = v
+            cols.setdefault(j, {})[i] = v
         k = 0
-        while (n is None or k < n) and b < tp and (self.u_prec is None
-                                                  or a + k * step < self.u_prec):
+        while (n is None or k < n) and b < tp and a + k * step < up:
             e = a + k * step
             for _ in range(abs(power)):
                 (_times_binomial if power > 0 else _over_binomial)(cols, e, b, up, tp)
@@ -182,39 +158,22 @@ class TruncSeries2:
                                             for i, v in col.items()})
 
     def shift(self, du, dt=0):
-        """Multiply by the monomial u^du t^dt (exact; the t-window grows with dt)."""
-        if dt < 0:
-            raise WindowError("negative t-shift not supported")
-        up = None if self.u_prec is None else self.u_prec + du
-        return TruncSeries2._adopt(up, self.t_prec + dt,
+        """Multiply by the monomial u^du t^dt (exact; the window grows with du and dt)."""
+        if du < 0 or dt < 0:
+            raise WindowError("negative shift not supported on a power-series window")
+        return TruncSeries2._adopt(self.u_prec + du, self.t_prec + dt,
                                    {(i + du, j + dt): v for (i, j), v in self.coeffs.items()})
-
-    def subst_t_times_upow(self, d):
-        """The substitution t -> u^d t: (i, j) -> (i + d*j, j), exact shape change."""
-        if self.u_prec is not None and d < 0:
-            raise WindowError("t-substitution with negative shift on an inexact series")
-        # a nonnegative shift only improves per-degree exactness
-        return TruncSeries2(self.u_prec, self.t_prec,
-                            {(i + d * j, j): v for (i, j), v in self.coeffs.items()})
 
     # -- comparison -------------------------------------------------------------
 
     def truncate(self, u_prec, t_prec):
-        """The series on a window no larger than the one it is known on.
-
-        u_prec None keeps an exact series exact.  A finite window is a
-        power-series window, so a negative u-exponent raises.
-        """
-        have = _INF if self.u_prec is None else self.u_prec
-        want = _INF if u_prec is None else u_prec
-        if want > have or t_prec > self.t_prec:
-            raise WindowError("series known below (u^%s, t^%d), window wants (u^%s, t^%d)"
-                              % (have, self.t_prec, want, t_prec))
-        if u_prec is not None:
-            neg = sorted(k for k in self.coeffs if k[0] < 0)
-            if neg:
-                raise WindowError("series has negative u-exponents, e.g. %s" % (neg[:5],))
-        return TruncSeries2(u_prec, t_prec, self.coeffs)
+        """The series on a window no larger than the one it is known on."""
+        _check_window(u_prec, t_prec)
+        if u_prec > self.u_prec or t_prec > self.t_prec:
+            raise WindowError("series known below (u^%d, t^%d), window wants (u^%d, t^%d)"
+                              % (self.u_prec, self.t_prec, u_prec, t_prec))
+        return TruncSeries2._adopt(u_prec, t_prec, {
+            (i, j): v for (i, j), v in self.coeffs.items() if i < u_prec and j < t_prec})
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
@@ -237,10 +196,6 @@ class TruncSeries2:
     def t_coefficient(self, j):
         """The t^j coefficient as a dict {u-exponent: int}."""
         return {i: v for (i, jj), v in self.coeffs.items() if jj == j}
-
-    def t_coefficient_poly(self, j):
-        """The t^j coefficient as a pure-q LaurentPoly2 (u-exponent i -> q^-i)."""
-        return LaurentPoly2({(-i, 0): v for i, v in self.t_coefficient(j).items()})
 
     def t_coefficient_orders(self):
         """Minimal u-order of each nonzero t-coefficient, as {j: order}."""
@@ -271,7 +226,7 @@ class TruncSeries2:
 
 
 def _check_window(u_prec, t_prec):
-    if (u_prec is not None and u_prec < 1) or t_prec < 1:
+    if u_prec is None or t_prec is None or u_prec < 1 or t_prec < 1:
         raise WindowError("window must be at least 1x1")
 
 
@@ -292,7 +247,7 @@ def _times_binomial(cols, e, b, up, tp):
             src = cols[j]
             dst = cols.setdefault(j + b, {})
             for i in sorted(src, reverse=True):
-                if up is None or i + e < up:
+                if i + e < up:
                     dst[i + e] = dst.get(i + e, 0) - src[i]
 
 
@@ -301,7 +256,7 @@ def _over_binomial(cols, e, b, up, tp):
 
     Each finished coefficient at (i, j) is added at (i + e, j + b), from the
     bottom up: by t-columns when b >= 1, by u-exponents within each column
-    when b = 0, which needs a finite u-window.
+    when b = 0.
     """
     if b:
         for j in range(min(cols, default=tp) + b, tp):
@@ -309,13 +264,11 @@ def _over_binomial(cols, e, b, up, tp):
             if src:
                 dst = cols.setdefault(j, {})
                 for i, v in src.items():
-                    if up is None or i + e < up:
+                    if i + e < up:
                         dst[i + e] = dst.get(i + e, 0) + v
         return
     if e == 0:
         raise WindowError("division by the zero factor 1 - u^0")
-    if up is None:
-        raise WindowError("division by 1 - u^%d needs a finite u-window" % e)
     for j, col in cols.items():
         low = min(col, default=up)
         vals = [0] * (up - low)

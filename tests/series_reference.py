@@ -10,14 +10,11 @@ from singzeta.series import TruncSeries2, WindowError
 def inverse(x):
     """Multiplicative inverse of x, solved t-degree by t-degree.
 
-    The t^0 coefficient a_0 must be +-1 plus higher powers of u, and exactly
-    +-1 when x is exact in u.  Each t-coefficient b_j of the inverse solves
-    a_0 b_j = [j = 0] - sum_{k=1..j} a_k b_{j-k}, by long division in u.  A
-    series known only below a power of u must have no negative u-exponent.
+    The t^0 coefficient a_0 must be +-1 plus higher powers of u.  Each
+    t-coefficient b_j of the inverse solves
+    a_0 b_j = [j = 0] - sum_{k=1..j} a_k b_{j-k}, by long division in u.
     """
     up, tp = x.u_prec, x.t_prec
-    if up is not None and x.min_u_exp() < 0:
-        raise WindowError("inverse of a series with negative u-exponents needs it exact in u")
     cols = [{} for _ in range(tp)]
     for (i, j), v in x.coeffs.items():
         cols[j][i] = v
@@ -25,8 +22,6 @@ def inverse(x):
     if c0 not in (1, -1):
         raise WindowError("inverse requires constant term +-1, got %r" % c0)
     tail = sorted((i, v) for i, v in cols[0].items() if i)
-    if tail and up is None:
-        raise WindowError("inverse of an exact series requires t^0 coefficient +-1")
     inv = []
     for j in range(tp):
         rhs = {0: 1} if j == 0 else {}
@@ -34,7 +29,7 @@ def inverse(x):
             for i1, v1 in cols[k].items():
                 for i2, v2 in inv[j - k].items():
                     i = i1 + i2
-                    if up is None or i < up:
+                    if i < up:
                         rhs[i] = rhs.get(i, 0) - v1 * v2
         col = {}
         if tail:

@@ -7,13 +7,12 @@ import pytest
 import series_reference as ref
 from singzeta import clzeta
 from singzeta.hall import column_walk, hall_skew
-from singzeta.laurent import ONE, Q, LaurentPoly2, parse_poly, qpoch_qinv
+from singzeta.laurent import ONE, Q, ZERO, LaurentPoly2, parse_poly, qpoch_qinv
 from singzeta.partitions import iterate_bounded_parts, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
 from singzeta.report import BudgetExceededError
 from singzeta.series import TruncSeries2, poch
-from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank,
-                             extract_polynomial_coefficients, limit_check,
+from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank, limit_check,
                              matrix_count_formula, special_values, z_series,
                              scaled_z_trunc, andrews_gordon_product,
                              node_minus1_product)
@@ -189,11 +188,12 @@ def test_scaled_z_constant_term():
 def _scaled_z_factor_by_factor(kind, m, d, u_prec, t_prec):
     """Z_{R^d}(u^d t) dividing by each (1 - u^j t)^s in turn."""
     fam = SingularityFamily(kind, m)
-    prod = TruncSeries2.from_laurent(nz(fam, d, "free"), None, t_prec).subst_t_times_upow(d)
+    scaled = nz(fam, d, "free").substitute(Q, LaurentPoly2.monomial(1, -d, 1))
+    prod = TruncSeries2.from_laurent(scaled, u_prec, t_prec)
     for j in range(1, d + 1):
-        factor = TruncSeries2(None, t_prec, {(0, 0): 1, (j, 1): -1})
+        factor = TruncSeries2(u_prec, t_prec, {(0, 0): 1, (j, 1): -1})
         prod = prod * ref.power(factor, -fam.s)
-    return prod.truncate(u_prec, t_prec)
+    return prod
 
 
 def test_scaled_z_matches_factor_by_factor():
@@ -227,14 +227,9 @@ def test_limit_check():
 def test_conversion_roundtrip():
     u_prec, t_prec, d = 6, 4, 3
     zq = [z_series("node", 1, r, t_prec + d) for r in range(d + 1)]
-    mhilb = []
-    for dd in range(d + 1):
-        ls = convert_rank(zq[:dd + 1], "quot_to_mhilb", u_prec, t_prec)
-        mhilb.append(extract_polynomial_coefficients(ls, u_prec))
+    mhilb = [convert_rank(zq[:dd + 1], "quot_to_mhilb", u_prec, t_prec) for dd in range(d + 1)]
     back = convert_rank(mhilb, "mhilb_to_quot", u_prec, t_prec)
-    direct = z_series("node", 1, d, t_prec)
-    for j in range(t_prec):
-        assert back.t_coefficient_poly(j) == direct[j]
+    assert back == z_series("node", 1, d, t_prec)
     # (A) needs Z_{mR^r} only to t^(t_prec - r)
     short = [z[:t_prec - r] for r, z in enumerate(mhilb)]
     assert convert_rank(short, "mhilb_to_quot", u_prec, t_prec) == back
@@ -243,59 +238,67 @@ def test_conversion_roundtrip():
 def test_conversion_d0_identity():
     z0 = [z_series("node", 1, 0, 4)]
     out = convert_rank(z0, "mhilb_to_quot", 6, 4)
-    assert out.t_coefficient_poly(0) == ONE
-    assert all(out.t_coefficient_poly(j).is_zero() for j in (1, 2, 3))
+    assert out == [ONE, ZERO, ZERO, ZERO]
 
 
 def test_conversion_cl_agreement():
     u_prec, t_prec = 6, 4
     zq = [z_series("node", 1, r, 2 * t_prec) for r in range(t_prec)]
-    mhilb = []
-    for dd in range(t_prec):
-        ls = convert_rank([z[:t_prec + dd] for z in zq[:dd + 1]],
-                          "quot_to_mhilb", u_prec, t_prec)
-        mhilb.append(extract_polynomial_coefficients(ls, u_prec))
-    cl_a = convert_rank(mhilb, "cl_from_mhilb", u_prec, t_prec).truncate(u_prec, t_prec)
-    cl_b = convert_rank([z[:t_prec] for z in zq], "cl_from_quot",
-                        u_prec, t_prec).truncate(u_prec, t_prec)
-    direct = cl_node(1, u_prec, t_prec).full
-    assert cl_a == cl_b == direct.truncate(u_prec, t_prec)
+    mhilb = [convert_rank([z[:t_prec + dd] for z in zq[:dd + 1]], "quot_to_mhilb", u_prec, t_prec)
+             for dd in range(t_prec)]
+    cl_a = convert_rank(mhilb, "cl_from_mhilb", u_prec, t_prec)
+    cl_b = convert_rank([z[:t_prec] for z in zq], "cl_from_quot", u_prec, t_prec)
+    assert cl_a == cl_b == cl_node(1, u_prec, t_prec).full
+
+
+def test_quot_to_mhilb_keeps_every_term():
+    # (B) lands in Z[q]: a q^-1 added to Z_{R^2} is reported, not cut off
+    zq = [z_series("node", 1, r, 5) for r in range(3)]
+    zq[2][2] = zq[2][2] + LaurentPoly2.monomial(1, -1, 0)
+    with pytest.raises(AssertionError, match=re.escape("Z_{mR^2} left Z[q]")):
+        convert_rank(zq, "quot_to_mhilb", 1, 3)
 
 
 def _convert_by_qpoch_pairs(z_list, direction, u_prec, t_prec):
     """convert_rank's (B), (C) and (D) dividing every term by (u;u)_l (u;u)_r
-    (by (u;u)_D in (C)), each 1/(u;u)_n a series product taken as far in u as
-    the term's negative u-exponents need."""
-    ls = [TruncSeries2(None, len(z), {(-a, j): c for j, poly in enumerate(z)
-                                      for (a, _), c in poly.terms.items()}) for z in z_list]
+    (by (u;u)_D in (C)), each 1/(u;u)_n a generic inverse on a window.
 
-    def over(part, ns, t_win):
-        need = u_prec - min(0, part.min_u_exp())
-        series = TruncSeries2.one(need, t_win)
+    The exact parts are LaurentPoly2.  (B) builds [d r]_u = (u;u)_d/((u;u)_l
+    (u;u)_r) on a window above its u-degree l r, and brings it back to a
+    LaurentPoly2, so the sum stays exact."""
+    zs = [sum((LaurentPoly2.monomial(1, 0, j) * c for j, c in enumerate(z)), ZERO)
+          for z in z_list]
+
+    def over(part, ns, u_win, t_win):
+        series = TruncSeries2.from_laurent(part, u_win, t_win)
         for n in ns:
-            series = series * TruncSeries2(need, t_win, inv_upoch(n, need).coeffs)
-        return part * series
+            series = series * ref.inverse(poch(1, 0, u_win, t_win, n))
+        return series
+
+    def t_times_qpow(z, e):
+        return z.substitute(Q, LaurentPoly2.monomial(1, e, 1))
 
     def alternating(z, l):
-        return z.shift(l * (l - 1) // 2) * (-1 if l % 2 else 1)
+        return z * LaurentPoly2.monomial(-1 if l % 2 else 1, -(l * (l - 1) // 2), 0)
 
     if direction == "quot_to_mhilb":
-        d = len(ls) - 1
-        total = TruncSeries2(None, t_prec + d)
-        for r, zr in enumerate(ls):
-            part = TruncSeries2.from_laurent(qpoch_qinv(d), None, t_prec + d) * alternating(
-                zr.subst_t_times_upow(r - d), d - r)
-            total = total + over(part, (d - r, r), t_prec + d)
-        return TruncSeries2(total.u_prec, t_prec,
-                            {(i, j - d): c for (i, j), c in total.coeffs.items() if j >= d})
-    total = TruncSeries2(None, t_prec)
-    for D, zD in enumerate(ls[:t_prec]):
+        d = len(zs) - 1
+        total = ZERO
+        for r, zr in enumerate(zs):
+            binom = over(qpoch_qinv(d), (d - r, r), (d - r) * r + 1, 1)
+            binom = LaurentPoly2({(-i, 0): c for (i, _), c in binom.coeffs.items()})
+            total = total + alternating(binom * t_times_qpow(zr, d - r), d - r)
+        return [LaurentPoly2({(a, 0): c for (a, j), c in total.terms.items() if j == k + d})
+                for k in range(t_prec)]
+    total = TruncSeries2(u_prec, t_prec)
+    for D, zD in enumerate(zs[:t_prec]):
         if direction == "cl_from_mhilb":
-            total = total + over(zD.subst_t_times_upow(D).shift(D * D, D), (D,), t_prec)
+            part = LaurentPoly2.monomial(1, -D * D, D) * t_times_qpow(zD, -D)
+            total = total + over(part, (D,), u_prec, t_prec)
         else:
             for r in range(D + 1):
-                part = TruncSeries2(None, t_prec, ls[r].coeffs).subst_t_times_upow(r)
-                total = total + over(alternating(part, D - r), (D - r, r), t_prec)
+                part = alternating(t_times_qpow(zs[r], -r), D - r)
+                total = total + over(part, (D - r, r), u_prec, t_prec)
     return total
 
 
@@ -311,16 +314,14 @@ def test_convert_rank_matches_division_by_qpoch_pairs():
             mhilb = []
             for dd in range(d + 1):
                 args = ([z[:t_prec + dd] for z in zq[:dd + 1]], "quot_to_mhilb", u_prec, t_prec)
-                got = extract_polynomial_coefficients(convert_rank(*args), u_prec)
-                assert got == extract_polynomial_coefficients(
-                    _convert_by_qpoch_pairs(*args), u_prec), (kind, m, dd, u_prec, t_prec)
+                got = convert_rank(*args)
+                assert got == _convert_by_qpoch_pairs(*args), (kind, m, dd, u_prec, t_prec)
                 mhilb.append(got)
             for direction, inputs in (("cl_from_mhilb", mhilb),
                                       ("cl_from_quot", [z[:t_prec] for z in zq])):
                 got = convert_rank(inputs, direction, u_prec, t_prec)
                 want = _convert_by_qpoch_pairs(inputs, direction, u_prec, t_prec)
-                assert got.truncate(u_prec, t_prec) == want.truncate(u_prec, t_prec), \
-                    (direction, kind, m, u_prec, t_prec)
+                assert got == want, (direction, kind, m, u_prec, t_prec)
 
 
 def test_matrix_count_formula_values():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from singzeta.hall import hall_box, hall_skew
-from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qpochhammer,
-                              qpoch_qinv_ratio)
+from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
+                              qpochhammer, qpoch_qinv_ratio)
 from singzeta.partitions import iterate_box, subpartitions
 from singzeta import quotzeta
 from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
@@ -138,6 +138,30 @@ def test_full_z_nonnegative_coefficients():
                         assert all(v >= 0 for v in c.terms.values())
 
 
+def test_full_z_matches_the_q_binomial_theorem():
+    # 1/(t;q)_d = sum_n [n+d-1, n]_q t^n, whose t^n coefficient has q-degree
+    # n(d - 1): the bound that sizes full_z's q-window.  With nonnegative NZ
+    # nothing cancels, so a window one short loses the top coefficient.
+    rng = random.Random(19)
+    for _ in range(80):
+        d, s, t_prec = rng.randint(0, 5), rng.choice((1, 2)), rng.randint(1, 10)
+        nz_poly = LaurentPoly2({(rng.randint(0, 12), rng.randint(0, 6)): rng.randint(0, 9)
+                                for _ in range(rng.randint(1, 8))})
+        inverse = ONE
+        if d:
+            inverse = sum((qbinomial(n + d - 1, n) * LaurentPoly2.monomial(1, 0, n)
+                           for n in range(t_prec)), ZERO)
+        want = nz_poly * inverse ** s
+        assert full_z(nz_poly, s, d, t_prec) == [
+            LaurentPoly2({(a, 0): c for (a, j), c in want.terms.items() if j == k})
+            for k in range(t_prec)], (nz_poly, s, d, t_prec)
+
+
+def test_full_z_rejects_a_negative_rank():
+    with pytest.raises(ValueError, match="d must be at least 0, got -1"):
+        full_z(ONE, 2, -1, 4)
+
+
 def test_funceq_examples():
     assert funceq_check(SingularityFamily("node", 1), 1).passed
     assert funceq_check(SingularityFamily("cusp", 1), 1).passed
@@ -258,6 +282,12 @@ def test_m_limit():
     rep = m_limit_check("node", 2, 8, 8, m_cap=2)
     assert rep.status == "fail"
     assert rep.detail == "no stabilization up to m=2"
+
+
+def test_m_limit_rejects_an_unknown_kind():
+    for build in (m_limit_check, quotzeta.m_limit_closed_form):
+        with pytest.raises(ValueError, match="kind must be 'cusp' or 'node'"):
+            build("bogus", 2, 4, 5)
 
 
 def test_positivity_scan():

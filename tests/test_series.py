@@ -4,7 +4,7 @@ import random
 import pytest
 
 import series_reference as ref
-from singzeta.laurent import LaurentPoly2, ONE, Q, T, qpochhammer
+from singzeta.laurent import LaurentPoly2, ONE, Q, QINV, T, qpochhammer
 from singzeta.series import TruncSeries2, poch, phi_rs, WindowError
 
 
@@ -58,7 +58,7 @@ def test_finite_poch_matches_laurent_qpochhammer():
     rng = random.Random(11)
     for _ in range(200):
         a, b, step, n = rng.randint(0, 5), rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 6)
-        u_prec = rng.choice([None, rng.randint(1, 12)])
+        u_prec = rng.randint(1, 12)
         t_prec = rng.randint(1, 6)
         want = qpochhammer(LaurentPoly2.monomial(1, -a, b),
                            LaurentPoly2.monomial(1, -step, 0), n)
@@ -74,48 +74,28 @@ def _generic_times_poch(x, a, b, n, step, power):
 
 def test_times_poch_matches_generic_products():
     rng = random.Random(12)
-    refused = 0
-    for exact in (False, True):
-        for b in (0, 1, 2):
-            for power in (1, -1, 2, -2):
-                for infinite in (False,) if exact else (False, True):
-                    for _ in range(6):
-                        u_prec = None if exact else rng.randint(1, 12)
-                        t_prec = rng.randint(1, 6)
-                        a, step = rng.randint(0 if b else 1, 4), rng.randint(1, 3)
-                        n = None if infinite else rng.randint(0, 5)
-                        # negative u-exponents wherever the pass takes them
-                        low = -3 if exact else max(-3, 1 - u_prec) if power > 0 else 0
-                        top = 8 if exact else u_prec
-                        x = TruncSeries2(u_prec, t_prec, {
-                            (rng.randint(low, top - 1), rng.randrange(t_prec)):
-                            rng.randint(-9, 9) for _ in range(rng.randint(0, 8))})
-                        case = (x, a, b, n, step, power)
-                        if exact and b == 0 and power < 0 and n:
-                            # 1/(1 - u^a) is not exact in u
-                            refused += 1
-                            for build in (_generic_times_poch, TruncSeries2.times_poch):
-                                with pytest.raises(WindowError):
-                                    build(*case)
-                            continue
-                        want = _generic_times_poch(*case)
-                        assert x.times_poch(a, b, n, step, power) == want, case
-    assert refused > 0
+    for b in (0, 1, 2):
+        for power in (1, -1, 2, -2):
+            for infinite in (False, True):
+                for _ in range(6):
+                    u_prec, t_prec = rng.randint(1, 12), rng.randint(1, 6)
+                    a, step = rng.randint(0 if b else 1, 4), rng.randint(1, 3)
+                    n = None if infinite else rng.randint(0, 5)
+                    x = TruncSeries2(u_prec, t_prec, {
+                        (rng.randrange(u_prec), rng.randrange(t_prec)):
+                        rng.randint(-9, 9) for _ in range(rng.randint(0, 8))})
+                    case = (x, a, b, n, step, power)
+                    assert x.times_poch(a, b, n, step, power) == _generic_times_poch(*case), case
 
 
 def test_times_poch_refusals():
     x = TruncSeries2(6, 4, {(0, 0): 1, (2, 1): 3})
-    exact = TruncSeries2(None, 4, x.coeffs)
-    # (1; u)_inf, division by (1; u)_2 = 0, and an infinite product on an
-    # exact window
-    for case in ((x, 0, 0, None, 1, 1), (x, 0, 0, 2, 1, -1), (exact, 1, 1, None, 1, 1)):
+    # (1; u)_inf and division by (1; u)_2 = 0
+    for case in ((x, 0, 0, None, 1, 1), (x, 0, 0, 2, 1, -1)):
         for build in (_generic_times_poch, TruncSeries2.times_poch):
             with pytest.raises(WindowError):
                 build(*case)
     assert x.times_poch(0, 0, 2) == TruncSeries2(6, 4)
-    # division of a series with negative u-exponents on a finite window
-    with pytest.raises(WindowError):
-        TruncSeries2(6, 4, {(-1, 0): 1, (0, 0): 1}).times_poch(1, 1, power=-1)
 
 
 def test_poch_inf_constant_term():
@@ -165,35 +145,36 @@ def test_from_laurent_variants():
     p = ONE - LaurentPoly2.monomial(1, -1, 1)  # 1 - t/q
     s = TruncSeries2.from_laurent(p, 5, 5)
     assert s.coeffs == {(0, 0): 1, (1, 1): -1}
-    with pytest.raises(WindowError):
-        TruncSeries2.from_laurent(ONE + Q, 5, 5)
-    qt = TruncSeries2.from_laurent(ONE + Q * T, 5, 5, var="q")
+    for p in (ONE + Q, ONE + LaurentPoly2.monomial(1, 0, -1)):
+        with pytest.raises(WindowError):
+            TruncSeries2.from_laurent(p, 5, 5)
+    # a series in q enters with q in the place of u
+    qt = TruncSeries2.from_laurent((ONE + Q * T).substitute(QINV, T), 5, 5)
     assert qt.coeffs == {(0, 0): 1, (1, 1): 1}
 
 
-# -- exact and Laurent series (u_prec None, negative u-exponents) ------------------
+def test_product_precision_tracking():
+    # u^2 A times u^3 B, each known below u^5, is known below u^7:
+    # O(u^5) u^3 B and u^2 A O(u^5) start at u^8 and u^7
+    a = TruncSeries2(5, 4, inv_upoch(1, 5).coeffs).shift(2).truncate(5, 4)
+    b = TruncSeries2(5, 4, inv_upoch(2, 5).coeffs).shift(3).truncate(5, 4)
+    prod = a * b
+    assert prod.u_prec == 7 and prod.coeffs == {(5, 0): 1, (6, 0): 2}
+    inv1, inv2 = (TruncSeries2(10, 4, inv_upoch(n, 10).coeffs) for n in (1, 2))
+    assert prod == (inv1 * inv2).shift(5).truncate(7, 4)
 
 
-def test_laurent_series_precision_tracking():
-    exact = TruncSeries2.from_laurent(Q ** 2, None, 4)  # u^-2
-    series = TruncSeries2(10, 4, inv_upoch(1, 10).coeffs)
-    prod = exact * series
-    assert prod.u_prec == 8  # 10 + (-2)
-    assert prod.coeffs[(-2, 0)] == 1 and prod.coeffs[(0, 0)] == 1
-
-
-def test_laurent_series_to_trunc_guards():
-    with pytest.raises(WindowError):
-        TruncSeries2(None, 3, {(-1, 0): 1}).truncate(3, 3)
+def test_window_refusals():
     capped = TruncSeries2(4, 3, inv_upoch(2, 4).coeffs)
+    for window in ((6, 3), (4, 4), (None, 3)):
+        with pytest.raises(WindowError):
+            capped.truncate(*window)
+    for window in ((None, 3), (3, None), (0, 3), (3, 0)):
+        with pytest.raises(WindowError):
+            TruncSeries2(*window)
+    for coeffs in ({(-1, 0): 1}, {(0, -1): 1}):
+        with pytest.raises(WindowError):
+            TruncSeries2(3, 3, coeffs)
     with pytest.raises(WindowError):
-        capped.truncate(6, 3)
-    with pytest.raises(WindowError):
-        capped.truncate(None, 3)
-    assert TruncSeries2(None, 3, {(-1, 0): 1}).truncate(None, 2).coeffs == {(-1, 0): 1}
-
-
-def test_laurent_series_t_substitution():
-    s = TruncSeries2.from_laurent(qpochhammer(T, Q, 1), None, 4)  # 1 - t
-    shifted = s.subst_t_times_upow(2)  # 1 - u^2 t
-    assert shifted.coeffs == {(0, 0): 1, (2, 1): -1}
+        capped.shift(-1)
+    assert capped.shift(1).u_prec == 5
