@@ -24,7 +24,7 @@ for a in range(4):
     for mu2 in partitions_of(a):
         for nu2 in partitions_of(3 - a):
             g = hall_general(Partition([2, 1]), mu2, nu2)
-            if not g.is_zero():
+            if g:
                 count = hall_count_oracle(Partition([2, 1]), mu2, nu2, 3)
                 print("  mu=%s nu=%s: %s  -> %s at q=3 (census: %d)"
                       % (mu2, nu2, g, g.eval_int(3), count))

@@ -6,17 +6,17 @@ the limit of rescaled Quot zeta functions Z_{R^d}(u^d t) as the rank grows
 style q-series identities.
 """
 
-from singzeta import (cl_node, limit_check, scaled_z_trunc,
+from singzeta import (cl_series, limit_check, scaled_z_trunc,
                       special_values, andrews_gordon_product,
                       matrix_count_formula, matrix_pair_count)
 
 print("CL numerator for the node y^2 = x^2 (window u^9, t^5):")
-print(" ", cl_node(1, 9, 5).numerator)
+print(" ", cl_series("node", 1, 9, 5).numerator)
 
 print("\nRescaled Quot zeta functions converging to it (full series):")
 for d in (2, 3, 4):
     print("  d=%d:" % d, scaled_z_trunc("node", 1, d, 5, 3))
-print("  CL:  ", cl_node(1, 5, 3).full)
+print("  CL:  ", cl_series("node", 1, 5, 3).full)
 print(" ", limit_check("node", 1, [4, 5], 5, 3))
 
 print("\nCusp special value = Andrews-Gordon product (m=1 is Rogers-Ramanujan):")

@@ -1,19 +1,17 @@
 """Exact Quot-scheme and Cohen-Lenstra zeta functions of y^2 = x^n curve germs."""
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial,
-                      aq, parse_poly)
-from .partitions import (Partition, box_complement, iterate_box, iterate_bounded_parts,
-                         partitions_of)
+from .laurent import LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial, parse_poly
+from .partitions import Partition, iterate_box, partitions_of
 from .hall import hall_skew, hall_box, hall_general, hall_count_oracle, surjection_count
-from .series import TruncSeries2, poch, phi_rs
+from .series import TruncSeries2, poch
 from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalization,
                        nz_node_free, nz_node_normalization, full_z, funceq_check,
                        specialize, skew_cauchy_bounded_check, cusp_t2_check,
                        node22_closed_form, node22_check, m_limit_check,
                        positivity_scan, specialization_report)
-from .clzeta import (ClSeries, cl_cusp, cl_node, cl_series, convert_rank,
-                     limit_check, matrix_count_formula, special_values, z_series,
-                     andrews_gordon_product, node_minus1_product, scaled_z_trunc)
+from .clzeta import (ClSeries, cl_series, convert_rank, limit_check, matrix_count_formula,
+                     special_values, z_series, andrews_gordon_product, node_minus1_product,
+                     scaled_z_trunc)
 from .oracle import (FqModulePresentation, SubmoduleCensus, build_local_model,
                      enumerate_submodules, quot_coeffs_oracle, solomon_census,
                      matrix_pair_count, coh_quot_invariance_check,

@@ -16,7 +16,6 @@ from . import quotzeta as qz
 from . import clzeta as cl_mod
 from .quotzeta import SingularityFamily
 from .report import VerificationReport, compare_report, first_discrepancy, timed
-from .series import phi_rs
 from . import tables
 
 
@@ -228,8 +227,8 @@ def criterion_14_special_values():
 def criterion_15_node22():
     """(2,2)-link closed forms: the finite sum and the 1-phi-1 series."""
     reports = [qz.node22_check(d) for d in range(0, 6)]
-    series = phi_rs(1, 1, [(0, 1)], [None], (1, 1), 10, 6)
-    numerator = cl_mod.cl_node(1, 10, 6).numerator
+    series = cl_mod.node22_phi11(10, 6)
+    numerator = cl_mod.cl_series("node", 1, 10, 6).numerator
     reports.append(compare_report("node22-phi11", {"window": (10, 6)},
                                   series, numerator))
     return reports

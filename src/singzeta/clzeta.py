@@ -66,15 +66,11 @@ from .series import TruncSeries2
 
 
 class ClSeries:
-    """A Cohen-Lenstra numerator and full series on a common window."""
+    """A Cohen-Lenstra numerator and its full series numerator/(ut;u)_inf^s."""
 
-    def __init__(self, kind, m, numerator, s):
-        self.kind = kind
-        self.m = m
+    def __init__(self, numerator, s):
         self.numerator = numerator
         self.full = numerator.times_poch(1, 1, power=-s)
-        self.u_prec = numerator.u_prec
-        self.t_prec = numerator.t_prec
 
 
 def cl_numerator(kind, m, u_prec, t_prec):
@@ -122,17 +118,24 @@ def _node_numerator(m, u_prec, t_prec):
 
 def cl_series(kind, m, u_prec, t_prec):
     """The CL numerator and full series of either family on the window."""
-    return ClSeries(kind, m, cl_numerator(kind, m, u_prec, t_prec), s=1 if kind == "cusp" else 2)
+    numerator = cl_numerator(kind, m, u_prec, t_prec)
+    return ClSeries(numerator, SingularityFamily(kind, m).s)
 
 
-def cl_cusp(m, u_prec, t_prec):
-    """CL numerator/series for the cusp y^2 = x^{2m+1}."""
-    return cl_series("cusp", m, u_prec, t_prec)
+def node22_phi11(u_prec, t_prec):
+    """The 1-phi-1 sum_k (-1)^k u^C(k,2) (t;u)_k/(u;u)_k (ut)^k on the window.
 
-
-def cl_node(m, u_prec, t_prec):
-    """CL numerator/series for the node y^2 = x^{2m}."""
-    return cl_series("node", m, u_prec, t_prec)
+    It is the CL numerator of the (2,2)-link germ y^2 = x^2, the node at
+    m = 1.  Term k has u-order k(k+1)/2 and t-order k, so the sum stops at the
+    first k that leaves the window.
+    """
+    total = TruncSeries2(u_prec, t_prec)
+    k = 0
+    while k < t_prec and k * (k + 1) // 2 < u_prec:
+        term = TruncSeries2(u_prec, t_prec, {(k * (k + 1) // 2, k): (-1) ** k})
+        total = total + term.times_poch(0, 1, k).times_poch(1, 0, k, power=-1)
+        k += 1
+    return total
 
 
 # -- full Quot zeta helpers ----------------------------------------------------
@@ -287,7 +290,7 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
                                       discrepancy=disc, wall_time=tm.elapsed))
     cl_a = convert_rank([mhilb[r] for r in range(t_prec)], "cl_from_mhilb", u_prec, t_prec)
     cl_b = convert_rank([z[:t_prec] for z in zq_long[:t_prec]], "cl_from_quot", u_prec, t_prec)
-    direct_cl = cl_node(m, u_prec, t_prec).full
+    direct_cl = cl_series("node", m, u_prec, t_prec).full
     reports.append(compare_report("conversion-cl-from-mhilb", {"m": m}, cl_a, direct_cl))
     reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
     if with_oracle:

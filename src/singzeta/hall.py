@@ -19,7 +19,8 @@ Z[q].
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
-the box (quotzeta.nz_node_free) and over lambda_1 <= m (clzeta.cl_node).
+the box (quotzeta.nz_node_free) and over lambda_1 <= m
+(clzeta._node_numerator).
 box_walk is the one-index walk over the states mu'_i alone; it serves three
 sums, both normalization numerators (quotzeta._normalization_walk) and the
 cusp's CL numerator (clzeta._cusp_numerator).  Both walks take the same

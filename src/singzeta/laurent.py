@@ -132,9 +132,6 @@ class LaurentPoly2:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_polynomial(self):
         """True if no negative exponent occurs (element of Z[q,t])."""
         return all(a >= 0 and b >= 0 for (a, b) in self.terms)
@@ -396,11 +393,6 @@ def qbinomial_qinv(n, r):
     return got
 
 
-def qpoch_qinv(n):
-    """(q^-1; q^-1)_n as an exact Laurent polynomial."""
-    return qpochhammer(QINV, QINV, n)
-
-
 def qpoch_qinv_ratio(n, k):
     """(q^-1;q^-1)_n / (q^-1;q^-1)_{n-k} assembled division-free.
 
@@ -422,21 +414,4 @@ def qmultinomial_qinv(parts):
     for a in parts:
         total += a
         result = result * qbinomial_qinv(total, a)
-    return result
-
-
-def aq(lam):
-    """Automorphism-count polynomial q^{sum lam'_i^2} prod (q^-1;q^-1)_{lam'_i - lam'_{i+1}}.
-
-    The q^-1-Pochhammers are expanded exactly; the result is checked to be a
-    genuine polynomial in q (an internal-invariant error otherwise).
-    """
-    conj = lam.conjugate().parts
-    e = sum(c * c for c in conj)
-    result = LaurentPoly2.monomial(1, e, 0)
-    for i, c in enumerate(conj):
-        nxt = conj[i + 1] if i + 1 < len(conj) else 0
-        result = result * qpoch_qinv(c - nxt)
-    if not result.is_polynomial():
-        raise AssertionError("a_q(lambda) produced a negative exponent")
     return result

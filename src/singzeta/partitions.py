@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, containment, box complements, enumeration.
+"""Integer partitions: conjugation, containment, enumeration.
 
 Partitions index every summation in the closed-form zeta formulas.  They are
 stored as tuples of weakly decreasing positive parts; the empty partition is
@@ -89,17 +89,6 @@ class Partition:
         return Partition(parts)
 
 
-def box_complement(m, d, mu):
-    """The 180-degree rotated complement of mu inside the d-by-m box.
-
-    Part i of the result is m - mu_{d+1-i}; requires mu to fit in the box.
-    """
-    if not Partition.box(m, d).contains(mu):
-        raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
-    comp = [m - mu.part(d + 1 - i) for i in range(1, d + 1)]
-    return Partition(p for p in comp if p)
-
-
 def iterate_box(m, d):
     """All mu contained in the d-by-m box, graded by |mu| then lexicographic."""
     require(0, m=m, d=d)
@@ -120,15 +109,6 @@ def _sub_rec(prefix, rows):
     cap = min(rows[len(prefix)], prefix[-1]) if prefix else rows[0]
     for p in range(1, cap + 1):
         yield from _sub_rec(prefix + (p,), rows)
-
-
-def iterate_bounded_parts(m, max_size):
-    """All mu with mu_1 <= m and |mu| <= max_size, graded order."""
-    if m < 0 or max_size < 0:
-        raise ValueError("m, max_size must be nonnegative")
-    for n in range(max_size + 1):
-        for mu in sorted(_sized_rec((), m, n)):
-            yield Partition(mu)
 
 
 def _sized_rec(prefix, cap, remaining):

@@ -14,17 +14,15 @@ TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
 product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
 factor 1 - u^e t^b, with no generic product; it is the one way the package
 divides, and the type has no generic inverse.  poch, the product itself, is
-that pass applied to 1, and the basic hypergeometric evaluator is built on it.
+that pass applied to 1.
 """
 
 from .laurent import grouped_text
+from .report import first_discrepancy
 
 
 class WindowError(ValueError):
     """Raised when a value cannot be represented on the requested window."""
-
-
-_PHI_MAX_TERMS = 10000
 
 
 class TruncSeries2:
@@ -68,10 +66,6 @@ class TruncSeries2:
     @staticmethod
     def one(u_prec, t_prec):
         return TruncSeries2(u_prec, t_prec, {(0, 0): 1})
-
-    @staticmethod
-    def monomial(c, i, j, u_prec, t_prec):
-        return TruncSeries2(u_prec, t_prec, {(i, j): c})
 
     @staticmethod
     def from_laurent(p, u_prec, t_prec):
@@ -186,12 +180,10 @@ class TruncSeries2:
         Returns (equal, (u_prec, t_prec), first_discrepancy_or_None).
         """
         up, tp = self._window(other)
-        a, b = TruncSeries2(up, tp, self.coeffs), TruncSeries2(up, tp, other.coeffs)
-        if a.coeffs == b.coeffs:
+        a, b = self.truncate(up, tp), other.truncate(up, tp)
+        if a == b:
             return True, (up, tp), None
-        diffs = sorted(k for k in set(a.coeffs) | set(b.coeffs)
-                       if a.coeffs.get(k, 0) != b.coeffs.get(k, 0))
-        return False, (up, tp), diffs[0]
+        return False, (up, tp), first_discrepancy(a, b)
 
     def t_coefficient(self, j):
         """The t^j coefficient as a dict {u-exponent: int}."""
@@ -230,7 +222,7 @@ def _check_window(u_prec, t_prec):
         raise WindowError("window must be at least 1x1")
 
 
-# -- Pochhammer products and basic hypergeometric series -----------------------
+# -- Pochhammer products --------------------------------------------------------
 
 
 def _times_binomial(cols, e, b, up, tp):
@@ -286,51 +278,3 @@ def poch(a, b, u_prec, t_prec, n=None, step=1):
     lies outside the window: it and every later factor are 1 there.
     """
     return TruncSeries2.one(u_prec, t_prec).times_poch(a, b, n, step)
-
-
-def phi_rs(r, s, upper, lower, z, u_prec, t_prec):
-    """Basic hypergeometric series r_phi_s with base u, summed on the window.
-
-    Parameters and the argument z are monomials u^a t^b given as (a, b) pairs
-    with nonnegative entries (times_poch refuses others), or None for a zero
-    parameter/argument.  Each term
-    is ((-1)^k u^C(k,2))^(s+1-r) * prod (a_i;u)_k / ((u;u)_k prod (b_j;u)_k) * z^k;
-    summation stops once the term's guaranteed (u,t)-order exits the window.
-    """
-    if len(upper) != r or len(lower) != s:
-        raise ValueError("parameter lists must have lengths r and s")
-    e = s + 1 - r
-    if e < 0:
-        raise WindowError("r > s+1 gives negative u-powers; not summable on a window")
-    for mono in lower:
-        if mono == (0, 0):
-            raise WindowError("lower parameter 1 makes the denominator non-unit")
-    if z is None:
-        return TruncSeries2.one(u_prec, t_prec)
-    zu, zt = z
-    if zu < 0 or zt < 0:
-        raise WindowError("argument must be a nonnegative monomial")
-    if zu == 0 and zt == 0 and e == 0:
-        raise WindowError("term order does not increase; series does not converge on a window")
-
-    total = TruncSeries2(u_prec, t_prec)
-    k = 0
-    while True:
-        u_lb = k * zu + e * (k * (k - 1) // 2)
-        t_lb = k * zt
-        if u_lb >= u_prec or (zt > 0 and t_lb >= t_prec):
-            break
-        if k > _PHI_MAX_TERMS:
-            raise WindowError("hypergeometric summation exceeded %d terms" % _PHI_MAX_TERMS)
-        sign = 1 if (k * e) % 2 == 0 else -1
-        term = TruncSeries2.monomial(sign, e * (k * (k - 1) // 2) + k * zu, k * zt, u_prec, t_prec)
-        for mono in upper:
-            if mono is not None:
-                term = term.times_poch(*mono, k)
-        term = term.times_poch(1, 0, k, power=-1)
-        for mono in lower:
-            if mono is not None:
-                term = term.times_poch(*mono, k, power=-1)
-        total = total + term
-        k += 1
-    return total

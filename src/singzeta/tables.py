@@ -11,7 +11,7 @@ Tables 1 and 2 give NZ for the free module and for the normalization module at
 m = 1 and m = 2; Table 3 gives the Cohen-Lenstra numerator for m = 1, 2, 3.
 """
 
-from .clzeta import cl_node
+from .clzeta import cl_numerator
 from .laurent import LaurentPoly2
 from .quotzeta import nz_node_free, nz_node_normalization
 from .series import TruncSeries2
@@ -151,7 +151,7 @@ def table_rows(which, computed=False):
         coeffs = {(a, j): c for j, col in printed.items() for a, c in col}
         if computed:
             coeffs = {(i, j): c for (i, j), c in
-                      cl_node(m, u_prec, TABLE3_T_PREC).numerator.coeffs.items()
+                      cl_numerator("node", m, u_prec, TABLE3_T_PREC).coeffs.items()
                       if j in bounds and i <= bounds[j]}
         rows.append({"m": m, "numerator": TruncSeries2(u_prec, TABLE3_T_PREC, coeffs)})
     return rows

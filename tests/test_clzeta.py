@@ -7,13 +7,13 @@ import pytest
 import series_reference as ref
 from singzeta import clzeta
 from singzeta.hall import column_walk, hall_skew
-from singzeta.laurent import ONE, Q, ZERO, LaurentPoly2, parse_poly, qpoch_qinv
-from singzeta.partitions import iterate_bounded_parts, subpartitions
+from singzeta.laurent import ONE, Q, ZERO, LaurentPoly2, parse_poly, qpoch_qinv_ratio
+from singzeta.partitions import partitions_of, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
 from singzeta.report import BudgetExceededError
 from singzeta.series import TruncSeries2, poch
-from singzeta.clzeta import (cl_cusp, cl_node, cl_series, convert_rank, limit_check,
-                             matrix_count_formula, special_values, z_series,
+from singzeta.clzeta import (cl_series, convert_rank, limit_check, matrix_count_formula,
+                             node22_phi11, special_values, z_series,
                              scaled_z_trunc, andrews_gordon_product,
                              node_minus1_product)
 from singzeta.tables import TABLE3, table3_entry_bounds
@@ -25,7 +25,7 @@ def inv_upoch(n, u_prec):
 
 
 def test_cl_cusp_low_coefficients():
-    series = cl_cusp(1, 8, 4)
+    series = cl_series("cusp", 1, 8, 4)
     assert series.numerator.coeffs[(0, 0)] == 1
     # t^2 coefficient is u/(1-u) = u + u^2 + ...
     col = series.numerator.t_coefficient(2)
@@ -34,7 +34,7 @@ def test_cl_cusp_low_coefficients():
 
 
 def test_cl_full_vs_numerator():
-    series = cl_node(1, 6, 4)
+    series = cl_series("node", 1, 6, 4)
     rebuilt = series.numerator * ref.power(poch(1, 1, 6, 4), -2)
     assert rebuilt == series.full
 
@@ -43,7 +43,7 @@ def test_cl_node_table3_coefficients():
     for m in (1, 2, 3):
         bounds = table3_entry_bounds(m)
         u_prec = max(bounds.values()) + 1
-        numerator = cl_node(m, u_prec, 6).numerator
+        numerator = cl_series("node", m, u_prec, 6).numerator
         for j, col in TABLE3[m].items():
             got = numerator.t_coefficient(j)
             for a, c in col:
@@ -66,7 +66,7 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
         return TruncSeries2(u_prec, t_prec, inv_upoch(n, u_prec).coeffs)
 
     total = TruncSeries2(u_prec, t_prec)
-    for lam in iterate_bounded_parts(m, t_prec - 1):
+    for lam in [lam for n in range(t_prec) for lam in partitions_of(n, m)]:
         lam_conj = lam.conjugate().parts
         sum_sq = sum(c * c for c in lam_conj)
         lam_m = lam.conj_part(m)
@@ -85,9 +85,9 @@ def _cl_node_term_by_term(m, u_prec, t_prec):
             mu_conj = mu.conjugate().parts
             if sum_sq - sum(mc * (lc - mc) for lc, mc in zip(lam_conj, mu_conj)) >= u_prec:
                 continue
-            term = u_series(hall_skew(lam, mu) * qpoch_qinv(lam_m), sum_sq)
+            term = u_series(hall_skew(lam, mu) * qpoch_qinv_ratio(lam_m, lam_m), sum_sq)
             term = term * inv_a_tail * inv_u_poch(mu.conj_part(m)) * inv_ut_sq
-            total = total + term * TruncSeries2.monomial(1, 0, t_order, u_prec, t_prec)
+            total = total + term * TruncSeries2(u_prec, t_prec, {(0, t_order): 1})
     return ref.power(poch(1, 1, u_prec, t_prec), 2) * total
 
 
@@ -95,7 +95,7 @@ def test_cl_node_matches_term_by_term_sum():
     for m in (1, 2, 3):
         for u_prec, t_prec in ((13, 8), (21, 8), (13, 16), (5, 12)):
             want = _cl_node_term_by_term(m, u_prec, t_prec)
-            got = cl_node(m, u_prec, t_prec).numerator
+            got = cl_series("node", m, u_prec, t_prec).numerator
             assert (got.u_prec, got.t_prec) == (want.u_prec, want.t_prec) == (u_prec, t_prec)
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
 
@@ -107,7 +107,7 @@ def test_cl_node_matches_term_by_term_sum_at_window_edges():
     for m in range(1, 5):
         for u_prec, t_prec in ((1, 1), (1, 6), (2, 3), (5, 3)):
             want = _cl_node_term_by_term(m, u_prec, t_prec)
-            got = cl_node(m, u_prec, t_prec).numerator
+            got = cl_series("node", m, u_prec, t_prec).numerator
             assert (got.u_prec, got.t_prec) == (u_prec, t_prec)
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
 
@@ -132,19 +132,21 @@ def _cl_node_per_j(m, u_prec, t_prec):
 def test_cl_node_horner_matches_per_j_products():
     for m in (1, 2, 3, 4):
         for u_prec, t_prec in ((1, 1), (5, 3), (13, 16), (30, 8), (25, 20)):
-            assert cl_node(m, u_prec, t_prec).numerator == _cl_node_per_j(m, u_prec, t_prec)
+            got = cl_series("node", m, u_prec, t_prec).numerator
+            assert got == _cl_node_per_j(m, u_prec, t_prec)
 
 
 def _cl_cusp_per_mu(m, u_prec, t_prec):
     """The cusp numerator as one term u^{sum mu'_i^2} t^{2|mu|} / prod (u;u)_gap
     per mu with parts <= m; |mu|^2 <= m sum mu'_i^2 caps |mu|."""
     total = TruncSeries2(u_prec, t_prec)
-    for mu in iterate_bounded_parts(m, min((t_prec - 1) // 2, isqrt(m * (u_prec - 1)))):
+    top = min((t_prec - 1) // 2, isqrt(m * (u_prec - 1)))
+    for mu in [mu for n in range(top + 1) for mu in partitions_of(n, m)]:
         conj = mu.conjugate().parts
         order = sum(c * c for c in conj)
         if order >= u_prec:
             continue
-        term = TruncSeries2.monomial(1, order, 2 * mu.size(), u_prec, t_prec)
+        term = TruncSeries2(u_prec, t_prec, {(order, 2 * mu.size()): 1})
         for i, c in enumerate(conj):
             gap = c - (conj[i + 1] if i + 1 < len(conj) else 0)
             term = term * TruncSeries2(u_prec, t_prec, inv_upoch(gap, u_prec).coeffs)
@@ -157,7 +159,7 @@ def test_cl_cusp_walk_matches_per_mu_sum():
     for m in range(1, 5):
         for u_prec, t_prec in ((1, 1), (1, 6), (2, 3), (5, 3), (13, 16), (21, 8), (60, 30)):
             want = _cl_cusp_per_mu(m, u_prec, t_prec)
-            got = cl_cusp(m, u_prec, t_prec).numerator
+            got = cl_series("cusp", m, u_prec, t_prec).numerator
             assert (got.u_prec, got.t_prec) == (want.u_prec, want.t_prec) == (u_prec, t_prec)
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
 
@@ -168,9 +170,20 @@ def test_cl_series_rejects_unknown_kind():
         cl_series("tacnode", 1, 5, 4)
 
 
+def test_node22_phi11_is_the_node_cl_numerator():
+    # the 1-phi-1 sum of the (2,2)-link germ against the node walk at m = 1,
+    # on every window up to (24, 11), including those where the sum stops at
+    # k(k+1)/2 >= u_prec before k reaches t_prec
+    for u_prec in range(1, 25):
+        for t_prec in range(1, 12):
+            got = node22_phi11(u_prec, t_prec)
+            assert (got.u_prec, got.t_prec) == (u_prec, t_prec)
+            assert got == cl_series("node", 1, u_prec, t_prec).numerator, (u_prec, t_prec)
+
+
 def test_cl_node_sigma_orders_monotone():
     for m in (1, 2, 3):
-        orders = cl_node(m, 16, 8).numerator.t_coefficient_orders()
+        orders = cl_series("node", m, 16, 8).numerator.t_coefficient_orders()
         seq = [orders[j] for j in sorted(orders)]
         assert seq == sorted(seq)
 
@@ -248,7 +261,7 @@ def test_conversion_cl_agreement():
              for dd in range(t_prec)]
     cl_a = convert_rank(mhilb, "cl_from_mhilb", u_prec, t_prec)
     cl_b = convert_rank([z[:t_prec] for z in zq], "cl_from_quot", u_prec, t_prec)
-    assert cl_a == cl_b == cl_node(1, u_prec, t_prec).full
+    assert cl_a == cl_b == cl_series("node", 1, u_prec, t_prec).full
 
 
 def test_quot_to_mhilb_keeps_every_term():
@@ -285,7 +298,7 @@ def _convert_by_qpoch_pairs(z_list, direction, u_prec, t_prec):
         d = len(zs) - 1
         total = ZERO
         for r, zr in enumerate(zs):
-            binom = over(qpoch_qinv(d), (d - r, r), (d - r) * r + 1, 1)
+            binom = over(qpoch_qinv_ratio(d, d), (d - r, r), (d - r) * r + 1, 1)
             binom = LaurentPoly2({(-i, 0): c for (i, _), c in binom.coeffs.items()})
             total = total + alternating(binom * t_times_qpow(zr, d - r), d - r)
         return [LaurentPoly2({(a, 0): c for (a, j), c in total.terms.items() if j == k + d})
@@ -421,7 +434,7 @@ def _andrews_gordon_by_residues(m, u_prec):
     poly = TruncSeries2.one(u_prec, 1)
     for n in range(1, u_prec):
         if n % mod not in excluded:
-            poly = poly * (TruncSeries2.one(u_prec, 1) - TruncSeries2.monomial(1, n, 0, u_prec, 1))
+            poly = poly * (TruncSeries2.one(u_prec, 1) - TruncSeries2(u_prec, 1, {(n, 0): 1}))
     return ref.inverse(poly)
 
 

@@ -1,0 +1,30 @@
+"""The public names of the package, pinned so that adding or removing one is a
+visible edit here."""
+
+import types
+
+import singzeta
+
+PUBLIC_NAMES = [
+    "BudgetExceededError", "ClSeries", "FqModulePresentation", "LaurentPoly2", "ONE",
+    "Partition", "Q", "SingularityFamily", "SubmoduleCensus", "T", "TruncSeries2",
+    "VerificationReport", "ZERO", "andrews_gordon_product", "build_local_model",
+    "cl_series", "coh_quot_invariance_check", "convert_rank", "cusp_t2_check",
+    "dvr_type_cotype_census", "enumerate_submodules", "full_z", "funceq_check",
+    "hall_box", "hall_count_oracle", "hall_general", "hall_skew", "iterate_box",
+    "limit_check", "m_limit_check", "matrix_count_formula", "matrix_pair_count",
+    "node22_check", "node22_closed_form", "node_minus1_product", "nz", "nz_cusp_free",
+    "nz_cusp_normalization", "nz_node_free", "nz_node_normalization", "parse_poly",
+    "partitions_of", "poch", "positivity_scan", "qbinomial", "qpochhammer",
+    "quot_coeffs_oracle", "scaled_z_trunc", "skew_cauchy_bounded_check",
+    "solomon_census", "special_values", "specialization_report", "specialize",
+    "surjection_count", "surjective_homs_count", "z_series",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: which of them are bound on the package depends
+    # on what else the process has imported
+    names = sorted(name for name, value in vars(singzeta).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

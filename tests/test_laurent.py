@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, QINV, qpochhammer,
-                              qbinomial, qbinomial_qinv, aq, parse_poly,
+                              qbinomial, qbinomial_qinv, parse_poly,
                               qpoch_qinv_ratio, UnsupportedSubstitutionError)
 from singzeta.partitions import Partition
 
@@ -71,14 +71,6 @@ def test_qbinomial_counts_subspaces():
         for r in range(n + 1):
             for p in (2, 3):
                 assert qbinomial(n, r).eval_int(p) == _rref_count(n, r, p)
-
-
-def test_aq_examples():
-    assert aq(Partition()) == ONE
-    assert aq(Partition([1])) == Q - ONE
-    assert aq(Partition([1, 1])) == parse_poly("q - q^2 - q^3 + q^4")
-    # lam=(2,1): q^5 (1-1/q)^2
-    assert aq(Partition([2, 1])) == parse_poly("q^3 - 2*q^4 + q^5")
 
 
 def test_substitute():

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from singzeta.partitions import (Partition, box_complement, iterate_box,
-                                 iterate_bounded_parts, partitions_of, subpartitions)
+from singzeta.partitions import Partition, iterate_box, partitions_of, subpartitions
 
 
 def test_conjugate_examples():
@@ -29,23 +28,6 @@ def test_containment_preserved_by_conjugation():
     for mu in iterate_box(3, 3):
         for lam in iterate_box(3, 3):
             assert lam.contains(mu) == lam.conjugate().contains(mu.conjugate())
-
-
-def test_box_complement():
-    assert box_complement(2, 2, Partition()) == Partition([2, 2])
-    assert box_complement(2, 2, Partition([2, 2])) == Partition()
-    assert box_complement(3, 2, Partition([2])) == Partition([3, 1])
-    with pytest.raises(ValueError):
-        box_complement(2, 2, Partition([3]))
-
-
-def test_box_complement_involution_and_size():
-    for m in range(4):
-        for d in range(4):
-            for mu in iterate_box(m, d):
-                comp = box_complement(m, d, mu)
-                assert box_complement(m, d, comp) == mu
-                assert mu.size() + comp.size() == m * d
 
 
 def test_iterate_box():
@@ -75,9 +57,13 @@ def test_subpartitions():
 
 
 def test_iterate_bounded_parts():
-    assert [str(p) for p in iterate_bounded_parts(1, 3)] == ["[]", "[1]", "[1,1]", "[1,1,1]"]
-    assert [str(p) for p in iterate_bounded_parts(2, 2)] == ["[]", "[1]", "[1,1]", "[2]"]
-    assert list(iterate_bounded_parts(0, 5)) == [Partition()]
+    # partitions with parts <= m and size <= s, graded by size, then lexicographic
+    def bounded(m, s):
+        return [mu for n in range(s + 1) for mu in partitions_of(n, m)]
+
+    assert [str(p) for p in bounded(1, 3)] == ["[]", "[1]", "[1,1]", "[1,1,1]"]
+    assert [str(p) for p in bounded(2, 2)] == ["[]", "[1]", "[1,1]", "[2]"]
+    assert bounded(0, 5) == [Partition()]
 
 
 def test_partitions_of():

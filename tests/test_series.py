@@ -5,7 +5,7 @@ import pytest
 
 import series_reference as ref
 from singzeta.laurent import LaurentPoly2, ONE, Q, QINV, T, qpochhammer
-from singzeta.series import TruncSeries2, poch, phi_rs, WindowError
+from singzeta.series import TruncSeries2, poch, WindowError
 
 
 def inv_upoch(n, u_prec):
@@ -28,8 +28,6 @@ def test_window_intersection_compare():
 
 def test_window_monotonicity():
     assert poch(1, 1, 12, 9).truncate(7, 5) == poch(1, 1, 7, 5)
-    a = phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 10, 6)
-    assert a.truncate(6, 4) == phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 6, 4)
 
 
 def test_poch_inf_pentagonal():
@@ -112,27 +110,10 @@ def test_euler_identities():
     for k in range(t_prec):
         inv = TruncSeries2(u_prec, t_prec, inv_upoch(k, u_prec).coeffs)
         sign = -1 if k % 2 else 1
-        alt = alt + TruncSeries2.monomial(sign, k * (k + 1) // 2, k, u_prec, t_prec) * inv
-        direct = direct + TruncSeries2.monomial(1, k, k, u_prec, t_prec) * inv
+        alt = alt + TruncSeries2(u_prec, t_prec, {(k * (k + 1) // 2, k): sign}) * inv
+        direct = direct + TruncSeries2(u_prec, t_prec, {(k, k): 1}) * inv
     assert alt == prod
     assert prod * direct == TruncSeries2.one(u_prec, t_prec)
-
-
-def test_cauchy_phi11():
-    # 1phi1(a; az; u, z) = (z;u)_inf / (az;u)_inf at a = u, z = u^2 t
-    lhs = phi_rs(1, 1, [(1, 0)], [(3, 1)], (2, 1), 10, 6)
-    rhs = poch(2, 1, 10, 6) * ref.inverse(poch(3, 1, 10, 6))
-    assert lhs == rhs
-
-
-def test_phi_edge_cases():
-    assert phi_rs(0, 0, [], [], None, 5, 5) == TruncSeries2.one(5, 5)
-    with pytest.raises(WindowError):
-        phi_rs(1, 0, [(1, 0)], [], (0, 0), 5, 5)  # constant z, e = 0: no term decay
-    with pytest.raises(WindowError):
-        phi_rs(0, 1, [], [(0, 0)], (1, 0), 5, 5)  # lower parameter 1
-    with pytest.raises(WindowError):
-        phi_rs(2, 0, [(1, 0), (1, 0)], [], (1, 0), 5, 5)  # r > s+1
 
 
 def test_series_serialization():
