@@ -56,7 +56,8 @@ term is a power series in u, because the t^j coefficient of Z_{R^r} or
 Z_{mR^r} has q-degree at most rj, so Z(u^r t) has no negative u-exponent.
 """
 
-from .laurent import LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpochhammer
+from .laurent import (LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpoch_qinv_ratio,
+                      qpochhammer)
 from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
 from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
@@ -102,10 +103,15 @@ def _node_numerator(m, u_prec, t_prec):
     top = 0
     while top < t_prec and 3 * top * top < 4 * u_prec:
         top += 1
-    sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                       lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                       lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
-                           u_prec, t_prec))
+    states = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
+                         lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
+                         lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                             u_prec, t_prec))
+    sums = {}
+    for (j, i), v in states.items():
+        v = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
+                                      u_prec, t_prec) * v
+        sums[j] = sums[j] + v if j in sums else v
     last = max(sums)
     total = TruncSeries2(u_prec, t_prec)
     for j in range(last + 1):

@@ -24,7 +24,8 @@ the box (quotzeta.nz_node_free) and over lambda_1 <= m
 box_walk is the one-index walk over the states mu'_i alone; it serves three
 sums, both normalization numerators (quotzeta._normalization_walk) and the
 cusp's CL numerator (clzeta._cusp_numerator).  Both walks take the same
-callbacks: lift into the caller's ring, and gap and column factors.
+callbacks, lift into the caller's ring and gap and column factors, and return
+their last-column states, which each caller folds in its own ring.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, qbinomial_qinv, qmultinomial_qinv,
@@ -74,15 +75,15 @@ def column_walk(columns, top, lift, gap, column):
         (gap from lam'_{i-1} to lam'_i) [lam'_{i-1} - mu'_i, lam'_{i-1} - mu'_{i-1}]_{1/q}
             (column factor at (lam'_i, mu'_i))
 
-    with lam'_0 = mu'_0 = top, times [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i at
-    (j, i) = (lam'_columns, mu'_columns); the binomials are hall_skew's.  A step
-    from the state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and
-    b2 <= min(b, a2), sums over b per (a, b2), then over a per (a2, b2), then
-    applies the column factor.  The callbacks are box_walk's: lift carries a
-    Laurent polynomial into the caller's ring, gap(v, a, a2) and
-    column(v, a, b) multiply v by the gap and column factors, and a state
-    that is 0 after its column is dropped.  Returns {j: the sum over lam with
-    lam'_columns = j}.
+    with lam'_0 = mu'_0 = top; the binomials are hall_skew's.  A step from the
+    state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and b2 <= min(b, a2),
+    sums over b per (a, b2), then over a per (a2, b2), then applies the column
+    factor.  The callbacks are box_walk's: lift carries a Laurent polynomial
+    into the caller's ring, gap(v, a, a2) and column(v, a, b) multiply v by
+    the gap and column factors, and a state that is 0 after its column is
+    dropped.  Returns the last-column states {(lam'_columns, mu'_columns):
+    value}; each caller folds them in its own ring (both node sums multiply
+    the state (j, i) by [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i and sum per j).
     """
     binoms = {(n, r): lift(qbinomial_qinv(n, r)) for n in range(top + 1) for r in range(n + 1)}
     states = {(top, top): lift(ONE)}
@@ -97,10 +98,7 @@ def column_walk(columns, top, lift, gap, column):
                 _accumulate(steps, (a2, b2), gap(w, a, a2))
         states = {key: column(w, *key) for key, w in steps.items()}
         states = {key: v for key, v in states.items() if v}
-    sums = {}
-    for (j, i), v in states.items():
-        _accumulate(sums, j, lift(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i)) * v)
-    return sums
+    return states
 
 
 def box_walk(columns, top, lift, gap, column):

@@ -37,6 +37,30 @@ values give
 summed by Horner over j: acc = s_0, then acc = acc (1 - q^{d-j} t)^2 + s_j for
 j = 1..d, so each step multiplies by one three-term factor and no (t;q)^2_{d-j}
 is built.
+
+The free node walk runs on a packed ring (Kronecker substitution over the
+whole walk; Harvey, J. Symbolic Comput. 44, 2009).  A value is {f: x_f} and
+a q-shift s, where x_f is q^s times the t^f coefficient, evaluated at
+q = 2^w.  Evaluation at 2^w is a ring map, so every step is exact integer
+arithmetic: a sum aligns the shifts and adds; a product by a pure-q binomial
+is one int product per column; the column monomial q^e t^f renames the
+columns and lowers s by e; a fold factor (1 - q^-k) is (x << wk) - x with s
+raised by k; a Horner factor (1 - q^e t) subtracts column f - 1, shifted by
+e lanes, from column f; the t_prec cut drops whole columns.  Each column is
+decoded once, at the end, into balanced w-bit digits, and that gives NZ back
+as soon as every coefficient of NZ lies strictly between -2^{w-1} and
+2^{w-1}.  With w = m(2d+1) + 4d + 2 it does.  The L1 norm (the sum of the
+absolute values of the coefficients) is submultiplicative, and [n r] has
+norm C(n, r).  Summed over the states, one column step multiplies it by at
+most 2^{2d+1}: from (a, b) the binomials [a - b2, a - b] over b2 <= b have
+norm sum C(a+1, a-b+1) <= 2^{a+1}, the gaps [a, a2] over a2 have norm
+sum C(a, a2) = 2^a, and a monomial has norm 1.  The fold multiplies the
+state (j, i) by [j, i] (norm C(j, i) <= 2^j) and j - i factors (1 - q^-k)
+(norm 2 each), so by at most 4^d; the Horner pass multiplies s_j by
+(t;q)^2_{d-j}, of norm at most 4^{d-j}.  So |NZ|_1 <= 2^{m(2d+1) + 4d}
+< 2^{w-1}.  Lanes are rounded up to whole bytes, so that decoding is one
+pass over each column's bytes.  The normalization walks stay on
+LaurentPoly2: packed, they measured no faster for m + d <= 7.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer, qbinomial,
@@ -136,25 +160,146 @@ def nz_node_free(m, d):
 def _node_free_walk(m, d, t_prec=None):
     """nz_node_free(m, d), less its terms at t^t_prec and up when t_prec is given.
 
-    Each column callback and each Horner step drops those terms.  That is
-    exact below t^t_prec, because no factor has a negative t-exponent: the
-    binomials and the end factors are pure q, the column monomial is
-    t^{2a-b} with b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a
+    The walk runs on _Packed with lanes of _node_lane_bits(m, d) bits.  Each
+    column callback and each Horner step drops the columns at t^t_prec and
+    up.  That is exact below t^t_prec, because no factor has a negative
+    t-exponent: the binomials and the fold are pure q, the column monomial
+    is t^{2a-b} with b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a
     dropped term never comes back below t^t_prec.
     """
     require(0, d=d)
-
-    def cut(v):
-        return v if t_prec is None else v.below_t(t_prec)
+    w = _lanes(_node_lane_bits(m, d))
+    binoms = {(n, r): _Packed.lift(qbinomial_qinv(n, r), w)
+              for n in range(d + 1) for r in range(n + 1)}
 
     def column(v, a, b):
-        return cut(v * LaurentPoly2.monomial(1, d * (2 * a - b) - a * a + b * (a - b), 2 * a - b))
+        return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)
 
-    sums = column_walk(m, d, lambda p: p, lambda v, a, a2: qbinomial_qinv(a, a2) * v, column)
-    total = sums.get(0, ZERO)
+    states = column_walk(m, d, lambda p: _Packed.lift(p, w),
+                         lambda v, a, a2: binoms[(a, a2)] * v, column)
+    sums = {}
+    for (j, i), v in states.items():
+        v = (binoms[(j, i)] * v).times_qinv_poch(i, j)
+        sums[j] = sums[j] + v if j in sums else v
+    total = sums.get(0, _Packed({}, 0, w))
     for j in range(1, d + 1):
-        total = cut(total * (ONE - LaurentPoly2.monomial(1, d - j, 1)) ** 2) + sums.get(j, ZERO)
-    return _check_poly(total)
+        total = total.times_one_minus_t(d - j, t_prec).times_one_minus_t(d - j, t_prec)
+        if j in sums:
+            total = total + sums[j]
+    return _check_poly(total.decode())
+
+
+def _node_lane_bits(m, d):
+    """The lane width w = m(2d+1) + 4d + 2 of the free node walk: every
+    coefficient of nz_node_free(m, d) lies below 2^{w-1} in absolute value
+    (proof in the module docstring)."""
+    return m * (2 * d + 1) + 4 * d + 2
+
+
+def _lanes(bits):
+    """bits rounded up to whole bytes."""
+    return -(-bits // 8) * 8
+
+
+class _Packed:
+    """An element of Z[q^{+-1}, t] as {f: x_f} and a q-shift s: x_f is q^s
+    times the t^f coefficient evaluated at q = 2^w, w a multiple of 8.  The
+    operations are those the free node walk and the (2,2)-link closed form
+    need; see the module docstring.  No column holds 0."""
+
+    __slots__ = ("cols", "s", "w")
+
+    def __init__(self, cols, s, w):
+        self.cols = cols
+        self.s = s
+        self.w = w
+
+    @staticmethod
+    def lift(p, w):
+        """A nonzero LaurentPoly2 in q alone, with coefficients in [0, 2^w),
+        in lanes of w bits; one pass over a buffer of its lanes."""
+        nb = w // 8
+        exps = [a for a, _ in p.terms]
+        lo = min(exps)
+        buf = bytearray(nb * (max(exps) - lo + 1))
+        for (a, _), c in p.terms.items():
+            buf[nb * (a - lo):nb * (a - lo + 1)] = c.to_bytes(nb, "little")
+        return _Packed({0: int.from_bytes(buf, "little")}, -lo, w)
+
+    def __bool__(self):
+        return bool(self.cols)
+
+    def __neg__(self):
+        return _Packed({f: -x for f, x in self.cols.items()}, self.s, self.w)
+
+    def __add__(self, other):
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
+        if self.s < other.s:
+            self, other = other, self
+        shift = self.w * (self.s - other.s)
+        out = dict(self.cols)
+        for f, y in other.cols.items():
+            x = out.get(f, 0) + (y << shift)
+            if x:
+                out[f] = x
+            else:
+                del out[f]
+        return _Packed(out, self.s, self.w)
+
+    def __mul__(self, other):
+        """self * other, for self a monomial in t (one column); one int product
+        per column of other."""
+        ((f, x),) = self.cols.items()
+        return _Packed({f + g: x * y for g, y in other.cols.items()}, self.s + other.s, self.w)
+
+    def shifted(self, e, f, t_prec=None):
+        """self * q^e t^f, less its columns at t^t_prec and up."""
+        cols = {g + f: x for g, x in self.cols.items() if t_prec is None or g + f < t_prec}
+        return _Packed(cols, self.s - e, self.w)
+
+    def times_qinv_poch(self, i, j):
+        """self * (1 - q^-(i+1)) ... (1 - q^-j)."""
+        cols, s = self.cols, self.s
+        for k in range(i + 1, j + 1):
+            shift = self.w * k
+            cols = {f: (x << shift) - x for f, x in cols.items()}
+            s += k
+        return _Packed(cols, s, self.w)
+
+    def times_one_minus_t(self, e, t_prec=None):
+        """self * (1 - q^e t) for e >= 0, less its columns at t^t_prec and up."""
+        shift = self.w * e
+        out = dict(self.cols)
+        for f, x in self.cols.items():
+            if t_prec is None or f + 1 < t_prec:
+                y = out.get(f + 1, 0) - (x << shift)
+                if y:
+                    out[f + 1] = y
+                else:
+                    del out[f + 1]
+        return _Packed(out, self.s, self.w)
+
+    def decode(self):
+        """The LaurentPoly2, read off each column's balanced w-bit digits from
+        its lowest nonzero lane up, in one pass over its bytes."""
+        w, nb = self.w, self.w // 8
+        half = 1 << (w - 1)
+        terms = {}
+        for f, x in self.cols.items():
+            low = ((x & -x).bit_length() - 1) // w
+            x >>= w * low
+            lanes = x.bit_length() // w + 1
+            # half added to every lane turns each balanced digit into a plain one
+            bias = int.from_bytes((bytes(nb - 1) + b"\x80") * lanes, "little")
+            buf = (x + bias).to_bytes(nb * lanes, "little")
+            for i in range(lanes):
+                c = int.from_bytes(buf[nb * i:nb * i + nb], "little") - half
+                if c:
+                    terms[(low + i - self.s, f)] = c
+        return LaurentPoly2._adopt(terms)
 
 
 def _check_poly(p):
@@ -299,14 +444,22 @@ def cusp_t2_check(m, d):
 
 
 def node22_closed_form(d):
-    """(2,2)-link closed form sum_r (-1)^r q^C(r,2) t^r [d r]_q (t q^{d-r+1}; q)_r."""
-    total = ZERO
+    """(2,2)-link closed form sum_r (-1)^r q^C(r,2) t^r [d r]_q (t q^{d-r+1}; q)_r.
+
+    Summed on the packed ring of the free node walk: [d r]_q is one int and
+    each factor of the Pochhammer symbol one pass over the t-columns.  The
+    sum has L1 norm at most sum_r C(d, r) 2^r = 3^d < 2^{2d+1}, so lanes of
+    2d + 2 bits hold every coefficient.
+    """
+    require(0, d=d)
+    w = _lanes(2 * d + 2)
+    total = _Packed({}, 0, w)
     for r in range(d + 1):
-        sign = -1 if r % 2 else 1
-        term = (LaurentPoly2.monomial(sign, r * (r - 1) // 2, r) * qbinomial(d, r)
-                * qpochhammer(LaurentPoly2.monomial(1, d - r + 1, 1), Q, r))
-        total = total + term
-    return total
+        term = _Packed.lift(qbinomial(d, r), w).shifted(r * (r - 1) // 2, r)
+        for k in range(d - r + 1, d + 1):
+            term = term.times_one_minus_t(k)
+        total = total + (-term if r % 2 else term)
+    return total.decode()
 
 
 def node22_check(d):

@@ -7,7 +7,8 @@ import pytest
 import series_reference as ref
 from singzeta import clzeta
 from singzeta.hall import column_walk, hall_skew
-from singzeta.laurent import ONE, Q, ZERO, LaurentPoly2, parse_poly, qpoch_qinv_ratio
+from singzeta.laurent import (ONE, Q, ZERO, LaurentPoly2, parse_poly, qbinomial_qinv,
+                              qpoch_qinv_ratio)
 from singzeta.partitions import partitions_of, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
 from singzeta.report import BudgetExceededError
@@ -118,14 +119,16 @@ def _cl_node_per_j(m, u_prec, t_prec):
     top = 0
     while top < t_prec and 3 * top * top < 4 * u_prec:
         top += 1
-    sums = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                       lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                       lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
-                           u_prec, t_prec))
+    states = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
+                         lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
+                         lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                             u_prec, t_prec))
     total = TruncSeries2(u_prec, t_prec)
-    for j, s in sums.items():
+    for (j, i), s in states.items():
+        fold = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
+                                         u_prec, t_prec)
         tail = TruncSeries2(u_prec, t_prec, inv_upoch(j, u_prec).coeffs)
-        total = total + s * (tail * ref.power(poch(j + 1, 1, u_prec, t_prec), 2))
+        total = total + s * fold * (tail * ref.power(poch(j + 1, 1, u_prec, t_prec), 2))
     return total
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from singzeta.hall import hall_box, hall_skew
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
-                              qpochhammer, qpoch_qinv_ratio)
+                              qbinomial_qinv, qpochhammer, qpoch_qinv_ratio)
 from singzeta.partitions import iterate_box, subpartitions
 from singzeta import quotzeta
 from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
@@ -80,6 +80,41 @@ def test_nz_node_free_matches_double_sum():
     for d in range(8):
         quotzeta._NZ_CACHE.clear()
         assert nz_node_free(1, d) == node22_closed_form(d), d
+
+
+def test_node_free_walk_cut_is_the_full_numerator_below_t():
+    for m in range(1, 7):
+        for d in range(0, 8 - m):
+            full = nz_node_free(m, d)
+            for t_prec in range(1, 5):
+                assert quotzeta._node_free_walk(m, d, t_prec) == full.below_t(t_prec), (m, d)
+
+
+def test_node_free_lanes_hold_every_coefficient():
+    # the packed walk decodes right only if |NZ|_1 < 2^(w-1)
+    for m in range(1, 9):
+        for d in range(0, 10 - m):
+            norm = sum(abs(c) for c in nz_node_free(m, d).terms.values())
+            assert norm < 2 ** (quotzeta._node_lane_bits(m, d) - 1), (m, d)
+
+
+def test_node_free_walk_makes_no_laurent_product(monkeypatch):
+    # after the q-binomials are cached, the whole walk runs on packed ints
+    for n in range(5):
+        for r in range(n + 1):
+            qbinomial_qinv(n, r)
+    calls = []
+    product = LaurentPoly2.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly2, "__rmul__", counting)
+    quotzeta._NZ_CACHE.clear()
+    nz_node_free(4, 4)
+    assert len(calls) == 0
 
 
 def _normalization_sum(m, d, node):
@@ -209,6 +244,13 @@ def test_funceq_and_specializations_beyond_the_acceptance_grid():
             assert specialization_report(family, d).passed, (kind, m, d)
 
 
+def test_funceq_and_specializations_of_larger_nodes():
+    for m, d in ((4, 5), (6, 6)):
+        family = SingularityFamily("node", m)
+        assert funceq_check(family, d).passed, (m, d)
+        assert specialization_report(family, d).passed, (m, d)
+
+
 def test_remark_t2_vs_qt_differ_at_d2():
     # the two changes of variable agree at d=1 but not at d=2
     norm = nz_cusp_normalization(1, 1)
@@ -269,6 +311,15 @@ def test_node22_closed_form():
     assert node22_closed_form(1) == parse_poly("1 - t + q*t^2")
     for d in range(6):
         assert node22_check(d).passed
+
+
+def test_node22_closed_form_matches_the_sum_as_written():
+    for d in range(9):
+        want = ZERO
+        for r in range(d + 1):
+            want = want + (LaurentPoly2.monomial((-1) ** r, r * (r - 1) // 2, r) * qbinomial(d, r)
+                           * qpochhammer(LaurentPoly2.monomial(1, d - r + 1, 1), Q, r))
+        assert node22_closed_form(d).terms == want.terms, d
 
 
 def test_m_limit():
