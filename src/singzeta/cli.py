@@ -215,19 +215,34 @@ COMMANDS = [
 ]
 
 
-def _build_parser():
+class _Narrow(argparse.ArgumentParser):
+    """The parser of one command: at any help or usage exit it raises
+    _Narrow.Exit instead of printing, and the full parser parses again."""
+    Exit = type("Exit", (Exception,), {})
+
+    def error(self, *_):
+        raise _Narrow.Exit
+
+    print_help = error
+
+
+def _build_parser(only=None):
+    """The parser of every command, or a _Narrow one of the command only and
+    its group."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="cap on enumeration work for oracle commands")
-    top = argparse.ArgumentParser(prog="singzeta",
-                                  description="Quot and Cohen-Lenstra zeta functions of y^2=x^n")
+    top = (argparse.ArgumentParser if only is None else _Narrow)(
+        prog="singzeta", description="Quot and Cohen-Lenstra zeta functions of y^2=x^n")
     top.add_argument("--format", choices=["text", "json"], default="text")
     top.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET)
     # the dest names appear in argparse's "required" errors
     groups = {"": top.add_subparsers(dest="command", required=True)}
     for path, help_text, arguments, run in COMMANDS:
         group, _, name = path.rpartition(" ")
+        if only is not None and path not in (only, only.partition(" ")[0]):
+            continue
         p = groups[group].add_parser(name, parents=[common],
                                      **({"help": help_text} if help_text else {}))
         for flag, kw in arguments:
@@ -239,10 +254,23 @@ def _build_parser():
     return top
 
 
+def _parse(argv):
+    """argv parsed by the _Narrow parser of the command it names (its first
+    command name, and the word after it for a group), else by the full one."""
+    paths = [path for path, _, _, _ in COMMANDS]
+    first = next((i for i, word in enumerate(argv) if word in paths), None)
+    if first is not None:
+        pair = " ".join(argv[first:first + 2])
+        try:
+            return _build_parser(pair if pair in paths else argv[first]).parse_args(argv)
+        except _Narrow.Exit:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def dispatch(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_PASS
     try:

@@ -35,7 +35,38 @@ last-column state divided by (u;u)_{c_m}.  It starts at the first c with
 Below u^u_prec the numerator is thus a polynomial in t, whatever t_prec is.
 special_values builds it once on the window (u_prec, _T_CAP) and reads
 NZ-hat(1) and NZ-hat(-1) off its partial sums below t^8, t^16, ..., t^_T_CAP.
-The full series is the numerator over (ut;u)_inf^s.  Every product or
+Both walks run on packed ints (Kronecker substitution over the whole walk;
+Harvey, J. Symbolic Comput. 44, 2009): quotzeta._Packed with a u-window.  A
+value is {f: x_f}, x_f the t^f coefficient evaluated at u = 2^w and kept
+modulo 2^{w u_prec} (lane i of x_f stands for u^i); evaluation at 2^w maps
+Z[u]/(u^u_prec) onto Z/2^{w u_prec} as a ring map, so every step below is
+exact there.  A pure-u factor (a u-binomial, a fold factor
+[j, i]_u (u^{i+1};u)_{j-i}, a 1/(u;u)_n) is one int product per column; the
+tables of 1/(u;u)_n, n < top, are built once per call, each from the one
+before by (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one shift and add per
+factor; u^e t^f renames the columns, shifts each by e lanes and drops those
+at t^t_prec and up; a factor 1 - u^e t^b (the Horner steps and the end
+factor (u^{J+1}t;u)^2_inf) subtracts column f, e lanes up, from column f + b.
+The result is decoded once, each column read as balanced w-bit digits from
+its residue centred at 0, which gives NZ-hat back as soon as every
+coefficient of NZ-hat on the window lies in [-2^{w-1}, 2^{w-1}).
+
+_lane_bits proves a w for that by L1 norms (the sum of the absolute values
+of the coefficients on the window), which bound every coefficient and are
+submultiplicative on the window.  It runs the same walk on ints: the norm of
+[n r]_u is C(n, r), that of 1/(u;u)_n the sum S_n of its coefficients below
+u^u_prec, and a shift keeps a norm while its monomial lies on the window and
+gives 0 off it, so the walk's value N_{j,i} at (j, i) bounds the norm of the
+packed one.  The term of (j, i) in NZ-hat is, by the identity above, the
+value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i, and the
+coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf up to
+sign, whose sum at t = 1 below u^u_prec is P_j.  So
+|NZ-hat|_1 <= sum N_{j,i} C(j, i) S_i P_j, and likewise for the cusp
+|NZ-hat|_1 <= sum_c N_c S_c; w is one more than the bit length of the bound,
+and lanes are rounded up to whole bytes.  Intermediate values need no bound,
+as they are only ever reduced modulo 2^{w u_prec}.
+
+The full series is the numerator over (ut;u)_inf^s.  Every other product or
 quotient by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
@@ -56,9 +87,14 @@ term is a power series in u, because the t^j coefficient of Z_{R^r} or
 Z_{mR^r} has q-degree at most rj, so Z(u^r t) has no negative u-exponent.
 """
 
-from .laurent import (LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpoch_qinv_ratio,
+from functools import reduce
+from math import comb
+from operator import add
+
+from .laurent import (LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv,
                       qpochhammer)
-from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
+from .quotzeta import (SingularityFamily, nz, full_z, _node_free_walk, _Packed, _lanes,
+                       _qbinomial_ints)
 from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
@@ -84,42 +120,116 @@ def cl_numerator(kind, m, u_prec, t_prec):
     return numerator
 
 
-def _cusp_numerator(m, u_prec, t_prec):
-    """The cusp sum of the module docstring: a one-index column walk, each
-    last-column state divided by (u;u)_{mu'_m}."""
+def _walk_top(kind, u_prec, t_prec):
+    """The column length the walk starts at: the first c with 2c >= t_prec or
+    c^2 >= u_prec for the cusp, the first a with a >= t_prec or
+    3a^2 >= 4 u_prec for the node."""
     top = 0
-    while 2 * top < t_prec and top * top < u_prec:
-        top += 1
-    states = box_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                      lambda v, c, c2: v if c == top else v.times_poch(1, 0, c - c2, power=-1),
-                      lambda v, i, c: v.shift(c * c, 2 * c).truncate(u_prec, t_prec))
-    return sum((v.times_poch(1, 0, c, power=-1) for c, v in states.items()),
-               TruncSeries2(u_prec, t_prec))
+    if kind == "cusp":
+        while 2 * top < t_prec and top * top < u_prec:
+            top += 1
+    else:
+        while top < t_prec and 3 * top * top < 4 * u_prec:
+            top += 1
+    return top
+
+
+def _cusp_states(m, top, one, inverses, shifted):
+    """The cusp's walk in the ring of one: gaps by the table
+    {n: 1/(u;u)_n}, shifted(v, e, f) = v u^e t^f on the window."""
+    return box_walk(m, top, one, lambda v, c, c2: v if c in (top, c2) else inverses[c - c2] * v,
+                    lambda v, i, c: shifted(v, c * c, 2 * c))
+
+
+def _node_states(m, top, one, binoms, inverses, shifted):
+    """The node's walk in the ring of one, as _cusp_states, with the table
+    {(n, r): [n r]_u} for its binomials."""
+    return column_walk(m, top, one, binoms,
+                       lambda v, a, a2: v if a in (top, a2) else inverses[a - a2] * v,
+                       lambda v, a, b: shifted(v, a * a - b * (a - b), 2 * a - b))
+
+
+def _cusp_numerator(m, u_prec, t_prec):
+    """The cusp sum of the module docstring on the packed window: each
+    last-column state c divided by (u;u)_c."""
+    top = _walk_top("cusp", u_prec, t_prec)
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec))
+    states = _cusp_states(m, top, one, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
+    total = reduce(add, (inverses[c] * v for c, v in states.items()))
+    return TruncSeries2._adopt(u_prec, t_prec, total.digits())
 
 
 def _node_numerator(m, u_prec, t_prec):
-    """The node sum of the module docstring: the column walk, then a Horner
-    pass over j for the end factors."""
-    top = 0
-    while top < t_prec and 3 * top * top < 4 * u_prec:
-        top += 1
-    states = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                         lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                         lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
-                             u_prec, t_prec))
+    """The node sum of the module docstring on the packed window: the walk,
+    its fold, a Horner pass over j and the end factor, each a column step
+    or one product per column."""
+    top = _walk_top("node", u_prec, t_prec)
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec))
+    binoms = {k: one.with_lanes(x) for k, x in _qbinomial_ints(top, one.w).items()}
+    states = _node_states(m, top, one, binoms, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     sums = {}
     for (j, i), v in states.items():
-        v = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
-                                      u_prec, t_prec) * v
-        sums[j] = sums[j] + v if j in sums else v
+        fold = binoms[(j, i)]
+        for k in range(i + 1, j + 1):
+            fold = fold.times_one_minus(k, 0)
+        sums[j] = sums[j] + fold * v if j in sums else fold * v
     last = max(sums)
-    total = TruncSeries2(u_prec, t_prec)
-    for j in range(last + 1):
-        if j:
-            total = total.times_poch(j, 1, 1, power=2).times_poch(j, 0, 1)
+    total = sums[0]
+    for j in range(1, last + 1):
+        total = total.times_one_minus(j, 1, t_prec).times_one_minus(j, 1, t_prec)
+        total = total.times_one_minus(j, 0)
         if j in sums:
             total = total + sums[j]
-    return total.times_poch(last + 1, 1, power=2).times_poch(1, 0, last, power=-1)
+    for k in range(last + 1, u_prec):
+        total = total.times_one_minus(k, 1, t_prec).times_one_minus(k, 1, t_prec)
+    return TruncSeries2._adopt(u_prec, t_prec, (inverses[last] * total).digits())
+
+
+def _packed_tables(u_prec, top, bits):
+    """quotzeta._Packed modulo u^u_prec in lanes of bits rounded up to whole
+    bytes: its 1 and the table {n: 1/(u;u)_n} for n < top.  1/(u;u)_n is
+    1/(u;u)_{n-1} times (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one shift and
+    add per factor below u^u_prec."""
+    w = _lanes(bits)
+    one = _Packed.on_window(u_prec, w)
+    inverses, x = {}, 1
+    for n in range(top):
+        e = n
+        while 0 < e < u_prec:
+            x = (x + (x << w * e)) & one.window
+            e *= 2
+        inverses[n] = one.with_lanes(x)
+    return one, inverses
+
+
+def _lane_bits(kind, m, u_prec, t_prec):
+    """A lane width w for the packed numerator of kind on the window: every
+    coefficient of the numerator lies in [-2^{w-1}, 2^{w-1}) (proof in the
+    module docstring).  The walk runs again on L1 norms (ints)."""
+    top = _walk_top(kind, u_prec, t_prec)
+    counts = [1] + [0] * (u_prec - 1)
+    sums = {}  # sums[n]: the sum below u^u_prec of 1/(u;u)_n, S_n
+    for n in range(top):
+        for k in range(n, u_prec) if n else ():
+            counts[k] += counts[k - n]
+        sums[n] = sum(counts)
+
+    def shifted(v, e, f):
+        return v if e < u_prec and f < t_prec else 0
+
+    if kind == "cusp":
+        states = _cusp_states(m, top, 1, sums, shifted)
+        return sum(sums[c] * v for c, v in states.items()).bit_length() + 1
+    states = _node_states(m, top, 1, {(n, r): comb(n, r) for n in range(top + 1)
+                                      for r in range(n + 1)}, sums, shifted)
+    # ends[j]: the sum below u^u_prec of (-u^{j+1}t;u)^2_inf at t = 1, P_j
+    ends, counts = {}, [1] + [0] * (u_prec - 1)
+    for j in range(u_prec - 1, -1, -1):
+        ends[j] = sum(counts)
+        for _ in (0, 1) if j else ():
+            counts[j:] = [a + b for a, b in zip(counts[j:], counts)]
+    bound = sum(v * comb(j, i) * sums[i] * ends[j] for (j, i), v in states.items())
+    return bound.bit_length() + 1
 
 
 def cl_series(kind, m, u_prec, t_prec):

@@ -20,12 +20,14 @@ g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
 the box (quotzeta.nz_node_free) and over lambda_1 <= m
-(clzeta._node_numerator).
+(clzeta._node_numerator, and its lane bound clzeta._lane_bits on L1 norms).
 box_walk is the one-index walk over the states mu'_i alone; it serves three
 sums, both normalization numerators (quotzeta._normalization_walk) and the
-cusp's CL numerator (clzeta._cusp_numerator).  Both walks take the same
-callbacks, lift into the caller's ring and gap and column factors, and return
-their last-column states, which each caller folds in its own ring.
+cusp's CL numerator (clzeta._cusp_numerator and _lane_bits).  Both walks
+run in the caller's ring: they take its 1 and the gap and column factors as
+callbacks (column_walk also the caller's table of binomials, which the
+callers share with their gaps and folds), and return their last-column
+states, which each caller folds in its own ring.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, qbinomial_qinv, qmultinomial_qinv,
@@ -66,7 +68,7 @@ def _skew_product(lam, mu):
     return result
 
 
-def column_walk(columns, top, lift, gap, column):
+def column_walk(columns, top, one, binoms, gap, column):
     """A two-index Hall sum as a walk over columns, grouped by its last column.
 
     Sums over lam with lam'_1 <= top and at most `columns` columns, and over
@@ -78,20 +80,22 @@ def column_walk(columns, top, lift, gap, column):
     with lam'_0 = mu'_0 = top; the binomials are hall_skew's.  A step from the
     state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and b2 <= min(b, a2),
     sums over b per (a, b2), then over a per (a2, b2), then applies the column
-    factor.  The callbacks are box_walk's: lift carries a Laurent polynomial
-    into the caller's ring, gap(v, a, a2) and column(v, a, b) multiply v by
-    the gap and column factors, and a state that is 0 after its column is
-    dropped.  Returns the last-column states {(lam'_columns, mu'_columns):
-    value}; each caller folds them in its own ring (both node sums multiply
-    the state (j, i) by [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i and sum per j).
+    factor.  The walk runs in the caller's ring: one is its 1 (the start
+    value), binoms[(n, r)] is [n r]_{1/q} in it for 0 <= r <= n <= top, and
+    the callbacks gap(v, a, a2) and column(v, a, b) multiply v by the gap
+    and column factors; a state that is 0 after its column is dropped.
+    Returns the last-column states {(lam'_columns, mu'_columns): value}; each
+    caller folds them in its own ring (both node sums multiply the state
+    (j, i) by [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i and sum per j).
     """
-    binoms = {(n, r): lift(qbinomial_qinv(n, r)) for n in range(top + 1) for r in range(n + 1)}
-    states = {(top, top): lift(ONE)}
+    states = {(top, top): one}
     for _ in range(columns):
         by_b2 = {}
         for (a, b), v in states.items():
             for b2 in range(b + 1):
-                _accumulate(by_b2, (a, b2), binoms[(a - b2, a - b)] * v)
+                # [n 0] = [n n] = 1 needs no product
+                n, r = a - b2, a - b
+                _accumulate(by_b2, (a, b2), v if r in (0, n) else binoms[(n, r)] * v)
         steps = {}
         for (a, b2), w in by_b2.items():
             for a2 in range(b2, a + 1):
@@ -101,7 +105,7 @@ def column_walk(columns, top, lift, gap, column):
     return states
 
 
-def box_walk(columns, top, lift, gap, column):
+def box_walk(columns, top, one, gap, column):
     """A one-index sum over partitions as a walk over columns.
 
     Sums over mu with mu'_1 <= top and at most `columns` columns the product
@@ -109,15 +113,14 @@ def box_walk(columns, top, lift, gap, column):
 
         (gap from c_{i-1} to c_i) (column factor of column i at c_i),
 
-    with c_i = mu'_i and c_0 = top.  The callbacks are column_walk's: lift
-    carries a Laurent polynomial into the caller's ring (the start value is
-    lift(1)), gap(v, c, c2) multiplies v by the gap factor, and
+    with c_i = mu'_i and c_0 = top.  As in column_walk, one is the caller's
+    1 (the start value), gap(v, c, c2) multiplies v by the gap factor, and
     column(v, i, c) by the column factor, which may depend on i; a state
     that is 0 after its column is dropped.  A step sums gap(v, c, c2) over
     c >= c2 per state c2, then applies the column factor.  Returns the
     last-column states {c_columns: value}.
     """
-    states = {top: lift(ONE)}
+    states = {top: one}
     for i in range(1, columns + 1):
         steps = {}
         for c, v in states.items():

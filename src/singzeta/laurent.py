@@ -2,13 +2,10 @@
 
 A LaurentPoly2 is a sparse dictionary {(e_q, e_t): coeff} with arbitrary-precision
 integer coefficients and integer (possibly negative) exponents.  No floating
-point is used anywhere; evaluation returns exact Fractions.  The canonical term
+point is used anywhere; evaluation is exact.  The canonical term
 order, used by every printed or serialized form, is lexicographic ascending by
 (e_q, e_t).
 """
-
-from fractions import Fraction
-
 
 class UnsupportedSubstitutionError(ValueError):
     """Raised when a substitution image is not a unit monomial."""
@@ -169,10 +166,15 @@ class LaurentPoly2:
         return LaurentPoly2._adopt(out)
 
     def eval_int(self, q_val, t_val=1):
-        """Exact value at integer q and rational t, as a Fraction.
+        """Exact value at integer q and rational t: an int when q and t are
+        ints and no exponent is negative, otherwise a Fraction.
 
         A zero base with a negative exponent is a domain error.
         """
+        if type(q_val) is int and type(t_val) is int and all(
+                a >= 0 and b >= 0 for a, b in self.terms):
+            return sum(c * q_val**a * t_val**b for (a, b), c in self.terms.items())
+        from fractions import Fraction  # here, so that importing the package does not pay for it
         q_val = Fraction(q_val)
         t_val = Fraction(t_val)
         total = Fraction(0)

@@ -35,7 +35,6 @@ the count below levels[j], with no elimination.  Only prime fields are
 supported.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 
@@ -524,7 +523,7 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
 
 
 def _poch_frac(x, n):
-    return prod((1 - x**k for k in range(1, n + 1)), start=Fraction(1))
+    return prod((1 - x**k for k in range(1, n + 1)), start=x**0)
 
 
 def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET):
@@ -535,6 +534,7 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     require(0, r=r)
     if any(r > min(d, n) for d in d_list):
         raise ValueError("need r <= min(d, n)")
+    from fractions import Fraction  # here, so that importing the package does not pay for it
     values = []
     with timed() as tm:
         for d in d_list:

@@ -63,7 +63,7 @@ pass over each column's bytes.  The normalization walks stay on
 LaurentPoly2: packed, they measured no faster for m + d <= 7.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer, qbinomial,
+from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer,
                       qbinomial_qinv, qpoch_qinv_ratio)
 from .hall import box_walk, column_walk, hall_box, hall_skew
 from .partitions import iterate_box
@@ -144,7 +144,7 @@ def _normalization_walk(m, d, first=None):
         v = v * LaurentPoly2.monomial(1, 2 * d * c - c * c, c)
         return v * first(d, c) if first and i == 1 else v
 
-    states = box_walk(m, d, lambda p: p, lambda v, c, c2: qbinomial_qinv(c, c2) * v, column)
+    states = box_walk(m, d, ONE, lambda v, c, c2: qbinomial_qinv(c, c2) * v, column)
     return _check_poly(sum(states.values(), ZERO))
 
 
@@ -160,30 +160,32 @@ def nz_node_free(m, d):
 def _node_free_walk(m, d, t_prec=None):
     """nz_node_free(m, d), less its terms at t^t_prec and up when t_prec is given.
 
-    The walk runs on _Packed with lanes of _node_lane_bits(m, d) bits.  Each
-    column callback and each Horner step drops the columns at t^t_prec and
-    up.  That is exact below t^t_prec, because no factor has a negative
-    t-exponent: the binomials and the fold are pure q, the column monomial
-    is t^{2a-b} with b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a
-    dropped term never comes back below t^t_prec.
+    The walk runs on _Packed with lanes of _node_lane_bits(m, d) bits; the
+    binomials [n r]_{1/q} are built once, by q-Pascal on ints, and serve as
+    the walk's binomials, its gaps and the fold.  Each column callback and
+    each Horner step drops the columns at t^t_prec and up.  That is exact
+    below t^t_prec, because no factor has a negative t-exponent: the
+    binomials and the fold are pure q, the column monomial is t^{2a-b} with
+    b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a dropped term
+    never comes back below t^t_prec.
     """
     require(0, d=d)
     w = _lanes(_node_lane_bits(m, d))
-    binoms = {(n, r): _Packed.lift(qbinomial_qinv(n, r), w)
-              for n in range(d + 1) for r in range(n + 1)}
+    # x = [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}
+    binoms = {(n, r): _Packed({0: x}, r * (n - r), w) for (n, r), x in _qbinomial_ints(d, w).items()}
 
     def column(v, a, b):
         return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)
 
-    states = column_walk(m, d, lambda p: _Packed.lift(p, w),
-                         lambda v, a, a2: binoms[(a, a2)] * v, column)
+    states = column_walk(m, d, binoms[(0, 0)], binoms, lambda v, a, a2: binoms[(a, a2)] * v,
+                         column)
     sums = {}
     for (j, i), v in states.items():
         v = (binoms[(j, i)] * v).times_qinv_poch(i, j)
         sums[j] = sums[j] + v if j in sums else v
     total = sums.get(0, _Packed({}, 0, w))
     for j in range(1, d + 1):
-        total = total.times_one_minus_t(d - j, t_prec).times_one_minus_t(d - j, t_prec)
+        total = total.times_one_minus(d - j, 1, t_prec).times_one_minus(d - j, 1, t_prec)
         if j in sums:
             total = total + sums[j]
     return _check_poly(total.decode())
@@ -201,36 +203,63 @@ def _lanes(bits):
     return -(-bits // 8) * 8
 
 
+def _qbinomial_ints(top, w):
+    """{(n, r): [n r]_q at q = 2^w} for 0 <= r <= n <= top, by q-Pascal on ints,
+    [n r] = [n-1 r-1] + q^r [n-1 r]; each lane holds one coefficient while
+    2^w > C(n, r), their largest."""
+    table = {}
+    for n in range(top + 1):
+        table[(n, 0)] = table[(n, n)] = 1
+        for r in range(1, n):
+            table[(n, r)] = table[(n - 1, r - 1)] + (table[(n - 1, r)] << w * r)
+    return table
+
+
 class _Packed:
     """An element of Z[q^{+-1}, t] as {f: x_f} and a q-shift s: x_f is q^s
     times the t^f coefficient evaluated at q = 2^w, w a multiple of 8.  The
-    operations are those the free node walk and the (2,2)-link closed form
-    need; see the module docstring.  No column holds 0."""
+    operations are those the free node walk, the (2,2)-link closed form and
+    the Cohen-Lenstra numerators need; see the module docstring.  No column
+    holds 0.
 
-    __slots__ = ("cols", "s", "w")
+    With a u-window (clzeta's numerators) the variable q is u, s stays 0,
+    and window is 2^{wU} - 1 for the window u^U: every value is kept only
+    modulo 2^{wU}, as x & window.  Evaluation at u = 2^w maps Z[u]/(u^U) to
+    Z/2^{wU} as a ring map, so every step stays exact there, and digits reads
+    back each coefficient below u^U from the residue centred at 0 as long as
+    the coefficients of the final value lie in [-2^{w-1}, 2^{w-1}).
+    """
 
-    def __init__(self, cols, s, w):
+    __slots__ = ("cols", "s", "w", "window")
+
+    def __init__(self, cols, s, w, window=None):
         self.cols = cols
         self.s = s
         self.w = w
+        self.window = window
 
     @staticmethod
-    def lift(p, w):
-        """A nonzero LaurentPoly2 in q alone, with coefficients in [0, 2^w),
-        in lanes of w bits; one pass over a buffer of its lanes."""
-        nb = w // 8
-        exps = [a for a, _ in p.terms]
-        lo = min(exps)
-        buf = bytearray(nb * (max(exps) - lo + 1))
-        for (a, _), c in p.terms.items():
-            buf[nb * (a - lo):nb * (a - lo + 1)] = c.to_bytes(nb, "little")
-        return _Packed({0: int.from_bytes(buf, "little")}, -lo, w)
+    def on_window(u_prec, w):
+        """The 1 of the ring modulo u^u_prec, in lanes of w bits."""
+        return _Packed({0: 1}, 0, w, (1 << w * u_prec) - 1)
+
+    def _new(self, cols, s):
+        """A value of self's ring from freshly built columns, less those that
+        are 0; on a window, each is first reduced modulo 2^{wU}."""
+        mask = self.window
+        if mask is None:
+            return _Packed({f: x for f, x in cols.items() if x}, s, self.w)
+        return _Packed({f: y for f, x in cols.items() if (y := x & mask)}, s, self.w, mask)
+
+    def with_lanes(self, x):
+        """The pure-q value whose lanes are the int x, in self's ring."""
+        return self._new({0: x}, 0)
 
     def __bool__(self):
         return bool(self.cols)
 
     def __neg__(self):
-        return _Packed({f: -x for f, x in self.cols.items()}, self.s, self.w)
+        return _Packed({f: -x for f, x in self.cols.items()}, self.s, self.w, self.window)
 
     def __add__(self, other):
         if not other.cols:
@@ -247,18 +276,29 @@ class _Packed:
                 out[f] = x
             else:
                 del out[f]
-        return _Packed(out, self.s, self.w)
+        return _Packed(out, self.s, self.w, self.window)
 
     def __mul__(self, other):
         """self * other, for self a monomial in t (one column); one int product
         per column of other."""
         ((f, x),) = self.cols.items()
-        return _Packed({f + g: x * y for g, y in other.cols.items()}, self.s + other.s, self.w)
+        mask = self.window
+        if mask is None:
+            return _Packed({f + g: x * y for g, y in other.cols.items()}, self.s + other.s, self.w)
+        return _Packed({f + g: z for g, y in other.cols.items() if (z := x * y & mask)},
+                       0, self.w, mask)
 
     def shifted(self, e, f, t_prec=None):
-        """self * q^e t^f, less its columns at t^t_prec and up."""
-        cols = {g + f: x for g, x in self.cols.items() if t_prec is None or g + f < t_prec}
-        return _Packed(cols, self.s - e, self.w)
+        """self * q^e t^f, less its columns at t^t_prec and up.  Off a window
+        the shift s drops by e; on one, each column moves up e lanes."""
+        mask = self.window
+        if mask is None:
+            return _Packed({g + f: x for g, x in self.cols.items()
+                            if t_prec is None or g + f < t_prec}, self.s - e, self.w)
+        shift = self.w * e
+        return _Packed({g + f: y for g, x in self.cols.items()
+                        if (t_prec is None or g + f < t_prec) and (y := x << shift & mask)},
+                       0, self.w, mask)
 
     def times_qinv_poch(self, i, j):
         """self * (1 - q^-(i+1)) ... (1 - q^-j)."""
@@ -269,26 +309,29 @@ class _Packed:
             s += k
         return _Packed(cols, s, self.w)
 
-    def times_one_minus_t(self, e, t_prec=None):
-        """self * (1 - q^e t) for e >= 0, less its columns at t^t_prec and up."""
+    def times_one_minus(self, e, b, t_prec=None):
+        """self * (1 - q^e t^b) for e >= 0 and b in {0, 1}, less its columns at
+        t^t_prec and up: column f + b less column f, e lanes up."""
         shift = self.w * e
         out = dict(self.cols)
         for f, x in self.cols.items():
-            if t_prec is None or f + 1 < t_prec:
-                y = out.get(f + 1, 0) - (x << shift)
-                if y:
-                    out[f + 1] = y
-                else:
-                    del out[f + 1]
-        return _Packed(out, self.s, self.w)
+            if t_prec is None or f + b < t_prec:
+                out[f + b] = out.get(f + b, 0) - (x << shift)
+        return self._new(out, self.s)
 
-    def decode(self):
-        """The LaurentPoly2, read off each column's balanced w-bit digits from
-        its lowest nonzero lane up, in one pass over its bytes."""
+    def digits(self):
+        """{(q-exponent, t-exponent): coefficient}, read off each column's
+        balanced w-bit digits from its lowest nonzero lane up, in one pass over
+        its bytes; on a window, off the residue centred at 0."""
         w, nb = self.w, self.w // 8
         half = 1 << (w - 1)
+        mask = self.window
         terms = {}
         for f, x in self.cols.items():
+            if mask is not None:
+                x = ((x + (mask >> 1) + 1) & mask) - (mask >> 1) - 1
+                if not x:
+                    continue
             low = ((x & -x).bit_length() - 1) // w
             x >>= w * low
             lanes = x.bit_length() // w + 1
@@ -299,7 +342,11 @@ class _Packed:
                 c = int.from_bytes(buf[nb * i:nb * i + nb], "little") - half
                 if c:
                     terms[(low + i - self.s, f)] = c
-        return LaurentPoly2._adopt(terms)
+        return terms
+
+    def decode(self):
+        """The LaurentPoly2 of self's digits."""
+        return LaurentPoly2._adopt(self.digits())
 
 
 def _check_poly(p):
@@ -453,11 +500,12 @@ def node22_closed_form(d):
     """
     require(0, d=d)
     w = _lanes(2 * d + 2)
+    binoms = _qbinomial_ints(d, w)
     total = _Packed({}, 0, w)
     for r in range(d + 1):
-        term = _Packed.lift(qbinomial(d, r), w).shifted(r * (r - 1) // 2, r)
+        term = _Packed({0: binoms[(d, r)]}, 0, w).shifted(r * (r - 1) // 2, r)
         for k in range(d - r + 1, d + 1):
-            term = term.times_one_minus_t(k)
+            term = term.times_one_minus(k, 1)
         total = total + (-term if r % 2 else term)
     return total.decode()
 

@@ -274,6 +274,14 @@ TOUR_JSON_DIGESTS = {
 }
 
 
+def _workloads():
+    """The benchmark's workloads module, which holds the README tour commands."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_cli_tour_output_bytes(capsys):
     # every README tour command of the benchmark prints the bytes whose digest
     # bench/reference.json holds, and in JSON the bytes of TOUR_JSON_DIGESTS
@@ -440,6 +448,47 @@ def test_help_text_is_pinned(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     golden = (ROOT / "tests" / "cli_help.txt").read_text()
     assert _help_transcript(capsys) == golden
+
+
+# help, usage errors and option orders, each parsed by a narrow parser first
+PARSE_CASES = [
+    [], ["--help"], ["-h"], ["nz", "--help"], ["verify", "--help"], ["oracle", "quot", "-h"],
+    ["verify", "special", "--help"], ["suite", "--help"], ["cl", "--help", "--family", "bogus"],
+    ["verify"], ["oracle"], ["nonsense"], ["verify", "nonsense"], ["oracle", "bogus", "--p", "2"],
+    ["nz", "--family", "node", "--m", "1"], ["nz", "--family", "x", "--m", "1", "--d", "1"],
+    ["nz", "--m", "x"], ["nz", "--bogus"], ["table", "4"], ["--format", "nz", "nz"],
+    ["json", "nz", "--family", "node", "--m", "1", "--d", "1"],
+    ["verify", "special", "--family", "cusp", "--m", "1", "--uprec", "9", "extra"],
+    ["hall", "--lambda", "2,1", "--mu", "1", "--fam", "x"],
+    ["--format", "json", "nz", "--family", "node", "--m", "1", "--d", "1"],
+    ["nz", "--d", "1", "--m", "1", "--fam", "node", "--format", "json"],
+    ["--budget", "5", "oracle", "matrix", "--n", "2", "--p", "3"],
+    ["oracle", "--budget", "3", "matrix", "--n", "1", "--p", "2"],
+    ["oracle", "matrix", "--p", "3", "--n", "2", "--budget", "5"],
+    ["verify", "t2", "--m", "1", "--d", "1", "--format=json"], ["table", "3", "--format", "json"],
+]
+
+
+def test_narrow_parser_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    # each command line ends with the same exit code, stdout and stderr whether
+    # it is parsed by the parser of its command alone or by the full parser
+    # (JSON reports differ only in their wall times)
+    def outcome(argv):
+        code = dispatch(list(argv))
+        captured = capsys.readouterr()
+        return code, re.sub(r'"wall_time_ms": [^,]*', "", captured.out), captured.err
+
+    tour = [command.split() for _, command in _workloads().CLI_COMMANDS]
+    for columns in (None, "40", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        for argv in PARSE_CASES + (tour if columns is None else []):
+            narrow = outcome(argv)
+            with monkeypatch.context() as full:
+                full.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+                assert outcome(argv) == narrow, (columns, argv)
 
 
 SIZES = ["-1", "0", "1", "2", "3"]

@@ -4,9 +4,10 @@ from math import isqrt
 
 import pytest
 
+import cl_reference
 import series_reference as ref
 from singzeta import clzeta
-from singzeta.hall import column_walk, hall_skew
+from singzeta.hall import hall_skew
 from singzeta.laurent import (ONE, Q, ZERO, LaurentPoly2, parse_poly, qbinomial_qinv,
                               qpoch_qinv_ratio)
 from singzeta.partitions import partitions_of, subpartitions
@@ -116,15 +117,8 @@ def test_cl_node_matches_term_by_term_sum_at_window_edges():
 def _cl_node_per_j(m, u_prec, t_prec):
     """The node numerator with each end factor (u^{j+1}t;u)^2_inf/(u;u)_j built
     on its own and multiplied onto the walk's sum at j."""
-    top = 0
-    while top < t_prec and 3 * top * top < 4 * u_prec:
-        top += 1
-    states = column_walk(m, top, lambda p: TruncSeries2.from_laurent(p, u_prec, t_prec),
-                         lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                         lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
-                             u_prec, t_prec))
     total = TruncSeries2(u_prec, t_prec)
-    for (j, i), s in states.items():
+    for (j, i), s in cl_reference.node_states(m, u_prec, t_prec).items():
         fold = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
                                          u_prec, t_prec)
         tail = TruncSeries2(u_prec, t_prec, inv_upoch(j, u_prec).coeffs)
@@ -165,6 +159,46 @@ def test_cl_cusp_walk_matches_per_mu_sum():
             got = cl_series("cusp", m, u_prec, t_prec).numerator
             assert (got.u_prec, got.t_prec) == (want.u_prec, want.t_prec) == (u_prec, t_prec)
             assert got.coeffs == want.coeffs, (m, u_prec, t_prec)
+
+
+def test_packed_numerators_match_the_dict_walks():
+    # both families on seeded windows, against the walks on TruncSeries2; the
+    # cusp at (40, 12) has a coefficient of 8 bits in its 16-bit lanes
+    rng = random.Random(23)
+    windows = [("cusp", 3, 60, 2048), ("node", 4, 60, 30), ("node", 1, 60, 2048),
+               ("cusp", 1, 40, 12)]
+    windows += [(rng.choice(("cusp", "node")), rng.randint(1, 4), rng.randint(1, 60),
+                 rng.choice((1, 2, 8, 16, 30, 2048))) for _ in range(45)]
+    for kind, m, u_prec, t_prec in windows:
+        want = (cl_reference.cusp_numerator if kind == "cusp"
+                else cl_reference.node_numerator)(m, u_prec, t_prec)
+        got = clzeta.cl_numerator(kind, m, u_prec, t_prec)
+        assert (got.u_prec, got.t_prec) == (u_prec, t_prec)
+        assert got.coeffs == want.coeffs, (kind, m, u_prec, t_prec)
+
+
+def test_cl_lanes_hold_every_coefficient():
+    # the packed walks decode right only if every coefficient lies strictly
+    # between -2^(w-1) and 2^(w-1), w from the helper the ring's width rounds up
+    for kind in ("cusp", "node"):
+        for m in range(1, 5):
+            for u_prec, t_prec in ((1, 1), (5, 3), (13, 8), (21, 8), (13, 16), (60, 30),
+                                   (40, 2048)):
+                numerator = clzeta.cl_numerator(kind, m, u_prec, t_prec)
+                top = max(abs(c) for c in numerator.coeffs.values())
+                assert top < 2 ** (clzeta._lane_bits(kind, m, u_prec, t_prec) - 1)
+
+
+def test_cl_numerator_makes_no_series_product(monkeypatch):
+    # the walks, folds and end factors all run on packed ints
+    calls = []
+    for name in ("times_poch", "__mul__"):
+        real = getattr(TruncSeries2, name)
+        monkeypatch.setattr(TruncSeries2, name,
+                            lambda self, *a, real=real, **k: calls.append(1) or real(self, *a, **k))
+    for kind in ("cusp", "node"):
+        assert clzeta.cl_numerator(kind, 3, 21, 8).coeffs[(0, 0)] == 1
+    assert len(calls) == 0
 
 
 def test_cl_series_rejects_unknown_kind():
