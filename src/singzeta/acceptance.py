@@ -178,10 +178,13 @@ def criterion_9_solomon(budget=oracle_mod.DEFAULT_BUDGET):
 
 def _census_report(name, params, got, want, wall_time):
     """Census counts against formula values; a failure names the first t-degree k
-    where they differ, as (0, k)."""
+    where they differ, as (0, k).  The formula values are ints, printed in the
+    repr of fractions.Fraction, the form the pinned bytes of criteria 8 and 9
+    hold."""
     k = next((k for k, (a, b) in enumerate(zip_longest(got, want)) if a != b), None)
     return VerificationReport(name, params, "pass" if k is None else "fail",
-                              lhs=str(got), rhs=str(want),
+                              lhs=str(got),
+                              rhs="[%s]" % ", ".join("Fraction(%d, 1)" % c for c in want),
                               discrepancy=None if k is None else (0, k),
                               wall_time=wall_time)
 

@@ -7,6 +7,7 @@ order, used by every printed or serialized form, is lexicographic ascending by
 (e_q, e_t).
 """
 
+
 class UnsupportedSubstitutionError(ValueError):
     """Raised when a substitution image is not a unit monomial."""
 

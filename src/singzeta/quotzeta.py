@@ -172,7 +172,8 @@ def _node_free_walk(m, d, t_prec=None):
     require(0, d=d)
     w = _lanes(_node_lane_bits(m, d))
     # x = [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}
-    binoms = {(n, r): _Packed({0: x}, r * (n - r), w) for (n, r), x in _qbinomial_ints(d, w).items()}
+    binoms = {(n, r): _Packed({0: x}, r * (n - r), w)
+              for (n, r), x in _qbinomial_ints(d, w).items()}
 
     def column(v, a, b):
         return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)

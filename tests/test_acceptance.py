@@ -5,6 +5,10 @@ timing limits from the statement of each criterion are asserted as well
 (generously, since they are stated as upper bounds on commodity hardware).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 from singzeta import acceptance
@@ -131,6 +135,28 @@ def test_criterion_08_oracle_vs_formula():
 
 def test_criterion_09_solomon():
     _run("9 Solomon", acceptance.criterion_9_solomon)
+
+
+def test_exact_values_print_without_fractions():
+    # criteria 9 and 13 print their exact values as fractions.Fraction does,
+    # though neither imports it
+    solomon = acceptance.criterion_9_solomon()[3]
+    assert (solomon.lhs, solomon.rhs) == (
+        "[1, 4, 13, 40, 121]",
+        "[Fraction(1, 1), Fraction(4, 1), Fraction(13, 1), Fraction(40, 1), Fraction(121, 1)]")
+    texts = [(r.lhs, r.rhs, r.detail) for r in acceptance.criterion_13_coh_quot()]
+    assert texts == [
+        ("1", "[Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]", "values 1, 1, 1"),
+        ("3/2", "[Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)]", "values 3/2, 3/2, 3/2"),
+        ("1/6", "[Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)]", "values 1/6, 1/6, 1/6")]
+    # and neither does the package's start-up, or exact evaluation at an integer
+    code = ("import sys, singzeta.cli; from singzeta import acceptance, clzeta; "
+            "acceptance.criterion_9_solomon(); acceptance.criterion_13_coh_quot(); "
+            "assert clzeta.matrix_count_formula(2).eval_int(3) == 105; "
+            "print('fractions' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(acceptance.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 def test_criterion_10_matrix_counts():

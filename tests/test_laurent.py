@@ -87,6 +87,8 @@ def test_substitute():
 
 def test_eval_int():
     assert (ONE + Q * T).eval_int(2, 1) == 3
+    assert type((ONE + Q * T).eval_int(2, 1)) is int
+    assert QINV.eval_int(2) == Fraction(1, 2)
     assert (Q - ONE).eval_int(3, 0) == 2
     assert (ONE - T + Q * T * T).eval_int(2, 1) == 2
     with pytest.raises(ZeroDivisionError):
