@@ -53,11 +53,11 @@ coefficient of NZ-hat on the window lies in [-2^{w-1}, 2^{w-1}).
 
 _lane_bits proves a w for that by L1 norms (the sum of the absolute values
 of the coefficients on the window), which bound every coefficient and are
-submultiplicative on the window.  It runs the same walk on ints: the norm of
-[n r]_u is C(n, r), that of 1/(u;u)_n the sum S_n of its coefficients below
-u^u_prec, and a shift keeps a norm while its monomial lies on the window and
-gives 0 off it, so the walk's value N_{j,i} at (j, i) bounds the norm of the
-packed one.  The term of (j, i) in NZ-hat is, by the identity above, the
+submultiplicative on the window.  _norm_bound runs the same walk on ints:
+the norm of [n r]_u is C(n, r), that of 1/(u;u)_n the sum S_n of its
+coefficients below u^u_prec, and a shift keeps a norm while its monomial
+lies on the window and gives 0 off it, so the walk's value N_{j,i} at (j, i)
+bounds the norm of the packed one.  The term of (j, i) in NZ-hat is, by the identity above, the
 value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i, and the
 coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf up to
 sign, whose sum at t = 1 below u^u_prec is P_j.  So
@@ -66,8 +66,21 @@ sign, whose sum at t = 1 below u^u_prec is P_j.  So
 and lanes are rounded up to whole bytes.  Intermediate values need no bound,
 as they are only ever reduced modulo 2^{w u_prec}.
 
-The full series is the numerator over (ut;u)_inf^s.  Every other product or
-quotient by Pochhammer factors on a window, finite or infinite, is one
+The full series is the numerator over (ut;u)_inf^s, and cl_series builds it
+on the same packed ring before its one decode.  A column-division step
+divides by 1 - u^e t: from the lowest column up, column f gains column
+f - 1, already divided, e lanes up.  The cusp's full series is its numerator
+after the u_prec - 1 steps e = 1 .. u_prec - 1.  For the node,
+E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2), so its full series is 1/(u;u)_J
+times the Horner total after 2J steps, with no end factor.  Every column
+step, times or over 1 - u^e t^b, skips a column whose lanes below u^(U-e)
+are all 0: e lanes up, it lies wholly past u^U.  The full series gets its
+own lanes.  1/(ut;u)_inf has nonnegative coefficients, and at t = 1 they sum
+below u^u_prec to p_U = p(0) + ... + p(u_prec - 1), as 1/(u;u)_inf does.  So
+|full|_1 <= |NZ-hat|_1 p_U^s, and cl_series' lanes are one bit more than the
+length of the numerator's bound times p_U^s; special_values, which needs only
+the numerator, keeps the numerator's lanes.  Every other product or quotient
+by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
 Rank-conversion identities, with [d r]_u = (u;u)_d/((u;u)_{d-r} (u;u)_r) in
@@ -92,9 +105,8 @@ from math import comb
 from operator import add
 
 from .laurent import (LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv,
-                      qpochhammer)
-from .quotzeta import (SingularityFamily, nz, full_z, _node_free_walk, _Packed, _lanes,
-                       _qbinomial_ints)
+                      qpochhammer, _qbinomial_ints)
+from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk, _Packed, _lanes
 from .hall import box_walk, column_walk
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
@@ -103,21 +115,35 @@ from .series import TruncSeries2
 
 
 class ClSeries:
-    """A Cohen-Lenstra numerator and its full series numerator/(ut;u)_inf^s."""
+    """A Cohen-Lenstra numerator and its full series numerator/(ut;u)_inf^s,
+    as cl_series builds them."""
 
-    def __init__(self, numerator, s):
+    def __init__(self, numerator, full):
         self.numerator = numerator
-        self.full = numerator.times_poch(1, 1, power=-s)
+        self.full = full
 
 
 def cl_numerator(kind, m, u_prec, t_prec):
     """NZ-hat on the window, checked to have constant term 1."""
+    return _cl_walk(kind, m, u_prec, t_prec, False)[0]
+
+
+def cl_series(kind, m, u_prec, t_prec):
+    """The CL numerator and full series of either family on the window."""
+    return ClSeries(*_cl_walk(kind, m, u_prec, t_prec, True))
+
+
+def _cl_walk(kind, m, u_prec, t_prec, with_full):
+    """NZ-hat on the window, and with with_full the full series too (else
+    None), each decoded once from one packed walk."""
     require(1, u_prec=u_prec, t_prec=t_prec)
     fam = SingularityFamily(kind, m)
-    numerator = (_cusp_numerator if fam.kind == "cusp" else _node_numerator)(m, u_prec, t_prec)
+    walk = _cusp_numerator if fam.kind == "cusp" else _node_numerator
+    numerator, full = walk(m, u_prec, t_prec, fam.s if with_full else 0)
+    numerator = TruncSeries2._adopt(u_prec, t_prec, numerator.digits())
     if numerator.coeffs.get((0, 0)) != 1:
         raise AssertionError("CL numerator must have constant term 1")
-    return numerator
+    return numerator, full if full is None else TruncSeries2._adopt(u_prec, t_prec, full.digits())
 
 
 def _walk_top(kind, u_prec, t_prec):
@@ -149,22 +175,31 @@ def _node_states(m, top, one, binoms, inverses, shifted):
                        lambda v, a, b: shifted(v, a * a - b * (a - b), 2 * a - b))
 
 
-def _cusp_numerator(m, u_prec, t_prec):
+def _cusp_numerator(m, u_prec, t_prec, s):
     """The cusp sum of the module docstring on the packed window: each
-    last-column state c divided by (u;u)_c."""
+    last-column state c divided by (u;u)_c.  With s = 1, also the full series,
+    that sum divided by (ut;u)_inf in u_prec - 1 column-division steps (else
+    None)."""
     top = _walk_top("cusp", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec))
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, s))
     states = _cusp_states(m, top, one, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     total = reduce(add, (inverses[c] * v for c, v in states.items()))
-    return TruncSeries2._adopt(u_prec, t_prec, total.digits())
+    full = None
+    if s:
+        full = total
+        for k in range(1, u_prec):
+            full = full.over_one_minus(k, t_prec)
+    return total, full
 
 
-def _node_numerator(m, u_prec, t_prec):
+def _node_numerator(m, u_prec, t_prec, s):
     """The node sum of the module docstring on the packed window: the walk,
     its fold, a Horner pass over j and the end factor, each a column step
-    or one product per column."""
+    or one product per column.  With s = 2, also the full series (else None):
+    the Horner total over (ut;u)_J^2 in 2J column-division steps, as
+    E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2)."""
     top = _walk_top("node", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec))
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec, s))
     binoms = {k: one.with_lanes(x) for k, x in _qbinomial_ints(top, one.w).items()}
     states = _node_states(m, top, one, binoms, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     sums = {}
@@ -180,9 +215,15 @@ def _node_numerator(m, u_prec, t_prec):
         total = total.times_one_minus(j, 0)
         if j in sums:
             total = total + sums[j]
+    full = None
+    if s:
+        full = total
+        for k in range(1, last + 1):
+            full = full.over_one_minus(k, t_prec).over_one_minus(k, t_prec)
+        full = inverses[last] * full
     for k in range(last + 1, u_prec):
         total = total.times_one_minus(k, 1, t_prec).times_one_minus(k, 1, t_prec)
-    return TruncSeries2._adopt(u_prec, t_prec, (inverses[last] * total).digits())
+    return inverses[last] * total, full
 
 
 def _packed_tables(u_prec, top, bits):
@@ -202,24 +243,42 @@ def _packed_tables(u_prec, top, bits):
     return one, inverses
 
 
-def _lane_bits(kind, m, u_prec, t_prec):
-    """A lane width w for the packed numerator of kind on the window: every
-    coefficient of the numerator lies in [-2^{w-1}, 2^{w-1}) (proof in the
-    module docstring).  The walk runs again on L1 norms (ints)."""
-    top = _walk_top(kind, u_prec, t_prec)
+def _lane_bits(kind, m, u_prec, t_prec, s=0):
+    """A lane width w for the packed numerator of kind on the window, and
+    with s the branch count for its full series too: every coefficient of
+    the numerator, divided by (ut;u)_inf^s, lies in [-2^{w-1}, 2^{w-1})
+    (proof in the module docstring)."""
+    bound = _norm_bound(kind, m, u_prec, t_prec)
+    if s:
+        bound *= _inverse_sums(u_prec, u_prec)[u_prec - 1] ** s
+    return bound.bit_length() + 1
+
+
+def _inverse_sums(u_prec, top):
+    """{n: S_n} for n < top, S_n the sum below u^u_prec of the coefficients
+    of 1/(u;u)_n; S_{u_prec-1} = p(0) + ... + p(u_prec - 1) is that of
+    1/(u;u)_inf."""
     counts = [1] + [0] * (u_prec - 1)
-    sums = {}  # sums[n]: the sum below u^u_prec of 1/(u;u)_n, S_n
+    sums = {}
     for n in range(top):
         for k in range(n, u_prec) if n else ():
             counts[k] += counts[k - n]
         sums[n] = sum(counts)
+    return sums
+
+
+def _norm_bound(kind, m, u_prec, t_prec):
+    """A bound on the L1 norm of NZ-hat on the window (module docstring):
+    the walk runs again on L1 norms (ints)."""
+    top = _walk_top(kind, u_prec, t_prec)
+    sums = _inverse_sums(u_prec, top)
 
     def shifted(v, e, f):
         return v if e < u_prec and f < t_prec else 0
 
     if kind == "cusp":
         states = _cusp_states(m, top, 1, sums, shifted)
-        return sum(sums[c] * v for c, v in states.items()).bit_length() + 1
+        return sum(sums[c] * v for c, v in states.items())
     states = _node_states(m, top, 1, {(n, r): comb(n, r) for n in range(top + 1)
                                       for r in range(n + 1)}, sums, shifted)
     # ends[j]: the sum below u^u_prec of (-u^{j+1}t;u)^2_inf at t = 1, P_j
@@ -228,14 +287,7 @@ def _lane_bits(kind, m, u_prec, t_prec):
         ends[j] = sum(counts)
         for _ in (0, 1) if j else ():
             counts[j:] = [a + b for a, b in zip(counts[j:], counts)]
-    bound = sum(v * comb(j, i) * sums[i] * ends[j] for (j, i), v in states.items())
-    return bound.bit_length() + 1
-
-
-def cl_series(kind, m, u_prec, t_prec):
-    """The CL numerator and full series of either family on the window."""
-    numerator = cl_numerator(kind, m, u_prec, t_prec)
-    return ClSeries(numerator, SingularityFamily(kind, m).s)
+    return sum(v * comb(j, i) * sums[i] * ends[j] for (j, i), v in states.items())
 
 
 def node22_phi11(u_prec, t_prec):

@@ -16,22 +16,41 @@ and Hall Polynomials, Ch. II Sec. 4 and Ch. III Sec. 3).  All arithmetic is
 exact; every closed form is assembled division-free and asserted to land in
 Z[q].
 
+The Hall algebra runs on packed values (Kronecker substitution; Harvey,
+J. Symbolic Comput. 44, 2009).  A coefficient is a triple (x, e, b): x is a
+polynomial in q read at q = 2^_W, so a product is one int product; the value
+is q^e x(q), so [n r]_{1/q} = q^{-r(n-r)} [n r]_q keeps its int from
+laurent._qbinomial_ints; and b bounds the L1 norm of x (the sum of the
+absolute values of its coefficients).  [n r]_q has norm C(n, r), a product
+multiplies the bounds and a sum adds them, as the norm is submultiplicative
+and subadditive.  Integer arithmetic is exact whatever the lanes; only
+reading x needs every coefficient strictly inside +-2^(_W-1), which holds
+while b < 2^(_W-1).  So every zero test, lowest-lane test (the Z[q] assertion
+on a Pieri coefficient, the leading coefficient 1 of a column product) and
+decode first checks the carried bound; if it does not fit, _W doubles, the
+packed caches are cleared and hall_pair_expansion recomputes, so no input
+loses exactness or raises.  _W starts at 64 bits: the bounds of the cached
+column products and inverses reach about 22 bits at |lambda| <= 6 and 51 at
+|lambda| <= 9.  Each g^lambda_{mu nu} is decoded once into a LaurentPoly2.
+
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
 the box (quotzeta.nz_node_free) and over lambda_1 <= m
-(clzeta._node_numerator, and its lane bound clzeta._lane_bits on L1 norms).
+(clzeta._node_numerator, and its L1 bound clzeta._norm_bound).
 box_walk is the one-index walk over the states mu'_i alone; it serves three
 sums, both normalization numerators (quotzeta._normalization_walk) and the
-cusp's CL numerator (clzeta._cusp_numerator and _lane_bits).  Both walks
+cusp's CL numerator (clzeta._cusp_numerator and _norm_bound).  Both walks
 run in the caller's ring: they take its 1 and the gap and column factors as
 callbacks (column_walk also the caller's table of binomials, which the
 callers share with their gaps and folds), and return their last-column
 states, which each caller folds in its own ring.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, qbinomial_qinv, qmultinomial_qinv,
-                      qpoch_qinv_ratio)
+from math import comb
+
+from .laurent import (LaurentPoly2, ZERO, qbinomial_qinv, qmultinomial_qinv,
+                      qpoch_qinv_ratio, lane_digits, _qbinomial_ints)
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .partitions import Partition
 
@@ -171,11 +190,91 @@ def surjection_count(d, mu):
 
 # -- the Hall algebra ----------------------------------------------------------
 #
-# An element sum_lam c_lam u_lam is a dict {part tuple: coefficient in Z[q]}.
+# An element sum_lam c_lam u_lam is a dict {part tuple: packed coefficient}.
+# A packed coefficient (x, e, b) stands for q^e x(q), x read at q = 2^_W, with
+# b a carried bound on the L1 norm of x(q); see the module docstring.
+
+_W = 64  # lane bits of the packed Hall algebra; doubled by _widened
+_CONJ = {}  # part tuple -> its conjugate's part tuple
+_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (laurent._qbinomial_ints)
+_COLUMNS_CACHE = {}
+_COLUMN_INVERSE_CACHE = {}
+_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)
+_PACKED_ONE = (1, 0, 1)
+
+
+class _LaneOverflow(Exception):
+    """A carried bound does not fit in the lanes of _W bits."""
+
+
+def _conj(parts):
+    got = _CONJ.get(parts)
+    if got is None:
+        got = _CONJ[parts] = tuple(sum(1 for p in parts if p >= i)
+                                   for i in range(1, parts[0] + 1)) if parts else ()
+    return got
 
 
 def _n_stat(parts):
     return sum(i * p for i, p in enumerate(parts))
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+
+def _add_into(acc, key, value):
+    """acc[key] += value on packed coefficients, the shifts aligned to the lower."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+        return
+    (x, e, b), (y, f, c) = old, value
+    if e > f:
+        x, e, y, f = y, f, x, e
+    acc[key] = x + (y << _W * (f - e)), e, b + c
+
+
+def _lanes(v):
+    """v's int once its carried bound is checked: its lanes hold the
+    coefficients exactly, so a zero test, a lowest-lane test or a decode of
+    it is exact.  Raises _LaneOverflow otherwise."""
+    if v[2].bit_length() >= _W:
+        raise _LaneOverflow
+    return v[0]
+
+
+def _low_lane(v):
+    """The q-exponent of v's lowest term (v != 0)."""
+    x = _lanes(v)
+    return ((x & -x).bit_length() - 1) // _W + v[1]
+
+
+def _is_one(v):
+    x, e = _lanes(v), v[1]
+    return e <= 0 and x == 1 << _W * -e
+
+
+def _decode(v):
+    x, e = _lanes(v), v[1]
+    return LaurentPoly2._adopt({(e + i, 0): c for i, c in lane_digits(x, _W)}) if x else ZERO
+
+
+def _nonzero(acc):
+    return {key: v for key, v in acc.items() if _lanes(v)}
+
+
+def _widened(fn, *args):
+    """fn(*args), recomputed with lanes of twice the bits (and the packed
+    caches cleared) for as long as a carried bound does not fit."""
+    global _W
+    while True:
+        try:
+            return fn(*args)
+        except _LaneOverflow:
+            _W *= 2
+            for cache in _PACKED_CACHES:
+                cache.clear()
 
 
 def _vertical_strips(mu, m):
@@ -205,24 +304,25 @@ def _pieri(mu, m):
 
         g^lam_{mu (1^m)} = q^{n(lam)-n(mu)-C(m,2)} prod_i [lam'_i-lam'_{i+1}, lam'_i-mu'_i]_{1/q}
 
-    (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i.
+    (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i, packed:
+    [n r]_{1/q} is q^{-r(n-r)} [n r]_q, of L1 norm C(n, r).
     """
-    mc = Partition(mu).conjugate().parts
+    mc = _conj(mu)
+    top = len(mu) + m
+    if (top, 0) not in _BINOMS:
+        _BINOMS.update(_qbinomial_ints(top, _W))
     out = {}
     for lam in _vertical_strips(mu, m):
-        lc = Partition(lam).conjugate().parts + (0,)
-        g = LaurentPoly2.monomial(1, _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2, 0)
+        lc = _conj(lam) + (0,)
+        x, e, b = 1, _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2, 1
         for i in range(len(lc) - 1):
             n, r = lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0)
             if 0 < r < n:
-                g = g * qbinomial_qinv(n, r)
-        if not g.is_polynomial():
+                x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
+        g = out[lam] = x, e, b
+        if _low_lane(g) < 0:
             raise AssertionError("Pieri coefficient left Z[q]: %s, %s, %d" % (lam, mu, m))
-        out[lam] = g
     return out
-
-
-_COLUMNS_CACHE = {}
 
 
 def _times_columns(mu, kappa):
@@ -234,21 +334,18 @@ def _times_columns(mu, kappa):
     key = (mu, kappa)
     got = _COLUMNS_CACHE.get(key)
     if got is None:
-        cols = Partition(kappa).conjugate().parts
+        cols = _conj(kappa)
         if len(cols) <= 1:
-            got = _pieri(mu, cols[0]) if cols else {mu: ONE}
+            got = _pieri(mu, cols[0]) if cols else {mu: _PACKED_ONE}
         else:
             got = {}
             rest = tuple(p - 1 if p == len(cols) else p for p in kappa)
             for rho, c in _times_columns(mu, tuple(p for p in rest if p)).items():
                 for lam, g in _times_columns(rho, (1,) * cols[-1]).items():
-                    _accumulate(got, lam, c * g)
-            got = {lam: g for lam, g in got.items() if g}
+                    _add_into(got, lam, _mul(c, g))
+            got = _nonzero(got)
         _COLUMNS_CACHE[key] = got
     return got
-
-
-_COLUMN_INVERSE_CACHE = {}
 
 
 def _column_inverse(nu):
@@ -261,15 +358,17 @@ def _column_inverse(nu):
     got = _COLUMN_INVERSE_CACHE.get(nu)
     if got is None:
         product = _times_columns((), nu)
-        if product.get(nu) != ONE:
+        lead = product.get(nu, (0, 0, 0))
+        if not _is_one(lead):
             raise AssertionError("column product of %s has leading coefficient %s"
-                                 % (nu, product.get(nu, ZERO)))
-        got = {nu: ONE}
+                                 % (nu, _decode(lead)))
+        got = {nu: _PACKED_ONE}
         for rho, a in product.items():
             if rho != nu:
                 for kappa, d in _column_inverse(rho).items():
-                    _accumulate(got, kappa, -(a * d))
-        got = {kappa: d for kappa, d in got.items() if d}
+                    x, e, b = _mul(a, d)
+                    _add_into(got, kappa, (-x, e, b))
+        got = _nonzero(got)
         _COLUMN_INVERSE_CACHE[nu] = got
     return got
 
@@ -282,17 +381,21 @@ def hall_pair_expansion(mu, nu):
 
     u_nu is written in column products by _column_inverse, and u_mu times each
     column product is a chain of Pieri steps; lambda with g = 0 are left out.
+    Each g is decoded once, from the packed sum.
     """
     key = (mu.parts, nu.parts)
     got = _HALL_PAIR_CACHE.get(key)
     if got is None:
-        acc = {}
-        for kappa, d in _column_inverse(nu.parts).items():
-            for lam, g in _times_columns(mu.parts, kappa).items():
-                _accumulate(acc, lam, d * g)
-        got = {Partition(lam): g for lam, g in acc.items() if g}
-        _HALL_PAIR_CACHE[key] = got
+        got = _HALL_PAIR_CACHE[key] = _widened(_pair_expansion, mu.parts, nu.parts)
     return got
+
+
+def _pair_expansion(mu, nu):
+    acc = {}
+    for kappa, d in _column_inverse(nu).items():
+        for lam, g in _times_columns(mu, kappa).items():
+            _add_into(acc, lam, _mul(d, g))
+    return {Partition(lam): _decode(g) for lam, g in _nonzero(acc).items()}
 
 
 def hall_general(lam, mu, nu):

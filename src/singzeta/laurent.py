@@ -387,13 +387,50 @@ def qbinomial(n, r):
 
 
 def qbinomial_qinv(n, r):
-    """[n r] evaluated at q -> q^-1 (a Laurent polynomial), memoized."""
+    """[n r] evaluated at q -> q^-1 (a Laurent polynomial), memoized.
+
+    Built by its own q^-1-Pascal recurrence [n r]_{1/q} = [n-1 r-1]_{1/q}
+    + q^-r [n-1 r]_{1/q}.  Domain error when r > n or r < 0.
+    """
+    if r < 0 or r > n:
+        raise ValueError("require 0 <= r <= n")
+    if r == 0 or r == n:
+        return ONE
     key = (n, r)
     got = _QBINOM_QINV_CACHE.get(key)
     if got is None:
-        got = qbinomial(n, r).substitute(QINV, T)
+        got = (qbinomial_qinv(n - 1, r - 1)
+               + LaurentPoly2.monomial(1, -r, 0) * qbinomial_qinv(n - 1, r))
         _QBINOM_QINV_CACHE[key] = got
     return got
+
+
+def _qbinomial_ints(top, w):
+    """{(n, r): [n r]_q at q = 2^w} for 0 <= r <= n <= top, by q-Pascal on ints,
+    [n r] = [n-1 r-1] + q^r [n-1 r]; each lane holds one coefficient while
+    2^w > C(n, r), their largest.  The packed rings of quotzeta, clzeta and
+    hall take their binomials from here."""
+    table = {}
+    for n in range(top + 1):
+        table[(n, 0)] = table[(n, n)] = 1
+        for r in range(1, n):
+            table[(n, r)] = table[(n - 1, r - 1)] + (table[(n - 1, r)] << w * r)
+    return table
+
+
+def lane_digits(x, w):
+    """The nonzero balanced w-bit digits of the int x != 0, a list of (i, c)
+    with x = sum c 2^{w i} and every c in [-2^{w-1}, 2^{w-1}); w is a multiple
+    of 8.  One pass over x's bytes from its lowest nonzero lane up: half
+    added to every lane turns each balanced digit into a plain one."""
+    nb, half = w // 8, 1 << (w - 1)
+    low = ((x & -x).bit_length() - 1) // w
+    x >>= w * low
+    lanes = x.bit_length() // w + 1
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * lanes, "little")
+    buf = (x + bias).to_bytes(nb * lanes, "little")
+    return [(low + i, c) for i in range(lanes)
+            if (c := int.from_bytes(buf[nb * i:nb * i + nb], "little") - half)]
 
 
 def qpoch_qinv_ratio(n, k):

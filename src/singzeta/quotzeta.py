@@ -64,7 +64,7 @@ LaurentPoly2: packed, they measured no faster for m + d <= 7.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer,
-                      qbinomial_qinv, qpoch_qinv_ratio)
+                      qbinomial_qinv, qpoch_qinv_ratio, lane_digits, _qbinomial_ints)
 from .hall import box_walk, column_walk, hall_box, hall_skew
 from .partitions import iterate_box
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
@@ -204,24 +204,12 @@ def _lanes(bits):
     return -(-bits // 8) * 8
 
 
-def _qbinomial_ints(top, w):
-    """{(n, r): [n r]_q at q = 2^w} for 0 <= r <= n <= top, by q-Pascal on ints,
-    [n r] = [n-1 r-1] + q^r [n-1 r]; each lane holds one coefficient while
-    2^w > C(n, r), their largest."""
-    table = {}
-    for n in range(top + 1):
-        table[(n, 0)] = table[(n, n)] = 1
-        for r in range(1, n):
-            table[(n, r)] = table[(n - 1, r - 1)] + (table[(n - 1, r)] << w * r)
-    return table
-
-
 class _Packed:
     """An element of Z[q^{+-1}, t] as {f: x_f} and a q-shift s: x_f is q^s
     times the t^f coefficient evaluated at q = 2^w, w a multiple of 8.  The
     operations are those the free node walk, the (2,2)-link closed form and
-    the Cohen-Lenstra numerators need; see the module docstring.  No column
-    holds 0.
+    the Cohen-Lenstra numerators and full series need; see the module
+    docstring.  No column holds 0.
 
     With a u-window (clzeta's numerators) the variable q is u, s stays 0,
     and window is 2^{wU} - 1 for the window u^U: every value is kept only
@@ -312,20 +300,35 @@ class _Packed:
 
     def times_one_minus(self, e, b, t_prec=None):
         """self * (1 - q^e t^b) for e >= 0 and b in {0, 1}, less its columns at
-        t^t_prec and up: column f + b less column f, e lanes up."""
+        t^t_prec and up: column f + b less column f, e lanes up.  On a window
+        a column whose low lanes below u^(U-e) are all 0 is skipped: e lanes
+        up, it lies wholly past u^U."""
         shift = self.w * e
+        keep = -1 if self.window is None else self.window >> shift
         out = dict(self.cols)
         for f, x in self.cols.items():
-            if t_prec is None or f + b < t_prec:
+            if (t_prec is None or f + b < t_prec) and x & keep:
                 out[f + b] = out.get(f + b, 0) - (x << shift)
         return self._new(out, self.s)
 
+    def over_one_minus(self, e, t_prec):
+        """self / (1 - u^e t) on a window, for e >= 1: from the lowest column
+        up to t^t_prec, column f gains column f - 1 (already divided), e
+        lanes up; the inverse of times_one_minus(e, 1, t_prec), skipping as it
+        does."""
+        shift, mask = self.w * e, self.window
+        keep = mask >> shift
+        cols = dict(self.cols)
+        for f in range(min(cols, default=t_prec) + 1, t_prec):
+            x = cols.get(f - 1, 0)
+            if x & keep:
+                cols[f] = (cols.get(f, 0) + (x << shift)) & mask
+        return self._new(cols, 0)
+
     def digits(self):
         """{(q-exponent, t-exponent): coefficient}, read off each column's
-        balanced w-bit digits from its lowest nonzero lane up, in one pass over
-        its bytes; on a window, off the residue centred at 0."""
-        w, nb = self.w, self.w // 8
-        half = 1 << (w - 1)
+        balanced w-bit digits (laurent.lane_digits); on a window, off the
+        residue centred at 0."""
         mask = self.window
         terms = {}
         for f, x in self.cols.items():
@@ -333,16 +336,8 @@ class _Packed:
                 x = ((x + (mask >> 1) + 1) & mask) - (mask >> 1) - 1
                 if not x:
                     continue
-            low = ((x & -x).bit_length() - 1) // w
-            x >>= w * low
-            lanes = x.bit_length() // w + 1
-            # half added to every lane turns each balanced digit into a plain one
-            bias = int.from_bytes((bytes(nb - 1) + b"\x80") * lanes, "little")
-            buf = (x + bias).to_bytes(nb * lanes, "little")
-            for i in range(lanes):
-                c = int.from_bytes(buf[nb * i:nb * i + nb], "little") - half
-                if c:
-                    terms[(low + i - self.s, f)] = c
+            for i, c in lane_digits(x, self.w):
+                terms[(i - self.s, f)] = c
         return terms
 
     def decode(self):

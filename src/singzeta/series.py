@@ -12,8 +12,9 @@ Comparisons of mismatched windows use the intersection.
 
 TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
 product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
-factor 1 - u^e t^b, with no generic product; it is the one way the package
-divides, and the type has no generic inverse.  poch, the product itself, is
+factor 1 - u^e t^b, with no generic product; it is the one way a series
+is divided (clzeta divides on its packed ring), and the type has no
+generic inverse.  poch, the product itself, is
 that pass applied to 1.
 """
 

@@ -206,6 +206,26 @@ def test_cl_numerator_makes_no_series_product(monkeypatch):
     assert len(calls) == 0
 
 
+def test_full_series_is_the_numerator_over_the_pochhammer():
+    # cl_series divides on the packed ring; the dict ring's times_poch is the
+    # reference, on the benchmark's windows and a wider one, and the L1 norm
+    # of the full series fits its lanes
+    for kind, s in (("cusp", 1), ("node", 2)):
+        for m in (1, 2, 3):
+            for u_prec, t_prec in ((13, 8), (21, 8), (13, 16), (60, 30)):
+                series = cl_series(kind, m, u_prec, t_prec)
+                want = series.numerator.times_poch(1, 1, power=-s)
+                assert (series.full.u_prec, series.full.t_prec) == (u_prec, t_prec)
+                assert series.full.coeffs == want.coeffs, (kind, m, u_prec, t_prec)
+                norm = sum(abs(c) for c in want.coeffs.values())
+                assert norm < 2 ** (clzeta._lane_bits(kind, m, u_prec, t_prec, s) - 1)
+
+
+def test_end_factor_skip_keeps_the_node_numerator():
+    # at u^200 most end-factor steps shift a column wholly off the window
+    assert clzeta.cl_numerator("node", 1, 200, 2048) == node22_phi11(200, 2048)
+
+
 def test_cl_series_rejects_unknown_kind():
     # m < 1 is covered through the CLI in test_cli.test_usage_errors
     with pytest.raises(ValueError, match="kind must be 'cusp' or 'node'"):

@@ -2,6 +2,12 @@ from functools import lru_cache
 
 import pytest
 
+import os
+import pathlib
+import subprocess
+import sys
+
+from singzeta import hall
 from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2, parse_poly
 from singzeta.partitions import Partition, iterate_box, partitions_of
 from singzeta.hall import (hall_skew, hall_box, hall_general, hall_count_oracle,
@@ -130,6 +136,53 @@ def test_hall_pair_expansion_matches_hall_littlewood_reference():
             for mu in partitions_of(a):
                 for nu in partitions_of(n - a):
                     assert hall_pair_expansion(mu, nu) == _hl_pair_expansion(mu, nu), (mu, nu)
+
+
+def _restart(bits):
+    """Start the packed Hall algebra over at lanes of the given bits, every
+    cache empty."""
+    hall._W = bits
+    for cache in hall._PACKED_CACHES + (hall._HALL_PAIR_CACHE,):
+        cache.clear()
+
+
+@pytest.fixture
+def narrow_lanes():
+    """The packed Hall algebra restarted at 8-bit lanes; restored after."""
+    saved = hall._W
+    _restart(8)
+    yield
+    _restart(saved)
+
+
+def test_hall_pair_expansion_widens_its_lanes(narrow_lanes):
+    # 8-bit lanes overflow at once; every pair must come out as at 64 bits
+    for n in range(8):
+        for a in range(n + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(n - a):
+                    assert hall_pair_expansion(mu, nu) == _hl_pair_expansion(mu, nu), (mu, nu)
+    assert hall._W > 8
+
+
+def test_hall_pair_expansion_at_size_nine_at_both_widths(narrow_lanes):
+    # the column inverse of (8) carries a 45-bit bound, so 8-bit lanes double
+    # three times; its large terms cancel down to two lambda
+    mu, nu = P([1]), P([8])
+    narrow = hall_pair_expansion(mu, nu)
+    assert hall._W == 64
+    _restart(64)
+    assert hall_pair_expansion(mu, nu) == narrow == _hl_pair_expansion(mu, nu)
+    assert narrow == {P([9]): ONE, P([8, 1]): Q}
+
+
+def test_import_builds_no_packed_table():
+    # start-up stays free of packed work: the tables are built on first use
+    code = ("import singzeta.cli; from singzeta import hall; "
+            "print(hall._W, [len(c) for c in hall._PACKED_CACHES])")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hall.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "64 [0, 0, 0]\n"), out.stderr
 
 
 def test_hall_symmetry_small():
