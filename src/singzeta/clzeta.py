@@ -184,12 +184,7 @@ def _cusp_numerator(m, u_prec, t_prec, s):
     one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, s))
     states = _cusp_states(m, top, one, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     total = reduce(add, (inverses[c] * v for c, v in states.items()))
-    full = None
-    if s:
-        full = total
-        for k in range(1, u_prec):
-            full = full.over_one_minus(k, t_prec)
-    return total, full
+    return total, total.over_one_minus(range(1, u_prec), t_prec) if s else None
 
 
 def _node_numerator(m, u_prec, t_prec, s):
@@ -217,10 +212,8 @@ def _node_numerator(m, u_prec, t_prec, s):
             total = total + sums[j]
     full = None
     if s:
-        full = total
-        for k in range(1, last + 1):
-            full = full.over_one_minus(k, t_prec).over_one_minus(k, t_prec)
-        full = inverses[last] * full
+        full = inverses[last] * total.over_one_minus(
+            [k for k in range(1, last + 1) for _ in (0, 1)], t_prec)
     for k in range(last + 1, u_prec):
         total = total.times_one_minus(k, 1, t_prec).times_one_minus(k, 1, t_prec)
     return inverses[last] * total, full

@@ -49,14 +49,9 @@ states, which each caller folds in its own ring.
 
 from math import comb
 
-from .laurent import (LaurentPoly2, ZERO, qbinomial_qinv, qmultinomial_qinv,
-                      qpoch_qinv_ratio, lane_digits, _qbinomial_ints)
+from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio, lane_digits, _qbinomial_ints
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .partitions import Partition
-
-
-def _conj_with_pad(lam, upto):
-    return [lam.conj_part(i) for i in range(1, upto + 1)]
 
 
 _HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> g^lam_mu(q)
@@ -76,15 +71,11 @@ def _skew_product(lam, mu):
     if not lam.contains(mu):
         return ZERO
     width = lam.part(1)
-    lc = _conj_with_pad(lam, width + 1)
-    mc = _conj_with_pad(mu, width + 1)
-    e = sum(m * (l - m) for l, m in zip(lc, mc))
-    result = LaurentPoly2.monomial(1, e, 0)
-    for i in range(width):
-        result = result * qbinomial_qinv(lc[i] - mc[i + 1], lc[i] - mc[i])
-    if not result.is_polynomial():
-        raise AssertionError("hall_skew left Z[q]: %s, %s" % (lam, mu))
-    return result
+    lc, mc = _conj(lam.parts) + (0,), _conj(mu.parts)
+    mc += (0,) * (width + 1 - len(mc))
+    return _widened(_decoded_product, sum(m * (l - m) for l, m in zip(lc, mc)),
+                    [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)],
+                    "hall_skew left Z[q]: %s, %s", (lam, mu))
 
 
 def column_walk(columns, top, one, binoms, gap, column):
@@ -163,14 +154,14 @@ def hall_box(m, d, mu):
     """
     if not Partition.box(m, d).contains(mu):
         raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
-    conj = mu.conjugate().parts
+    conj = _conj(mu.parts)
     gaps = [conj[i] - (conj[i + 1] if i + 1 < len(conj) else 0) for i in range(len(conj))]
-    top = conj[0] if conj else 0
-    e = d * mu.size() - sum(c * c for c in conj)
-    result = LaurentPoly2.monomial(1, e, 0) * qmultinomial_qinv(gaps + [d - top])
-    if not result.is_polynomial():
-        raise AssertionError("hall_box left Z[q]: m=%d d=%d %s" % (m, d, mu))
-    return result
+    pairs, total = [], 0
+    for a in gaps + [d - (conj[0] if conj else 0)]:
+        total += a
+        pairs.append((total, a))
+    return _widened(_decoded_product, d * mu.size() - sum(c * c for c in conj), pairs,
+                    "hall_box left Z[q]: m=%d d=%d %s", (m, d, mu))
 
 
 def surjection_count(d, mu):
@@ -264,6 +255,27 @@ def _nonzero(acc):
     return {key: v for key, v in acc.items() if _lanes(v)}
 
 
+def _binomial_product(e, pairs):
+    """q^e prod [n r]_{1/q} over the pairs (n, r), packed: [n r]_{1/q} is
+    q^{-r(n-r)} [n r]_q, of L1 norm C(n, r)."""
+    x, b = 1, 1
+    for n, r in pairs:
+        if 0 < r < n:
+            if (n, r) not in _BINOMS:
+                _BINOMS.update(_qbinomial_ints(n, _W))
+            x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
+    return x, e, b
+
+
+def _decoded_product(e, pairs, error, args):
+    """_binomial_product(e, pairs), asserted to lie in Z[q] (else the error
+    text error % args) and decoded."""
+    g = _binomial_product(e, pairs)
+    if _low_lane(g) < 0:
+        raise AssertionError(error % args)
+    return _decode(g)
+
+
 def _widened(fn, *args):
     """fn(*args), recomputed with lanes of twice the bits (and the packed
     caches cleared) for as long as a carried bound does not fit."""
@@ -304,22 +316,16 @@ def _pieri(mu, m):
 
         g^lam_{mu (1^m)} = q^{n(lam)-n(mu)-C(m,2)} prod_i [lam'_i-lam'_{i+1}, lam'_i-mu'_i]_{1/q}
 
-    (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i, packed:
-    [n r]_{1/q} is q^{-r(n-r)} [n r]_q, of L1 norm C(n, r).
+    (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i.
     """
     mc = _conj(mu)
-    top = len(mu) + m
-    if (top, 0) not in _BINOMS:
-        _BINOMS.update(_qbinomial_ints(top, _W))
     out = {}
     for lam in _vertical_strips(mu, m):
         lc = _conj(lam) + (0,)
-        x, e, b = 1, _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2, 1
-        for i in range(len(lc) - 1):
-            n, r = lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0)
-            if 0 < r < n:
-                x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
-        g = out[lam] = x, e, b
+        g = out[lam] = _binomial_product(
+            _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2,
+            [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
+             for i in range(len(lc) - 1)])
         if _low_lane(g) < 0:
             raise AssertionError("Pieri coefficient left Z[q]: %s, %s, %d" % (lam, mu, m))
     return out
@@ -399,9 +405,8 @@ def _pair_expansion(mu, nu):
 
 
 def hall_general(lam, mu, nu):
-    """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside lambda."""
-    if lam.size() != mu.size() + nu.size():
-        return ZERO
+    """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside
+    lambda, as every lambda of the expansion of u_mu u_nu is such."""
     return hall_pair_expansion(mu, nu).get(lam, ZERO)
 
 

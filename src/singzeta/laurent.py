@@ -441,17 +441,3 @@ def qpoch_qinv_ratio(n, k):
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     return qpochhammer(LaurentPoly2.monomial(1, k - n - 1, 0), QINV, k)
-
-
-def qmultinomial_qinv(parts):
-    """q^-1-multinomial (q^-1)_n / prod (q^-1)_{a_i} with n = sum(parts).
-
-    Assembled as a product of q^-1-binomials, so every intermediate is a
-    Laurent polynomial.
-    """
-    result = ONE
-    total = 0
-    for a in parts:
-        total += a
-        result = result * qbinomial_qinv(total, a)
-    return result

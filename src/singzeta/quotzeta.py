@@ -311,18 +311,22 @@ class _Packed:
                 out[f + b] = out.get(f + b, 0) - (x << shift)
         return self._new(out, self.s)
 
-    def over_one_minus(self, e, t_prec):
-        """self / (1 - u^e t) on a window, for e >= 1: from the lowest column
-        up to t^t_prec, column f gains column f - 1 (already divided), e
-        lanes up; the inverse of times_one_minus(e, 1, t_prec), skipping as it
-        does."""
-        shift, mask = self.w * e, self.window
-        keep = mask >> shift
+    def over_one_minus(self, steps, t_prec):
+        """self / prod (1 - u^e t) over the e >= 1 in steps, on a window, one
+        column-division step per e: from the lowest column up to t^t_prec,
+        column f gains column f - 1 (already divided), e lanes up.  The
+        inverse of times_one_minus(e, 1, t_prec), skipping as it does."""
+        w, mask = self.w, self.window
         cols = dict(self.cols)
-        for f in range(min(cols, default=t_prec) + 1, t_prec):
-            x = cols.get(f - 1, 0)
-            if x & keep:
-                cols[f] = (cols.get(f, 0) + (x << shift)) & mask
+        low = min(cols, default=t_prec)
+        for e in steps:
+            shift, keep = w * e, mask >> w * e
+            prev = cols.get(low, 0)
+            for f in range(low + 1, t_prec):
+                x = cols.get(f, 0)
+                if prev & keep:
+                    x = cols[f] = (x + (prev << shift)) & mask
+                prev = x
         return self._new(cols, 0)
 
     def digits(self):
