@@ -16,7 +16,8 @@ and Hall Polynomials, Ch. II Sec. 4 and Ch. III Sec. 3).  All arithmetic is
 exact; every closed form is assembled division-free and asserted to land in
 Z[q].
 
-The Hall algebra runs on packed values (Kronecker substitution; Harvey,
+The Hall algebra, and the products of q^-1-binomials that hall_skew and
+hall_box are, run on packed values (Kronecker substitution; Harvey,
 J. Symbolic Comput. 44, 2009).  A coefficient is a triple (x, e, b): x is a
 polynomial in q read at q = 2^_W, so a product is one int product; the value
 is q^e x(q), so [n r]_{1/q} = q^{-r(n-r)} [n r]_q keeps its int from
@@ -25,13 +26,13 @@ absolute values of its coefficients).  [n r]_q has norm C(n, r), a product
 multiplies the bounds and a sum adds them, as the norm is submultiplicative
 and subadditive.  Integer arithmetic is exact whatever the lanes; only
 reading x needs every coefficient strictly inside +-2^(_W-1), which holds
-while b < 2^(_W-1).  So every zero test, lowest-lane test (the Z[q] assertion
-on a Pieri coefficient, the leading coefficient 1 of a column product) and
-decode first checks the carried bound; if it does not fit, _W doubles, the
-packed caches are cleared and hall_pair_expansion recomputes, so no input
-loses exactness or raises.  _W starts at 64 bits: the bounds of the cached
-column products and inverses reach about 22 bits at |lambda| <= 6 and 51 at
-|lambda| <= 9.  Each g^lambda_{mu nu} is decoded once into a LaurentPoly2.
+while b < 2^(_W-1).  So every zero test, lowest-lane test (the Z[q]
+assertions, the leading coefficient 1 of a column product) and decode first checks the carried bound; if it does not fit, _W doubles, the
+packed caches are cleared and the call (hall_pair_expansion, hall_skew or
+hall_box) recomputes, so no input loses exactness or raises.  _W starts at
+64 bits: the bounds of the cached column products and inverses reach about
+22 bits at |lambda| <= 6 and 51 at |lambda| <= 9.  Each g^lambda_{mu nu},
+g^lambda_mu and box multinomial is decoded once into a LaurentPoly2.
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states

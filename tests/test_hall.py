@@ -142,7 +142,7 @@ def _restart(bits):
     """Start the packed Hall algebra over at lanes of the given bits, every
     cache empty."""
     hall._W = bits
-    for cache in hall._PACKED_CACHES + (hall._HALL_PAIR_CACHE,):
+    for cache in hall._PACKED_CACHES + (hall._HALL_PAIR_CACHE, hall._HALL_SKEW_CACHE):
         cache.clear()
 
 
@@ -174,6 +174,16 @@ def test_hall_pair_expansion_at_size_nine_at_both_widths(narrow_lanes):
     _restart(64)
     assert hall_pair_expansion(mu, nu) == narrow == _hl_pair_expansion(mu, nu)
     assert narrow == {P([9]): ONE, P([8, 1]): Q}
+
+
+def test_closed_forms_widen_their_lanes(narrow_lanes):
+    # the box multinomials at d = 8 reach 2520, past 8-bit lanes
+    boxes = [(m, d, mu) for m in (1, 2, 3) for d in (1, 3, 8) for mu in iterate_box(m, d)]
+    narrow = [(hall_box(m, d, mu), hall_skew(P.box(m, d), mu)) for m, d, mu in boxes]
+    assert hall._W > 8
+    _restart(64)
+    assert narrow == [(hall_box(m, d, mu), hall_skew(P.box(m, d), mu)) for m, d, mu in boxes]
+    assert all(box == skew for box, skew in narrow)
 
 
 def test_import_builds_no_packed_table():
