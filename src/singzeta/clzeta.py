@@ -77,9 +77,14 @@ step, times or over 1 - u^e t^b, skips a column whose lanes below u^(U-e)
 are all 0: e lanes up, it lies wholly past u^U.  The full series gets its
 own lanes.  1/(ut;u)_inf has nonnegative coefficients, and at t = 1 they sum
 below u^u_prec to p_U = p(0) + ... + p(u_prec - 1), as 1/(u;u)_inf does.  So
-|full|_1 <= |NZ-hat|_1 p_U^s, and cl_series' lanes are one bit more than the
-length of the numerator's bound times p_U^s; special_values, which needs only
-the numerator, keeps the numerator's lanes.  Every other product or quotient
+the cusp's |full|_1 <= |NZ-hat|_1 p_U, and its lanes in cl_series bound
+sum_c N_c S_c p_U.  The node's term of (j, i) in the full series is the
+value at (j, i) times [j, i]_u/((u;u)_i (ut;u)_j^2), by the two identities
+above, and the coefficients of 1/(ut;u)_j^2 are nonnegative, at t = 1
+summing below u^u_prec to R_j, those of 1/(u;u)_j^2.  So the node's lanes in
+cl_series bound sum N_{j,i} C(j, i) S_i (P_j + R_j), which bounds both the
+numerator and the full series.  special_values, which needs only the
+numerator, keeps the numerator's lanes.  Every other product or quotient
 by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
@@ -139,7 +144,7 @@ def _cl_walk(kind, m, u_prec, t_prec, with_full):
     require(1, u_prec=u_prec, t_prec=t_prec)
     fam = SingularityFamily(kind, m)
     walk = _cusp_numerator if fam.kind == "cusp" else _node_numerator
-    numerator, full = walk(m, u_prec, t_prec, fam.s if with_full else 0)
+    numerator, full = walk(m, u_prec, t_prec, with_full)
     numerator = TruncSeries2._adopt(u_prec, t_prec, numerator.digits())
     if numerator.coeffs.get((0, 0)) != 1:
         raise AssertionError("CL numerator must have constant term 1")
@@ -175,26 +180,26 @@ def _node_states(m, top, one, binoms, inverses, shifted):
                        lambda v, a, b: shifted(v, a * a - b * (a - b), 2 * a - b))
 
 
-def _cusp_numerator(m, u_prec, t_prec, s):
+def _cusp_numerator(m, u_prec, t_prec, with_full):
     """The cusp sum of the module docstring on the packed window: each
-    last-column state c divided by (u;u)_c.  With s = 1, also the full series,
-    that sum divided by (ut;u)_inf in u_prec - 1 column-division steps (else
-    None)."""
+    last-column state c divided by (u;u)_c.  With with_full, also the full
+    series, that sum divided by (ut;u)_inf in u_prec - 1 column-division
+    steps (else None)."""
     top = _walk_top("cusp", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, s))
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, with_full))
     states = _cusp_states(m, top, one, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     total = reduce(add, (inverses[c] * v for c, v in states.items()))
-    return total, total.over_one_minus(range(1, u_prec), t_prec) if s else None
+    return total, total.over_one_minus(range(1, u_prec), t_prec) if with_full else None
 
 
-def _node_numerator(m, u_prec, t_prec, s):
+def _node_numerator(m, u_prec, t_prec, with_full):
     """The node sum of the module docstring on the packed window: the walk,
     its fold, a Horner pass over j and the end factor, each a column step
-    or one product per column.  With s = 2, also the full series (else None):
-    the Horner total over (ut;u)_J^2 in 2J column-division steps, as
-    E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2)."""
+    or one product per column.  With with_full, also the full series (else
+    None): 1/(u;u)_J times the Horner total over (ut;u)_J^2, in 2J
+    column-division steps, as E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2)."""
     top = _walk_top("node", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec, s))
+    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec, with_full))
     binoms = {k: one.with_lanes(x) for k, x in _qbinomial_ints(top, one.w).items()}
     states = _node_states(m, top, one, binoms, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     sums = {}
@@ -211,7 +216,7 @@ def _node_numerator(m, u_prec, t_prec, s):
         if j in sums:
             total = total + sums[j]
     full = None
-    if s:
+    if with_full:
         full = inverses[last] * total.over_one_minus(
             [k for k in range(1, last + 1) for _ in (0, 1)], t_prec)
     for k in range(last + 1, u_prec):
@@ -236,33 +241,31 @@ def _packed_tables(u_prec, top, bits):
     return one, inverses
 
 
-def _lane_bits(kind, m, u_prec, t_prec, s=0):
+def _lane_bits(kind, m, u_prec, t_prec, with_full=False):
     """A lane width w for the packed numerator of kind on the window, and
-    with s the branch count for its full series too: every coefficient of
-    the numerator, divided by (ut;u)_inf^s, lies in [-2^{w-1}, 2^{w-1})
-    (proof in the module docstring)."""
-    bound = _norm_bound(kind, m, u_prec, t_prec)
-    if s:
-        bound *= _inverse_sums(u_prec, u_prec)[u_prec - 1] ** s
-    return bound.bit_length() + 1
+    with with_full for its full series too: every coefficient lies in
+    [-2^{w-1}, 2^{w-1}) (proof in the module docstring)."""
+    return _norm_bound(kind, m, u_prec, t_prec, with_full).bit_length() + 1
 
 
-def _inverse_sums(u_prec, top):
+def _inverse_sums(u_prec, top, power=1):
     """{n: S_n} for n < top, S_n the sum below u^u_prec of the coefficients
-    of 1/(u;u)_n; S_{u_prec-1} = p(0) + ... + p(u_prec - 1) is that of
-    1/(u;u)_inf."""
+    of 1/(u;u)_n^power; S_{u_prec-1} is that of 1/(u;u)_inf^power, for
+    power 1 the sum p(0) + ... + p(u_prec - 1)."""
     counts = [1] + [0] * (u_prec - 1)
     sums = {}
     for n in range(top):
-        for k in range(n, u_prec) if n else ():
-            counts[k] += counts[k - n]
+        for _ in range(power) if n else ():
+            for k in range(n, u_prec):
+                counts[k] += counts[k - n]
         sums[n] = sum(counts)
     return sums
 
 
-def _norm_bound(kind, m, u_prec, t_prec):
-    """A bound on the L1 norm of NZ-hat on the window (module docstring):
-    the walk runs again on L1 norms (ints)."""
+def _norm_bound(kind, m, u_prec, t_prec, with_full):
+    """A bound on the L1 norm of NZ-hat on the window, and with with_full on
+    that of the full series too (module docstring): the walk runs again on
+    L1 norms (ints)."""
     top = _walk_top(kind, u_prec, t_prec)
     sums = _inverse_sums(u_prec, top)
 
@@ -271,15 +274,20 @@ def _norm_bound(kind, m, u_prec, t_prec):
 
     if kind == "cusp":
         states = _cusp_states(m, top, 1, sums, shifted)
-        return sum(sums[c] * v for c, v in states.items())
+        bound = sum(sums[c] * v for c, v in states.items())
+        return bound * _inverse_sums(u_prec, u_prec)[u_prec - 1] if with_full else bound
     states = _node_states(m, top, 1, {(n, r): comb(n, r) for n in range(top + 1)
                                       for r in range(n + 1)}, sums, shifted)
-    # ends[j]: the sum below u^u_prec of (-u^{j+1}t;u)^2_inf at t = 1, P_j
+    # ends[j]: the sum below u^u_prec of (-u^{j+1}t;u)^2_inf at t = 1, P_j,
+    # plus with with_full that of 1/(u;u)_j^2, R_j
     ends, counts = {}, [1] + [0] * (u_prec - 1)
     for j in range(u_prec - 1, -1, -1):
         ends[j] = sum(counts)
         for _ in (0, 1) if j else ():
             counts[j:] = [a + b for a, b in zip(counts[j:], counts)]
+    if with_full:
+        for j, r in _inverse_sums(u_prec, min(top + 1, u_prec), 2).items():
+            ends[j] += r
     return sum(v * comb(j, i) * sums[i] * ends[j] for (j, i), v in states.items())
 
 

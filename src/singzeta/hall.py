@@ -50,10 +50,119 @@ states, which each caller folds in its own ring.
 
 from math import comb
 
-from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio, lane_digits, _qbinomial_ints
+from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio, lane_digits_into, _qbinomial_ints
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .partitions import Partition
 
+
+# -- packed coefficients -------------------------------------------------------
+#
+# A packed coefficient (x, e, b) stands for q^e x(q), x read at q = 2^_W, with
+# b a carried bound on the L1 norm of x(q); see the module docstring.
+
+_W = 64  # lane bits of every packed coefficient; doubled by _widened
+_CONJ = {}  # part tuple -> its conjugate's part tuple
+_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (laurent._qbinomial_ints)
+_COLUMNS_CACHE = {}
+_COLUMN_INVERSE_CACHE = {}
+_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)
+_PACKED_ONE = (1, 0, 1)
+
+
+class _LaneOverflow(Exception):
+    """A carried bound does not fit in the lanes of _W bits."""
+
+
+def _conj(parts):
+    got = _CONJ.get(parts)
+    if got is None:
+        got = _CONJ[parts] = tuple(sum(1 for p in parts if p >= i)
+                                   for i in range(1, parts[0] + 1)) if parts else ()
+    return got
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+
+def _add_into(acc, key, value):
+    """acc[key] += value on packed coefficients, the shifts aligned to the lower."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+        return
+    (x, e, b), (y, f, c) = old, value
+    if e > f:
+        x, e, y, f = y, f, x, e
+    acc[key] = x + (y << _W * (f - e)), e, b + c
+
+
+def _lanes(v):
+    """v's int once its carried bound is checked: its lanes hold the
+    coefficients exactly, so a zero test, a lowest-lane test or a decode of
+    it is exact.  Raises _LaneOverflow otherwise."""
+    if v[2].bit_length() >= _W:
+        raise _LaneOverflow
+    return v[0]
+
+
+def _low_lane(v):
+    """The q-exponent of v's lowest term (v != 0)."""
+    x = _lanes(v)
+    return ((x & -x).bit_length() - 1) // _W + v[1]
+
+
+def _is_one(v):
+    x, e = _lanes(v), v[1]
+    return e <= 0 and x == 1 << _W * -e
+
+
+def _decode(v):
+    x, terms = _lanes(v), {}
+    if x:
+        lane_digits_into(terms, x, _W, v[1], 0)
+    return LaurentPoly2._adopt(terms)
+
+
+def _nonzero(acc):
+    return {key: v for key, v in acc.items() if _lanes(v)}
+
+
+def _binomial_product(e, pairs):
+    """q^e prod [n r]_{1/q} over the pairs (n, r), packed: [n r]_{1/q} is
+    q^{-r(n-r)} [n r]_q, of L1 norm C(n, r)."""
+    x, b = 1, 1
+    for n, r in pairs:
+        if 0 < r < n:
+            if (n, r) not in _BINOMS:
+                _BINOMS.update(_qbinomial_ints(n, _W))
+            x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
+    return x, e, b
+
+
+def _decoded_product(e, pairs, error, args):
+    """_binomial_product(e, pairs), asserted to lie in Z[q] (else the error
+    text error % args) and decoded."""
+    g = _binomial_product(e, pairs)
+    if _low_lane(g) < 0:
+        raise AssertionError(error % args)
+    return _decode(g)
+
+
+def _widened(fn, *args):
+    """fn(*args), recomputed with lanes of twice the bits (and the packed
+    caches cleared) for as long as a carried bound does not fit."""
+    global _W
+    while True:
+        try:
+            return fn(*args)
+        except _LaneOverflow:
+            _W *= 2
+            for cache in _PACKED_CACHES:
+                cache.clear()
+
+
+# -- closed forms and column walks ---------------------------------------------
 
 _HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> g^lam_mu(q)
 
@@ -183,111 +292,10 @@ def surjection_count(d, mu):
 # -- the Hall algebra ----------------------------------------------------------
 #
 # An element sum_lam c_lam u_lam is a dict {part tuple: packed coefficient}.
-# A packed coefficient (x, e, b) stands for q^e x(q), x read at q = 2^_W, with
-# b a carried bound on the L1 norm of x(q); see the module docstring.
-
-_W = 64  # lane bits of the packed Hall algebra; doubled by _widened
-_CONJ = {}  # part tuple -> its conjugate's part tuple
-_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (laurent._qbinomial_ints)
-_COLUMNS_CACHE = {}
-_COLUMN_INVERSE_CACHE = {}
-_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)
-_PACKED_ONE = (1, 0, 1)
-
-
-class _LaneOverflow(Exception):
-    """A carried bound does not fit in the lanes of _W bits."""
-
-
-def _conj(parts):
-    got = _CONJ.get(parts)
-    if got is None:
-        got = _CONJ[parts] = tuple(sum(1 for p in parts if p >= i)
-                                   for i in range(1, parts[0] + 1)) if parts else ()
-    return got
 
 
 def _n_stat(parts):
     return sum(i * p for i, p in enumerate(parts))
-
-
-def _mul(a, b):
-    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
-
-
-def _add_into(acc, key, value):
-    """acc[key] += value on packed coefficients, the shifts aligned to the lower."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = value
-        return
-    (x, e, b), (y, f, c) = old, value
-    if e > f:
-        x, e, y, f = y, f, x, e
-    acc[key] = x + (y << _W * (f - e)), e, b + c
-
-
-def _lanes(v):
-    """v's int once its carried bound is checked: its lanes hold the
-    coefficients exactly, so a zero test, a lowest-lane test or a decode of
-    it is exact.  Raises _LaneOverflow otherwise."""
-    if v[2].bit_length() >= _W:
-        raise _LaneOverflow
-    return v[0]
-
-
-def _low_lane(v):
-    """The q-exponent of v's lowest term (v != 0)."""
-    x = _lanes(v)
-    return ((x & -x).bit_length() - 1) // _W + v[1]
-
-
-def _is_one(v):
-    x, e = _lanes(v), v[1]
-    return e <= 0 and x == 1 << _W * -e
-
-
-def _decode(v):
-    x, e = _lanes(v), v[1]
-    return LaurentPoly2._adopt({(e + i, 0): c for i, c in lane_digits(x, _W)}) if x else ZERO
-
-
-def _nonzero(acc):
-    return {key: v for key, v in acc.items() if _lanes(v)}
-
-
-def _binomial_product(e, pairs):
-    """q^e prod [n r]_{1/q} over the pairs (n, r), packed: [n r]_{1/q} is
-    q^{-r(n-r)} [n r]_q, of L1 norm C(n, r)."""
-    x, b = 1, 1
-    for n, r in pairs:
-        if 0 < r < n:
-            if (n, r) not in _BINOMS:
-                _BINOMS.update(_qbinomial_ints(n, _W))
-            x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
-    return x, e, b
-
-
-def _decoded_product(e, pairs, error, args):
-    """_binomial_product(e, pairs), asserted to lie in Z[q] (else the error
-    text error % args) and decoded."""
-    g = _binomial_product(e, pairs)
-    if _low_lane(g) < 0:
-        raise AssertionError(error % args)
-    return _decode(g)
-
-
-def _widened(fn, *args):
-    """fn(*args), recomputed with lanes of twice the bits (and the packed
-    caches cleared) for as long as a carried bound does not fit."""
-    global _W
-    while True:
-        try:
-            return fn(*args)
-        except _LaneOverflow:
-            _W *= 2
-            for cache in _PACKED_CACHES:
-                cache.clear()
 
 
 def _vertical_strips(mu, m):

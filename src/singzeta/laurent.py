@@ -418,19 +418,23 @@ def _qbinomial_ints(top, w):
     return table
 
 
-def lane_digits(x, w):
-    """The nonzero balanced w-bit digits of the int x != 0, a list of (i, c)
-    with x = sum c 2^{w i} and every c in [-2^{w-1}, 2^{w-1}); w is a multiple
-    of 8.  One pass over x's bytes from its lowest nonzero lane up: half
-    added to every lane turns each balanced digit into a plain one."""
+def lane_digits_into(terms, x, w, e, f):
+    """Write the nonzero balanced w-bit digits of the int x != 0 into the
+    dict terms: terms[(e + i, f)] = c for x = sum c 2^{w i}, every c in
+    [-2^{w-1}, 2^{w-1}); w is a multiple of 8.  One pass over x's bytes from
+    its lowest nonzero lane up: half added to every lane turns each balanced
+    digit into a plain one."""
     nb, half = w // 8, 1 << (w - 1)
     low = ((x & -x).bit_length() - 1) // w
     x >>= w * low
     lanes = x.bit_length() // w + 1
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * lanes, "little")
     buf = (x + bias).to_bytes(nb * lanes, "little")
-    return [(low + i, c) for i in range(lanes)
-            if (c := int.from_bytes(buf[nb * i:nb * i + nb], "little") - half)]
+    e += low
+    for i in range(lanes):
+        c = int.from_bytes(buf[nb * i:nb * i + nb], "little") - half
+        if c:
+            terms[(e + i, f)] = c
 
 
 def qpoch_qinv_ratio(n, k):

@@ -64,7 +64,7 @@ LaurentPoly2: packed, they measured no faster for m + d <= 7.
 """
 
 from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qpochhammer,
-                      qbinomial_qinv, qpoch_qinv_ratio, lane_digits, _qbinomial_ints)
+                      qbinomial_qinv, qpoch_qinv_ratio, lane_digits_into, _qbinomial_ints)
 from .hall import box_walk, column_walk, hall_box, hall_skew
 from .partitions import iterate_box
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
@@ -304,10 +304,10 @@ class _Packed:
         a column whose low lanes below u^(U-e) are all 0 is skipped: e lanes
         up, it lies wholly past u^U."""
         shift = self.w * e
-        keep = -1 if self.window is None else self.window >> shift
+        keep = None if self.window is None else self.window >> shift
         out = dict(self.cols)
         for f, x in self.cols.items():
-            if (t_prec is None or f + b < t_prec) and x & keep:
+            if (t_prec is None or f + b < t_prec) and (keep is None or x & keep):
                 out[f + b] = out.get(f + b, 0) - (x << shift)
         return self._new(out, self.s)
 
@@ -331,7 +331,7 @@ class _Packed:
 
     def digits(self):
         """{(q-exponent, t-exponent): coefficient}, read off each column's
-        balanced w-bit digits (laurent.lane_digits); on a window, off the
+        balanced w-bit digits (laurent.lane_digits_into); on a window, off the
         residue centred at 0."""
         mask = self.window
         terms = {}
@@ -340,8 +340,7 @@ class _Packed:
                 x = ((x + (mask >> 1) + 1) & mask) - (mask >> 1) - 1
                 if not x:
                     continue
-            for i, c in lane_digits(x, self.w):
-                terms[(i - self.s, f)] = c
+            lane_digits_into(terms, x, self.w, -self.s, f)
         return terms
 
     def decode(self):

@@ -218,7 +218,7 @@ def test_full_series_is_the_numerator_over_the_pochhammer():
                 assert (series.full.u_prec, series.full.t_prec) == (u_prec, t_prec)
                 assert series.full.coeffs == want.coeffs, (kind, m, u_prec, t_prec)
                 norm = sum(abs(c) for c in want.coeffs.values())
-                assert norm < 2 ** (clzeta._lane_bits(kind, m, u_prec, t_prec, s) - 1)
+                assert norm < 2 ** (clzeta._lane_bits(kind, m, u_prec, t_prec, True) - 1)
 
 
 def test_end_factor_skip_keeps_the_node_numerator():
