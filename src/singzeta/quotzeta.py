@@ -301,14 +301,17 @@ class _Packed:
     def times_one_minus(self, e, b, t_prec=None):
         """self * (1 - q^e t^b) for e >= 0 and b in {0, 1}, less its columns at
         t^t_prec and up: column f + b less column f, e lanes up.  On a window
-        a column whose low lanes below u^(U-e) are all 0 is skipped: e lanes
-        up, it lies wholly past u^U."""
+        only a column's lanes below u^(U-e) are shifted, as the rest lie past
+        u^U once e lanes up; a column with none is skipped."""
         shift = self.w * e
         keep = None if self.window is None else self.window >> shift
         out = dict(self.cols)
         for f, x in self.cols.items():
-            if (t_prec is None or f + b < t_prec) and (keep is None or x & keep):
-                out[f + b] = out.get(f + b, 0) - (x << shift)
+            if t_prec is None or f + b < t_prec:
+                if keep is not None:
+                    x &= keep
+                if x:
+                    out[f + b] = out.get(f + b, 0) - (x << shift)
         return self._new(out, self.s)
 
     def over_one_minus(self, steps, t_prec):
@@ -324,7 +327,7 @@ class _Packed:
             prev = cols.get(low, 0)
             for f in range(low + 1, t_prec):
                 x = cols.get(f, 0)
-                if prev & keep:
+                if prev := prev & keep:
                     x = cols[f] = (x + (prev << shift)) & mask
                 prev = x
         return self._new(cols, 0)
