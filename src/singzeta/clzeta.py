@@ -57,10 +57,10 @@ submultiplicative on the window.  _norm_bound runs the same walk on ints:
 the norm of [n r]_u is C(n, r), that of 1/(u;u)_n the sum S_n of its
 coefficients below u^u_prec, and a shift keeps a norm while its monomial
 lies on the window and gives 0 off it, so the walk's value N_{j,i} at (j, i)
-bounds the norm of the packed one.  The term of (j, i) in NZ-hat is, by the identity above, the
-value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i, and the
-coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf up to
-sign, whose sum at t = 1 below u^u_prec is P_j.  So
+bounds the norm of the packed one.  The term of (j, i) in NZ-hat is, by the
+identity above, the value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i,
+and the coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf
+up to sign, whose sum at t = 1 below u^u_prec is P_j.  So
 |NZ-hat|_1 <= sum N_{j,i} C(j, i) S_i P_j, and likewise for the cusp
 |NZ-hat|_1 <= sum_c N_c S_c; w is one more than the bit length of the bound,
 and lanes are rounded up to whole bytes.  Intermediate values need no bound,
@@ -73,19 +73,22 @@ f - 1, already divided, e lanes up.  The cusp's full series is its numerator
 after the u_prec - 1 steps e = 1 .. u_prec - 1.  For the node,
 E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2), so its full series is 1/(u;u)_J
 times the Horner total after 2J steps, with no end factor.  Every column
-step, times or over 1 - u^e t^b, skips a column whose lanes below u^(U-e)
-are all 0: e lanes up, it lies wholly past u^U.  The full series gets its
-own lanes.  1/(ut;u)_inf has nonnegative coefficients, and at t = 1 they sum
-below u^u_prec to p_U = p(0) + ... + p(u_prec - 1), as 1/(u;u)_inf does.  So
-the cusp's |full|_1 <= |NZ-hat|_1 p_U, and its lanes in cl_series bound
-sum_c N_c S_c p_U.  The node's term of (j, i) in the full series is the
-value at (j, i) times [j, i]_u/((u;u)_i (ut;u)_j^2), by the two identities
-above, and the coefficients of 1/(ut;u)_j^2 are nonnegative, at t = 1
-summing below u^u_prec to R_j, those of 1/(u;u)_j^2.  So the node's lanes in
-cl_series bound sum N_{j,i} C(j, i) S_i (P_j + R_j), which bounds both the
-numerator and the full series.  special_values, which needs only the
-numerator, keeps the numerator's lanes.  Every other product or quotient
-by Pochhammer factors on a window, finite or infinite, is one
+step, times or over 1 - u^e t^b, shifts only a column's lanes below
+u^(U-e), as the rest lie past u^U once e lanes up, and skips a column with
+none.
+
+The full series gets its own lanes.  1/(ut;u)_inf has nonnegative
+coefficients, and at t = 1 they sum below u^u_prec to
+p_U = p(0) + ... + p(u_prec - 1), as 1/(u;u)_inf does.  So the cusp's
+|full|_1 <= |NZ-hat|_1 p_U, and its lanes in cl_series bound
+sum_c N_c S_c p_U.  The node's term of (j, i) in the full series is, by the
+two identities above, the value at (j, i) times
+[j, i]_u/((u;u)_i (ut;u)_j^2), and the coefficients of 1/(ut;u)_j^2 are
+nonnegative, summing at t = 1 below u^u_prec to R_j, those of 1/(u;u)_j^2.
+So the node's lanes in cl_series bound sum N_{j,i} C(j, i) S_i (P_j + R_j),
+which bounds both the numerator and the full series.  special_values, which
+needs only the numerator, keeps the numerator's lanes.  Every other product
+or quotient by Pochhammer factors on a window, finite or infinite, is one
 TruncSeries2.times_poch pass per factor.
 
 Rank-conversion identities, with [d r]_u = (u;u)_d/((u;u)_{d-r} (u;u)_r) in
