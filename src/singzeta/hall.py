@@ -26,13 +26,23 @@ absolute values of its coefficients).  [n r]_q has norm C(n, r), a product
 multiplies the bounds and a sum adds them, as the norm is submultiplicative
 and subadditive.  Integer arithmetic is exact whatever the lanes; only
 reading x needs every coefficient strictly inside +-2^(_W-1), which holds
-while b < 2^(_W-1).  So every zero test, lowest-lane test (the Z[q]
-assertions, the leading coefficient 1 of a column product) and decode first checks the carried bound; if it does not fit, _W doubles, the
-packed caches are cleared and the call (hall_pair_expansion, hall_skew or
-hall_box) recomputes, so no input loses exactness or raises.  _W starts at
-64 bits: the bounds of the cached column products and inverses reach about
-22 bits at |lambda| <= 6 and 51 at |lambda| <= 9.  Each g^lambda_{mu nu},
-g^lambda_mu and box multinomial is decoded once into a LaurentPoly2.
+while b < 2^(_W-1).  Balanced digits in that range are unique, so then x is
+0 only for the zero polynomial, and two values whose difference passes the
+bound check are equal exactly when that difference is 0 (_same).  So every
+zero test, equality test, lowest-lane test (the Z[q] assertions, the
+leading coefficient 1 of a column product) and decode first checks the
+carried bound; if it does not fit, _W doubles, the packed caches are cleared
+and the call recomputes, so no input loses exactness or raises.  _W starts
+at 64 bits: the bounds of the cached column products and inverses reach
+about 22 bits at |lambda| <= 6 and 51 at |lambda| <= 9.
+
+hall_skew, hall_box, hall_pair_expansion and hall_general decode from the
+packed values, each in one _widened call, which no packed value outlives.
+g^lambda_mu and the expansions {lambda: g^lambda_{mu nu}} are cached packed
+for the current lane width (_skew_packed, _pair_packed).  The checks of
+criteria 6 and 7 (quotzeta.skew_cauchy_bounded_check; the completeness and
+symmetry scans in acceptance) sum and compare these packed values inside
+one _widened call each, and decode only a side that fails.
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
@@ -65,8 +75,9 @@ _CONJ = {}  # part tuple -> its conjugate's part tuple
 _BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (laurent._qbinomial_ints)
 _COLUMNS_CACHE = {}
 _COLUMN_INVERSE_CACHE = {}
-_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)
+_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)  # tables, built on first use
 _PACKED_ONE = (1, 0, 1)
+_PACKED_ZERO = (0, 0, 0)
 
 
 class _LaneOverflow(Exception):
@@ -106,6 +117,15 @@ def _lanes(v):
     return v[0]
 
 
+def _same(a, b):
+    """Whether the packed a and b are one polynomial: their difference, of
+    bound at most the sum of theirs, is zero."""
+    (x, e, c), (y, f, d) = a, b
+    if e > f:
+        x, e, y, f = y, f, x, e
+    return not _lanes((x - (y << _W * (f - e)), e, c + d))
+
+
 def _low_lane(v):
     """The q-exponent of v's lowest term (v != 0)."""
     x = _lanes(v)
@@ -118,10 +138,21 @@ def _is_one(v):
 
 
 def _decode(v):
-    x, terms = _lanes(v), {}
-    if x:
-        lane_digits_into(terms, x, _W, v[1], 0)
+    return _decode_columns({0: v})
+
+
+def _decode_columns(cols):
+    """{f: packed coefficient of t^f} as one LaurentPoly2 in q and t."""
+    terms = {}
+    for f, v in cols.items():
+        x = _lanes(v)
+        if x:
+            lane_digits_into(terms, x, _W, v[1], f)
     return LaurentPoly2._adopt(terms)
+
+
+def _decoded(fn, *args):
+    return _decode(fn(*args))
 
 
 def _nonzero(acc):
@@ -140,36 +171,41 @@ def _binomial_product(e, pairs):
     return x, e, b
 
 
-def _decoded_product(e, pairs, error, args):
-    """_binomial_product(e, pairs), asserted to lie in Z[q] (else the error
-    text error % args) and decoded."""
-    g = _binomial_product(e, pairs)
+def _in_zq(g, error, args):
+    """The packed g != 0, asserted to lie in Z[q] (else the error text error % args)."""
     if _low_lane(g) < 0:
         raise AssertionError(error % args)
-    return _decode(g)
+    return g
 
 
 def _widened(fn, *args):
-    """fn(*args), recomputed with lanes of twice the bits (and the packed
-    caches cleared) for as long as a carried bound does not fit."""
+    """fn(*args), recomputed with lanes of twice the bits (the packed tables
+    and the packed results of _skew_packed and _pair_packed cleared) for as
+    long as a carried bound does not fit.  fn must call no _widened itself:
+    a value it holds would outlive a doubling."""
     global _W
     while True:
         try:
             return fn(*args)
         except _LaneOverflow:
             _W *= 2
-            for cache in _PACKED_CACHES:
+            for cache in _PACKED_CACHES + (_HALL_SKEW_CACHE, _HALL_PAIR_CACHE):
                 cache.clear()
 
 
 # -- closed forms and column walks ---------------------------------------------
 
-_HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> g^lam_mu(q)
+_HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> packed g^lam_mu
 
 
 def hall_skew(lam, mu):
-    """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda.
-    Each pair is computed once, by _skew_product, and cached."""
+    """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda."""
+    return _widened(_decoded, _skew_packed, lam, mu)
+
+
+def _skew_packed(lam, mu):
+    """g^lam_mu packed; each pair is computed once per lane width, by
+    _skew_product, and cached."""
     key = (lam.parts, mu.parts)
     got = _HALL_SKEW_CACHE.get(key)
     if got is None:
@@ -179,13 +215,13 @@ def hall_skew(lam, mu):
 
 def _skew_product(lam, mu):
     if not lam.contains(mu):
-        return ZERO
+        return _PACKED_ZERO
     width = lam.part(1)
     lc, mc = _conj(lam.parts) + (0,), _conj(mu.parts)
     mc += (0,) * (width + 1 - len(mc))
-    return _widened(_decoded_product, sum(m * (l - m) for l, m in zip(lc, mc)),
-                    [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)],
-                    "hall_skew left Z[q]: %s, %s", (lam, mu))
+    return _in_zq(_binomial_product(sum(m * (l - m) for l, m in zip(lc, mc)),
+                                    [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)]),
+                  "hall_skew left Z[q]: %s, %s", (lam, mu))
 
 
 def column_walk(columns, top, one, binoms, gap, column):
@@ -264,14 +300,19 @@ def hall_box(m, d, mu):
     """
     if not Partition.box(m, d).contains(mu):
         raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
+    return _widened(_decoded, _box_packed, m, d, mu)
+
+
+def _box_packed(m, d, mu):
+    """hall_box(m, d, mu) packed, for mu inside the box."""
     conj = _conj(mu.parts)
     gaps = [conj[i] - (conj[i + 1] if i + 1 < len(conj) else 0) for i in range(len(conj))]
     pairs, total = [], 0
     for a in gaps + [d - (conj[0] if conj else 0)]:
         total += a
         pairs.append((total, a))
-    return _widened(_decoded_product, d * mu.size() - sum(c * c for c in conj), pairs,
-                    "hall_box left Z[q]: m=%d d=%d %s", (m, d, mu))
+    return _in_zq(_binomial_product(d * mu.size() - sum(c * c for c in conj), pairs),
+                  "hall_box left Z[q]: m=%d d=%d %s", (m, d, mu))
 
 
 def surjection_count(d, mu):
@@ -331,12 +372,11 @@ def _pieri(mu, m):
     out = {}
     for lam in _vertical_strips(mu, m):
         lc = _conj(lam) + (0,)
-        g = out[lam] = _binomial_product(
+        out[lam] = _in_zq(_binomial_product(
             _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2,
             [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
-             for i in range(len(lc) - 1)])
-        if _low_lane(g) < 0:
-            raise AssertionError("Pieri coefficient left Z[q]: %s, %s, %d" % (lam, mu, m))
+             for i in range(len(lc) - 1)]),
+            "Pieri coefficient left Z[q]: %s, %s, %d", (lam, mu, m))
     return out
 
 
@@ -373,7 +413,7 @@ def _column_inverse(nu):
     got = _COLUMN_INVERSE_CACHE.get(nu)
     if got is None:
         product = _times_columns((), nu)
-        lead = product.get(nu, (0, 0, 0))
+        lead = product.get(nu, _PACKED_ZERO)
         if not _is_one(lead):
             raise AssertionError("column product of %s has leading coefficient %s"
                                  % (nu, _decode(lead)))
@@ -388,35 +428,45 @@ def _column_inverse(nu):
     return got
 
 
-_HALL_PAIR_CACHE = {}
+_HALL_PAIR_CACHE = {}  # (mu, nu) part tuples -> _pair_packed(mu, nu)
 
 
 def hall_pair_expansion(mu, nu):
-    """{lambda: g^lambda_{mu nu}(q)}, the product u_mu u_nu in the Hall algebra.
-
-    u_nu is written in column products by _column_inverse, and u_mu times each
-    column product is a chain of Pieri steps; lambda with g = 0 are left out.
-    Each g is decoded once, from the packed sum.
-    """
-    key = (mu.parts, nu.parts)
-    got = _HALL_PAIR_CACHE.get(key)
-    if got is None:
-        got = _HALL_PAIR_CACHE[key] = _widened(_pair_expansion, mu.parts, nu.parts)
-    return got
+    """{lambda: g^lambda_{mu nu}(q)}, the product u_mu u_nu in the Hall algebra;
+    lambda with g = 0 are left out."""
+    return _widened(_pair_expansion, mu.parts, nu.parts)
 
 
 def _pair_expansion(mu, nu):
-    acc = {}
-    for kappa, d in _column_inverse(nu).items():
-        for lam, g in _times_columns(mu, kappa).items():
-            _add_into(acc, lam, _mul(d, g))
-    return {Partition(lam): _decode(g) for lam, g in _nonzero(acc).items()}
+    return {Partition(lam): _decode(g) for lam, g in _pair_packed(mu, nu).items()}
+
+
+def _pair_packed(mu, nu):
+    """{lam: packed g^lam_{mu nu}} on part tuples, lam with g = 0 left out;
+    cached per lane width.
+
+    u_nu is written in column products by _column_inverse, and u_mu times each
+    column product is a chain of Pieri steps.
+    """
+    key = (mu, nu)
+    got = _HALL_PAIR_CACHE.get(key)
+    if got is None:
+        acc = {}
+        for kappa, d in _column_inverse(nu).items():
+            for lam, g in _times_columns(mu, kappa).items():
+                _add_into(acc, lam, _mul(d, g))
+        got = _HALL_PAIR_CACHE[key] = _nonzero(acc)
+    return got
 
 
 def hall_general(lam, mu, nu):
     """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside
     lambda, as every lambda of the expansion of u_mu u_nu is such."""
-    return hall_pair_expansion(mu, nu).get(lam, ZERO)
+    return _widened(_pair_entry, lam.parts, mu.parts, nu.parts)
+
+
+def _pair_entry(lam, mu, nu):
+    return _decode(_pair_packed(mu, nu).get(lam, _PACKED_ZERO))
 
 
 def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):

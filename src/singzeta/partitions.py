@@ -54,7 +54,8 @@ class Partition:
 
     def contains(self, mu):
         """True iff mu_i <= self_i for all i (Young diagram containment)."""
-        return all(mu.part(i) <= self.part(i) for i in range(1, mu.length() + 1))
+        outer, inner = self.parts, mu.parts
+        return len(inner) <= len(outer) and all(b <= a for a, b in zip(outer, inner))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts

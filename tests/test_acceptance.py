@@ -14,7 +14,7 @@ import time
 from singzeta import acceptance
 from singzeta.laurent import LaurentPoly2
 from singzeta.oracle import SubmoduleCensus
-from singzeta.partitions import Partition
+from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fixture)
 
 
 def _run(label, fn, limit=None, **kw):
@@ -61,15 +61,24 @@ def test_criterion_07_hall():
     _run("7 Hall consistency", acceptance.criterion_7_hall, limit=60.0)
 
 
+def _pair_packed_off_by(monkeypatch, exponent):
+    """Make the packed g^[2,1]_{[1],[1,1]} read q^exponent too high, for the
+    scans of criterion 7, which read the packed expansion of each pair."""
+    hall = acceptance.hall_mod
+    real = hall._pair_packed
+
+    def pair_packed(mu, nu):
+        value = real(mu, nu)
+        if (mu, nu) == ((1,), (1, 1)):
+            value = dict(value)
+            hall._add_into(value, (2, 1), (1, exponent, 1))
+        return value
+
+    monkeypatch.setattr(hall, "_pair_packed", pair_packed)
+
+
 def test_criterion_07_names_first_mismatch(monkeypatch):
-    real = acceptance.hall_mod.hall_general
-    wrong = (Partition((2, 1)), Partition((1,)), Partition((1, 1)))
-
-    def hall_general(lam, mu, nu):
-        value = real(lam, mu, nu)
-        return value + 1 if (lam, mu, nu) == wrong else value
-
-    monkeypatch.setattr(acceptance.hall_mod, "hall_general", hall_general)
+    _pair_packed_off_by(monkeypatch, 0)
     reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
     assert reports["hall-box-vs-skew"].status == "pass"
     assert reports["hall-completeness"].detail == str(("[2,1]", "[1]"))
@@ -79,21 +88,31 @@ def test_criterion_07_names_first_mismatch(monkeypatch):
     assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
 
 
+def test_criterion_07_widens_its_lanes(narrow_lanes, monkeypatch):
+    # 8-bit lanes overflow: criterion 7 passes at the widened lanes, and a
+    # fault is still named there
+    assert all(r.passed for r in acceptance.criterion_7_hall(with_oracle=False))
+    assert acceptance.hall_mod._W > 8
+    _restart(8)
+    _pair_packed_off_by(monkeypatch, 2)
+    reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
+    assert acceptance.hall_mod._W > 8
+    assert reports["hall-completeness"].detail == str(("[2,1]", "[1]"))
+    assert reports["hall-completeness"].discrepancy == (2, 0)
+    assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
+    assert reports["hall-symmetry"].discrepancy == (2, 0)
+
+
 def test_criterion_07_locates_first_mismatch(monkeypatch):
     # each polynomial scan names the first exponent pair where its two sides differ
-    real_box, real_general = acceptance.hall_mod.hall_box, acceptance.hall_mod.hall_general
+    real_box = acceptance.hall_mod.hall_box
 
     def hall_box(m, d, mu):
         value = real_box(m, d, mu)
         return value + LaurentPoly2.monomial(1, 1, 0) if (m, d, mu.parts) == (2, 2, (2, 1)) else value
 
-    def hall_general(lam, mu, nu):
-        value = real_general(lam, mu, nu)
-        wrong = (lam.parts, mu.parts, nu.parts) == ((2, 1), (1,), (1, 1))
-        return value + LaurentPoly2.monomial(1, 2, 0) if wrong else value
-
     monkeypatch.setattr(acceptance.hall_mod, "hall_box", hall_box)
-    monkeypatch.setattr(acceptance.hall_mod, "hall_general", hall_general)
+    _pair_packed_off_by(monkeypatch, 2)
     reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
     assert reports["hall-box-vs-skew"].detail == str((2, 2, "[2,1]"))
     assert reports["hall-box-vs-skew"].discrepancy == (1, 0)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from singzeta import hall
 from singzeta.hall import hall_box, hall_skew
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
                               qbinomial_qinv, qpochhammer, qpoch_qinv_ratio)
@@ -14,6 +15,7 @@ from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
                                skew_cauchy_bounded_check, cusp_t2_check,
                                node22_closed_form, node22_check, m_limit_check,
                                positivity_scan)
+from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fixture)
 
 
 def test_family_constants():
@@ -265,36 +267,86 @@ def test_skew_cauchy_examples():
     assert skew_cauchy_bounded_check(3, 2).passed
 
 
+def test_skew_cauchy_beyond_the_criterion_box():
+    for m, d in ((2, 6), (4, 4), (4, 5)):
+        assert skew_cauchy_bounded_check(m, d).passed, (m, d)
+
+
+def _skew_packed_off_by_q(monkeypatch):
+    """Make the packed g^[2,1]_[1], which criterion 6 reads, q too high."""
+    real = hall._skew_packed
+
+    def skew_packed(lam, mu):
+        value = real(lam, mu)
+        if (lam.parts, mu.parts) == ((2, 1), (1,)):
+            sums = {0: value}
+            hall._add_into(sums, 0, (1, 1, 1))
+            value = sums[0]
+        return value
+
+    monkeypatch.setattr(hall, "_skew_packed", skew_packed)
+
+
 def test_skew_cauchy_names_the_failing_mu(monkeypatch):
     # g^lam_mu off by +q at lam = [2,1], mu = [1] only: the sum at mu = [1]
     # gains q times that lam's weight g_lam(q) t^3 (t;q)_1, whose lowest term
     # is t^3, so the first difference is at q t^3
-    def hall_skew_off_by_q(lam, mu):
-        wrong = (lam.parts, mu.parts) == ((2, 1), (1,))
-        return hall_skew(lam, mu) + (Q if wrong else ZERO)
-
-    monkeypatch.setattr(quotzeta, "hall_skew", hall_skew_off_by_q)
+    _skew_packed_off_by_q(monkeypatch)
     rep = skew_cauchy_bounded_check(2, 2)
     assert rep.status == "fail"
     assert rep.params == {"m": 2, "d": 2, "mu": "[1]"}
     assert rep.discrepancy == (1, 3)
 
 
+def test_skew_cauchy_widens_its_lanes(narrow_lanes, monkeypatch):
+    # 8-bit lanes overflow: criterion 6 passes at the widened lanes, and the
+    # fault above is named there as at 64 bits (the box (3, 3) widens to 16)
+    from singzeta import acceptance
+    assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
+    assert hall._W > 8
+    _skew_packed_off_by_q(monkeypatch)
+    seen = []
+    for bits in (64, 8):
+        _restart(bits)
+        rep = skew_cauchy_bounded_check(3, 3)
+        seen.append((rep.status, rep.params, rep.discrepancy, rep.lhs, rep.rhs))
+    assert hall._W > 8
+    assert seen[0] == seen[1]
+    assert seen[1][:3] == ("fail", {"m": 3, "d": 3, "mu": "[1]"}, (2, 3))
+
+
+def test_skew_cauchy_makes_no_laurent_product(monkeypatch):
+    # once hall's caches are warm, criterion 6 passes on packed ints alone
+    from singzeta import acceptance
+    acceptance.criterion_6_skew_cauchy()
+    calls = []
+    product = LaurentPoly2.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly2, "__rmul__", counting)
+    assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
+    assert len(calls) == 0
+
+
 def test_skew_cauchy_computes_each_pair_once(monkeypatch):
     # criterion 6 asks for g^lam_mu 330 times over its nine boxes, for 175
-    # distinct (lam, mu); hall_skew's cache computes each of them once
-    from singzeta import acceptance, hall
-    asked, computed, compute = [], [], hall._skew_product
+    # distinct (lam, mu); the packed cache computes each of them once
+    from singzeta import acceptance
+    asked, computed, ask, compute = [], [], hall._skew_packed, hall._skew_product
 
     def asking(lam, mu):
         asked.append((lam.parts, mu.parts))
-        return hall_skew(lam, mu)
+        return ask(lam, mu)
 
     def computing(lam, mu):
         computed.append((lam.parts, mu.parts))
         return compute(lam, mu)
 
-    monkeypatch.setattr(quotzeta, "hall_skew", asking)
+    monkeypatch.setattr(hall, "_skew_packed", asking)
     monkeypatch.setattr(hall, "_skew_product", computing)
     monkeypatch.setattr(hall, "_HALL_SKEW_CACHE", {})
     assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
