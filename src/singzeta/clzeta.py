@@ -10,10 +10,11 @@ series is
 
 where 1/a(lam) = u^{sum lam'_i^2} prod 1/(u;u)_{lam'_i - lam'_{i+1}}.  Every
 node factor splits by column, so the node numerator is a walk over m columns
-(hall.column_walk) with state (a, b) = (lam'_i, mu'_i): 1/(u;u)_{a-a2}
-between columns (none out of the start), g^lam_mu's binomials as polynomials
-in u, and at column i the shift u^{a^2 - b(a-b)} t^{2a-b} on the window.
-With j = lam'_m, i = mu'_m and (ut;u)_inf/(ut;u)_j = (u^{j+1}t;u)_inf,
+(hall.column_walk from (top, top)) with state (a, b) = (lam'_i, mu'_i):
+1/(u;u)_{a-a2} between columns (none out of the start), g^lam_mu's binomials
+as polynomials in u, and at column i the shift u^{a^2 - b(a-b)} t^{2a-b} on
+the window.  With j = lam'_m, i = mu'_m and
+(ut;u)_inf/(ut;u)_j = (u^{j+1}t;u)_inf,
 
     NZ-hat = sum_j (u^{j+1}t;u)^2_inf / (u;u)_j
                  sum_i [j, i]_u (u;u)_j/(u;u)_i (the walk's value at (j, i)).
@@ -27,44 +28,33 @@ the window.  The end factors E_j = (u^{j+1}t;u)^2_inf/(u;u)_j of consecutive
 j differ by E_{j-1} = E_j (1 - u^j t)^2 (1 - u^j), so the sum over j is one
 Horner pass from j = 0 up, times E_J at the top j = J.  The cusp term of mu
 is prod_i u^{c_i^2} t^{2c_i} / (u;u)_{c_i - c_{i+1}} with c_i = mu'_i, i <= m,
-and c_{m+1} = 0: a one-index walk over m columns (hall.box_walk) with gap
-1/(u;u)_{c-c2} (none out of the start) and shift u^{c^2} t^{2c}, each
-last-column state divided by (u;u)_{c_m}.  It starts at the first c with
-2c >= t_prec or c^2 >= u_prec, which no column reaches.
+and c_{m+1} = 0: the same walk from (top, 0), whose states are (c, 0) with
+shift u^{c^2} t^{2c}, each last-column state divided by (u;u)_{c_m}.  It
+starts at the first c with 2c >= t_prec or c^2 >= u_prec, which no column
+reaches.
 
 Below u^u_prec the numerator is thus a polynomial in t, whatever t_prec is.
 special_values builds it once on the window (u_prec, _T_CAP) and reads
 NZ-hat(1) and NZ-hat(-1) off its partial sums below t^8, t^16, ..., t^_T_CAP.
-Both walks run on packed ints (Kronecker substitution over the whole walk;
-Harvey, J. Symbolic Comput. 44, 2009): quotzeta._Packed with a u-window.  A
-value is {f: x_f}, x_f the t^f coefficient evaluated at u = 2^w and kept
-modulo 2^{w u_prec} (lane i of x_f stands for u^i); evaluation at 2^w maps
-Z[u]/(u^u_prec) onto Z/2^{w u_prec} as a ring map, so every step below is
-exact there.  A pure-u factor (a u-binomial, a fold factor
-[j, i]_u (u^{i+1};u)_{j-i}, a 1/(u;u)_n) is one int product per column; the
-tables of 1/(u;u)_n, n < top, are built once per call, each from the one
-before by (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one shift and add per
-factor; u^e t^f renames the columns, shifts each by e lanes and drops those
-at t^t_prec and up; a factor 1 - u^e t^b (the Horner steps and the end
-factor (u^{J+1}t;u)^2_inf) subtracts column f, e lanes up, from column f + b.
-The result is decoded once, each column read as balanced w-bit digits from
-its residue centred at 0, which gives NZ-hat back as soon as every
-coefficient of NZ-hat on the window lies in [-2^{w-1}, 2^{w-1}).
+Both walks run on the packed ring of singzeta.packed with a u-window, which
+describes the ring, its one decode and its rule for lanes.  A pure-u factor
+(a u-binomial, a fold factor [j, i]_u (u^{i+1};u)_{j-i}, a 1/(u;u)_n) is one
+int product per column; the tables of 1/(u;u)_n, n < top, are built once per
+call, each from the one before by (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ...;
+u^e t^f shifts the columns and drops those at t^t_prec and up; a factor
+1 - u^e t^b (the Horner steps and the end factor (u^{J+1}t;u)^2_inf) is a
+column step.
 
-_lane_bits proves a w for that by L1 norms (the sum of the absolute values
-of the coefficients on the window), which bound every coefficient and are
-submultiplicative on the window.  _norm_bound runs the same walk on ints:
-the norm of [n r]_u is C(n, r), that of 1/(u;u)_n the sum S_n of its
-coefficients below u^u_prec, and a shift keeps a norm while its monomial
-lies on the window and gives 0 off it, so the walk's value N_{j,i} at (j, i)
-bounds the norm of the packed one.  The term of (j, i) in NZ-hat is, by the
-identity above, the value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i,
-and the coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf
-up to sign, whose sum at t = 1 below u^u_prec is P_j.  So
+_lane_bits runs the same walk on L1 norms (_norm_bound): the norm of [n r]_u
+is C(n, r), that of 1/(u;u)_n the sum S_n of its coefficients below
+u^u_prec, and a shift keeps a norm while its monomial lies on the window and
+gives 0 off it, so the walk's value N_{j,i} at (j, i) bounds the norm of the
+packed one.  The term of (j, i) in NZ-hat is, by the identity above, the
+value at (j, i) times [j, i]_u (u^{j+1}t;u)^2_inf/(u;u)_i, and the
+coefficients of (u^{j+1}t;u)^2_inf are those of (-u^{j+1}t;u)^2_inf up to
+sign, whose sum at t = 1 below u^u_prec is P_j.  So
 |NZ-hat|_1 <= sum N_{j,i} C(j, i) S_i P_j, and likewise for the cusp
-|NZ-hat|_1 <= sum_c N_c S_c; w is one more than the bit length of the bound,
-and lanes are rounded up to whole bytes.  Intermediate values need no bound,
-as they are only ever reduced modulo 2^{w u_prec}.
+|NZ-hat|_1 <= sum_c N_c S_c.
 
 The full series is the numerator over (ut;u)_inf^s, and cl_series builds it
 on the same packed ring before its one decode.  A column-division step
@@ -112,10 +102,10 @@ from functools import reduce
 from math import comb
 from operator import add
 
-from .laurent import (LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv,
-                      qpochhammer, _qbinomial_ints)
-from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk, _Packed, _lanes
-from .hall import box_walk, column_walk
+from .laurent import LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpochhammer
+from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
+from .hall import column_walk
+from .packed import Packed, lane_width, qbinomial_ints
 from . import oracle as oracle_mod
 from .report import (VerificationReport, compare_report, require, timed,
                      BudgetExceededError)
@@ -168,19 +158,15 @@ def _walk_top(kind, u_prec, t_prec):
     return top
 
 
-def _cusp_states(m, top, one, inverses, shifted):
-    """The cusp's walk in the ring of one: gaps by the table
-    {n: 1/(u;u)_n}, shifted(v, e, f) = v u^e t^f on the window."""
-    return box_walk(m, top, one, lambda v, c, c2: v if c in (top, c2) else inverses[c - c2] * v,
-                    lambda v, i, c: shifted(v, c * c, 2 * c))
-
-
-def _node_states(m, top, one, binoms, inverses, shifted):
-    """The node's walk in the ring of one, as _cusp_states, with the table
-    {(n, r): [n r]_u} for its binomials."""
-    return column_walk(m, top, one, binoms,
+def _walk(m, start, one, binoms, inverses, shifted):
+    """The walk of either family in the ring of one, from (top, top) for the
+    node, (top, 0) for the cusp: gaps by the table {n: 1/(u;u)_n},
+    binomials by {(n, r): [n r]_u} (None for the cusp), and
+    shifted(v, e, f) = v u^e t^f on the window."""
+    top = start[0]
+    return column_walk(m, start, one, binoms,
                        lambda v, a, a2: v if a in (top, a2) else inverses[a - a2] * v,
-                       lambda v, a, b: shifted(v, a * a - b * (a - b), 2 * a - b))
+                       lambda i, v, a, b: shifted(v, a * a - b * (a - b), 2 * a - b))
 
 
 def _cusp_numerator(m, u_prec, t_prec, with_full):
@@ -190,8 +176,8 @@ def _cusp_numerator(m, u_prec, t_prec, with_full):
     steps (else None)."""
     top = _walk_top("cusp", u_prec, t_prec)
     one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, with_full))
-    states = _cusp_states(m, top, one, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
-    total = reduce(add, (inverses[c] * v for c, v in states.items()))
+    states = _walk(m, (top, 0), one, None, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
+    total = reduce(add, (inverses[c] * v for (c, _), v in states.items()))
     return total, total.over_one_minus(range(1, u_prec), t_prec) if with_full else None
 
 
@@ -203,8 +189,9 @@ def _node_numerator(m, u_prec, t_prec, with_full):
     column-division steps, as E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2)."""
     top = _walk_top("node", u_prec, t_prec)
     one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec, with_full))
-    binoms = {k: one.with_lanes(x) for k, x in _qbinomial_ints(top, one.w).items()}
-    states = _node_states(m, top, one, binoms, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
+    binoms = {k: one.with_lanes(x) for k, x in qbinomial_ints(top, one.w).items()}
+    states = _walk(m, (top, top), one, binoms, inverses,
+                   lambda v, e, f: v.shifted(e, f, t_prec))
     sums = {}
     for (j, i), v in states.items():
         fold = binoms[(j, i)]
@@ -228,26 +215,24 @@ def _node_numerator(m, u_prec, t_prec, with_full):
 
 
 def _packed_tables(u_prec, top, bits):
-    """quotzeta._Packed modulo u^u_prec in lanes of bits rounded up to whole
+    """The packed ring modulo u^u_prec in lanes of bits rounded up to whole
     bytes: its 1 and the table {n: 1/(u;u)_n} for n < top.  1/(u;u)_n is
-    1/(u;u)_{n-1} times (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one shift and
-    add per factor below u^u_prec."""
-    w = _lanes(bits)
-    one = _Packed.on_window(u_prec, w)
-    inverses, x = {}, 1
+    1/(u;u)_{n-1} times (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one step per
+    factor below u^u_prec."""
+    one = Packed.on_window(u_prec, lane_width(bits))
+    inverses, v = {}, one
     for n in range(top):
         e = n
         while 0 < e < u_prec:
-            x = (x + (x << w * e)) & one.window
-            e *= 2
-        inverses[n] = one.with_lanes(x)
+            v, e = v.times_one_plus(e), 2 * e
+        inverses[n] = v
     return one, inverses
 
 
 def _lane_bits(kind, m, u_prec, t_prec, with_full=False):
     """A lane width w for the packed numerator of kind on the window, and
     with with_full for its full series too: every coefficient lies in
-    [-2^{w-1}, 2^{w-1}) (proof in the module docstring)."""
+    [-2^{w-1}, 2^{w-1}) (module docstring)."""
     return _norm_bound(kind, m, u_prec, t_prec, with_full).bit_length() + 1
 
 
@@ -276,10 +261,10 @@ def _norm_bound(kind, m, u_prec, t_prec, with_full):
         return v if e < u_prec and f < t_prec else 0
 
     if kind == "cusp":
-        states = _cusp_states(m, top, 1, sums, shifted)
-        bound = sum(sums[c] * v for c, v in states.items())
+        states = _walk(m, (top, 0), 1, None, sums, shifted)
+        bound = sum(sums[c] * v for (c, _), v in states.items())
         return bound * _inverse_sums(u_prec, u_prec)[u_prec - 1] if with_full else bound
-    states = _node_states(m, top, 1, {(n, r): comb(n, r) for n in range(top + 1)
+    states = _walk(m, (top, top), 1, {(n, r): comb(n, r) for n in range(top + 1)
                                       for r in range(n + 1)}, sums, shifted)
     # ends[j]: the sum below u^u_prec of (-u^{j+1}t;u)^2_inf at t = 1, P_j,
     # plus with with_full that of 1/(u;u)_j^2, R_j

@@ -17,24 +17,20 @@ exact; every closed form is assembled division-free and asserted to land in
 Z[q].
 
 The Hall algebra, and the products of q^-1-binomials that hall_skew and
-hall_box are, run on packed values (Kronecker substitution; Harvey,
-J. Symbolic Comput. 44, 2009).  A coefficient is a triple (x, e, b): x is a
-polynomial in q read at q = 2^_W, so a product is one int product; the value
-is q^e x(q), so [n r]_{1/q} = q^{-r(n-r)} [n r]_q keeps its int from
-laurent._qbinomial_ints; and b bounds the L1 norm of x (the sum of the
-absolute values of its coefficients).  [n r]_q has norm C(n, r), a product
-multiplies the bounds and a sum adds them, as the norm is submultiplicative
-and subadditive.  Integer arithmetic is exact whatever the lanes; only
-reading x needs every coefficient strictly inside +-2^(_W-1), which holds
-while b < 2^(_W-1).  Balanced digits in that range are unique, so then x is
-0 only for the zero polynomial, and two values whose difference passes the
-bound check are equal exactly when that difference is 0 (_same).  So every
-zero test, equality test, lowest-lane test (the Z[q] assertions, the
-leading coefficient 1 of a column product) and decode first checks the
-carried bound; if it does not fit, _W doubles, the packed caches are cleared
-and the call recomputes, so no input loses exactness or raises.  _W starts
-at 64 bits: the bounds of the cached column products and inverses reach
-about 22 bits at |lambda| <= 6 and 51 at |lambda| <= 9.
+hall_box are, run on ints at q = 2^_W (the ring of singzeta.packed, one
+column).  A coefficient is a triple (x, e, b): the value is q^e x(q), so
+[n r]_{1/q} = q^{-r(n-r)} [n r]_q keeps its int from packed.qbinomial_ints;
+and b bounds the L1 norm of x, a product multiplying the bounds and a sum
+adding them.  These values outlive a call, in caches, so no walk sizes their
+lanes in advance; the bound is carried instead.  Every zero test, equality
+test, lowest-lane test (the Z[q] assertions, the leading coefficient 1 of a
+column product) and decode first checks it: while b < 2^(_W-1) the int is 0
+only for the zero polynomial, so two values whose difference passes the
+check are equal exactly when that difference is 0 (_same).  If it does not
+fit, _W doubles, the packed caches are cleared and the call recomputes, so
+no input loses exactness or raises.  _W starts at 64 bits: the bounds of the
+cached column products and inverses reach about 22 bits at |lambda| <= 6 and
+51 at |lambda| <= 9.
 
 hall_skew, hall_box, hall_pair_expansion and hall_general decode from the
 packed values, each in one _widened call, which no packed value outlives.
@@ -46,22 +42,23 @@ one _widened call each, and decode only a side that fails.
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
-(lambda'_i, mu'_i): column_walk serves both of the node's two-index sums, over
-the box (quotzeta.nz_node_free) and over lambda_1 <= m
-(clzeta._node_numerator, and its L1 bound clzeta._norm_bound).
-box_walk is the one-index walk over the states mu'_i alone; it serves three
-sums, both normalization numerators (quotzeta._normalization_walk) and the
-cusp's CL numerator (clzeta._cusp_numerator and _norm_bound).  Both walks
-run in the caller's ring: they take its 1 and the gap and column factors as
-callbacks (column_walk also the caller's table of binomials, which the
-callers share with their gaps and folds), and return their last-column
-states, which each caller folds in its own ring.
+(lambda'_i, mu'_i), column_walk.  Started at (top, top) it sums over both
+partitions: the node's free numerator (quotzeta.nz_node_free) and CL
+numerator (clzeta._node_numerator), and their lane bounds.  Started at
+(top, 0) it sums over lambda alone, as every binomial is then [a a] = 1:
+both normalization numerators (quotzeta._normalization_walk) and the cusp's
+CL numerator (clzeta._cusp_numerator), and the latter's lane bound.  The
+walk runs in the caller's ring: it takes the caller's 1, table of binomials
+(which the callers share with their gaps and folds) and gap and column
+factors, and returns the last-column states, which each caller folds in its
+own ring.
 """
 
 from math import comb
 
-from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio, lane_digits_into, _qbinomial_ints
+from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
+from .packed import lane_digits_into, qbinomial_ints
 from .partitions import Partition
 
 
@@ -72,7 +69,7 @@ from .partitions import Partition
 
 _W = 64  # lane bits of every packed coefficient; doubled by _widened
 _CONJ = {}  # part tuple -> its conjugate's part tuple
-_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (laurent._qbinomial_ints)
+_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (packed.qbinomial_ints)
 _COLUMNS_CACHE = {}
 _COLUMN_INVERSE_CACHE = {}
 _PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)  # tables, built on first use
@@ -166,7 +163,7 @@ def _binomial_product(e, pairs):
     for n, r in pairs:
         if 0 < r < n:
             if (n, r) not in _BINOMS:
-                _BINOMS.update(_qbinomial_ints(n, _W))
+                _BINOMS.update(qbinomial_ints(n, _W))
             x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
     return x, e, b
 
@@ -224,28 +221,30 @@ def _skew_product(lam, mu):
                   "hall_skew left Z[q]: %s, %s", (lam, mu))
 
 
-def column_walk(columns, top, one, binoms, gap, column):
-    """A two-index Hall sum as a walk over columns, grouped by its last column.
+def column_walk(columns, start, one, binoms, gap, column):
+    """A Hall sum as a walk over columns, grouped by its last column.
 
     Sums over lam with lam'_1 <= top and at most `columns` columns, and over
     mu inside lam, the product over columns i = 1..columns of
 
         (gap from lam'_{i-1} to lam'_i) [lam'_{i-1} - mu'_i, lam'_{i-1} - mu'_{i-1}]_{1/q}
-            (column factor at (lam'_i, mu'_i))
+            (column factor of column i at (lam'_i, mu'_i))
 
-    with lam'_0 = mu'_0 = top; the binomials are hall_skew's.  A step from the
-    state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and b2 <= min(b, a2),
-    sums over b per (a, b2), then over a per (a2, b2), then applies the column
-    factor.  The walk runs in the caller's ring: one is its 1 (the start
-    value), binoms[(n, r)] is [n r]_{1/q} in it for 0 <= r <= n <= top, and
-    the callbacks gap(v, a, a2) and column(v, a, b) multiply v by the gap
-    and column factors; a state that is 0 after its column is dropped.
-    Returns the last-column states {(lam'_columns, mu'_columns): value}; each
-    caller folds them in its own ring (both node sums multiply the state
-    (j, i) by [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i and sum per j).
+    with (lam'_0, mu'_0) = start, (top, top) for a two-index sum; the
+    binomials are hall_skew's.  From (top, 0) mu'_i stays 0 and every
+    binomial is [a a] = 1: the walk is a one-index sum over lam alone, and
+    reads no binomial.  A step from the state (a, b) = (lam'_i, mu'_i) to (a2, b2),
+    a2 <= a and b2 <= min(b, a2), sums over b per (a, b2), then over a per
+    (a2, b2), then applies the column factor.  The walk runs in the caller's
+    ring: one is its 1 (the start value), binoms[(n, r)] is [n r]_{1/q} in it
+    for 0 <= r <= n <= top, and the callbacks gap(v, a, a2) and
+    column(i, v, a, b) multiply v by the gap and column factors; a state
+    that is 0 after its column is dropped.  Returns the last-column states
+    {(lam'_columns, mu'_columns): value}; each caller folds them in its own
+    ring.
     """
-    states = {(top, top): one}
-    for _ in range(columns):
+    states = {start: one}
+    for i in range(1, columns + 1):
         by_b2 = {}
         for (a, b), v in states.items():
             for b2 in range(b + 1):
@@ -256,34 +255,8 @@ def column_walk(columns, top, one, binoms, gap, column):
         for (a, b2), w in by_b2.items():
             for a2 in range(b2, a + 1):
                 _accumulate(steps, (a2, b2), gap(w, a, a2))
-        states = {key: column(w, *key) for key, w in steps.items()}
+        states = {key: column(i, w, *key) for key, w in steps.items()}
         states = {key: v for key, v in states.items() if v}
-    return states
-
-
-def box_walk(columns, top, one, gap, column):
-    """A one-index sum over partitions as a walk over columns.
-
-    Sums over mu with mu'_1 <= top and at most `columns` columns the product
-    over columns i = 1..columns of
-
-        (gap from c_{i-1} to c_i) (column factor of column i at c_i),
-
-    with c_i = mu'_i and c_0 = top.  As in column_walk, one is the caller's
-    1 (the start value), gap(v, c, c2) multiplies v by the gap factor, and
-    column(v, i, c) by the column factor, which may depend on i; a state
-    that is 0 after its column is dropped.  A step sums gap(v, c, c2) over
-    c >= c2 per state c2, then applies the column factor.  Returns the
-    last-column states {c_columns: value}.
-    """
-    states = {top: one}
-    for i in range(1, columns + 1):
-        steps = {}
-        for c, v in states.items():
-            for c2 in range(c + 1):
-                _accumulate(steps, c2, gap(v, c, c2))
-        states = {c2: column(w, i, c2) for c2, w in steps.items()}
-        states = {c2: v for c2, v in states.items() if v}
     return states
 
 

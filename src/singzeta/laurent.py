@@ -405,38 +405,6 @@ def qbinomial_qinv(n, r):
     return got
 
 
-def _qbinomial_ints(top, w):
-    """{(n, r): [n r]_q at q = 2^w} for 0 <= r <= n <= top, by q-Pascal on ints,
-    [n r] = [n-1 r-1] + q^r [n-1 r]; each lane holds one coefficient while
-    2^w > C(n, r), their largest.  The packed rings of quotzeta, clzeta and
-    hall take their binomials from here."""
-    table = {}
-    for n in range(top + 1):
-        table[(n, 0)] = table[(n, n)] = 1
-        for r in range(1, n):
-            table[(n, r)] = table[(n - 1, r - 1)] + (table[(n - 1, r)] << w * r)
-    return table
-
-
-def lane_digits_into(terms, x, w, e, f):
-    """Write the nonzero balanced w-bit digits of the int x != 0 into the
-    dict terms: terms[(e + i, f)] = c for x = sum c 2^{w i}, every c in
-    [-2^{w-1}, 2^{w-1}); w is a multiple of 8.  One pass over x's bytes from
-    its lowest nonzero lane up: half added to every lane turns each balanced
-    digit into a plain one."""
-    nb, half = w // 8, 1 << (w - 1)
-    low = ((x & -x).bit_length() - 1) // w
-    x >>= w * low
-    lanes = x.bit_length() // w + 1
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * lanes, "little")
-    buf = (x + bias).to_bytes(nb * lanes, "little")
-    e += low
-    for i in range(lanes):
-        c = int.from_bytes(buf[nb * i:nb * i + nb], "little") - half
-        if c:
-            terms[(e + i, f)] = c
-
-
 def qpoch_qinv_ratio(n, k):
     """(q^-1;q^-1)_n / (q^-1;q^-1)_{n-k} assembled division-free.
 

@@ -22,14 +22,14 @@ is
 
     g_mu(q) (q^d t)^|mu| = prod_{i=1..m} [c_{i-1}, c_i]_{1/q} q^{2d c_i - c_i^2} t^{c_i},
 
-and both normalization forms walk m columns over the states c in [0, d]
-(hall.box_walk), the node multiplying in (1/q;1/q)_d/(1/q;1/q)_{d-c_1} at the
-first column only.  The node's free two-index sum walks the states
-(a, b) = (lam'_i, mu'_i) (hall.column_walk): g_lam is as above with c = a,
-g^lam_mu is q^{sum b(a-b)} times hall_skew's binomials, and column i adds the
-monomial q^{d(2a-b) - a^2 + b(a-b)} t^{2a-b}.  The walk keeps one value per
-state (a, b), about d^2/2 of them, and with j = lam'_m and i = mu'_m its
-values give
+and both normalization forms walk m columns over the states (c, 0), c in
+[0, d] (hall.column_walk started at (d, 0)), the node multiplying in
+(1/q;1/q)_d/(1/q;1/q)_{d-c_1} at the first column only.  The node's free
+two-index sum walks the states (a, b) = (lam'_i, mu'_i) from (d, d): g_lam is
+as above with c = a, g^lam_mu is q^{sum b(a-b)} times hall_skew's binomials,
+and column i adds the monomial q^{d(2a-b) - a^2 + b(a-b)} t^{2a-b}.  The
+walk keeps one value per state (a, b), about d^2/2 of them, and with
+j = lam'_m and i = mu'_m its values give
 
     s_j = sum_i [j, i]_{1/q} (1/q;1/q)_j/(1/q;1/q)_i (the walk's value at (j, i)),
     NZ  = sum_j s_j (t;q)^2_{d-j},
@@ -38,29 +38,14 @@ summed by Horner over j: acc = s_0, then acc = acc (1 - q^{d-j} t)^2 + s_j for
 j = 1..d, so each step multiplies by one three-term factor and no (t;q)^2_{d-j}
 is built.
 
-The free node walk runs on a packed ring (Kronecker substitution over the
-whole walk; Harvey, J. Symbolic Comput. 44, 2009).  A value is {f: x_f} and
-a q-shift s, where x_f is q^s times the t^f coefficient, evaluated at
-q = 2^w.  Evaluation at 2^w is a ring map, so every step is exact integer
-arithmetic: a sum aligns the shifts and adds; a product by a pure-q binomial
-is one int product per column; the column monomial q^e t^f renames the
-columns and lowers s by e; a fold factor (1 - q^-k) is (x << wk) - x with s
-raised by k; a Horner factor (1 - q^e t) subtracts column f - 1, shifted by
-e lanes, from column f; the t_prec cut drops whole columns.  Each column is
-decoded once, at the end, into balanced w-bit digits, and that gives NZ back
-as soon as every coefficient of NZ lies strictly between -2^{w-1} and
-2^{w-1}.  With w = m(2d+1) + 4d + 2 it does.  The L1 norm (the sum of the
-absolute values of the coefficients) is submultiplicative, and [n r] has
-norm C(n, r).  Summed over the states, one column step multiplies it by at
-most 2^{2d+1}: from (a, b) the binomials [a - b2, a - b] over b2 <= b have
-norm sum C(a+1, a-b+1) <= 2^{a+1}, the gaps [a, a2] over a2 have norm
-sum C(a, a2) = 2^a, and a monomial has norm 1.  The fold multiplies the
-state (j, i) by [j, i] (norm C(j, i) <= 2^j) and j - i factors (1 - q^-k)
-(norm 2 each), so by at most 4^d; the Horner pass multiplies s_j by
-(t;q)^2_{d-j}, of norm at most 4^{d-j}.  So |NZ|_1 <= 2^{m(2d+1) + 4d}
-< 2^{w-1}.  Lanes are rounded up to whole bytes, so that decoding is one
-pass over each column's bytes.  The normalization walks stay on
-LaurentPoly2: packed, they measured no faster for m + d <= 7.
+The free node walk runs on the packed ring of singzeta.packed, one int per
+t-column.  Its binomials [n r]_{1/q} serve as its gaps and folds too, and a
+fold factor (1 - q^-k) is (x << wk) - x with the q-shift raised by k.
+_node_lane_bits sizes the lanes by the packed ring's rule: the same walk runs
+on L1 norms (ints), [n r] becoming C(n, r) and a column monomial keeping the
+norm, the fold multiplies by C(j, i) 2^{j-i} and each Horner step by 4, the
+norm of (1 - q^{d-j} t)^2.  The normalization walks stay on LaurentPoly2:
+packed, they measured no faster for m + d <= 7.
 
 The bounded skew-Cauchy check (skew_cauchy_bounded_check, criterion 6) sums
 both of its sides on hall's packed coefficients (x, e, b), one value per
@@ -74,10 +59,12 @@ the first failing mu has both sides decoded, and a bound that does not fit
 widens hall's lanes and reruns the whole check.
 """
 
-from .laurent import (LaurentPoly2, ZERO, ONE, Q, QINV, T, qbinomial_qinv,
-                      qpoch_qinv_ratio, lane_digits_into, _qbinomial_ints)
+from math import comb
+
+from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T, qbinomial_qinv, qpoch_qinv_ratio
 from . import hall
-from .hall import box_walk, column_walk
+from .hall import column_walk
+from .packed import Packed, lane_width, qbinomial_ints
 from .partitions import iterate_box
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
 from .series import TruncSeries2
@@ -152,11 +139,12 @@ def _normalization_walk(m, d, first=None):
     of the module docstring; first=None is the cusp's sum."""
     require(0, m=m, d=d)
 
-    def column(v, i, c):
+    def column(i, v, c, _):
         v = v * LaurentPoly2.monomial(1, 2 * d * c - c * c, c)
         return v * first(d, c) if first and i == 1 else v
 
-    states = box_walk(m, d, ONE, lambda v, c, c2: qbinomial_qinv(c, c2) * v, column)
+    states = column_walk(m, (d, 0), ONE, None, lambda v, c, c2: qbinomial_qinv(c, c2) * v,
+                         column)
     return _check_poly(sum(states.values(), ZERO))
 
 
@@ -172,31 +160,30 @@ def nz_node_free(m, d):
 def _node_free_walk(m, d, t_prec=None):
     """nz_node_free(m, d), less its terms at t^t_prec and up when t_prec is given.
 
-    The walk runs on _Packed with lanes of _node_lane_bits(m, d) bits; the
-    binomials [n r]_{1/q} are built once, by q-Pascal on ints, and serve as
-    the walk's binomials, its gaps and the fold.  Each column callback and
-    each Horner step drops the columns at t^t_prec and up.  That is exact
-    below t^t_prec, because no factor has a negative t-exponent: the
+    The walk runs on Packed with lanes of _node_lane_bits(m, d) bits; the
+    binomials [n r]_{1/q} are built once, by q-Pascal on ints.  Each column
+    callback and each Horner step drops the columns at t^t_prec and up.  That
+    is exact below t^t_prec, because no factor has a negative t-exponent: the
     binomials and the fold are pure q, the column monomial is t^{2a-b} with
     b <= a, and the Horner factor is (1 - q^{d-j} t)^2, so a dropped term
     never comes back below t^t_prec.
     """
-    require(0, d=d)
-    w = _lanes(_node_lane_bits(m, d))
+    require(0, m=m, d=d)
+    w = lane_width(_node_lane_bits(m, d))
     # x = [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}
-    binoms = {(n, r): _Packed({0: x}, r * (n - r), w)
-              for (n, r), x in _qbinomial_ints(d, w).items()}
+    binoms = {(n, r): Packed({0: x}, r * (n - r), w)
+              for (n, r), x in qbinomial_ints(d, w).items()}
 
-    def column(v, a, b):
+    def column(i, v, a, b):
         return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)
 
-    states = column_walk(m, d, binoms[(0, 0)], binoms, lambda v, a, a2: binoms[(a, a2)] * v,
-                         column)
+    states = column_walk(m, (d, d), binoms[(0, 0)], binoms,
+                         lambda v, a, a2: binoms[(a, a2)] * v, column)
     sums = {}
     for (j, i), v in states.items():
         v = (binoms[(j, i)] * v).times_qinv_poch(i, j)
         sums[j] = sums[j] + v if j in sums else v
-    total = sums.get(0, _Packed({}, 0, w))
+    total = sums.get(0, Packed({}, 0, w))
     for j in range(1, d + 1):
         total = total.times_one_minus(d - j, 1, t_prec).times_one_minus(d - j, 1, t_prec)
         if j in sums:
@@ -205,162 +192,16 @@ def _node_free_walk(m, d, t_prec=None):
 
 
 def _node_lane_bits(m, d):
-    """The lane width w = m(2d+1) + 4d + 2 of the free node walk: every
-    coefficient of nz_node_free(m, d) lies below 2^{w-1} in absolute value
-    (proof in the module docstring)."""
-    return m * (2 * d + 1) + 4 * d + 2
-
-
-def _lanes(bits):
-    """bits rounded up to whole bytes."""
-    return -(-bits // 8) * 8
-
-
-class _Packed:
-    """An element of Z[q^{+-1}, t] as {f: x_f} and a q-shift s: x_f is q^s
-    times the t^f coefficient evaluated at q = 2^w, w a multiple of 8.  The
-    operations are those the free node walk, the (2,2)-link closed form and
-    the Cohen-Lenstra numerators and full series need; see the module
-    docstring.  No column holds 0.
-
-    With a u-window (clzeta's numerators) the variable q is u, s stays 0,
-    and window is 2^{wU} - 1 for the window u^U: every value is kept only
-    modulo 2^{wU}, as x & window.  Evaluation at u = 2^w maps Z[u]/(u^U) to
-    Z/2^{wU} as a ring map, so every step stays exact there, and digits reads
-    back each coefficient below u^U from the residue centred at 0 as long as
-    the coefficients of the final value lie in [-2^{w-1}, 2^{w-1}).
-    """
-
-    __slots__ = ("cols", "s", "w", "window")
-
-    def __init__(self, cols, s, w, window=None):
-        self.cols = cols
-        self.s = s
-        self.w = w
-        self.window = window
-
-    @staticmethod
-    def on_window(u_prec, w):
-        """The 1 of the ring modulo u^u_prec, in lanes of w bits."""
-        return _Packed({0: 1}, 0, w, (1 << w * u_prec) - 1)
-
-    def _new(self, cols, s):
-        """A value of self's ring from freshly built columns, less those that
-        are 0; on a window, each is first reduced modulo 2^{wU}."""
-        mask = self.window
-        if mask is None:
-            return _Packed({f: x for f, x in cols.items() if x}, s, self.w)
-        return _Packed({f: y for f, x in cols.items() if (y := x & mask)}, s, self.w, mask)
-
-    def with_lanes(self, x):
-        """The pure-q value whose lanes are the int x, in self's ring."""
-        return self._new({0: x}, 0)
-
-    def __bool__(self):
-        return bool(self.cols)
-
-    def __neg__(self):
-        return _Packed({f: -x for f, x in self.cols.items()}, self.s, self.w, self.window)
-
-    def __add__(self, other):
-        if not other.cols:
-            return self
-        if not self.cols:
-            return other
-        if self.s < other.s:
-            self, other = other, self
-        shift = self.w * (self.s - other.s)
-        out = dict(self.cols)
-        for f, y in other.cols.items():
-            x = out.get(f, 0) + (y << shift)
-            if x:
-                out[f] = x
-            else:
-                del out[f]
-        return _Packed(out, self.s, self.w, self.window)
-
-    def __mul__(self, other):
-        """self * other, for self a monomial in t (one column); one int product
-        per column of other."""
-        ((f, x),) = self.cols.items()
-        mask = self.window
-        if mask is None:
-            return _Packed({f + g: x * y for g, y in other.cols.items()}, self.s + other.s, self.w)
-        return _Packed({f + g: z for g, y in other.cols.items() if (z := x * y & mask)},
-                       0, self.w, mask)
-
-    def shifted(self, e, f, t_prec=None):
-        """self * q^e t^f, less its columns at t^t_prec and up.  Off a window
-        the shift s drops by e; on one, each column moves up e lanes."""
-        mask = self.window
-        if mask is None:
-            return _Packed({g + f: x for g, x in self.cols.items()
-                            if t_prec is None or g + f < t_prec}, self.s - e, self.w)
-        shift = self.w * e
-        return _Packed({g + f: y for g, x in self.cols.items()
-                        if (t_prec is None or g + f < t_prec) and (y := x << shift & mask)},
-                       0, self.w, mask)
-
-    def times_qinv_poch(self, i, j):
-        """self * (1 - q^-(i+1)) ... (1 - q^-j)."""
-        cols, s = self.cols, self.s
-        for k in range(i + 1, j + 1):
-            shift = self.w * k
-            cols = {f: (x << shift) - x for f, x in cols.items()}
-            s += k
-        return _Packed(cols, s, self.w)
-
-    def times_one_minus(self, e, b, t_prec=None):
-        """self * (1 - q^e t^b) for e >= 0 and b in {0, 1}, less its columns at
-        t^t_prec and up: column f + b less column f, e lanes up.  On a window
-        only a column's lanes below u^(U-e) are shifted, as the rest lie past
-        u^U once e lanes up; a column with none is skipped."""
-        shift = self.w * e
-        keep = None if self.window is None else self.window >> shift
-        out = dict(self.cols)
-        for f, x in self.cols.items():
-            if t_prec is None or f + b < t_prec:
-                if keep is not None:
-                    x &= keep
-                if x:
-                    out[f + b] = out.get(f + b, 0) - (x << shift)
-        return self._new(out, self.s)
-
-    def over_one_minus(self, steps, t_prec):
-        """self / prod (1 - u^e t) over the e >= 1 in steps, on a window, one
-        column-division step per e: from the lowest column up to t^t_prec,
-        column f gains column f - 1 (already divided), e lanes up.  The
-        inverse of times_one_minus(e, 1, t_prec), skipping as it does."""
-        w, mask = self.w, self.window
-        cols = dict(self.cols)
-        low = min(cols, default=t_prec)
-        for e in steps:
-            shift, keep = w * e, mask >> w * e
-            prev = cols.get(low, 0)
-            for f in range(low + 1, t_prec):
-                x = cols.get(f, 0)
-                if prev := prev & keep:
-                    x = cols[f] = (x + (prev << shift)) & mask
-                prev = x
-        return self._new(cols, 0)
-
-    def digits(self):
-        """{(q-exponent, t-exponent): coefficient}, read off each column's
-        balanced w-bit digits (laurent.lane_digits_into); on a window, off the
-        residue centred at 0."""
-        mask = self.window
-        terms = {}
-        for f, x in self.cols.items():
-            if mask is not None:
-                x = ((x + (mask >> 1) + 1) & mask) - (mask >> 1) - 1
-                if not x:
-                    continue
-            lane_digits_into(terms, x, self.w, -self.s, f)
-        return terms
-
-    def decode(self):
-        """The LaurentPoly2 of self's digits."""
-        return LaurentPoly2._adopt(self.digits())
+    """The lane bits of the free node walk: one more than the bit length of a
+    bound on |nz_node_free(m, d)|_1, the walk run on L1 norms (module
+    docstring)."""
+    norms = {(n, r): comb(n, r) for n in range(d + 1) for r in range(n + 1)}
+    states = column_walk(m, (d, d), 1, norms, lambda v, a, a2: norms[(a, a2)] * v,
+                         lambda i, v, a, b: v)
+    # the fold's norm is C(j, i) 2^{j-i}; the d - j Horner steps after s_j
+    # multiply it by 4 each
+    bound = sum((v * norms[(j, i)]) << (j - i + 2 * (d - j)) for (j, i), v in states.items())
+    return bound.bit_length() + 1
 
 
 def _check_poly(p):
@@ -534,15 +375,14 @@ def node22_closed_form(d):
 
     Summed on the packed ring of the free node walk: [d r]_q is one int and
     each factor of the Pochhammer symbol one pass over the t-columns.  The
-    sum has L1 norm at most sum_r C(d, r) 2^r = 3^d < 2^{2d+1}, so lanes of
-    2d + 2 bits hold every coefficient.
+    sum has L1 norm at most sum_r C(d, r) 2^r = 3^d, which sizes the lanes.
     """
     require(0, d=d)
-    w = _lanes(2 * d + 2)
-    binoms = _qbinomial_ints(d, w)
-    total = _Packed({}, 0, w)
+    w = lane_width((3 ** d).bit_length() + 1)
+    binoms = qbinomial_ints(d, w)
+    total = Packed({}, 0, w)
     for r in range(d + 1):
-        term = _Packed({0: binoms[(d, r)]}, 0, w).shifted(r * (r - 1) // 2, r)
+        term = Packed({0: binoms[(d, r)]}, 0, w).shifted(r * (r - 1) // 2, r)
         for k in range(d - r + 1, d + 1):
             term = term.times_one_minus(k, 1)
         total = total + (-term if r % 2 else term)

@@ -6,7 +6,7 @@ the node's end factors are times_poch passes.  The tests compare the packed
 numerators with them.
 """
 
-from singzeta.hall import box_walk, column_walk
+from singzeta.hall import column_walk
 from singzeta.laurent import qbinomial_qinv, qpoch_qinv_ratio
 from singzeta.series import TruncSeries2
 
@@ -26,10 +26,10 @@ def walk_top(kind, u_prec, t_prec):
 def cusp_numerator(m, u_prec, t_prec):
     """The cusp's one-index walk, each last-column state divided by (u;u)_{mu'_m}."""
     top = walk_top("cusp", u_prec, t_prec)
-    states = box_walk(m, top, TruncSeries2.one(u_prec, t_prec),
-                      lambda v, c, c2: v if c == top else v.times_poch(1, 0, c - c2, power=-1),
-                      lambda v, i, c: v.shift(c * c, 2 * c).truncate(u_prec, t_prec))
-    return sum((v.times_poch(1, 0, c, power=-1) for c, v in states.items()),
+    states = column_walk(m, (top, 0), TruncSeries2.one(u_prec, t_prec), None,
+                         lambda v, c, c2: v if c == top else v.times_poch(1, 0, c - c2, power=-1),
+                         lambda i, v, c, _: v.shift(c * c, 2 * c).truncate(u_prec, t_prec))
+    return sum((v.times_poch(1, 0, c, power=-1) for (c, _), v in states.items()),
                TruncSeries2(u_prec, t_prec))
 
 
@@ -38,9 +38,9 @@ def node_states(m, u_prec, t_prec):
     top = walk_top("node", u_prec, t_prec)
     binoms = {(n, r): TruncSeries2.from_laurent(qbinomial_qinv(n, r), u_prec, t_prec)
               for n in range(top + 1) for r in range(n + 1)}
-    return column_walk(m, top, TruncSeries2.one(u_prec, t_prec), binoms,
+    return column_walk(m, (top, top), TruncSeries2.one(u_prec, t_prec), binoms,
                        lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                       lambda v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                       lambda i, v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
                            u_prec, t_prec))
 
 

@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from singzeta import hall
-from singzeta.hall import hall_box, hall_skew
+from singzeta.hall import column_walk, hall_box, hall_skew
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
                               qbinomial_qinv, qpochhammer, qpoch_qinv_ratio)
 from singzeta.partitions import iterate_box, subpartitions
@@ -79,7 +80,9 @@ def test_nz_node_free_matches_double_sum():
     for m, d in random.Random(0).sample([(m, 7 - m) for m in range(1, 7)], 3):
         quotzeta._NZ_CACHE.clear()
         assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
-    for d in range(8):
+    # past the bench grid too: two independent sums, each on its own lanes
+    # (86 and 49 bits at d = 30)
+    for d in (*range(8), 20, 30):
         quotzeta._NZ_CACHE.clear()
         assert nz_node_free(1, d) == node22_closed_form(d), d
 
@@ -98,6 +101,49 @@ def test_node_free_lanes_hold_every_coefficient():
         for d in range(0, 10 - m):
             norm = sum(abs(c) for c in nz_node_free(m, d).terms.values())
             assert norm < 2 ** (quotzeta._node_lane_bits(m, d) - 1), (m, d)
+
+
+def test_node_free_lanes_come_from_the_sum_of_norms():
+    # the L1-norm walk is the double sum with every factor replaced by its
+    # norm: g_lam and g^lam_mu have nonnegative coefficients, so their norm is
+    # their coefficient sum; (1/q;1/q)_j/(1/q;1/q)_i has j - i factors of norm
+    # 2, and (t;q)^2_{d-j} has d - j Horner factors of norm 4
+    for m in range(1, 5):
+        for d in range(0, 7 - m):
+            bound = 0
+            for lam in iterate_box(m, d):
+                j = lam.conj_part(m)
+                for mu in subpartitions(lam):
+                    i = mu.conj_part(m)
+                    bound += (sum(hall_box(m, d, lam).terms.values())
+                              * sum(hall_skew(lam, mu).terms.values())
+                              * 2 ** (j - i + 2 * (d - j)))
+            assert quotzeta._node_lane_bits(m, d) == bound.bit_length() + 1, (m, d)
+
+
+def test_nz_forms_reject_a_negative_m():
+    for form in (nz_cusp_normalization, nz_cusp_free, nz_node_normalization, nz_node_free):
+        for d in (2, 3):
+            with pytest.raises(ValueError, match="m must be at least 0, got -1"):
+                form(-1, d)
+    assert not [key for key in quotzeta._NZ_CACHE if key[1] < 0]
+
+
+def test_column_walk_from_top_0_counts_the_partitions_in_a_box():
+    # started at (top, 0) the walk sums over lam alone, reading no binomial:
+    # with unit factors every lam in the columns-by-top box counts once
+    for columns in range(5):
+        for top in range(6):
+            seen = set()
+
+            def column(i, v, a, b):
+                seen.add(i)
+                return v
+
+            states = column_walk(columns, (top, 0), 1, None, lambda v, a, a2: v, column)
+            assert all(b == 0 for _, b in states), (columns, top)
+            assert sum(states.values()) == comb(columns + top, top), (columns, top)
+            assert seen == set(range(1, columns + 1))
 
 
 def test_node_free_walk_makes_no_laurent_product(monkeypatch):
@@ -247,7 +293,9 @@ def test_funceq_and_specializations_beyond_the_acceptance_grid():
 
 
 def test_funceq_and_specializations_of_larger_nodes():
-    for m, d in ((4, 5), (6, 6)):
+    # past the bench grid, on lanes sized by the L1-norm walk (46, 41 and 51
+    # bits at (4, 8), (6, 6) and (3, 10))
+    for m, d in ((4, 5), (6, 6), (4, 8), (3, 10)):
         family = SingularityFamily("node", m)
         assert funceq_check(family, d).passed, (m, d)
         assert specialization_report(family, d).passed, (m, d)
