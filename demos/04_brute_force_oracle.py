@@ -12,7 +12,7 @@ from singzeta import (build_local_model, enumerate_submodules,
 
 model = build_local_model(("node", 1), 1, 3, 2)
 print("model of (R/m^3) for the node over F_2: dim", model.dim,
-      "generators", model.labels)
+      "generators x, y")
 census = enumerate_submodules(model, 3)
 print("census by (codim, quotient rank):", dict(sorted(census.counts.items())))
 

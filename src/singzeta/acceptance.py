@@ -3,13 +3,15 @@
 Each criterion function returns a list of VerificationReports; a criterion
 passes when no report has status 'fail' ('reported' entries are conjecture
 level and never fail).  run_criteria drives the CLI suite; the pytest
-acceptance module calls the same functions one by one.
+acceptance module calls the same functions one by one.  The Hall-sum scans
+of criteria 6 and 7 are hall's, which alone reads its packed coefficients;
+criterion 7 reports the first mismatch of each, and of its own p-oracle scan.
 """
 
 from itertools import zip_longest
 
 from .laurent import ONE
-from .partitions import Partition, iterate_box, partitions_of, subpartitions
+from .partitions import partitions_of
 from . import hall as hall_mod
 from . import oracle as oracle_mod
 from . import quotzeta as qz
@@ -71,11 +73,11 @@ def criterion_6_skew_cauchy():
 def criterion_7_hall(with_oracle=True, budget=oracle_mod.DEFAULT_BUDGET):
     """Hall consistency: box=skew, completeness, symmetry, and the p-oracle."""
     reports = [_first_mismatch_report("hall-box-vs-skew", {"m<=": 3, "d<=": 3},
-                                      _box_vs_skew_mismatch),
+                                      hall_mod.box_vs_skew_mismatch),
                _first_mismatch_report("hall-completeness", {"|lam|<=": 6},
-                                      hall_mod._widened, _completeness_mismatch),
+                                      hall_mod.completeness_mismatch),
                _first_mismatch_report("hall-symmetry", {"|lam|<=": 6},
-                                      hall_mod._widened, _symmetry_mismatch)]
+                                      hall_mod.symmetry_mismatch)]
     if with_oracle:
         reports.append(_first_mismatch_report("hall-oracle", {"|lam|<=": 5, "p": (2, 3)},
                                               _oracle_mismatch, budget))
@@ -92,60 +94,6 @@ def _first_mismatch_report(name, params, scan, *args):
     case, lhs, rhs = bad
     return VerificationReport(name, params, "fail", discrepancy=first_discrepancy(lhs, rhs),
                               detail=str(case), wall_time=tm.elapsed)
-
-
-def _box_vs_skew_mismatch():
-    for m in (1, 2, 3):
-        for d in (1, 2, 3):
-            for mu in iterate_box(m, d):
-                box = hall_mod.hall_box(m, d, mu)
-                skew = hall_mod.hall_skew(Partition.box(m, d), mu)
-                if box != skew:
-                    return (m, d, str(mu)), box, skew
-    return None
-
-
-# The completeness and symmetry scans compare packed values (hall's (x, e, b))
-# inside one hall._widened call each, and decode only the pair that differs.
-
-def _pair_table(by_size):
-    """{(mu, nu): hall._pair_packed(mu, nu)} on part tuples, over the sizes of by_size."""
-    top = len(by_size) - 1
-    return {(mu.parts, nu.parts): hall_mod._pair_packed(mu.parts, nu.parts)
-            for a in range(top + 1) for mu in by_size[a]
-            for b in range(top + 1 - a) for nu in by_size[b]}
-
-
-def _completeness_mismatch():
-    by_size = [partitions_of(n) for n in range(0, 7)]
-    totals = {}  # (lam, mu) -> sum over nu of g^lam_{mu nu}
-    for (mu, _), expansion in _pair_table(by_size).items():
-        for lam, g in expansion.items():
-            hall_mod._add_into(totals, (lam, mu), g)
-    for n in range(0, 7):
-        for lam in by_size[n]:
-            for mu in subpartitions(lam):
-                total = totals.get((lam.parts, mu.parts), hall_mod._PACKED_ZERO)
-                skew = hall_mod._skew_packed(lam, mu)
-                if not hall_mod._same(total, skew):
-                    return (str(lam), str(mu)), hall_mod._decode(total), hall_mod._decode(skew)
-    return None
-
-
-def _symmetry_mismatch():
-    by_size = [partitions_of(n) for n in range(0, 7)]
-    pairs, zero = _pair_table(by_size), hall_mod._PACKED_ZERO
-    for n in range(0, 7):
-        sides = [(mu, nu, pairs[mu.parts, nu.parts], pairs[nu.parts, mu.parts])
-                 for a in range(n + 1) for mu in by_size[a] for nu in by_size[n - a]]
-        for lam in by_size[n]:
-            for mu, nu, expansion, mirrored in sides:
-                g = expansion.get(lam.parts, zero)
-                mirror = mirrored.get(lam.parts, zero)
-                if g is not mirror and not hall_mod._same(g, mirror):
-                    return ((str(lam), str(mu), str(nu)),
-                            hall_mod._decode(g), hall_mod._decode(mirror))
-    return None
 
 
 def _oracle_mismatch(budget):

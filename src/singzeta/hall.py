@@ -35,10 +35,17 @@ cached column products and inverses reach about 22 bits at |lambda| <= 6 and
 hall_skew, hall_box, hall_pair_expansion and hall_general decode from the
 packed values, each in one _widened call, which no packed value outlives.
 g^lambda_mu and the expansions {lambda: g^lambda_{mu nu}} are cached packed
-for the current lane width (_skew_packed, _pair_packed).  The checks of
-criteria 6 and 7 (quotzeta.skew_cauchy_bounded_check; the completeness and
-symmetry scans in acceptance) sum and compare these packed values inside
-one _widened call each, and decode only a side that fails.
+for the current lane width (_skew_packed, _pair_packed).  The packed format
+and that rule bind this module only: no other module reads a packed value.
+
+So the scans of criteria 6 and 7 live here too, each returning its first
+mismatch (case, lhs, rhs), both sides decoded, or None.  skew_cauchy_mismatch
+sums each t-column of both sides of the bounded skew-Cauchy identity, as
+(t;q)_n is a sum of q-binomials; completeness_mismatch and symmetry_mismatch
+add and compare the packed g^lam_{mu nu} of the pairs with |lam| <= 6.  Each
+runs in one _widened call and compares by _same: a pass is exact and decodes
+nothing, and a bound that does not fit widens the lanes and reruns the whole
+scan.  box_vs_skew_mismatch compares hall_box with hall_skew.
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
@@ -59,7 +66,7 @@ from math import comb
 from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio
 from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .packed import lane_digits_into, qbinomial_ints
-from .partitions import Partition
+from .partitions import Partition, iterate_box, partitions_of, subpartitions
 
 
 # -- packed coefficients -------------------------------------------------------
@@ -452,3 +459,100 @@ def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
     if nu is None:
         return sum(c for (tm, _), c in census.items() if tm == mu.parts)
     return census.get((mu.parts, nu.parts), 0)
+
+
+# -- the scans of criteria 6 and 7 ---------------------------------------------
+
+
+def skew_cauchy_mismatch(m, d):
+    """The first mu in the d-by-m box where the bounded skew-Cauchy identity
+    of quotzeta.skew_cauchy_bounded_check fails, as (mu, lhs, rhs), or None.
+
+    Both sides are packed, one value per t-column: as
+    (t;q)_n = sum_r (-1)^r q^{C(r,2)} [n r]_q t^r, the t^f column of the left
+    side sums g^lam_mu g_lam (-1)^r q^{C(r,2)} [n r]_q over lam and r with
+    |lam| + r = f, n = d - lam'_m.
+    """
+    def scan():
+        weights = []  # (lam, g_lam, {f: t^f column of g_lam t^|lam| (t;q)_{d-lam'_m}})
+        for lam in iterate_box(m, d):
+            g, n = _box_packed(m, d, lam), d - lam.conj_part(m)
+            cols = {}
+            for r in range(n + 1):
+                # [n r]_q is q^{r(n-r)} [n r]_{1/q}
+                x, e, b = _mul(g, _binomial_product(r * (r - 1) // 2 + r * (n - r), [(n, r)]))
+                cols[lam.size() + r] = (-x if r % 2 else x, e, b)
+            weights.append((lam, g, cols))
+        for mu, g_mu, _ in weights:
+            lhs = {}
+            for lam, _, cols in weights:
+                if lam.contains(mu):
+                    skew = _skew_packed(lam, mu)
+                    for f, v in cols.items():
+                        _add_into(lhs, f, _mul(v, skew))
+            rhs = {mu.size(): g_mu}
+            if not all(_same(lhs.get(f, _PACKED_ZERO), rhs.get(f, _PACKED_ZERO))
+                       for f in lhs.keys() | rhs.keys()):
+                return mu, _decode_columns(lhs), _decode_columns(rhs)
+        return None
+    return _widened(scan)
+
+
+def box_vs_skew_mismatch():
+    """The first (m, d, mu), m, d <= 3, where hall_box(m, d, mu) is not
+    hall_skew((m^d), mu), as ((m, d, mu), box, skew), or None."""
+    for m in (1, 2, 3):
+        for d in (1, 2, 3):
+            for mu in iterate_box(m, d):
+                box = hall_box(m, d, mu)
+                skew = hall_skew(Partition.box(m, d), mu)
+                if box != skew:
+                    return (m, d, str(mu)), box, skew
+    return None
+
+
+def _pair_table(by_size):
+    """{(mu, nu): _pair_packed(mu, nu)} on part tuples, over the sizes of by_size."""
+    top = len(by_size) - 1
+    return {(mu.parts, nu.parts): _pair_packed(mu.parts, nu.parts)
+            for a in range(top + 1) for mu in by_size[a]
+            for b in range(top + 1 - a) for nu in by_size[b]}
+
+
+def completeness_mismatch():
+    """The first (lam, mu), |lam| <= 6, where sum_nu g^lam_{mu nu} is not
+    g^lam_mu, as ((lam, mu), sum, g^lam_mu), or None."""
+    def scan():
+        by_size = [partitions_of(n) for n in range(0, 7)]
+        totals = {}  # (lam, mu) -> sum over nu of g^lam_{mu nu}
+        for (mu, _), expansion in _pair_table(by_size).items():
+            for lam, g in expansion.items():
+                _add_into(totals, (lam, mu), g)
+        for n in range(0, 7):
+            for lam in by_size[n]:
+                for mu in subpartitions(lam):
+                    total = totals.get((lam.parts, mu.parts), _PACKED_ZERO)
+                    skew = _skew_packed(lam, mu)
+                    if not _same(total, skew):
+                        return (str(lam), str(mu)), _decode(total), _decode(skew)
+        return None
+    return _widened(scan)
+
+
+def symmetry_mismatch():
+    """The first (lam, mu, nu), |lam| <= 6, where g^lam_{mu nu} is not
+    g^lam_{nu mu}, as ((lam, mu, nu), g^lam_{mu nu}, g^lam_{nu mu}), or None."""
+    def scan():
+        by_size = [partitions_of(n) for n in range(0, 7)]
+        pairs = _pair_table(by_size)
+        for n in range(0, 7):
+            sides = [(mu, nu, pairs[mu.parts, nu.parts], pairs[nu.parts, mu.parts])
+                     for a in range(n + 1) for mu in by_size[a] for nu in by_size[n - a]]
+            for lam in by_size[n]:
+                for mu, nu, expansion, mirrored in sides:
+                    g = expansion.get(lam.parts, _PACKED_ZERO)
+                    mirror = mirrored.get(lam.parts, _PACKED_ZERO)
+                    if g is not mirror and not _same(g, mirror):
+                        return (str(lam), str(mu), str(nu)), _decode(g), _decode(mirror)
+        return None
+    return _widened(scan)

@@ -19,7 +19,7 @@ class LaurentPoly2:
     be modified after construction.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -28,7 +28,6 @@ class LaurentPoly2:
                 if c:
                     t[(int(eq), int(et))] = int(c)
         self.terms = t
-        self._hash = None
 
     @classmethod
     def _adopt(cls, terms):
@@ -39,7 +38,6 @@ class LaurentPoly2:
         """
         self = cls.__new__(cls)
         self.terms = terms
-        self._hash = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -66,7 +64,12 @@ class LaurentPoly2:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        add_into(out, other)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
         return LaurentPoly2._adopt(out)
 
     __radd__ = __add__
@@ -121,9 +124,7 @@ class LaurentPoly2:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(tuple(sorted(self.terms.items()))))
-        return self._hash
+        return hash(tuple(sorted(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -221,20 +222,6 @@ class LaurentPoly2:
         if obj.get("vars") != ["q", "t"]:
             raise ValueError("expected vars ['q','t']")
         return LaurentPoly2({(a, b): int(c) for a, b, c in obj["terms"]})
-
-
-def add_into(acc, poly):
-    """Add poly's terms into the plain {(e_q, e_t): coeff} dict acc, in place.
-
-    A coefficient that cancels to 0 is deleted, so acc keeps the stored-term
-    invariant of LaurentPoly2 and can be summed into without copying.
-    """
-    for k, c in poly.terms.items():
-        s = acc.get(k, 0) + c
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
 
 
 def _as_unit_monomial(p, what):

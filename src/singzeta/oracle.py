@@ -165,11 +165,10 @@ class FqModulePresentation:
     they are compiled.
     """
 
-    def __init__(self, p, dim, generators, labels=None):
+    def __init__(self, p, dim, generators):
         _require_prime(p)
         self.p, self.dim = p, dim
         self.generators = [tuple(g) for g in generators]
-        self.labels = list(labels) if labels else ["g%d" % i for i in range(len(generators))]
         self._validate()
         # reach is the basis of m^j M at step j; it shrinks to {} as g is nilpotent
         depth, reach = [0] * dim, set(range(dim))
@@ -209,7 +208,7 @@ def _compose(a, b):
     return tuple(None if t is None else a[t] for t in b)
 
 
-def _presentation(p, names, maps, d, labels):
+def _presentation(p, names, maps, d):
     """d copies of the basis `names`, one generator per partial map name -> image
     name; a name the map leaves out, or an image outside the basis, goes to 0."""
     index = {nm: k for k, nm in enumerate(names)}
@@ -223,13 +222,13 @@ def _presentation(p, names, maps, d, labels):
                 for off in range(0, block * d, block):
                     g[off + k] = off + tgt
         gens.append(g)
-    return FqModulePresentation(p, block * d, gens, labels=labels)
+    return FqModulePresentation(p, block * d, gens)
 
 
 def _jordan_module(parts, p, d=1):
     """(+) F_p[T]/T^{q} over q in parts, d times over, under the generator T."""
     names = [(j, i) for j, q in enumerate(parts) for i in range(q)]
-    return _presentation(p, names, [{(j, i): (j, i + 1) for j, i in names}], d, ["T"])
+    return _presentation(p, names, [{(j, i): (j, i + 1) for j, i in names}], d)
 
 
 # -- the submodule walk ---------------------------------------------------------
@@ -352,7 +351,7 @@ def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
 
 
 def build_local_model(family, d, N, p, target="free"):
-    """Finite F_p-model of a rank-d module over the cusp or node germ.
+    """Finite F_p-model of a rank-d module over the germ family = (kind, m).
 
     target='free':          (R/m^N)^d on the monomial basis {x^i, x^i y},
                             y^2 reduced to x^{2m+1} (cusp) or x^m y (node).
@@ -361,7 +360,7 @@ def build_local_model(family, d, N, p, target="free"):
     target='max_ideal':     m*(R/m^N)^d, the same free model without the unit
                             monomials (used by the conversion-identity check).
     """
-    kind, m = family if isinstance(family, tuple) else (family.kind, family.m)
+    kind, m = family
     require(1, m=m)
     require(0, d=d)
     require(1, N=N)
@@ -387,7 +386,7 @@ def build_local_model(family, d, N, p, target="free"):
                     {(b, i): (b, i + m) for b, i in names if b == "T1"}]
     else:
         raise ValueError("unknown target %r" % target)
-    return _presentation(p, names, maps, d, ["x", "y"])
+    return _presentation(p, names, maps, d)
 
 
 def quot_census(family, m, d, p, max_codim, module="free", budget=DEFAULT_BUDGET):
@@ -398,9 +397,8 @@ def quot_census(family, m, d, p, max_codim, module="free", budget=DEFAULT_BUDGET
     N = max_codim + 1 for 'max_ideal', which is exact only to codim N - 1.
     """
     require(0, max_codim=max_codim)
-    kind = family if isinstance(family, str) else family.kind
     N = max_codim + 1 if module == "max_ideal" else max(max_codim, 1)
-    model = build_local_model((kind, m), d, N, p, target=module)
+    model = build_local_model((family, m), d, N, p, target=module)
     return enumerate_submodules(model, max_codim, budget=budget)
 
 
@@ -529,7 +527,6 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     kept as a reduced (numerator, denominator) and printed as str and repr of
     fractions.Fraction print it, without importing that module.
     """
-    kind = family if isinstance(family, str) else family.kind
     if not d_list:
         raise ValueError("d_list must name at least one rank")
     require(0, r=r)
@@ -538,7 +535,7 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     values = []
     with timed() as tm:
         for d in d_list:
-            census = quot_census(kind, m, d, p, n, budget=budget)
+            census = quot_census(family, m, d, p, n, budget=budget)
             num = census.counts.get((n, r), 0) * p ** (r * (2 * d - r + 1) // 2)
             den = p ** (d * n) * prod(p ** i - 1 for i in range(d - r + 1, d + 1))
             values.append((num // gcd(num, den), den // gcd(num, den)))
@@ -546,7 +543,7 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     text = ["%d/%d" % v if v[1] != 1 else "%d" % v[0] for v in values]
     return VerificationReport(
         "coh-quot-invariance",
-        {"family": kind, "m": m, "p": p, "n": n, "r": r, "d_list": tuple(d_list)},
+        {"family": family, "m": m, "p": p, "n": n, "r": r, "d_list": tuple(d_list)},
         "pass" if ok else "fail",
         lhs=text[0], rhs="[%s]" % ", ".join("Fraction(%d, %d)" % v for v in values),
         discrepancy=None if ok else (n, r),

@@ -46,26 +46,13 @@ on L1 norms (ints), [n r] becoming C(n, r) and a column monomial keeping the
 norm, the fold multiplies by C(j, i) 2^{j-i} and each Horner step by 4, the
 norm of (1 - q^{d-j} t)^2.  The normalization walks stay on LaurentPoly2:
 packed, they measured no faster for m + d <= 7.
-
-The bounded skew-Cauchy check (skew_cauchy_bounded_check, criterion 6) sums
-both of its sides on hall's packed coefficients (x, e, b), one value per
-t-column: (t;q)_n = sum_r (-1)^r q^{C(r,2)} [n r]_q t^r, so each column is a
-sum of products of q-binomials (hall._binomial_product).  Each column of the
-difference of the sides is tested for zero (hall._same) after its carried L1
-bound is checked against the lanes; then every coefficient lies strictly
-inside +-2^(W-1), balanced digits in that range are unique, and the int is 0
-exactly when the polynomial is.  So a pass is exact and decodes nothing;
-the first failing mu has both sides decoded, and a bound that does not fit
-widens hall's lanes and reruns the whole check.
 """
 
 from math import comb
 
 from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T, qbinomial_qinv, qpoch_qinv_ratio
-from . import hall
-from .hall import column_walk
+from .hall import column_walk, skew_cauchy_mismatch
 from .packed import Packed, lane_width, qbinomial_ints
-from .partitions import iterate_box
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
 from .series import TruncSeries2
 
@@ -316,49 +303,19 @@ def skew_cauchy_bounded_check(m, d):
 
     sum_{lam: mu <= lam <= (m^d)} g_lam(q) g^lam_mu(q) t^|lam| (t;q)_{d-lam'_m}
         = g_mu(q) t^|mu|.
+
+    Both sides are summed on hall's packed coefficients, in
+    hall.skew_cauchy_mismatch; a failure names the first failing mu.
     """
     SingularityFamily("node", m)  # rejects m < 1
     with timed() as tm:
-        bad = hall._widened(_skew_cauchy_mismatch, m, d)
+        bad = skew_cauchy_mismatch(m, d)
     if bad is None:
         return VerificationReport("squaring", {"m": m, "d": d}, "pass", wall_time=tm.elapsed)
     mu, lhs, rhs = bad
     return VerificationReport("squaring", {"m": m, "d": d, "mu": str(mu)},
                               "fail", lhs=str(lhs), rhs=str(rhs),
                               discrepancy=first_discrepancy(lhs, rhs), wall_time=tm.elapsed)
-
-
-def _skew_cauchy_mismatch(m, d):
-    """The first mu whose two sides differ, with both sides decoded, or None.
-
-    Both sides are packed, one value per t-column (see the module
-    docstring): the t^f column of the left side sums
-    g^lam_mu g_lam (-1)^r q^{C(r,2)} [n r]_q over lam and r with
-    |lam| + r = f, n = d - lam'_m.
-    """
-    weights = []  # (lam, g_lam, {f: t^f column of g_lam t^|lam| (t;q)_{d-lam'_m}})
-    for lam in iterate_box(m, d):
-        g, n = hall._box_packed(m, d, lam), d - lam.conj_part(m)
-        cols = {}
-        for r in range(n + 1):
-            # [n r]_q is q^{r(n-r)} [n r]_{1/q}
-            x, e, b = hall._mul(g, hall._binomial_product(r * (r - 1) // 2 + r * (n - r),
-                                                          [(n, r)]))
-            cols[lam.size() + r] = (-x if r % 2 else x, e, b)
-        weights.append((lam, g, cols))
-    zero = hall._PACKED_ZERO
-    for mu, g_mu, _ in weights:
-        lhs = {}
-        for lam, _, cols in weights:
-            if lam.contains(mu):
-                skew = hall._skew_packed(lam, mu)
-                for f, v in cols.items():
-                    hall._add_into(lhs, f, hall._mul(v, skew))
-        rhs = {mu.size(): g_mu}
-        if not all(hall._same(lhs.get(f, zero), rhs.get(f, zero))
-                   for f in lhs.keys() | rhs.keys()):
-            return mu, hall._decode_columns(lhs), hall._decode_columns(rhs)
-    return None
 
 
 def cusp_t2_check(m, d):
@@ -434,15 +391,14 @@ def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):
 
 
 def positivity_scan(family, m, d):
-    """Diagnostic: coefficients of NZ_free(-t) should be nonnegative."""
+    """Diagnostic: coefficients of NZ_free(-t) should be nonnegative; family
+    is the kind, 'cusp' or 'node'."""
+    params = {"family": family, "m": m, "d": d}
     with timed() as tm:
-        fam = SingularityFamily(family, m) if isinstance(family, str) else family
-        flipped = nz(fam, d, "free").substitute(Q, -T)
+        flipped = nz(SingularityFamily(family, m), d, "free").substitute(Q, -T)
         bad = sorted(k for k, v in flipped.terms.items() if v < 0)
     if bad:
-        return VerificationReport("positivity", {"family": fam.kind, "m": fam.m, "d": d},
-                                  "reported", lhs=str(flipped),
+        return VerificationReport("positivity", params, "reported", lhs=str(flipped),
                                   discrepancy=bad[0], wall_time=tm.elapsed,
                                   detail="negative coefficients at %s" % (bad[:5],))
-    return VerificationReport("positivity", {"family": fam.kind, "m": fam.m, "d": d},
-                              "pass", wall_time=tm.elapsed)
+    return VerificationReport("positivity", params, "pass", wall_time=tm.elapsed)
