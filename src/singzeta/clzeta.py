@@ -102,7 +102,7 @@ from functools import reduce
 from math import comb
 from operator import add
 
-from .laurent import LaurentPoly2, Q, ZERO, qbinomial, qbinomial_qinv, qpochhammer
+from .laurent import LaurentPoly2, Q, ZERO, qbinomial, qpochhammer
 from .quotzeta import SingularityFamily, nz, full_z, _node_free_walk
 from .hall import column_walk
 from .packed import Packed, lane_width, qbinomial_ints
@@ -393,10 +393,11 @@ def _t_times_qpow(poly, e):
 
 
 def _alternating_term(z, d, r):
-    """(-1)^l u^C(l,2) [d r]_u z with l = d - r, u = 1/q, exactly."""
+    """(-1)^l u^C(l,2) [d r]_u z with l = d - r, u = 1/q, exactly, as
+    [d r]_u = u^{rl} [d r]_q."""
     l = d - r
     sign = -1 if l % 2 else 1
-    return LaurentPoly2.monomial(sign, -(l * (l - 1) // 2), 0) * qbinomial_qinv(d, r) * z
+    return LaurentPoly2.monomial(sign, -(l * (l - 1) // 2) - r * l, 0) * qbinomial(d, r) * z
 
 
 def _over_upoch(part, n, u_prec, t_prec):

@@ -42,16 +42,17 @@ So the scans of criteria 6 and 7 live here too, each returning its first
 mismatch (case, lhs, rhs), both sides decoded, or None.  skew_cauchy_mismatch
 sums each t-column of both sides of the bounded skew-Cauchy identity, as
 (t;q)_n is a sum of q-binomials; completeness_mismatch and symmetry_mismatch
-add and compare the packed g^lam_{mu nu} of the pairs with |lam| <= 6.  Each
-runs in one _widened call and compares by _same: a pass is exact and decodes
-nothing, and a bound that does not fit widens the lanes and reruns the whole
-scan.  box_vs_skew_mismatch compares hall_box with hall_skew.
+add and compare the packed g^lam_{mu nu} of the pairs with |lam| <= 6; and
+box_vs_skew_mismatch compares the packed box multinomial with g^{(m^d)}_mu.
+Each runs in one _widened call and compares by _same: a pass is exact and
+decodes nothing, only a failing pair is decoded, and a bound that does not
+fit widens the lanes and reruns the whole scan.
 
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i), column_walk.  Started at (top, top) it sums over both
 partitions: the node's free numerator (quotzeta.nz_node_free) and CL
-numerator (clzeta._node_numerator), and their lane bounds.  Started at
+numerator (clzeta._node_numerator), and the latter's lane bound.  Started at
 (top, 0) it sums over lambda alone, as every binomial is then [a a] = 1:
 both normalization numerators (quotzeta._normalization_walk) and the cusp's
 CL numerator (clzeta._cusp_numerator), and the latter's lane bound.  The
@@ -501,14 +502,15 @@ def skew_cauchy_mismatch(m, d):
 def box_vs_skew_mismatch():
     """The first (m, d, mu), m, d <= 3, where hall_box(m, d, mu) is not
     hall_skew((m^d), mu), as ((m, d, mu), box, skew), or None."""
-    for m in (1, 2, 3):
-        for d in (1, 2, 3):
-            for mu in iterate_box(m, d):
-                box = hall_box(m, d, mu)
-                skew = hall_skew(Partition.box(m, d), mu)
-                if box != skew:
-                    return (m, d, str(mu)), box, skew
-    return None
+    def scan():
+        for m in (1, 2, 3):
+            for d in (1, 2, 3):
+                for mu in iterate_box(m, d):
+                    box, skew = _box_packed(m, d, mu), _skew_packed(Partition.box(m, d), mu)
+                    if not _same(box, skew):
+                        return (m, d, str(mu)), _decode(box), _decode(skew)
+        return None
+    return _widened(scan)
 
 
 def _pair_table(by_size):

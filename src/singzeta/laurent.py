@@ -353,7 +353,6 @@ def qpochhammer(x, step, n):
 
 
 _QBINOM_CACHE = {(0, 0): ONE}
-_QBINOM_QINV_CACHE = {}
 
 
 def qbinomial(n, r):
@@ -370,25 +369,6 @@ def qbinomial(n, r):
     if got is None:
         got = qbinomial(n - 1, r - 1) + LaurentPoly2.monomial(1, r, 0) * qbinomial(n - 1, r)
         _QBINOM_CACHE[key] = got
-    return got
-
-
-def qbinomial_qinv(n, r):
-    """[n r] evaluated at q -> q^-1 (a Laurent polynomial), memoized.
-
-    Built by its own q^-1-Pascal recurrence [n r]_{1/q} = [n-1 r-1]_{1/q}
-    + q^-r [n-1 r]_{1/q}.  Domain error when r > n or r < 0.
-    """
-    if r < 0 or r > n:
-        raise ValueError("require 0 <= r <= n")
-    if r == 0 or r == n:
-        return ONE
-    key = (n, r)
-    got = _QBINOM_QINV_CACHE.get(key)
-    if got is None:
-        got = (qbinomial_qinv(n - 1, r - 1)
-               + LaurentPoly2.monomial(1, -r, 0) * qbinomial_qinv(n - 1, r))
-        _QBINOM_QINV_CACHE[key] = got
     return got
 
 

@@ -21,9 +21,9 @@ coefficients) is below 2^{w-1}.  Only the decoded value needs the bound.  The
 L1 norm is subadditive and submultiplicative, on a window too, [n r] has norm
 C(n, r), a monomial norm 1, and 1 - q^e t^b and 1 + q^e norm 2.  So a walk
 bounds the norm of its result by running itself on ints, each factor
-replaced by its norm; its lanes have one bit more than the bound, rounded up
-to whole bytes (lane_width), so that decoding is one pass over each column's
-bytes.
+replaced by its norm, a run that may be evaluated in closed form; its lanes
+have one bit more than the bound, rounded up to whole bytes (lane_width), so
+that decoding is one pass over each column's bytes.
 """
 
 from .laurent import LaurentPoly2

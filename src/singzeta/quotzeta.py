@@ -38,19 +38,29 @@ summed by Horner over j: acc = s_0, then acc = acc (1 - q^{d-j} t)^2 + s_j for
 j = 1..d, so each step multiplies by one three-term factor and no (t;q)^2_{d-j}
 is built.
 
-The free node walk runs on the packed ring of singzeta.packed, one int per
-t-column.  Its binomials [n r]_{1/q} serve as its gaps and folds too, and a
-fold factor (1 - q^-k) is (x << wk) - x with the q-shift raised by k.
-_node_lane_bits sizes the lanes by the packed ring's rule: the same walk runs
-on L1 norms (ints), [n r] becoming C(n, r) and a column monomial keeping the
-norm, the fold multiplies by C(j, i) 2^{j-i} and each Horner step by 4, the
-norm of (1 - q^{d-j} t)^2.  The normalization walks stay on LaurentPoly2:
-packed, they measured no faster for m + d <= 7.
+All three walks run on the packed ring of singzeta.packed, one int per
+t-column, with one table of binomials [n r]_{1/q} (_binomials) for their
+gaps and the free walk's folds; a factor (1 - q^-k) is (x << wk) - x with
+the q-shift raised by k.  Their lanes follow the packed ring's rule: the
+walk run on L1 norms, [n r] becoming C(n, r), a column monomial keeping the
+norm, (1/q;1/q)_d/(1/q;1/q)_{d-c} multiplying it by 2^c, the fold by
+C(j, i) 2^{j-i} and each Horner step by 4, the norm of (1 - q^{d-j} t)^2.
+That run factors over the d rows of the box, so it has a closed form.  At
+q = 1, g_lam(1) counts the tuples of row lengths l_r in [0, m] of type lam,
+and g^lam_mu(1) the sub-lengths k_r <= l_r of type mu.  So each sum is the
+product over the rows of one row's sum: m + 1 for the cusp's normalization;
+1 + 2m for the node's, as a row of length >= 1 is counted by mu'_1 and
+doubles; and for the free node sum_{l<m} 4(l+1) over the rows below length m
+(each a Horner step) plus 2m + 1 for a full row (k < m doubling in the fold,
+or k = m):
+
+    cusp normalization (m+1)^d,  node normalization (2m+1)^d,
+    node free (2m^2+4m+1)^d,
+
+each the L1 walk's value exactly, and each walk's lanes have one bit more.
 """
 
-from math import comb
-
-from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T, qbinomial_qinv, qpoch_qinv_ratio
+from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T
 from .hall import column_walk, skew_cauchy_mismatch
 from .packed import Packed, lane_width, qbinomial_ints
 from .report import VerificationReport, compare_report, first_discrepancy, require, timed
@@ -117,22 +127,24 @@ def nz_node_normalization(m, d):
     """NZ of the rank-d normalization module over the node germ."""
     key = ("node-norm", m, d)
     if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = _normalization_walk(m, d, first=qpoch_qinv_ratio)
+        _NZ_CACHE[key] = _normalization_walk(m, d, node=True)
     return _NZ_CACHE[key]
 
 
-def _normalization_walk(m, d, first=None):
-    """sum_mu g_mu(q) (q^d t)^|mu| first(d, mu'_1) by the one-index column walk
-    of the module docstring; first=None is the cusp's sum."""
+def _normalization_walk(m, d, node=False):
+    """sum_mu g_mu(q) (q^d t)^|mu|, times (1/q;1/q)_d/(1/q;1/q)_{d-mu'_1} for
+    the node, by the one-index column walk of the module docstring, on Packed
+    with lanes for the L1 bound (m+1)^d, or (2m+1)^d for the node."""
     require(0, m=m, d=d)
+    binoms = _binomials(d, ((2 * m + 1 if node else m + 1) ** d).bit_length() + 1)
 
     def column(i, v, c, _):
-        v = v * LaurentPoly2.monomial(1, 2 * d * c - c * c, c)
-        return v * first(d, c) if first and i == 1 else v
+        v = v.shifted(2 * d * c - c * c, c)
+        return v.times_qinv_poch(d - c, d) if node and i == 1 else v
 
-    states = column_walk(m, (d, 0), ONE, None, lambda v, c, c2: qbinomial_qinv(c, c2) * v,
-                         column)
-    return _check_poly(sum(states.values(), ZERO))
+    one = binoms[(0, 0)]
+    states = column_walk(m, (d, 0), one, None, lambda v, c, c2: binoms[(c, c2)] * v, column)
+    return _check_poly(sum(states.values(), Packed({}, 0, one.w)).decode())
 
 
 def nz_node_free(m, d):
@@ -156,10 +168,7 @@ def _node_free_walk(m, d, t_prec=None):
     never comes back below t^t_prec.
     """
     require(0, m=m, d=d)
-    w = lane_width(_node_lane_bits(m, d))
-    # x = [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}
-    binoms = {(n, r): Packed({0: x}, r * (n - r), w)
-              for (n, r), x in qbinomial_ints(d, w).items()}
+    binoms = _binomials(d, _node_lane_bits(m, d))
 
     def column(i, v, a, b):
         return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)
@@ -170,7 +179,7 @@ def _node_free_walk(m, d, t_prec=None):
     for (j, i), v in states.items():
         v = (binoms[(j, i)] * v).times_qinv_poch(i, j)
         sums[j] = sums[j] + v if j in sums else v
-    total = sums.get(0, Packed({}, 0, w))
+    total = sums.get(0, Packed({}, 0, binoms[(0, 0)].w))
     for j in range(1, d + 1):
         total = total.times_one_minus(d - j, 1, t_prec).times_one_minus(d - j, 1, t_prec)
         if j in sums:
@@ -179,16 +188,16 @@ def _node_free_walk(m, d, t_prec=None):
 
 
 def _node_lane_bits(m, d):
-    """The lane bits of the free node walk: one more than the bit length of a
-    bound on |nz_node_free(m, d)|_1, the walk run on L1 norms (module
-    docstring)."""
-    norms = {(n, r): comb(n, r) for n in range(d + 1) for r in range(n + 1)}
-    states = column_walk(m, (d, d), 1, norms, lambda v, a, a2: norms[(a, a2)] * v,
-                         lambda i, v, a, b: v)
-    # the fold's norm is C(j, i) 2^{j-i}; the d - j Horner steps after s_j
-    # multiply it by 4 each
-    bound = sum((v * norms[(j, i)]) << (j - i + 2 * (d - j)) for (j, i), v in states.items())
-    return bound.bit_length() + 1
+    """The lane bits of the free node walk: one more than the bit length of
+    its L1 bound (2m^2+4m+1)^d (module docstring)."""
+    return ((2 * m * m + 4 * m + 1) ** d).bit_length() + 1
+
+
+def _binomials(top, bits):
+    """{(n, r): [n r]_{1/q}} for 0 <= r <= n <= top, on Packed with lanes of
+    lane_width(bits) bits: [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}."""
+    w = lane_width(bits)
+    return {(n, r): Packed({0: x}, r * (n - r), w) for (n, r), x in qbinomial_ints(top, w).items()}
 
 
 def _check_poly(p):

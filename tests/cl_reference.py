@@ -7,7 +7,7 @@ numerators with them.
 """
 
 from singzeta.hall import column_walk
-from singzeta.laurent import qbinomial_qinv, qpoch_qinv_ratio
+from singzeta.laurent import QINV, T, qbinomial, qpoch_qinv_ratio
 from singzeta.series import TruncSeries2
 
 
@@ -36,7 +36,7 @@ def cusp_numerator(m, u_prec, t_prec):
 def node_states(m, u_prec, t_prec):
     """The node's column walk: its last-column states {(j, i): value}."""
     top = walk_top("node", u_prec, t_prec)
-    binoms = {(n, r): TruncSeries2.from_laurent(qbinomial_qinv(n, r), u_prec, t_prec)
+    binoms = {(n, r): TruncSeries2.from_laurent(qbinomial(n, r).substitute(QINV, T), u_prec, t_prec)
               for n in range(top + 1) for r in range(n + 1)}
     return column_walk(m, (top, top), TruncSeries2.one(u_prec, t_prec), binoms,
                        lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
@@ -49,8 +49,8 @@ def node_numerator(m, u_prec, t_prec):
     over j for the end factors."""
     sums = {}
     for (j, i), v in node_states(m, u_prec, t_prec).items():
-        v = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
-                                      u_prec, t_prec) * v
+        v = TruncSeries2.from_laurent(
+            qbinomial(j, i).substitute(QINV, T) * qpoch_qinv_ratio(j, j - i), u_prec, t_prec) * v
         sums[j] = sums[j] + v if j in sums else v
     last = max(sums)
     total = TruncSeries2(u_prec, t_prec)

@@ -12,7 +12,6 @@ import sys
 import time
 
 from singzeta import acceptance
-from singzeta.laurent import LaurentPoly2
 from singzeta.oracle import SubmoduleCensus
 from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fixture)
 
@@ -105,13 +104,18 @@ def test_criterion_07_widens_its_lanes(narrow_lanes, monkeypatch):
 
 def test_criterion_07_locates_first_mismatch(monkeypatch):
     # each polynomial scan names the first exponent pair where its two sides differ
-    real_box = acceptance.hall_mod.hall_box
+    hall = acceptance.hall_mod
+    real_box = hall._box_packed
 
-    def hall_box(m, d, mu):
+    def box_packed(m, d, mu):
         value = real_box(m, d, mu)
-        return value + LaurentPoly2.monomial(1, 1, 0) if (m, d, mu.parts) == (2, 2, (2, 1)) else value
+        if (m, d, mu.parts) == (2, 2, (2, 1)):
+            sums = {0: value}
+            hall._add_into(sums, 0, (1, 1, 1))
+            value = sums[0]
+        return value
 
-    monkeypatch.setattr(acceptance.hall_mod, "hall_box", hall_box)
+    monkeypatch.setattr(hall, "_box_packed", box_packed)
     _pair_packed_off_by(monkeypatch, 2)
     reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
     assert reports["hall-box-vs-skew"].detail == str((2, 2, "[2,1]"))

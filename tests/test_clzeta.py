@@ -8,7 +8,7 @@ import cl_reference
 import series_reference as ref
 from singzeta import clzeta
 from singzeta.hall import hall_skew
-from singzeta.laurent import (ONE, Q, ZERO, LaurentPoly2, parse_poly, qbinomial_qinv,
+from singzeta.laurent import (ONE, Q, QINV, T, ZERO, LaurentPoly2, parse_poly, qbinomial,
                               qpoch_qinv_ratio)
 from singzeta.partitions import partitions_of, subpartitions
 from singzeta.quotzeta import SingularityFamily, nz
@@ -119,8 +119,8 @@ def _cl_node_per_j(m, u_prec, t_prec):
     on its own and multiplied onto the walk's sum at j."""
     total = TruncSeries2(u_prec, t_prec)
     for (j, i), s in cl_reference.node_states(m, u_prec, t_prec).items():
-        fold = TruncSeries2.from_laurent(qbinomial_qinv(j, i) * qpoch_qinv_ratio(j, j - i),
-                                         u_prec, t_prec)
+        fold = TruncSeries2.from_laurent(
+            qbinomial(j, i).substitute(QINV, T) * qpoch_qinv_ratio(j, j - i), u_prec, t_prec)
         tail = TruncSeries2(u_prec, t_prec, inv_upoch(j, u_prec).coeffs)
         total = total + s * fold * (tail * ref.power(poch(j + 1, 1, u_prec, t_prec), 2))
     return total

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, QINV, qpochhammer,
-                              qbinomial, qbinomial_qinv, parse_poly,
+                              qbinomial, parse_poly,
                               qpoch_qinv_ratio, UnsupportedSubstitutionError)
 from singzeta.partitions import Partition
 
@@ -54,16 +54,6 @@ def _rref_count(n, r, p):
             free += sum(1 for c in range(col + 1, n) if c not in pivots)
         total += p ** free
     return total
-
-
-def test_qbinomial_qinv_memo():
-    for n in range(9):
-        for r in range(n + 1):
-            got = qbinomial_qinv(n, r)
-            assert got == qbinomial(n, r).substitute(QINV, T)
-            assert qbinomial_qinv(n, r) is got
-    with pytest.raises(ValueError):
-        qbinomial_qinv(2, 3)
 
 
 def test_qbinomial_counts_subspaces():

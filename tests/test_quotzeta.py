@@ -6,7 +6,7 @@ import pytest
 from singzeta import hall
 from singzeta.hall import column_walk, hall_box, hall_skew
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
-                              qbinomial_qinv, qpochhammer, qpoch_qinv_ratio)
+                              qpochhammer, qpoch_qinv_ratio)
 from singzeta.partitions import iterate_box, subpartitions
 from singzeta import quotzeta
 from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
@@ -95,12 +95,21 @@ def test_node_free_walk_cut_is_the_full_numerator_below_t():
                 assert quotzeta._node_free_walk(m, d, t_prec) == full.below_t(t_prec), (m, d)
 
 
-def test_node_free_lanes_hold_every_coefficient():
-    # the packed walk decodes right only if |NZ|_1 < 2^(w-1)
+def test_node_free_lanes_hold_every_coefficient(monkeypatch):
+    # a packed walk decodes right only if |NZ|_1 < 2^(w-1); the normalization
+    # walks' lanes are the bits they ask _binomials for, from the closed forms
+    asked, binomials = [], quotzeta._binomials
+    monkeypatch.setattr(quotzeta, "_binomials",
+                        lambda top, bits: asked.append(bits) or binomials(top, bits))
     for m in range(1, 9):
         for d in range(0, 10 - m):
             norm = sum(abs(c) for c in nz_node_free(m, d).terms.values())
             assert norm < 2 ** (quotzeta._node_lane_bits(m, d) - 1), (m, d)
+            for node, row in ((False, m + 1), (True, 2 * m + 1)):
+                asked.clear()
+                norm = sum(abs(c) for c in quotzeta._normalization_walk(m, d, node).terms.values())
+                assert asked == [(row ** d).bit_length() + 1], (m, d, node)
+                assert norm < 2 ** (asked[0] - 1), (m, d, node)
 
 
 def test_node_free_lanes_come_from_the_sum_of_norms():
@@ -118,6 +127,27 @@ def test_node_free_lanes_come_from_the_sum_of_norms():
                     bound += (sum(hall_box(m, d, lam).terms.values())
                               * sum(hall_skew(lam, mu).terms.values())
                               * 2 ** (j - i + 2 * (d - j)))
+            assert quotzeta._node_lane_bits(m, d) == bound.bit_length() + 1, (m, d)
+
+
+def test_lane_bounds_are_the_l1_walks_in_closed_form():
+    # each walk run on L1 norms (ints): [n r] has norm C(n, r), a column
+    # monomial norm 1 and the node's first-column factor
+    # (1/q;1/q)_d/(1/q;1/q)_{d-c} norm 2^c; the free node's fold has norm
+    # C(j, i) 2^{j-i} and each of its d - j Horner steps norm 4.  The sums
+    # factor over the d rows (module docstring)
+    for m in range(0, 9):
+        for d in range(0, 11):
+            norms = {(n, r): comb(n, r) for n in range(d + 1) for r in range(n + 1)}
+            for node, row in ((False, m + 1), (True, 2 * m + 1)):
+                states = column_walk(m, (d, 0), 1, None, lambda v, c, c2: norms[(c, c2)] * v,
+                                     lambda i, v, c, _: v << c if node and i == 1 else v)
+                assert sum(states.values()) == row ** d, (m, d, node)
+            states = column_walk(m, (d, d), 1, norms, lambda v, a, a2: norms[(a, a2)] * v,
+                                 lambda i, v, a, b: v)
+            bound = sum((v * norms[(j, i)]) << (j - i + 2 * (d - j))
+                        for (j, i), v in states.items())
+            assert bound == (2 * m * m + 4 * m + 1) ** d, (m, d)
             assert quotzeta._node_lane_bits(m, d) == bound.bit_length() + 1, (m, d)
 
 
@@ -147,10 +177,8 @@ def test_column_walk_from_top_0_counts_the_partitions_in_a_box():
 
 
 def test_node_free_walk_makes_no_laurent_product(monkeypatch):
-    # after the q-binomials are cached, the whole walk runs on packed ints
-    for n in range(5):
-        for r in range(n + 1):
-            qbinomial_qinv(n, r)
+    # the free node walk and both normalization walks run on packed ints alone,
+    # from a cold cache
     calls = []
     product = LaurentPoly2.__mul__
 
@@ -161,7 +189,8 @@ def test_node_free_walk_makes_no_laurent_product(monkeypatch):
     monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
     monkeypatch.setattr(LaurentPoly2, "__rmul__", counting)
     quotzeta._NZ_CACHE.clear()
-    nz_node_free(4, 4)
+    for form in (nz_node_free, nz_cusp_normalization, nz_node_normalization):
+        form(4, 4)
     assert len(calls) == 0
 
 
@@ -175,14 +204,15 @@ def _normalization_sum(m, d, node):
 
 
 def test_normalization_walks_match_the_sums_over_mu():
-    for m in range(1, 7):
-        for d in range(0, min(6, 9 - m) + 1):
-            quotzeta._NZ_CACHE.clear()
-            cusp = _normalization_sum(m, d, node=False)
-            assert nz_cusp_normalization(m, d).terms == cusp.terms, (m, d)
-            assert nz_cusp_free(m, d).terms == cusp.substitute(Q, T * T).terms, (m, d)
-            node = _normalization_sum(m, d, node=True)
-            assert nz_node_normalization(m, d).terms == node.terms, (m, d)
+    # the grid, and (4, 7) past the bench grid
+    grid = [(m, d) for m in range(1, 7) for d in range(0, min(6, 9 - m) + 1)]
+    for m, d in grid + [(4, 7)]:
+        quotzeta._NZ_CACHE.clear()
+        cusp = _normalization_sum(m, d, node=False)
+        assert nz_cusp_normalization(m, d).terms == cusp.terms, (m, d)
+        assert nz_cusp_free(m, d).terms == cusp.substitute(Q, T * T).terms, (m, d)
+        node = _normalization_sum(m, d, node=True)
+        assert nz_node_normalization(m, d).terms == node.terms, (m, d)
 
 
 def test_degree_bound():
