@@ -2,7 +2,7 @@
 
 from .laurent import LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial, parse_poly
 from .partitions import Partition, iterate_box, partitions_of
-from .hall import hall_skew, hall_box, hall_general, hall_count_oracle, surjection_count
+from .hall import hall_skew, hall_box, hall_general, surjection_count
 from .series import TruncSeries2, poch
 from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalization,
                        nz_node_free, nz_node_normalization, full_z, funceq_check,
@@ -15,5 +15,5 @@ from .clzeta import (ClSeries, cl_series, convert_rank, limit_check, matrix_coun
 from .oracle import (FqModulePresentation, SubmoduleCensus, build_local_model,
                      enumerate_submodules, quot_coeffs_oracle, solomon_census,
                      matrix_pair_count, coh_quot_invariance_check,
-                     dvr_type_cotype_census, surjective_homs_count)
+                     dvr_type_cotype_census, hall_count_oracle, surjective_homs_count)
 from .report import VerificationReport, BudgetExceededError

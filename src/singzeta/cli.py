@@ -83,7 +83,7 @@ def _run_hall(args, fmt):
     poly = hall_mod.hall_skew(lam, mu) if nu is None else hall_mod.hall_general(lam, mu, nu)
     payload = {"hall": poly.to_json_obj()}
     if args.oracle is not None:
-        count = hall_mod.hall_count_oracle(lam, mu, nu, args.oracle, budget=args.budget)
+        count = oracle_mod.hall_count_oracle(lam, mu, nu, args.oracle, budget=args.budget)
         payload["oracle_count"] = str(count)
         payload["formula_at_p"] = str(poly.eval_int(args.oracle))
     if fmt == "json":
@@ -175,7 +175,7 @@ COMMANDS = [
       _arg("--module", choices=["free", "normalization", "max-ideal"], default="free")],
      _run_quot),
     ("oracle hall", None, PARTS + [P], lambda args, fmt: _emit_count(
-        hall_mod.hall_count_oracle(*_partitions(args), args.p, budget=args.budget), fmt)),
+        oracle_mod.hall_count_oracle(*_partitions(args), args.p, budget=args.budget), fmt)),
     ("oracle matrix", None, [N, P], lambda args, fmt: _emit_count(
         oracle_mod.matrix_pair_count(args.n, args.p, budget=args.budget), fmt)),
     ("oracle solomon", None, [D, P, _int("--N")], lambda args, fmt: _emit(

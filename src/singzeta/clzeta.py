@@ -45,7 +45,7 @@ u^e t^f shifts the columns and drops those at t^t_prec and up; a factor
 1 - u^e t^b (the Horner steps and the end factor (u^{J+1}t;u)^2_inf) is a
 column step.
 
-_lane_bits runs the same walk on L1 norms (_norm_bound): the norm of [n r]_u
+_norm_bound runs the same walk on L1 norms, for lane_width: the norm of [n r]_u
 is C(n, r), that of 1/(u;u)_n the sum S_n of its coefficients below
 u^u_prec, and a shift keeps a norm while its monomial lies on the window and
 gives 0 off it, so the walk's value N_{j,i} at (j, i) bounds the norm of the
@@ -175,7 +175,7 @@ def _cusp_numerator(m, u_prec, t_prec, with_full):
     series, that sum divided by (ut;u)_inf in u_prec - 1 column-division
     steps (else None)."""
     top = _walk_top("cusp", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("cusp", m, u_prec, t_prec, with_full))
+    one, inverses = _packed_tables(u_prec, top, _norm_bound("cusp", m, u_prec, t_prec, with_full))
     states = _walk(m, (top, 0), one, None, inverses, lambda v, e, f: v.shifted(e, f, t_prec))
     total = reduce(add, (inverses[c] * v for (c, _), v in states.items()))
     return total, total.over_one_minus(range(1, u_prec), t_prec) if with_full else None
@@ -188,7 +188,7 @@ def _node_numerator(m, u_prec, t_prec, with_full):
     None): 1/(u;u)_J times the Horner total over (ut;u)_J^2, in 2J
     column-division steps, as E_J/(ut;u)^2_inf = 1/((u;u)_J (ut;u)_J^2)."""
     top = _walk_top("node", u_prec, t_prec)
-    one, inverses = _packed_tables(u_prec, top, _lane_bits("node", m, u_prec, t_prec, with_full))
+    one, inverses = _packed_tables(u_prec, top, _norm_bound("node", m, u_prec, t_prec, with_full))
     binoms = {k: one.with_lanes(x) for k, x in qbinomial_ints(top, one.w).items()}
     states = _walk(m, (top, top), one, binoms, inverses,
                    lambda v, e, f: v.shifted(e, f, t_prec))
@@ -214,12 +214,12 @@ def _node_numerator(m, u_prec, t_prec, with_full):
     return inverses[last] * total, full
 
 
-def _packed_tables(u_prec, top, bits):
-    """The packed ring modulo u^u_prec in lanes of bits rounded up to whole
-    bytes: its 1 and the table {n: 1/(u;u)_n} for n < top.  1/(u;u)_n is
+def _packed_tables(u_prec, top, bound):
+    """The packed ring modulo u^u_prec in lanes for the L1 bound bound: its 1
+    and the table {n: 1/(u;u)_n} for n < top.  1/(u;u)_n is
     1/(u;u)_{n-1} times (1 + u^n)(1 + u^{2n})(1 + u^{4n}) ..., one step per
     factor below u^u_prec."""
-    one = Packed.on_window(u_prec, lane_width(bits))
+    one = Packed.on_window(u_prec, lane_width(bound))
     inverses, v = {}, one
     for n in range(top):
         e = n
@@ -227,13 +227,6 @@ def _packed_tables(u_prec, top, bits):
             v, e = v.times_one_plus(e), 2 * e
         inverses[n] = v
     return one, inverses
-
-
-def _lane_bits(kind, m, u_prec, t_prec, with_full=False):
-    """A lane width w for the packed numerator of kind on the window, and
-    with with_full for its full series too: every coefficient lies in
-    [-2^{w-1}, 2^{w-1}) (module docstring)."""
-    return _norm_bound(kind, m, u_prec, t_prec, with_full).bit_length() + 1
 
 
 def _inverse_sums(u_prec, top, power=1):

@@ -1,4 +1,4 @@
-"""Hall polynomials: closed forms, a general algorithm, and an oracle hook.
+"""Hall polynomials: closed forms, a general algorithm, and the Hall-sum scans.
 
 g^lambda_{mu nu}(q) counts submodules of type mu and cotype nu in a finite
 DVR-module of type lambda.  The nu-summed g^lambda_mu has the closed form
@@ -48,6 +48,10 @@ Each runs in one _widened call and compares by _same: a pass is exact and
 decodes nothing, only a failing pair is decoded, and a bound that does not
 fit widens the lanes and reruns the whole scan.
 
+The brute-force counts over F_p that criterion 7 checks these polynomials
+against, oracle.hall_count_oracle, live with the census they read, so
+nothing here imports the oracle.
+
 g^lambda_mu and the box multinomial are products over the columns of lambda
 and mu, so a sum of them over mu <= lambda is a walk over column states
 (lambda'_i, mu'_i), column_walk.  Started at (top, top) it sums over both
@@ -65,9 +69,8 @@ own ring.
 from math import comb
 
 from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio
-from .oracle import DEFAULT_BUDGET, dvr_type_cotype_census
 from .packed import lane_digits_into, qbinomial_ints
-from .partitions import Partition, iterate_box, partitions_of, subpartitions
+from .partitions import Partition, conjugate_parts, iterate_box, partitions_of, subpartitions
 
 
 # -- packed coefficients -------------------------------------------------------
@@ -76,7 +79,6 @@ from .partitions import Partition, iterate_box, partitions_of, subpartitions
 # b a carried bound on the L1 norm of x(q); see the module docstring.
 
 _W = 64  # lane bits of every packed coefficient; doubled by _widened
-_CONJ = {}  # part tuple -> its conjugate's part tuple
 _BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (packed.qbinomial_ints)
 _COLUMNS_CACHE = {}
 _COLUMN_INVERSE_CACHE = {}
@@ -87,14 +89,6 @@ _PACKED_ZERO = (0, 0, 0)
 
 class _LaneOverflow(Exception):
     """A carried bound does not fit in the lanes of _W bits."""
-
-
-def _conj(parts):
-    got = _CONJ.get(parts)
-    if got is None:
-        got = _CONJ[parts] = tuple(sum(1 for p in parts if p >= i)
-                                   for i in range(1, parts[0] + 1)) if parts else ()
-    return got
 
 
 def _mul(a, b):
@@ -156,10 +150,6 @@ def _decode_columns(cols):
     return LaurentPoly2._adopt(terms)
 
 
-def _decoded(fn, *args):
-    return _decode(fn(*args))
-
-
 def _nonzero(acc):
     return {key: v for key, v in acc.items() if _lanes(v)}
 
@@ -183,15 +173,15 @@ def _in_zq(g, error, args):
     return g
 
 
-def _widened(fn, *args):
-    """fn(*args), recomputed with lanes of twice the bits (the packed tables
-    and the packed results of _skew_packed and _pair_packed cleared) for as
-    long as a carried bound does not fit.  fn must call no _widened itself:
-    a value it holds would outlive a doubling."""
+def _widened(fn):
+    """fn(), recomputed with lanes of twice the bits (the packed tables and
+    the packed results of _skew_packed and _pair_packed cleared) for as long
+    as a carried bound does not fit.  fn must call no _widened itself: a
+    value it holds would outlive a doubling."""
     global _W
     while True:
         try:
-            return fn(*args)
+            return fn()
         except _LaneOverflow:
             _W *= 2
             for cache in _PACKED_CACHES + (_HALL_SKEW_CACHE, _HALL_PAIR_CACHE):
@@ -205,7 +195,7 @@ _HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> packed g^lam_mu
 
 def hall_skew(lam, mu):
     """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda."""
-    return _widened(_decoded, _skew_packed, lam, mu)
+    return _widened(lambda: _decode(_skew_packed(lam, mu)))
 
 
 def _skew_packed(lam, mu):
@@ -222,7 +212,7 @@ def _skew_product(lam, mu):
     if not lam.contains(mu):
         return _PACKED_ZERO
     width = lam.part(1)
-    lc, mc = _conj(lam.parts) + (0,), _conj(mu.parts)
+    lc, mc = conjugate_parts(lam.parts) + (0,), conjugate_parts(mu.parts)
     mc += (0,) * (width + 1 - len(mc))
     return _in_zq(_binomial_product(sum(m * (l - m) for l, m in zip(lc, mc)),
                                     [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)]),
@@ -240,10 +230,11 @@ def column_walk(columns, start, one, binoms, gap, column):
 
     with (lam'_0, mu'_0) = start, (top, top) for a two-index sum; the
     binomials are hall_skew's.  From (top, 0) mu'_i stays 0 and every
-    binomial is [a a] = 1: the walk is a one-index sum over lam alone, and
-    reads no binomial.  A step from the state (a, b) = (lam'_i, mu'_i) to (a2, b2),
-    a2 <= a and b2 <= min(b, a2), sums over b per (a, b2), then over a per
-    (a2, b2), then applies the column factor.  The walk runs in the caller's
+    binomial is [a a] = 1: the walk is a one-index sum over lam alone, its
+    sum over b is the states themselves, and binoms is None.  A step from
+    the state (a, b) = (lam'_i, mu'_i) to (a2, b2), a2 <= a and
+    b2 <= min(b, a2), sums over b per (a, b2), then over a per (a2, b2),
+    then applies the column factor.  The walk runs in the caller's
     ring: one is its 1 (the start value), binoms[(n, r)] is [n r]_{1/q} in it
     for 0 <= r <= n <= top, and the callbacks gap(v, a, a2) and
     column(i, v, a, b) multiply v by the gap and column factors; a state
@@ -253,12 +244,14 @@ def column_walk(columns, start, one, binoms, gap, column):
     """
     states = {start: one}
     for i in range(1, columns + 1):
-        by_b2 = {}
-        for (a, b), v in states.items():
-            for b2 in range(b + 1):
-                # [n 0] = [n n] = 1 needs no product
-                n, r = a - b2, a - b
-                _accumulate(by_b2, (a, b2), v if r in (0, n) else binoms[(n, r)] * v)
+        by_b2 = states  # one-index: b2 = b = 0, and [a a] = 1
+        if binoms is not None:
+            by_b2 = {}
+            for (a, b), v in states.items():
+                for b2 in range(b + 1):
+                    # [n 0] = [n n] = 1 needs no product
+                    n, r = a - b2, a - b
+                    _accumulate(by_b2, (a, b2), v if r in (0, n) else binoms[(n, r)] * v)
         steps = {}
         for (a, b2), w in by_b2.items():
             for a2 in range(b2, a + 1):
@@ -281,12 +274,12 @@ def hall_box(m, d, mu):
     """
     if not Partition.box(m, d).contains(mu):
         raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
-    return _widened(_decoded, _box_packed, m, d, mu)
+    return _widened(lambda: _decode(_box_packed(m, d, mu)))
 
 
 def _box_packed(m, d, mu):
     """hall_box(m, d, mu) packed, for mu inside the box."""
-    conj = _conj(mu.parts)
+    conj = conjugate_parts(mu.parts)
     gaps = [conj[i] - (conj[i + 1] if i + 1 < len(conj) else 0) for i in range(len(conj))]
     pairs, total = [], 0
     for a in gaps + [d - (conj[0] if conj else 0)]:
@@ -349,10 +342,10 @@ def _pieri(mu, m):
 
     (Macdonald Ch. II Sec. 4), with n(lam) = sum (i-1) lam_i.
     """
-    mc = _conj(mu)
+    mc = conjugate_parts(mu)
     out = {}
     for lam in _vertical_strips(mu, m):
-        lc = _conj(lam) + (0,)
+        lc = conjugate_parts(lam) + (0,)
         out[lam] = _in_zq(_binomial_product(
             _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2,
             [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
@@ -370,7 +363,7 @@ def _times_columns(mu, kappa):
     key = (mu, kappa)
     got = _COLUMNS_CACHE.get(key)
     if got is None:
-        cols = _conj(kappa)
+        cols = conjugate_parts(kappa)
         if len(cols) <= 1:
             got = _pieri(mu, cols[0]) if cols else {mu: _PACKED_ONE}
         else:
@@ -415,11 +408,8 @@ _HALL_PAIR_CACHE = {}  # (mu, nu) part tuples -> _pair_packed(mu, nu)
 def hall_pair_expansion(mu, nu):
     """{lambda: g^lambda_{mu nu}(q)}, the product u_mu u_nu in the Hall algebra;
     lambda with g = 0 are left out."""
-    return _widened(_pair_expansion, mu.parts, nu.parts)
-
-
-def _pair_expansion(mu, nu):
-    return {Partition(lam): _decode(g) for lam, g in _pair_packed(mu, nu).items()}
+    return _widened(lambda: {Partition(lam): _decode(g)
+                             for lam, g in _pair_packed(mu.parts, nu.parts).items()})
 
 
 def _pair_packed(mu, nu):
@@ -443,23 +433,8 @@ def _pair_packed(mu, nu):
 def hall_general(lam, mu, nu):
     """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside
     lambda, as every lambda of the expansion of u_mu u_nu is such."""
-    return _widened(_pair_entry, lam.parts, mu.parts, nu.parts)
-
-
-def _pair_entry(lam, mu, nu):
-    return _decode(_pair_packed(mu, nu).get(lam, _PACKED_ZERO))
-
-
-def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
-    """Exact submodule count over F_p by exhaustive invariant-subspace search.
-
-    Counts submodules of type mu (and cotype nu when given) of the module
-    (+) F_p[T]/T^{lam_i}; delegated to the oracle module's census.
-    """
-    census = dvr_type_cotype_census(lam, p, budget=budget)
-    if nu is None:
-        return sum(c for (tm, _), c in census.items() if tm == mu.parts)
-    return census.get((mu.parts, nu.parts), 0)
+    return _widened(
+        lambda: _decode(_pair_packed(mu.parts, nu.parts).get(lam.parts, _PACKED_ZERO)))
 
 
 # -- the scans of criteria 6 and 7 ---------------------------------------------

@@ -33,6 +33,11 @@ their pivots.  So rank M/(L + m*M) is levels[1] less that count, and the
 cotype of a DVR submodule K is read off dim(K + m^j M), dim M - levels[j] plus
 the count below levels[j], with no elimination.  Only prime fields are
 supported.
+
+Hall counts are read off that census in one place, hall_count_oracle: the
+number of submodules of type mu, and cotype nu when given, of the DVR-module
+of type lambda over F_p, which g^lambda_mu(p) and g^lambda_{mu nu}(p) must
+equal.
 """
 
 from itertools import product
@@ -444,6 +449,18 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
 
     got = _DVR_CENSUS_CACHE[key] = _walk(model, model.dim, type_cotype, budget, "DVR census")
     return got[0]
+
+
+def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
+    """Exact submodule count over F_p by exhaustive invariant-subspace search.
+
+    Counts submodules of type mu (and cotype nu when given) of the module
+    (+) F_p[T]/T^{lam_i}, read off dvr_type_cotype_census.
+    """
+    census = dvr_type_cotype_census(lam, p, budget=budget)
+    if nu is None:
+        return sum(c for (tm, _), c in census.items() if tm == mu.parts)
+    return census.get((mu.parts, nu.parts), 0)
 
 
 def _module_type(basis, gens, lanes):

@@ -22,16 +22,18 @@ L1 norm is subadditive and submultiplicative, on a window too, [n r] has norm
 C(n, r), a monomial norm 1, and 1 - q^e t^b and 1 + q^e norm 2.  So a walk
 bounds the norm of its result by running itself on ints, each factor
 replaced by its norm, a run that may be evaluated in closed form; its lanes
-have one bit more than the bound, rounded up to whole bytes (lane_width), so
-that decoding is one pass over each column's bytes.
+have one bit more than the bound, rounded up to whole bytes, so that decoding
+is one pass over each column's bytes.  lane_width, which takes the bound, is
+the one place that rule is written.
 """
 
 from .laurent import LaurentPoly2
 
 
-def lane_width(bits):
-    """bits rounded up to whole bytes."""
-    return -(-bits // 8) * 8
+def lane_width(bound):
+    """The lane bits for values of L1 norm at most bound: one bit more than
+    bound's bit length, rounded up to whole bytes."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def qbinomial_ints(top, w):

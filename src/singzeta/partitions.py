@@ -4,15 +4,27 @@ Partitions index every summation in the closed-form zeta formulas.  They are
 stored as tuples of weakly decreasing positive parts; the empty partition is
 ().  All enumeration orders are graded by size and then lexicographic, so
 downstream reports are reproducible.
+
+Conjugation is one cached function on part tuples, conjugate_parts, which
+Partition.conjugate, conj_part and the Hall algebra's tuple-keyed tables
+share.
 """
 
+from functools import cache
+
 from .report import require
+
+
+@cache
+def conjugate_parts(parts):
+    """The column lengths lam'_i = #{j : lam_j >= i} of the part tuple parts."""
+    return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1)) if parts else ()
 
 
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts", "_conj")
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts if p)
@@ -22,7 +34,6 @@ class Partition:
         if parts and parts[-1] < 0:
             raise ValueError("parts must be positive")
         self.parts = parts
-        self._conj = None
 
     @staticmethod
     def box(m, d):
@@ -40,17 +51,13 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self):
-        """Column lengths lam'_i = #{j : lam_j >= i}, cached."""
-        if self._conj is None:
-            cols = []
-            for i in range(1, (self.parts[0] + 1) if self.parts else 1):
-                cols.append(sum(1 for p in self.parts if p >= i))
-            self._conj = Partition(cols)
-            self._conj._conj = self
-        return self._conj
+        """The partition of column lengths lam'_i = #{j : lam_j >= i}."""
+        return Partition(conjugate_parts(self.parts))
 
     def conj_part(self, i):
-        return self.conjugate().part(i)
+        """1-indexed column length lam'_i, 0 beyond the last column."""
+        cols = conjugate_parts(self.parts)
+        return cols[i - 1] if 1 <= i <= len(cols) else 0
 
     def contains(self, mu):
         """True iff mu_i <= self_i for all i (Young diagram containment)."""

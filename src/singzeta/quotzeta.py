@@ -57,7 +57,7 @@ or k = m):
     cusp normalization (m+1)^d,  node normalization (2m+1)^d,
     node free (2m^2+4m+1)^d,
 
-each the L1 walk's value exactly, and each walk's lanes have one bit more.
+each the L1 walk's value exactly, which each walk passes to lane_width.
 """
 
 from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T
@@ -107,28 +107,27 @@ class SingularityFamily:
 _NZ_CACHE = {}
 
 
+def _memo(key, build):
+    """_NZ_CACHE[key], built by build() on first use."""
+    if key not in _NZ_CACHE:
+        _NZ_CACHE[key] = build()
+    return _NZ_CACHE[key]
+
+
 def nz_cusp_normalization(m, d):
     """NZ of the rank-d normalization module over the cusp germ."""
-    key = ("cusp-norm", m, d)
-    if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = _normalization_walk(m, d)
-    return _NZ_CACHE[key]
+    return _memo(("cusp-norm", m, d), lambda: _normalization_walk(m, d))
 
 
 def nz_cusp_free(m, d):
     """NZ of the free rank-d module over the cusp germ: the t -> t^2 image."""
-    key = ("cusp-free", m, d)
-    if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = nz_cusp_normalization(m, d).substitute(Q, T * T)
-    return _NZ_CACHE[key]
+    return _memo(("cusp-free", m, d),
+                 lambda: nz_cusp_normalization(m, d).substitute(Q, T * T))
 
 
 def nz_node_normalization(m, d):
     """NZ of the rank-d normalization module over the node germ."""
-    key = ("node-norm", m, d)
-    if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = _normalization_walk(m, d, node=True)
-    return _NZ_CACHE[key]
+    return _memo(("node-norm", m, d), lambda: _normalization_walk(m, d, node=True))
 
 
 def _normalization_walk(m, d, node=False):
@@ -136,7 +135,7 @@ def _normalization_walk(m, d, node=False):
     the node, by the one-index column walk of the module docstring, on Packed
     with lanes for the L1 bound (m+1)^d, or (2m+1)^d for the node."""
     require(0, m=m, d=d)
-    binoms = _binomials(d, ((2 * m + 1 if node else m + 1) ** d).bit_length() + 1)
+    binoms = _binomials(d, (2 * m + 1 if node else m + 1) ** d)
 
     def column(i, v, c, _):
         v = v.shifted(2 * d * c - c * c, c)
@@ -150,16 +149,13 @@ def _normalization_walk(m, d, node=False):
 def nz_node_free(m, d):
     """NZ of the free rank-d module over the node germ, by the column walk of
     the module docstring."""
-    key = ("node-free", m, d)
-    if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = _node_free_walk(m, d)
-    return _NZ_CACHE[key]
+    return _memo(("node-free", m, d), lambda: _node_free_walk(m, d))
 
 
 def _node_free_walk(m, d, t_prec=None):
     """nz_node_free(m, d), less its terms at t^t_prec and up when t_prec is given.
 
-    The walk runs on Packed with lanes of _node_lane_bits(m, d) bits; the
+    The walk runs on Packed with lanes for the L1 bound (2m^2+4m+1)^d; the
     binomials [n r]_{1/q} are built once, by q-Pascal on ints.  Each column
     callback and each Horner step drops the columns at t^t_prec and up.  That
     is exact below t^t_prec, because no factor has a negative t-exponent: the
@@ -168,7 +164,7 @@ def _node_free_walk(m, d, t_prec=None):
     never comes back below t^t_prec.
     """
     require(0, m=m, d=d)
-    binoms = _binomials(d, _node_lane_bits(m, d))
+    binoms = _binomials(d, (2 * m * m + 4 * m + 1) ** d)
 
     def column(i, v, a, b):
         return v.shifted(d * (2 * a - b) - a * a + b * (a - b), 2 * a - b, t_prec)
@@ -187,16 +183,10 @@ def _node_free_walk(m, d, t_prec=None):
     return _check_poly(total.decode())
 
 
-def _node_lane_bits(m, d):
-    """The lane bits of the free node walk: one more than the bit length of
-    its L1 bound (2m^2+4m+1)^d (module docstring)."""
-    return ((2 * m * m + 4 * m + 1) ** d).bit_length() + 1
-
-
-def _binomials(top, bits):
-    """{(n, r): [n r]_{1/q}} for 0 <= r <= n <= top, on Packed with lanes of
-    lane_width(bits) bits: [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}."""
-    w = lane_width(bits)
+def _binomials(top, bound):
+    """{(n, r): [n r]_{1/q}} for 0 <= r <= n <= top, on Packed with lanes for
+    the L1 bound bound: [n r]_q at 2^w is q^{r(n-r)} [n r]_{1/q}."""
+    w = lane_width(bound)
     return {(n, r): Packed({0: x}, r * (n - r), w) for (n, r), x in qbinomial_ints(top, w).items()}
 
 
@@ -344,7 +334,7 @@ def node22_closed_form(d):
     sum has L1 norm at most sum_r C(d, r) 2^r = 3^d, which sizes the lanes.
     """
     require(0, d=d)
-    w = lane_width((3 ** d).bit_length() + 1)
+    w = lane_width(3 ** d)
     binoms = qbinomial_ints(d, w)
     total = Packed({}, 0, w)
     for r in range(d + 1):
@@ -379,8 +369,9 @@ def m_limit_check(kind, d, q_prec, t_prec, m_cap=12):
     target = m_limit_closed_form(kind, d, q_prec, t_prec)
     with timed() as tm:
         stable_at = None
+        b = TruncSeries2.from_laurent(free(1, d).substitute(QINV, T), q_prec, t_prec)
         for m in range(1, m_cap):
-            a = TruncSeries2.from_laurent(free(m, d).substitute(QINV, T), q_prec, t_prec)
+            a = b
             b = TruncSeries2.from_laurent(free(m + 1, d).substitute(QINV, T), q_prec, t_prec)
             if a == b:
                 stable_at = m

@@ -10,9 +10,9 @@ import sys
 from singzeta import hall
 from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2, parse_poly
 from singzeta.partitions import Partition, iterate_box, partitions_of
-from singzeta.hall import (hall_skew, hall_box, hall_general, hall_count_oracle,
+from singzeta.hall import (hall_skew, hall_box, hall_general,
                            surjection_count, hall_pair_expansion)
-from singzeta.oracle import surjective_homs_count
+from singzeta.oracle import hall_count_oracle, surjective_homs_count
 
 P = Partition
 

@@ -96,20 +96,22 @@ def test_node_free_walk_cut_is_the_full_numerator_below_t():
 
 
 def test_node_free_lanes_hold_every_coefficient(monkeypatch):
-    # a packed walk decodes right only if |NZ|_1 < 2^(w-1); the normalization
-    # walks' lanes are the bits they ask _binomials for, from the closed forms
+    # a packed walk decodes right only if |NZ|_1 < 2^(w-1); each walk's lanes
+    # are those for the L1 bound it asks _binomials for, from the closed forms
     asked, binomials = [], quotzeta._binomials
     monkeypatch.setattr(quotzeta, "_binomials",
-                        lambda top, bits: asked.append(bits) or binomials(top, bits))
+                        lambda top, bound: asked.append(bound) or binomials(top, bound))
     for m in range(1, 9):
         for d in range(0, 10 - m):
-            norm = sum(abs(c) for c in nz_node_free(m, d).terms.values())
-            assert norm < 2 ** (quotzeta._node_lane_bits(m, d) - 1), (m, d)
+            asked.clear()
+            norm = sum(abs(c) for c in quotzeta._node_free_walk(m, d).terms.values())
+            assert asked == [(2 * m * m + 4 * m + 1) ** d], (m, d)
+            assert norm <= asked[0], (m, d)
             for node, row in ((False, m + 1), (True, 2 * m + 1)):
                 asked.clear()
                 norm = sum(abs(c) for c in quotzeta._normalization_walk(m, d, node).terms.values())
-                assert asked == [(row ** d).bit_length() + 1], (m, d, node)
-                assert norm < 2 ** (asked[0] - 1), (m, d, node)
+                assert asked == [row ** d], (m, d, node)
+                assert norm <= asked[0], (m, d, node)
 
 
 def test_node_free_lanes_come_from_the_sum_of_norms():
@@ -127,7 +129,7 @@ def test_node_free_lanes_come_from_the_sum_of_norms():
                     bound += (sum(hall_box(m, d, lam).terms.values())
                               * sum(hall_skew(lam, mu).terms.values())
                               * 2 ** (j - i + 2 * (d - j)))
-            assert quotzeta._node_lane_bits(m, d) == bound.bit_length() + 1, (m, d)
+            assert bound == (2 * m * m + 4 * m + 1) ** d, (m, d)
 
 
 def test_lane_bounds_are_the_l1_walks_in_closed_form():
@@ -148,7 +150,6 @@ def test_lane_bounds_are_the_l1_walks_in_closed_form():
             bound = sum((v * norms[(j, i)]) << (j - i + 2 * (d - j))
                         for (j, i), v in states.items())
             assert bound == (2 * m * m + 4 * m + 1) ** d, (m, d)
-            assert quotzeta._node_lane_bits(m, d) == bound.bit_length() + 1, (m, d)
 
 
 def test_nz_forms_reject_a_negative_m():
@@ -329,6 +330,30 @@ def test_funceq_and_specializations_of_larger_nodes():
         family = SingularityFamily("node", m)
         assert funceq_check(family, d).passed, (m, d)
         assert specialization_report(family, d).passed, (m, d)
+
+
+def _past_the_acceptance_box(kinds, m_top, d_top, k, seed=4):
+    """k (kind, m, d) drawn by a fixed seed from m <= m_top, d <= d_top, less
+    the acceptance box m, d <= 3."""
+    points = [(kind, m, d) for kind in kinds for m in range(1, m_top + 1)
+              for d in range(1, d_top + 1) if m > 3 or d > 3]
+    return random.Random(seed).sample(points, k)
+
+
+def test_seeded_sweep_of_funceq_and_specializations():
+    # criteria 4 and 16 stop at m, d <= 3; 16 of the 32 points of the box
+    # m, d <= 5 past it
+    for kind, m, d in _past_the_acceptance_box(("cusp", "node"), 5, 5, 16):
+        family = SingularityFamily(kind, m)
+        assert funceq_check(family, d).passed, (kind, m, d)
+        assert specialization_report(family, d).passed, (kind, m, d)
+
+
+def test_seeded_sweep_of_skew_cauchy():
+    # criterion 6 stops at m, d <= 3; 6 of the 11 points of the box m <= 4,
+    # d <= 5 past it
+    for _, m, d in _past_the_acceptance_box(("node",), 4, 5, 6):
+        assert skew_cauchy_bounded_check(m, d).passed, (m, d)
 
 
 def test_remark_t2_vs_qt_differ_at_d2():
