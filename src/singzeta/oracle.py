@@ -24,6 +24,18 @@ stops a wide node at once.  Every invariant subspace of codimension k lies
 under one of codimension k-1 (composition series of the quotient), so the walk
 is exhaustive; the key dedups it.
 
+m*L is read off the images g(b_i) in L's coordinates, and these are carried
+down, not recomputed: only the full module's come from _apply.  A child K has
+rows k_i = b_i + c_i b_top, so g(k_i) = g(b_i) + c_i g(b_top), and K keeps L's
+pivots but b_top's, so K's coordinates of a vector of K are L's without b_top's
+lane (_carried).  When every image is 0 (T = 0 on F_p^n), so is every child's,
+and they pass down as None.  Only children that will be expanded carry images:
+the children at the last codimension are counted after their parent's loop, in
+the order the stack would pop them, so counts, work and a budget stop's
+progress are as if they were pushed.  m*L is spanned by the distinct nonzero
+images alone, and its reduced echelon basis is unique to that span, so the
+children and their order do not depend on which images feed it.
+
 A presentation sorts its basis by depth, the longest chain of generators that
 ends at a vector, so m^j M is spanned by the lanes from levels[j] up, levels[j]
 the number of vectors of depth < j.  A reduced echelon row pivots at its lowest
@@ -266,45 +278,91 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
     and the work (children visited) the walk took.
 
     Every child visited costs one unit of budget; past it, BudgetExceededError
-    carries progress(counts so far)."""
+    carries progress(counts so far).  A subspace on the stack carries its
+    generator images; new children at codim max_codim are counted after their
+    parent's loop, never pushed."""
     require(0, budget=budget)
     lanes, gens, full = module.lanes, module.compiled, module.full_basis()
-    counts, visited, stack, work = {}, {full}, [full], 0
+    counts, visited, stack, work = {}, {full}, [(full, _images(gens, full, lanes))], 0
     while stack:
-        basis = stack.pop()
+        basis, images = stack.pop()
         key = classify(basis)
         counts[key] = counts.get(key, 0) + 1
-        if module.dim - len(basis) >= max_codim:
+        codim = module.dim - len(basis)
+        if codim >= max_codim:
             continue
-        for child in _invariant_hyperplanes(basis, gens, lanes):
+        leaf, leaves = codim + 1 == max_codim, []
+        for child in _invariant_hyperplanes(basis, images, lanes):
             work += 1
             if work > budget:
                 raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
                                           progress=progress(counts))
             if child not in visited:
                 visited.add(child)
-                stack.append(child)
+                if leaf:
+                    leaves.append(child)
+                else:
+                    stack.append((child, _carried(images, basis, child, lanes)))
+        for child in reversed(leaves):
+            key = classify(child)
+            counts[key] = counts.get(key, 0) + 1
     return counts, work
 
 
-def _invariant_hyperplanes(basis, gens, lanes):
-    """The invariant hyperplanes of L = span(basis), as canonical keys; basis is
-    one, rows b_0 < ... < b_{k-1}.  m*L in L's coordinates, row i at lane k-1-i,
-    has an echelon basis rel with pivots at the last rows its vectors use: the
-    other rows are the greedy complement c_0 < ... < c_{r-1}, and rel's row at
-    lane k-1-i says b_i = -sum_j (its value at c_j's lane) c_j mod m*L."""
-    p, w, mask, k = lanes.p, lanes.w, lanes.mask, len(basis)
+def _images(gens, basis, lanes):
+    """The images g(b_i) of the rows of L = span(basis) in L's coordinates, row
+    j at lane k-1-j, row i's at [i*G, i*G + G) for G generators; None when all
+    are 0.  L is invariant, so g(b_i) is its values at L's pivots."""
+    w, mask, k = lanes.w, lanes.mask, len(basis)
     at = {(b & -b).bit_length() - 1: w * (k - 1 - i) for i, b in enumerate(basis)}
     on_pivots = sum(mask << piv for piv in at)
     images = []
-    for v in (_apply(g, b, lanes) & on_pivots for g in gens for b in basis):
+    for v in (_apply(g, b, lanes) & on_pivots for b in basis for g in gens):
         out = 0
         while v:
             piv = w * (((v & -v).bit_length() - 1) // w)
             out |= ((v >> piv) & mask) << at[piv]
             v &= ~(mask << piv)
         images.append(out)
-    rel = _span(filter(None, images), lanes)
+    return images if any(images) else None
+
+
+def _carried(images, basis, child, lanes):
+    """_images of a child K of L = span(basis) from L's images.  K's row i is
+    b_i + c_i b_top (b_i for i > top; b_top dropped), c_i its value at b_top's
+    pivot, so g(k_i) = g(b_i) + c_i g(b_top) by linearity; K keeps L's pivots
+    but b_top's, so its coordinates are L's without lane k-1-top."""
+    if images is None:
+        return None
+    k = len(basis)
+    top = k - 1  # rows after b_top are L's rows
+    while top and child[top - 1] == basis[top]:
+        top -= 1
+    w, mask, gs = lanes.w, lanes.mask, len(images) // k
+    piv = (basis[top] & -basis[top]).bit_length() - 1
+    cut = w * (k - 1 - top)
+    low, tops = (1 << cut) - 1, images[gs * top:gs * top + gs]
+    out = []
+    for i, row in enumerate(child):
+        at = gs * i if i < top else gs * (i + 1)
+        c = (row >> piv) & mask if i < top else 0
+        for g, v in enumerate(images[at:at + gs]):
+            if c and tops[g]:
+                v = lanes.reduce(v + lanes.scale(c, tops[g]))
+            out.append(v & low | v >> (cut + w) << cut)
+    return out if any(out) else None
+
+
+def _invariant_hyperplanes(basis, images, lanes):
+    """The invariant hyperplanes of L = span(basis), as canonical keys; basis is
+    one, rows b_0 < ... < b_{k-1}, and images are _images(gens, basis, lanes).
+    m*L in L's coordinates has an echelon basis rel with pivots at the last rows
+    its vectors use: the other rows are the greedy complement c_0 < ... <
+    c_{r-1}, and rel's row at lane k-1-i says b_i = -sum_j (its value at c_j's
+    lane) c_j mod m*L.  rel is the same from the distinct nonzero images alone,
+    as a reduced echelon basis is unique to its span."""
+    p, w, mask, k = lanes.p, lanes.w, lanes.mask, len(basis)
+    rel = _span(set(filter(None, images or ())), lanes)
     # psi(b_0), ..., psi(b_{k-1}) for psi(c_j) = 1 and psi = 0 on the other c's
     columns = [sum((p - ((v >> (w * (k - 1 - j))) & mask)) % p << (w * (k - 1 - lane))
                    for lane, v in rel.items()) | 1 << (w * j)
@@ -514,7 +572,10 @@ def _mat_mul(a, b, p):
 
 
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
-    """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search."""
+    """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search.
+
+    The A are grouped by A^2 once, so each B is tested only against the A with
+    A^2 = B^3; the budget still bounds the p^{2n^2} pairs up front."""
     _require_prime(p)
     require(0, n=n, budget=budget)
     if p ** (2 * n * n) > budget:
@@ -525,11 +586,13 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     mats = [tuple(flat[i:i + n] for i in range(0, n * n, n))
             for flat in product(range(p), repeat=n * n)]
     squares = {a: _mat_mul(a, a, p) for a in mats}
+    roots = {}  # A^2 -> the A
+    for a, sq in squares.items():
+        roots.setdefault(sq, []).append(a)
     count = 0
     for b in mats:
-        b3 = _mat_mul(squares[b], b, p)
-        for a in mats:
-            if squares[a] == b3 and _mat_mul(a, b, p) == _mat_mul(b, a, p):
+        for a in roots.get(_mat_mul(squares[b], b, p), ()):
+            if _mat_mul(a, b, p) == _mat_mul(b, a, p):
                 count += 1
     return count
 

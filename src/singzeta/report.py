@@ -92,7 +92,8 @@ def compare_report(name, params, lhs, rhs, lhs_text=None, rhs_text=None,
     """Build a report from two comparable exact objects.
 
     Objects must support == and, on mismatch, a first-discrepancy scan via
-    their term/coefficient dicts (LaurentPoly2 or TruncSeries2).
+    their term/coefficient dicts (LaurentPoly2 or TruncSeries2).  Equal objects
+    of one type print the same text, so an equal pair is rendered once.
     """
     with timed() as tm:
         equal = lhs == rhs
@@ -103,9 +104,11 @@ def compare_report(name, params, lhs, rhs, lhs_text=None, rhs_text=None,
         status = "pass" if equal else "fail"
         detail = ""
     disc = None if equal else first_discrepancy(lhs, rhs)
-    return VerificationReport(name, params, status,
-                              lhs=lhs_text if lhs_text is not None else str(lhs),
-                              rhs=rhs_text if rhs_text is not None else str(rhs),
+    left = str(lhs) if lhs_text is None else lhs_text
+    if rhs_text is None:
+        same = equal and lhs_text is None and type(lhs) is type(rhs)
+        rhs_text = left if same else str(rhs)
+    return VerificationReport(name, params, status, lhs=left, rhs=rhs_text,
                               discrepancy=disc, wall_time=tm.elapsed, detail=detail)
 
 

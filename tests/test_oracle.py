@@ -13,7 +13,7 @@ from singzeta.oracle import (quot_census, FqModulePresentation, build_local_mode
                              coh_quot_invariance_check, dvr_type_cotype_census,
                              surjective_homs_count)
 from singzeta.report import BudgetExceededError
-from singzeta.clzeta import z_series
+from singzeta.clzeta import matrix_count_formula, z_series
 from singzeta.laurent import ONE
 from singzeta.quotzeta import full_z
 
@@ -132,19 +132,24 @@ def test_hyperplanes_match_reference_builder():
             kind, m = rng.choice(("cusp", "node")), rng.randint(1, 2)
             d = rng.randint(1, 1 + (p == 2))
             walks.append((build_local_model((kind, m), d, 3, p, target), depth))
+    # each node's generator images are carried down from its parent, and at
+    # every node they are those computed afresh from its rows
     nodes = 0
     for model, max_codim in walks:
         gens, lanes = model.compiled, model.lanes
-        stack, seen, stop = [model.full_basis()], set(), nodes + 40
+        full = model.full_basis()
+        stack, seen, stop = [(full, oracle._images(gens, full, lanes))], set(), nodes + 40
         while stack and nodes < stop:
-            basis = stack.pop()
+            basis, images = stack.pop()
+            assert images == oracle._images(gens, basis, lanes), (model.generators, basis)
             if model.dim - len(basis) >= max_codim:
                 continue
             want = list(_reference_hyperplanes(basis, gens, lanes))
-            assert list(oracle._invariant_hyperplanes(basis, gens, lanes)) == want, (
+            assert list(oracle._invariant_hyperplanes(basis, images, lanes)) == want, (
                 model.generators, model.p, basis)
             nodes += 1
-            stack.extend(c for c in want if c not in seen and not seen.add(c))
+            stack.extend((c, oracle._carried(images, basis, c, lanes))
+                         for c in want if c not in seen and not seen.add(c))
     assert nodes > 400
 
 
@@ -408,6 +413,24 @@ def test_quot_coeffs_oracle_beyond_criterion_8():
         want = [c.eval_int(p) for c in z_series(kind, m, d, N + 1, module=module)]
         assert [Fraction(x) for x in got] == want, (kind, m, d, p, N, module)
     assert solomon_census(3, 2, 4).coefficients(4) == [c.eval_int(2) for c in full_z(ONE, 1, 3, 5)]
+
+
+def test_quot_coeffs_oracle_beyond_criterion_8_odd_primes():
+    # criterion 8 counts at p = 2 and 3; here p = 5 for the free node and cusp,
+    # a deeper window at p = 3 for the node, and the cusp's normalization at p = 3
+    for kind, m, d, p, N, module in (("node", 1, 2, 5, 3, "free"),
+                                     ("cusp", 1, 2, 5, 2, "free"),
+                                     ("node", 1, 1, 5, 4, "free"),
+                                     ("cusp", 1, 2, 3, 3, "normalization")):
+        got = quot_coeffs_oracle(kind, m, d, p, N, module=module)
+        want = [c.eval_int(p) for c in z_series(kind, m, d, N + 1, module=module)]
+        assert [Fraction(x) for x in got] == want, (kind, m, d, p, N, module)
+
+
+def test_matrix_pair_count_beyond_criterion_10():
+    # criterion 10 stops at n = 2, p <= 3; the square-root fibres reach these
+    for n, p in ((3, 2), (2, 5)):
+        assert matrix_pair_count(n, p) == matrix_count_formula(n).eval_int(p), (n, p)
 
 
 def test_matrix_pair_count():
