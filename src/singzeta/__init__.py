@@ -1,9 +1,9 @@
 """Exact Quot-scheme and Cohen-Lenstra zeta functions of y^2 = x^n curve germs."""
 
-from .laurent import LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial, parse_poly
+from .laurent import LaurentPoly2, ZERO, ONE, Q, T, qpochhammer, qbinomial
 from .partitions import Partition, iterate_box, partitions_of
 from .hall import hall_skew, hall_box, hall_general, surjection_count
-from .series import TruncSeries2, poch
+from .series import TruncSeries2
 from .quotzeta import (SingularityFamily, nz, nz_cusp_free, nz_cusp_normalization,
                        nz_node_free, nz_node_normalization, full_z, funceq_check,
                        specialize, skew_cauchy_bounded_check, cusp_t2_check,

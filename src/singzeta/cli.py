@@ -278,6 +278,9 @@ def dispatch(argv):
     except BudgetExceededError as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, WindowError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -4,7 +4,8 @@ A LaurentPoly2 is a sparse dictionary {(e_q, e_t): coeff} with arbitrary-precisi
 integer coefficients and integer (possibly negative) exponents.  No floating
 point is used anywhere; evaluation is exact.  The canonical term
 order, used by every printed or serialized form, is lexicographic ascending by
-(e_q, e_t).
+(e_q, e_t).  Text and JSON are output only: the library reads no polynomial
+back.
 """
 
 
@@ -138,9 +139,6 @@ class LaurentPoly2:
     def is_pure_q(self):
         return all(b == 0 for (_, b) in self.terms)
 
-    def t_degree(self):
-        return max((b for (_, b) in self.terms), default=0)
-
     def below_t(self, t_prec):
         """The terms below t^t_prec."""
         return LaurentPoly2._adopt({k: c for k, c in self.terms.items() if k[1] < t_prec})
@@ -217,12 +215,6 @@ class LaurentPoly2:
             "terms": [[a, b, str(c)] for (a, b), c in self.sorted_terms()],
         }
 
-    @staticmethod
-    def from_json_obj(obj):
-        if obj.get("vars") != ["q", "t"]:
-            raise ValueError("expected vars ['q','t']")
-        return LaurentPoly2({(a, b): int(c) for a, b, c in obj["terms"]})
-
 
 def _as_unit_monomial(p, what):
     """Return (sign, e_q, e_t) for a +-1-coefficient monomial, else raise."""
@@ -288,51 +280,6 @@ ONE = LaurentPoly2.const(1)
 Q = LaurentPoly2.monomial(1, 1, 0)
 T = LaurentPoly2.monomial(1, 0, 1)
 QINV = LaurentPoly2.monomial(1, -1, 0)
-
-
-def parse_poly(text):
-    """Parse the canonical text form back into a LaurentPoly2.
-
-    Accepts sums of `c*q^a*t^b` pieces with optional coefficient and exponents,
-    e.g. `1 - t + 2*q^-1*t^3`.
-    """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return ZERO
-    # split into signed chunks
-    chunks = []
-    cur = ""
-    sign = 1
-    for i, ch in enumerate(s):
-        if ch in "+-" and cur and s[i - 1] not in "^+-*":
-            chunks.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur:
-            sign = sign if ch == "+" else -sign
-        else:
-            cur += ch
-    chunks.append((sign, cur))
-    total = ZERO
-    for sign, chunk in chunks:
-        c, a, b = 1, 0, 0
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ValueError("bad term %r" % chunk)
-            if factor[0] == "q":
-                a += int(factor[2:]) if factor.startswith("q^") else (1 if factor == "q" else _bad(factor))
-            elif factor[0] == "t":
-                b += int(factor[2:]) if factor.startswith("t^") else (1 if factor == "t" else _bad(factor))
-            else:
-                c *= int(factor)
-        total = total + LaurentPoly2.monomial(sign * c, a, b)
-    return total
-
-
-def _bad(tok):
-    raise ValueError("bad factor %r" % tok)
 
 
 # -- q-special functions ----------------------------------------------------

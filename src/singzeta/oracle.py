@@ -609,7 +609,7 @@ def coh_quot_invariance_check(family, m, p, n, r, d_list, budget=DEFAULT_BUDGET)
     """
     if not d_list:
         raise ValueError("d_list must name at least one rank")
-    require(0, r=r)
+    require(0, n=n, d=min(d_list), r=r)
     if any(r > min(d, n) for d in d_list):
         raise ValueError("need r <= min(d, n)")
     values = []

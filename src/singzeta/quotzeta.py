@@ -70,8 +70,7 @@ from .series import TruncSeries2
 class SingularityFamily:
     """One of the two y^2 = x^n germ families, with its derived constants.
 
-    s is the branching number, delta the Serre invariant, and c the conductor
-    colength (summed over branches).
+    s is the branching number and delta the Serre invariant.
     """
 
     def __init__(self, kind, m):
@@ -88,14 +87,6 @@ class SingularityFamily:
     @property
     def delta(self):
         return self.m
-
-    @property
-    def conductor_colength(self):
-        # per-branch colength 2m in both presentations
-        return 2 * self.m * self.s
-
-    def degree_bound(self, d):
-        return (2 * self.conductor_colength + self.s) * d
 
     def __str__(self):
         n = 2 * self.m + (1 if self.kind == "cusp" else 0)
@@ -235,13 +226,13 @@ def full_z(nz_poly, s, d, t_prec):
 # -- verification operations ---------------------------------------------------
 
 
-def funceq_report(nz_poly, family, d, label=""):
+def funceq_report(nz_poly, family, d):
     """Functional equation NZ(t) = (q^{d^2} t^{2d})^delta NZ(q^-d t^-1), exactly."""
     delta = family.delta
     flipped = nz_poly.substitute(Q, LaurentPoly2.monomial(1, -d, -1))
     rhs = LaurentPoly2.monomial(1, d * d * delta, 2 * d * delta) * flipped
     return compare_report("funceq", {"family": family.kind, "m": family.m, "d": d,
-                                     "which": label or "free"},
+                                     "which": "free"},
                           nz_poly, rhs)
 
 

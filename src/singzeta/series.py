@@ -4,18 +4,13 @@ TruncSeries2 is the one series type: a power series in u and t whose
 coefficients are exact below u^u_prec and t^t_prec, on a finite window with
 no negative exponent.  Exact (q, t) arithmetic lives in LaurentPoly2; a
 value enters a window through from_laurent where it first needs a division.
-Products track how far exactness survives: a series known below u^hA with
-lowest u-exponent lowA times one known below u^hB with lowest exponent lowB
-is known below min(hA + lowB, hB + lowA).  For series with constant term 1
-that is the smaller of the two windows; a positive lowest exponent widens it.
-Comparisons of mismatched windows use the intersection.
+The type adds, compares and renders; a sum and a comparison of mismatched
+windows use the intersection.
 
 TruncSeries2.times_poch multiplies or divides a series by the Pochhammer
 product (u^a t^b; u^step)_n, finite or infinite, in one linear pass per
-factor 1 - u^e t^b, with no generic product; it is the one way a series
-is divided (clzeta divides on its packed ring), and the type has no
-generic inverse.  poch, the product itself, is
-that pass applied to 1.
+factor 1 - u^e t^b.  It is the type's only product and only division: no two
+series are multiplied, and clzeta's walks divide on their packed ring.
 """
 
 from .laurent import grouped_text
@@ -86,11 +81,6 @@ class TruncSeries2:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _order_bound(self):
-        """The lowest u-exponent present, or u_prec for the zero series: the
-        terms at u^u_prec and up are unknown."""
-        return min(self.coeffs)[0] if self.coeffs else self.u_prec
-
     def __add__(self, other):
         up, tp = self._window(other)
         out = dict(self.coeffs)
@@ -99,32 +89,6 @@ class TruncSeries2:
         if (self.u_prec, self.t_prec) == (other.u_prec, other.t_prec):
             return TruncSeries2._adopt(up, tp, out)
         return TruncSeries2(up, tp, out)
-
-    def __neg__(self):
-        return TruncSeries2(self.u_prec, self.t_prec, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncSeries2._adopt(self.u_prec, self.t_prec,
-                                       {k: other * v for k, v in self.coeffs.items()})
-        tp = min(self.t_prec, other.t_prec)
-        low_a, low_b = self._order_bound(), other._order_bound()
-        # O(u^hA) times other's lowest term, and vice versa, bound what is known
-        up = min(self.u_prec + low_b, other.u_prec + low_a)
-        out = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            if i1 + low_b >= up or j1 >= tp:
-                continue
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i < up and j < tp:
-                    out[(i, j)] = out.get((i, j), 0) + v1 * v2
-        return TruncSeries2._adopt(up, tp, out)
-
-    __rmul__ = __mul__
 
     def times_poch(self, a, b, n=None, step=1, power=1):
         """This series times (u^a t^b; u^step)_n ** power, exactly.
@@ -151,13 +115,6 @@ class TruncSeries2:
             k += 1
         return TruncSeries2._adopt(up, tp, {(i, j): v for j, col in cols.items()
                                             for i, v in col.items()})
-
-    def shift(self, du, dt=0):
-        """Multiply by the monomial u^du t^dt (exact; the window grows with du and dt)."""
-        if du < 0 or dt < 0:
-            raise WindowError("negative shift not supported on a power-series window")
-        return TruncSeries2._adopt(self.u_prec + du, self.t_prec + dt,
-                                   {(i + du, j + dt): v for (i, j), v in self.coeffs.items()})
 
     # -- comparison -------------------------------------------------------------
 
@@ -190,14 +147,6 @@ class TruncSeries2:
         """The t^j coefficient as a dict {u-exponent: int}."""
         return {i: v for (i, jj), v in self.coeffs.items() if jj == j}
 
-    def t_coefficient_orders(self):
-        """Minimal u-order of each nonzero t-coefficient, as {j: order}."""
-        orders = {}
-        for (i, j) in self.coeffs:
-            if j not in orders or i < orders[j]:
-                orders[j] = i
-        return orders
-
     # -- serialization -------------------------------------------------------
 
     def __str__(self):
@@ -211,11 +160,6 @@ class TruncSeries2:
             "t_prec": self.t_prec,
             "terms": [[i, j, str(v)] for (i, j), v in sorted(self.coeffs.items())],
         }
-
-    @staticmethod
-    def from_json_obj(obj):
-        return TruncSeries2(obj["u_prec"], obj["t_prec"],
-                            {(i, j): int(v) for i, j, v in obj["terms"]})
 
 
 def _check_window(u_prec, t_prec):
@@ -271,11 +215,3 @@ def _over_binomial(cols, e, b, up, tp):
             vals[x] += vals[x - e]
         cols[j] = {low + x: v for x, v in enumerate(vals) if v}
 
-
-def poch(a, b, u_prec, t_prec, n=None, step=1):
-    """(u^a t^b; u^step)_n on the window; n None gives the infinite product.
-
-    The product stops at the first factor whose monomial u^{a + k step} t^b
-    lies outside the window: it and every later factor are 1 there.
-    """
-    return TruncSeries2.one(u_prec, t_prec).times_poch(a, b, n, step)

@@ -6,9 +6,20 @@ the node's end factors are times_poch passes.  The tests compare the packed
 numerators with them.
 """
 
+from series_reference import mul, shift
 from singzeta.hall import column_walk
 from singzeta.laurent import QINV, T, qbinomial, qpoch_qinv_ratio
 from singzeta.series import TruncSeries2
+
+
+class _Factor:
+    """A series that column_walk multiplies its states by, as `factor * state`."""
+
+    def __init__(self, series):
+        self.series = series
+
+    def __mul__(self, state):
+        return mul(self.series, state)
 
 
 def walk_top(kind, u_prec, t_prec):
@@ -28,7 +39,7 @@ def cusp_numerator(m, u_prec, t_prec):
     top = walk_top("cusp", u_prec, t_prec)
     states = column_walk(m, (top, 0), TruncSeries2.one(u_prec, t_prec), None,
                          lambda v, c, c2: v if c == top else v.times_poch(1, 0, c - c2, power=-1),
-                         lambda i, v, c, _: v.shift(c * c, 2 * c).truncate(u_prec, t_prec))
+                         lambda i, v, c, _: shift(v, c * c, 2 * c).truncate(u_prec, t_prec))
     return sum((v.times_poch(1, 0, c, power=-1) for (c, _), v in states.items()),
                TruncSeries2(u_prec, t_prec))
 
@@ -36,11 +47,12 @@ def cusp_numerator(m, u_prec, t_prec):
 def node_states(m, u_prec, t_prec):
     """The node's column walk: its last-column states {(j, i): value}."""
     top = walk_top("node", u_prec, t_prec)
-    binoms = {(n, r): TruncSeries2.from_laurent(qbinomial(n, r).substitute(QINV, T), u_prec, t_prec)
+    binoms = {(n, r): _Factor(TruncSeries2.from_laurent(qbinomial(n, r).substitute(QINV, T),
+                                                        u_prec, t_prec))
               for n in range(top + 1) for r in range(n + 1)}
     return column_walk(m, (top, top), TruncSeries2.one(u_prec, t_prec), binoms,
                        lambda v, a, a2: v if a == top else v.times_poch(1, 0, a - a2, power=-1),
-                       lambda i, v, a, b: v.shift(a * a - b * (a - b), 2 * a - b).truncate(
+                       lambda i, v, a, b: shift(v, a * a - b * (a - b), 2 * a - b).truncate(
                            u_prec, t_prec))
 
 
@@ -49,8 +61,8 @@ def node_numerator(m, u_prec, t_prec):
     over j for the end factors."""
     sums = {}
     for (j, i), v in node_states(m, u_prec, t_prec).items():
-        v = TruncSeries2.from_laurent(
-            qbinomial(j, i).substitute(QINV, T) * qpoch_qinv_ratio(j, j - i), u_prec, t_prec) * v
+        v = mul(TruncSeries2.from_laurent(
+            qbinomial(j, i).substitute(QINV, T) * qpoch_qinv_ratio(j, j - i), u_prec, t_prec), v)
         sums[j] = sums[j] + v if j in sums else v
     last = max(sums)
     total = TruncSeries2(u_prec, t_prec)

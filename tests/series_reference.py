@@ -1,10 +1,49 @@
-"""A generic inverse and power of TruncSeries2, kept as references for the tests.
+"""Generic arithmetic on TruncSeries2, kept as references for the tests.
 
-The library divides only by Pochhammer factors, with TruncSeries2.times_poch.
-The tests check it against products of these generic inverses.
+The library multiplies and divides a series only by Pochhammer factors, with
+TruncSeries2.times_poch.  The tests check it against these generic products,
+inverses and shifts.
+
+mul tracks how far exactness survives: a series known below u^hA with lowest
+u-exponent lowA times one known below u^hB with lowest exponent lowB is known
+below min(hA + lowB, hB + lowA).  For series with constant term 1 that is the
+smaller of the two windows; a positive lowest exponent widens it.
 """
 
 from singzeta.series import TruncSeries2, WindowError
+
+
+def _order_bound(x):
+    """The lowest u-exponent present, or u_prec for the zero series: the terms
+    at u^u_prec and up are unknown."""
+    return min(x.coeffs)[0] if x.coeffs else x.u_prec
+
+
+def mul(x, *factors):
+    """x times each factor in turn, on the window the precision rule allows."""
+    for y in factors:
+        tp = min(x.t_prec, y.t_prec)
+        low_x, low_y = _order_bound(x), _order_bound(y)
+        # O(u^hA) times the other's lowest term, and vice versa, bound what is known
+        up = min(x.u_prec + low_y, y.u_prec + low_x)
+        out = {}
+        for (i1, j1), v1 in x.coeffs.items():
+            if i1 + low_y >= up or j1 >= tp:
+                continue
+            for (i2, j2), v2 in y.coeffs.items():
+                i, j = i1 + i2, j1 + j2
+                if i < up and j < tp:
+                    out[(i, j)] = out.get((i, j), 0) + v1 * v2
+        x = TruncSeries2(up, tp, out)
+    return x
+
+
+def shift(x, du, dt=0):
+    """x times the monomial u^du t^dt (exact; the window grows with du and dt)."""
+    if du < 0 or dt < 0:
+        raise WindowError("negative shift not supported on a power-series window")
+    return TruncSeries2(x.u_prec + du, x.t_prec + dt,
+                        {(i + du, j + dt): v for (i, j), v in x.coeffs.items()})
 
 
 def inverse(x):
@@ -54,5 +93,5 @@ def power(x, n):
     base = x if n >= 0 else inverse(x)
     result = TruncSeries2.one(x.u_prec, x.t_prec)
     for _ in range(abs(n)):
-        result = result * base
+        result = mul(result, base)
     return result

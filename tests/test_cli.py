@@ -97,7 +97,8 @@ def test_table_json(capsys):
         lines = []
         for row in obj["rows"]:
             for column in ("free", "normalization"):
-                poly = LaurentPoly2.from_json_obj(row[column])
+                assert row[column]["vars"] == ["q", "t"]
+                poly = LaurentPoly2({(a, b): int(c) for a, b, c in row[column]["terms"]})
                 assert poly.to_json_obj() == row[column]
                 lines.append("d=%d %s: %s" % (row["d"], column, poly.grouped_str()))
         assert "\n".join(lines) == table_text(int(which))
@@ -107,8 +108,10 @@ def test_table_json(capsys):
     assert obj["table"] == 3
     lines = []
     for row in obj["rows"]:
-        series = TruncSeries2.from_json_obj(row["numerator"])
-        assert series.to_json_obj() == row["numerator"]
+        obj = row["numerator"]
+        series = TruncSeries2(obj["u_prec"], obj["t_prec"],
+                              {(i, j): int(v) for i, j, v in obj["terms"]})
+        assert series.to_json_obj() == obj
         lines.append("m=%d: %s" % (row["m"], series))
     assert "\n".join(lines) == table_text(3)
 
@@ -197,6 +200,11 @@ def test_usage_errors(capsys):
               "--r", "2", "--d-list", "3,1", "--budget", "10"], "need r <= min(d, n)"),
             (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "2",
               "--r", "-1", "--d-list", "1,2"], "r must be at least 0, got -1"),
+            # a negative size is named before the r <= min(d, n) check
+            (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "-1",
+              "--r", "0", "--d-list", "1"], "n must be at least 0, got -1"),
+            (["verify", "coh-quot", "--family", "node", "--m", "1", "--p", "2", "--n", "1",
+              "--r", "0", "--d-list=-1"], "d must be at least 0, got -1"),
             # parts out of order, before any zero part is dropped
             (["hall", "--lambda", "1,0,1", "--mu", "1"],
              "parts must be weakly decreasing: (1, 0, 1)"),
@@ -310,6 +318,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: numerator left Z[q,t]\n"
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # raised, not provoked: nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.qz, "nz", exhausted)
+    assert dispatch(["nz", "--family", "node", "--m", "1", "--d", "1"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: out of memory\n"
 
 
 def test_budget_exit_code(capsys):

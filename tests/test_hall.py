@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 from singzeta import hall
-from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2, parse_poly
+from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2
 from singzeta.partitions import Partition, iterate_box, partitions_of
 from singzeta.hall import (hall_skew, hall_box, hall_general,
                            surjection_count, hall_pair_expansion)
@@ -51,7 +51,7 @@ def test_hall_general_examples():
     assert hall_general(P([2]), P([1]), P([2])) == ZERO
     assert hall_general(P([2, 1]), P([2]), P([1])) == Q
     assert hall_general(P([2, 1]), P([1]), P([1, 1])) == ONE
-    assert hall_general(P([1, 1, 1]), P([1]), P([1, 1])) == parse_poly("1 + q + q^2")
+    assert str(hall_general(P([1, 1, 1]), P([1]), P([1, 1]))) == "1 + q + q^2"
 
 
 def test_hall_pair_expansion_trivial():
@@ -250,7 +250,7 @@ def test_hall_vs_oracle_size_six():
 def test_hall_general_with_a_negative_coefficient():
     lam, mu = P([3, 2, 1]), P([2, 1])
     g = hall_general(lam, mu, mu)
-    assert g == parse_poly("-1 + q + 2*q^2")
+    assert str(g) == "-1 + q + 2*q^2"
     assert [g.eval_int(p) for p in (2, 3)] == [9, 20]
     assert [hall_count_oracle(lam, mu, mu, p) for p in (2, 3)] == [9, 20]
 

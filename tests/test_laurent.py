@@ -1,18 +1,40 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, QINV, qpochhammer,
-                              qbinomial, parse_poly,
-                              qpoch_qinv_ratio, UnsupportedSubstitutionError)
+                              qbinomial, qpoch_qinv_ratio, UnsupportedSubstitutionError)
 from singzeta.partitions import Partition
 
 
 def rand_poly(rng, terms=6, span=4):
     return LaurentPoly2({(rng.randint(-span, span), rng.randint(-span, span)):
                          rng.randint(-9, 9) for _ in range(terms)})
+
+
+_MONOMIAL = re.compile(r"(-?)(\d*)\*?(q(?:\^(-?\d+))?)?\*?(t(?:\^(-?\d+))?)?")
+
+
+def read_poly(text):
+    """The LaurentPoly2 whose canonical text is text: monomials c*q^a*t^b,
+    with c, q^a and t^b left out where they are 1, joined by ' + ' and ' - '."""
+    tokens = text.split(" ")
+    terms = {}
+    for op, mono in zip(["+"] + tokens[1::2], tokens[::2]):
+        neg, c, q, a, t, b = _MONOMIAL.fullmatch(mono).groups()
+        key = (int(a or 1) if q else 0, int(b or 1) if t else 0)
+        sign = -1 if (op == "-") != (neg == "-") else 1
+        terms[key] = terms.get(key, 0) + sign * int(c or 1)
+    return LaurentPoly2(terms)
+
+
+def from_json(obj):
+    """The LaurentPoly2 that to_json_obj wrote as obj."""
+    assert obj["vars"] == ["q", "t"]
+    return LaurentPoly2({(a, b): int(c) for a, b, c in obj["terms"]})
 
 
 def test_qpochhammer_examples():
@@ -32,7 +54,7 @@ def test_qbinomial_examples():
     for n in range(6):
         assert qbinomial(n, 0) == ONE
     assert qbinomial(2, 1) == ONE + Q
-    assert qbinomial(4, 2) == parse_poly("1 + q + 2*q^2 + q^3 + q^4")
+    assert str(qbinomial(4, 2)) == "1 + q + 2*q^2 + q^3 + q^4"
     with pytest.raises(ValueError):
         qbinomial(2, 3)
 
@@ -65,8 +87,8 @@ def test_qbinomial_counts_subspaces():
 
 def test_substitute():
     p = ONE - T + Q * T * T
-    assert p.substitute(Q, LaurentPoly2.monomial(1, -1, -1)) == \
-        parse_poly("1 - q^-1*t^-1 + q^-1*t^-2")
+    assert str(p.substitute(Q, LaurentPoly2.monomial(1, -1, -1))) == \
+        "q^-1*t^-2 - q^-1*t^-1 + 1"
     assert p.substitute(Q, T) == p
     assert T.substitute(Q, T * T) == T * T
     with pytest.raises(UnsupportedSubstitutionError):
@@ -130,7 +152,7 @@ def test_invariants_after_ops_random():
 
 
 def test_pow_by_squaring(monkeypatch):
-    p = parse_poly("1 - 2*q*t + q^-1*t^2")
+    p = ONE - 2 * Q * T + QINV * T * T
     product = ONE
     for n in range(7):
         assert p ** n == product, n
@@ -162,8 +184,8 @@ def test_serialization_roundtrip_random():
     rng = random.Random(11)
     for _ in range(60):
         p = rand_poly(rng)
-        assert parse_poly(str(p)) == p
-        assert LaurentPoly2.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
+        assert read_poly(str(p)) == p
+        assert from_json(json.loads(json.dumps(p.to_json_obj()))) == p
 
 
 def test_canonical_order():
@@ -172,7 +194,7 @@ def test_canonical_order():
     obj = p.to_json_obj()
     assert obj == {"vars": ["q", "t"], "terms": [[0, 0, "1"], [0, 1, "-1"], [1, 2, "1"]]}
     assert str(ZERO) == "0"
-    assert parse_poly("0") == ZERO
+    assert read_poly(str(ZERO)) == ZERO
 
 
 def test_qpoch_qinv_ratio():
@@ -183,22 +205,20 @@ def test_qpoch_qinv_ratio():
 
 
 def test_grouped_str():
-    p = parse_poly("1 - t - q*t + q^3*t^2 + q^2*t^2")
+    p = ONE - T - Q * T + (Q ** 3 + Q * Q) * T * T
     assert p.grouped_str() == "1 - (1 + q)*t + (q^2 + q^3)*t^2"
 
 
 def test_parsers_fuzz():
-    # random strings over each parser's alphabet end in a value or a
-    # ValueError, and the canonical text of a polynomial parses back to it
+    # random strings over the partition parser's alphabet end in a value or a
+    # ValueError, and the canonical text of a polynomial reads back to it
     rng = random.Random(41)
-    for alphabet, parse in (("0123456789qt^*+- x", parse_poly),
-                            ("0123456789,[] -+x", Partition.parse)):
-        for _ in range(3000):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-            try:
-                parse(text)
-            except ValueError:
-                pass
+    for _ in range(3000):
+        text = "".join(rng.choice("0123456789,[] -+x") for _ in range(rng.randint(0, 12)))
+        try:
+            Partition.parse(text)
+        except ValueError:
+            pass
     for _ in range(300):
         p = rand_poly(rng, terms=rng.randint(0, 8), span=rng.randint(1, 12))
-        assert parse_poly(str(p)) == p, p
+        assert read_poly(str(p)) == p, p

@@ -5,7 +5,7 @@ import pytest
 
 from singzeta import hall
 from singzeta.hall import column_walk, hall_box, hall_skew
-from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, parse_poly, qbinomial,
+from singzeta.laurent import (LaurentPoly2, ZERO, ONE, Q, T, qbinomial,
                               qpochhammer, qpoch_qinv_ratio)
 from singzeta.partitions import iterate_box, subpartitions
 from singzeta import quotzeta
@@ -22,8 +22,8 @@ from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fi
 def test_family_constants():
     cusp = SingularityFamily("cusp", 2)
     node = SingularityFamily("node", 2)
-    assert (cusp.s, cusp.delta, cusp.conductor_colength) == (1, 2, 4)
-    assert (node.s, node.delta, node.conductor_colength) == (2, 2, 8)
+    assert (cusp.s, cusp.delta) == (1, 2)
+    assert (node.s, node.delta) == (2, 2)
     with pytest.raises(ValueError):
         SingularityFamily("line", 1)
 
@@ -31,9 +31,9 @@ def test_family_constants():
 def test_nz_cusp_normalization_examples():
     assert nz_cusp_normalization(1, 1) == ONE + Q * T
     # d=1: sum_{i<=m} (q t)^i
-    assert nz_cusp_normalization(3, 1) == parse_poly("1 + q*t + q^2*t^2 + q^3*t^3")
+    assert str(nz_cusp_normalization(3, 1)) == "1 + q*t + q^2*t^2 + q^3*t^3"
     assert nz_cusp_normalization(4, 0) == ONE
-    assert nz_cusp_normalization(1, 2) == parse_poly("1 + q^2*t + q^3*t + q^4*t^2")
+    assert str(nz_cusp_normalization(1, 2)) == "1 + q^2*t + q^3*t + q^4*t^2"
 
 
 def test_nz_cusp_free_examples():
@@ -45,15 +45,15 @@ def test_nz_cusp_free_examples():
 
 
 def test_nz_node_normalization_examples():
-    assert nz_node_normalization(1, 1) == parse_poly("1 - t + q*t")
+    assert str(nz_node_normalization(1, 1)) == "1 - t + q*t"
     assert nz_node_normalization(3, 0) == ONE
-    assert nz_node_normalization(1, 2) == parse_poly(
-        "1 - t - q*t + q^2*t + q^3*t + q*t^2 - q^2*t^2 - q^3*t^2 + q^4*t^2")
+    assert str(nz_node_normalization(1, 2)) == (
+        "1 - t - q*t + q*t^2 + q^2*t - q^2*t^2 + q^3*t - q^3*t^2 + q^4*t^2")
 
 
 def test_nz_node_free_examples():
-    assert nz_node_free(1, 1) == parse_poly("1 - t + q*t^2")
-    assert nz_node_free(2, 1) == parse_poly("1 - t + q*t^2 - q*t^3 + q^2*t^4")
+    assert str(nz_node_free(1, 1)) == "1 - t + q*t^2"
+    assert str(nz_node_free(2, 1)) == "1 - t + q*t^2 - q*t^3 + q^2*t^4"
     assert nz_node_free(3, 0) == ONE
 
 
@@ -222,7 +222,9 @@ def test_degree_bound():
             fam = SingularityFamily(kind, m)
             for d in (1, 2, 3):
                 for module in ("free", "normalization"):
-                    assert nz(fam, d, module).t_degree() <= fam.degree_bound(d)
+                    # (2c + s) d, c = 2ms the conductor colength over the branches
+                    t_degree = max(b for _, b in nz(fam, d, module).terms)
+                    assert t_degree <= (4 * m + 1) * fam.s * d
 
 
 def test_full_z_geometric():
@@ -232,7 +234,7 @@ def test_full_z_geometric():
 
 def test_full_z_solomon_d2():
     coeffs = full_z(ONE, 1, 2, 3)
-    assert coeffs == [ONE, ONE + Q, parse_poly("1 + q + q^2")]
+    assert coeffs == [ONE, ONE + Q, ONE + Q + Q * Q]
 
 
 def test_full_z_node():
@@ -287,15 +289,15 @@ def test_funceq_mutation_detected():
     # constant term instead: its mirror is the t^2 coefficient
     fam = SingularityFamily("node", 1)
     corrupted = nz_node_free(1, 1) + ONE
-    report = funceq_report(corrupted, fam, 1, label="mutated")
-    assert report.status == "fail"
+    report = funceq_report(corrupted, fam, 1)
+    assert report.status == "fail" and report.params["which"] == "free"
     assert report.discrepancy is not None
 
 
 def test_specialize_examples():
     assert specialize(nz_node_free(1, 2), "t_eq_1") == LaurentPoly2.monomial(1, 4, 0)
     assert specialize(nz_cusp_free(1, 1), "lambda_eq_1") == ONE + T * T
-    assert specialize(nz_node_free(1, 1), "lambda_eq_1") == parse_poly("1 - t + t^2")
+    assert specialize(nz_node_free(1, 1), "lambda_eq_1") == ONE - T + T * T
     with pytest.raises(ValueError):
         specialize(ONE, "q_eq_2")
 
@@ -463,7 +465,7 @@ def test_cusp_t2_check():
 
 def test_node22_closed_form():
     assert node22_closed_form(0) == ONE
-    assert node22_closed_form(1) == parse_poly("1 - t + q*t^2")
+    assert str(node22_closed_form(1)) == "1 - t + q*t^2"
     for d in range(6):
         assert node22_check(d).passed
 
