@@ -10,41 +10,42 @@ argument is the whole correctness story for the Quot-coefficient oracle;
 quot_census is the one place that sizes the model by it.
 
 Each generator sends each basis vector to one basis vector or to 0, so it is an
-index map; one builder, _presentation, makes these for every model.  A vector
-is one int, coordinate i in bits [w*i, w*i + w) with 2^(w-1) >= p (_Lanes), by
-one path for every prime; each generator is compiled once to groups of masked
-lane shifts (_compile).  A subspace is a reduced echelon basis {pivot: row}, as
-_add and _span build it; its rows sorted by pivot are its canonical key.  One
-walk, _walk, goes down from the full module: the children of an invariant
-subspace L are its hyperplanes containing m*L, the kernels of the functionals
-psi on L/m*L.  _invariant_hyperplanes builds each child from L's rows: it drops
-the last row b_top that psi does not kill and takes a multiple of b_top off the
-others, which leaves them reduced; it makes one child at a time, so the budget
-stops a wide node at once.  Every invariant subspace of codimension k lies
-under one of codimension k-1 (composition series of the quotient), so the walk
-is exhaustive; the key dedups it.
+index map; one builder, _presentation, makes these for every model and sorts
+the basis by depth, the longest chain of generators that ends at a vector, so
+m^j M is spanned by the vectors from levels[j] up.  A vector is one int,
+coordinate i in bits [w*i, w*i + w) with 2^(w-1) >= p (_Lanes), by one path for
+every prime; index maps move lanes by masked shifts.  A subspace is a reduced
+echelon basis {pivot: row} (_add, _span), each row pivoting at its lowest
+nonzero lane; its rows sorted by pivot are its canonical key.
 
-m*L is read off the images g(b_i) in L's coordinates, and these are carried
-down, not recomputed: only the full module's come from _apply.  A child K has
-rows k_i = b_i + c_i b_top, so g(k_i) = g(b_i) + c_i g(b_top), and K keeps L's
-pivots but b_top's, so K's coordinates of a vector of K are L's without b_top's
-lane (_carried).  When every image is 0 (T = 0 on F_p^n), so is every child's,
-and they pass down as None.  Only children that will be expanded carry images:
-the children at the last codimension are counted after their parent's loop, in
-the order the stack would pop them, so counts, work and a budget stop's
-progress are as if they were pushed.  m*L is spanned by the distinct nonzero
-images alone, and its reduced echelon basis is unique to that span, so the
-children and their order do not depend on which images feed it.
+One walk, _walk, counts the invariant subspaces K by their annihilators U =
+K^perp in the dual M^v, e*_t in lane dim-1-t (Macdonald, Symmetric Functions
+and Hall Polynomials, Ch. II 1).  K -> K^perp reverses inclusion and maps the
+invariant subspaces onto those stable under every transpose g^T, with codim K
+= dim U, so a node at codim c is c rows.  The children of U are U + <v> over
+the lines v of (U:m)/U, (U:m) = {v : g^T v in U for every g}: the annihilators
+of K's hyperplanes containing m*K, which are K's invariant hyperplanes, so
+s = dim (U:m)/U = dim K/mK.  A stable U of dimension c + 1 contains a stable U'
+of dimension c (a composition series of U under the g^T), and U = U' + <v>
+with v in (U':m), so the walk from U = 0 is exhaustive; the key dedups it.
 
-A presentation sorts its basis by depth, the longest chain of generators that
-ends at a vector, so m^j M is spanned by the lanes from levels[j] up, levels[j]
-the number of vectors of depth < j.  A reduced echelon row pivots at its lowest
-nonzero lane, so L projected to the first s lanes has rank the number of rows
-pivoting below s: the other rows vanish there, and these are independent at
-their pivots.  So rank M/(L + m*M) is levels[1] less that count, and the
-cotype of a DVR submodule K is read off dim(K + m^j M), dim M - levels[j] plus
-the count below levels[j], with no elimination.  Only prime fields are
-supported.
+(U:m)/U is read off U's rows alone (_socle).  g^T e*_t has support {k : g(k) =
+t}, disjoint over t, and a v that is 0 at U's pivots pi lies in (U:m) iff g^T v
+= sum_pi v_g(pi) u_pi for every g.  So v is fixed by its values at the socle
+units e*_t, t of depth 0, in (U:m) for free, and at the hit set H, the g(pi)
+less the pivots: any other hit t is cancelled by its own coordinate, one k
+with g(k) = t, which gives v_t.  The candidates v^h, h in H, so built lie in
+(U:m) exactly on the kernel of their residuals: |H| <= c*G unknowns for G
+generators.  A child is one elimination of v's pivot from U's rows, made one
+at a time (_lines), so the budget stops a wide node at once.
+
+The readings are pivot counts.  Each row vanishes below its pivot, so U meets
+the span of its top k lanes in the rows pivoting there.  The top levels[j]
+lanes are the e*_t that kill m^j M, so those rows count dim M/(K + m^j M): at
+j = 1 the rank of M/K; their steps over j are the conjugate of a DVR
+submodule's cotype.  Its type is the conjugate of the steps of dim K[T^j]: s
+at j = 1, and for j >= 2 the number of e_t with T^j e_t = 0 less the rank of U
+masked to their lanes.  Only prime fields are supported.
 
 Hall counts are read off that census in one place, hall_count_oracle: the
 number of submodules of type mu, and cotype nu when given, of the DVR-module
@@ -55,6 +56,7 @@ equal.
 from itertools import product
 from math import gcd, isqrt, prod
 
+from .partitions import conjugate_parts
 from .report import BudgetExceededError, VerificationReport, require, timed
 
 DEFAULT_BUDGET = 10**7
@@ -107,15 +109,11 @@ def _add(rows, vec, lanes):
     """Add vec to rows, {pivot: row} with a 1 at its pivot and 0 at the others,
     keeping that form; return whether the span grew."""
     w, mask = lanes.w, lanes.mask
-    # rows are 0 at each other's pivots, so clearing one pivot lane of vec
-    # leaves every other pivot lane as it was: clear where vec starts nonzero
-    rest = vec
-    while rest:
-        i = ((rest & -rest).bit_length() - 1) // w
-        c = (rest >> (w * i)) & mask
-        rest ^= c << (w * i)
-        if i in rows:
-            vec = lanes.sub(vec, lanes.scale(c, rows[i]))
+    # rows are 0 at each other's pivots, so taking one row off vec leaves its
+    # other pivot lanes as they were, and each is read in turn
+    for i, row in rows.items():
+        if c := (vec >> (w * i)) & mask:
+            vec = lanes.sub(vec, lanes.scale(c, row))
     if not vec:
         return False
     lead = ((vec & -vec).bit_length() - 1) // w
@@ -160,11 +158,6 @@ def _apply(g, vec, lanes):
             img |= ((vec & mask) << left) >> right
         out = lanes.reduce(out + img)
     return out
-
-
-def _image(gens, basis, lanes):
-    """Reduced echelon basis of sum_g g(span basis), for compiled generators."""
-    return _span((_apply(g, v, lanes) for g in gens for v in basis), lanes)
 
 
 # -- module presentations ------------------------------------------------------
@@ -273,119 +266,90 @@ class SubmoduleCensus:
         return {"census": obj, "params": {k: str(v) for k, v in self.params.items()}}
 
 
-def _walk(module, max_codim, classify, budget, what, progress=dict):
-    """Counts of the invariant subspaces of codim <= max_codim by classify(basis),
-    and the work (children visited) the walk took.
-
-    Every child visited costs one unit of budget; past it, BudgetExceededError
-    carries progress(counts so far).  A subspace on the stack carries its
-    generator images; new children at codim max_codim are counted after their
-    parent's loop, never pushed."""
-    require(0, budget=budget)
-    lanes, gens, full = module.lanes, module.compiled, module.full_basis()
-    counts, visited, stack, work = {}, {full}, [(full, _images(gens, full, lanes))], 0
-    while stack:
-        basis, images = stack.pop()
-        key = classify(basis)
-        counts[key] = counts.get(key, 0) + 1
-        codim = module.dim - len(basis)
-        if codim >= max_codim:
-            continue
-        leaf, leaves = codim + 1 == max_codim, []
-        for child in _invariant_hyperplanes(basis, images, lanes):
-            work += 1
-            if work > budget:
-                raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
-                                          progress=progress(counts))
-            if child not in visited:
-                visited.add(child)
-                if leaf:
-                    leaves.append(child)
-                else:
-                    stack.append((child, _carried(images, basis, child, lanes)))
-        for child in reversed(leaves):
-            key = classify(child)
-            counts[key] = counts.get(key, 0) + 1
-    return counts, work
+def _duals(module):
+    """The generators on M^v, where lane q is e*_t for t = dim-1-q: per g its
+    lane map q -> dim-1-g(t); as (shift, mask) pairs on the wide lanes, block
+    i for the i-th g, the gathers of each g^T (lane of g(k) to lane of k in
+    block i) and the pushes out of block i (lane of k to lane of g(k)) from
+    each hit t's own coordinate, its first (g, k) with g(k) = t; the socle
+    units {lane: e*_t}, t of depth 0; all dim lanes; a _Lanes for G + 1 blocks."""
+    n, w, mask = module.dim, module.lanes.w, module.lanes.mask
+    maps, gathers, pushes, own = [], {}, {}, set()
+    for i, g in enumerate(module.generators):
+        for k, t in enumerate(g):
+            if t is not None:
+                s = w * (t - k + n * i)  # t lies deeper than k, so s > 0
+                gathers[s] = gathers.get(s, 0) | mask << (w * (n - 1 - t))
+                if t not in own:
+                    own.add(t)
+                    pushes[s] = pushes.get(s, 0) | mask << (w * (n - 1 - k + n * i))
+        maps.append(tuple(None if t is None else n - 1 - t for t in reversed(g)))
+    units = {n - 1 - t: 1 << (w * (n - 1 - t)) for t in range(module.levels[1])}
+    return (maps, tuple(gathers.items()), tuple(pushes.items()), units,
+            (1 << (w * n)) - 1, _Lanes(module.p, n * len(maps) + n))
 
 
-def _images(gens, basis, lanes):
-    """The images g(b_i) of the rows of L = span(basis) in L's coordinates, row
-    j at lane k-1-j, row i's at [i*G, i*G + G) for G generators; None when all
-    are 0.  L is invariant, so g(b_i) is its values at L's pivots."""
-    w, mask, k = lanes.w, lanes.mask, len(basis)
-    at = {(b & -b).bit_length() - 1: w * (k - 1 - i) for i, b in enumerate(basis)}
-    on_pivots = sum(mask << piv for piv in at)
-    images = []
-    for v in (_apply(g, b, lanes) & on_pivots for b in basis for g in gens):
-        out = 0
-        while v:
-            piv = w * (((v & -v).bit_length() - 1) // w)
-            out |= ((v >> piv) & mask) << at[piv]
-            v &= ~(mask << piv)
-        images.append(out)
-    return images if any(images) else None
+def _socle(rows, lanes, duals):
+    """Reduced echelon basis {lane: v} of (U:m)/U for U = span(rows), each v 0
+    at U's pivots: the socle units off U's pivots, and the kernel of the hit
+    set's candidates v^h, solved by one _span of v^h in the top block over its
+    residuals g^T v^h - sum u_pi, block i for the i-th g."""
+    maps, gathers, pushes, units, full, wide = duals
+    w, mask, bits = lanes.w, lanes.mask, full.bit_length()
+    at = {((u & -u).bit_length() - 1) // w: u for u in rows}  # pivot lane: row
+    hits = {}  # lane of h: in block g, the sum of the rows u_pi with g(pi) = h
+    for i, g in enumerate(maps):
+        for q, u in at.items():
+            h = g[q]
+            if h is not None and h not in at:
+                hits[h] = wide.reduce(hits.get(h, 0) + (u << (bits * i)))
+    basis = {q: e for q, e in units.items() if q not in at}
+    keep, cands = full, []
+    for q in (*at, *hits):
+        keep ^= mask << (w * q)
+    for h, sums in hits.items():
+        v = 0
+        for s, m in pushes:
+            v |= (sums & m) >> s
+        v = v & keep | 1 << (w * h)
+        img = 0
+        for s, m in gathers:
+            img |= (v & m) << s
+        cands.append(v << (bits * len(maps)) | wide.sub(img, sums))
+    # rows pivoting in the top block have no residual: a reduced echelon basis
+    # of the kernel, 0 at depth-0 lanes, where the units are the only rows
+    top = len(maps) * (bits // w)
+    basis.update((q - top, x >> (w * top)) for q, x in _span(cands, wide).items() if q >= top)
+    return basis
 
 
-def _carried(images, basis, child, lanes):
-    """_images of a child K of L = span(basis) from L's images.  K's row i is
-    b_i + c_i b_top (b_i for i > top; b_top dropped), c_i its value at b_top's
-    pivot, so g(k_i) = g(b_i) + c_i g(b_top) by linearity; K keeps L's pivots
-    but b_top's, so its coordinates are L's without lane k-1-top."""
-    if images is None:
-        return None
-    k = len(basis)
-    top = k - 1  # rows after b_top are L's rows
-    while top and child[top - 1] == basis[top]:
-        top -= 1
-    w, mask, gs = lanes.w, lanes.mask, len(images) // k
-    piv = (basis[top] & -basis[top]).bit_length() - 1
-    cut = w * (k - 1 - top)
-    low, tops = (1 << cut) - 1, images[gs * top:gs * top + gs]
-    out = []
-    for i, row in enumerate(child):
-        at = gs * i if i < top else gs * (i + 1)
-        c = (row >> piv) & mask if i < top else 0
-        for g, v in enumerate(images[at:at + gs]):
-            if c and tops[g]:
-                v = lanes.reduce(v + lanes.scale(c, tops[g]))
-            out.append(v & low | v >> (cut + w) << cut)
-    return out if any(out) else None
-
-
-def _invariant_hyperplanes(basis, images, lanes):
-    """The invariant hyperplanes of L = span(basis), as canonical keys; basis is
-    one, rows b_0 < ... < b_{k-1}, and images are _images(gens, basis, lanes).
-    m*L in L's coordinates has an echelon basis rel with pivots at the last rows
-    its vectors use: the other rows are the greedy complement c_0 < ... <
-    c_{r-1}, and rel's row at lane k-1-i says b_i = -sum_j (its value at c_j's
-    lane) c_j mod m*L.  rel is the same from the distinct nonzero images alone,
-    as a reduced echelon basis is unique to its span."""
-    p, w, mask, k = lanes.p, lanes.w, lanes.mask, len(basis)
-    rel = _span(set(filter(None, images or ())), lanes)
-    # psi(b_0), ..., psi(b_{k-1}) for psi(c_j) = 1 and psi = 0 on the other c's
-    columns = [sum((p - ((v >> (w * (k - 1 - j))) & mask)) % p << (w * (k - 1 - lane))
-                   for lane, v in rel.items()) | 1 << (w * j)
-               for j in range(k) if k - 1 - j not in rel]
-    # psi = (0, ..., 0, 1, tail) on the c's, tails in product order, one at a
-    # time: when digit j steps up and the digits after it wrap from p-1 to 0,
-    # psi gains the sum of columns j onwards.  ker psi has rows
-    # b_i - (psi(b_i)/psi(b_top)) b_top, top the last row psi does not kill
+def _lines(rows, basis, lanes):
+    """The children U + <v> of U = span(rows), as keys: v = b_i0 + sum_{j > i0}
+    c_j b_j over _socle's basis, the c's in product order, is 1 at its pivot q
+    and 0 at U's, so a row u becomes u + (p - u_q) v and v goes in at q."""
+    p, w, mask, reduce, scale = lanes.p, lanes.w, lanes.mask, lanes.reduce, lanes.scale
+    order = sorted(basis)
+    vecs = [basis[q] for q in order]
+    # when digit j steps up and the digits after it wrap from p-1 to 0, v
+    # gains the sum of the vectors from j onwards
     steps = [0]
-    for col in reversed(columns):
-        steps.append(lanes.reduce(steps[-1] + col))
-    for i0, psi in enumerate(columns):
-        tail = [0] * (len(columns) - 1 - i0)
+    for b in reversed(vecs):
+        steps.append(reduce(steps[-1] + b))
+    for i0, q in enumerate(order):
+        # only the rows pivoting below q, a prefix, can be nonzero at q
+        below, pos, hot = (1 << (w * q)) - 1, 0, []
+        for u in rows:
+            if not u & below:
+                break
+            if c := (u >> (w * q)) & mask:
+                hot.append((pos, u, p - c))
+            pos += 1
+        child = [*rows[:pos], 0, *rows[pos:]]
+        v, tail = vecs[i0], [0] * (len(vecs) - 1 - i0)
         while True:
-            top = (psi.bit_length() - 1) // w
-            b_top, neg = basis[top], p - lanes.inv[psi >> (w * top)]
-            child, rest = list(basis), psi & ((1 << (w * top)) - 1)
-            while rest:
-                i = ((rest & -rest).bit_length() - 1) // w
-                c = (rest >> (w * i)) & mask
-                rest ^= c << (w * i)
-                child[i] = lanes.reduce(child[i] + lanes.scale(c * neg % p, b_top))
-            del child[top]
+            child[pos] = v
+            for j, u, c in hot:
+                child[j] = reduce(u + (v if c == 1 else scale(c, v)))
             yield tuple(child)
             j = len(tail) - 1
             while j >= 0 and tail[j] == p - 1:
@@ -393,17 +357,51 @@ def _invariant_hyperplanes(basis, images, lanes):
             if j < 0:
                 break
             tail[j] += 1
-            psi = lanes.reduce(psi + steps[len(tail) - j])
+            v = reduce(v + steps[len(tail) - j])
+
+
+def _walk(module, max_codim, classify, budget, what, progress=dict):
+    """Counts of the invariant subspaces K of codim <= max_codim by
+    classify(rows, s), rows the key of K^perp and s = dim K/mK, None where K
+    is not expanded, and the work (children visited) the walk took.
+
+    Every child visited costs one unit of budget; past it, BudgetExceededError
+    carries progress(counts so far).  New children at codim max_codim are
+    counted after their parent's loop, in the order the stack would pop them."""
+    require(0, budget=budget)
+    lanes, duals = module.lanes, _duals(module)
+    counts, visited, stack, work = {}, {()}, [()], 0
+    while stack:
+        rows = stack.pop()
+        basis = _socle(rows, lanes, duals) if len(rows) < max_codim else None
+        key = classify(rows, None if basis is None else len(basis))
+        counts[key] = counts.get(key, 0) + 1
+        if basis is None:
+            continue
+        leaves = []
+        keep = leaves.append if len(rows) + 1 == max_codim else stack.append
+        for work, child in enumerate(_lines(rows, basis, lanes), work + 1):
+            if work > budget:
+                raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
+                                          progress=progress(counts))
+            if child not in visited:
+                visited.add(child)
+                keep(child)
+        for child in reversed(leaves):
+            key = classify(child, None)
+            counts[key] = counts.get(key, 0) + 1
+    return counts, work
 
 
 def enumerate_submodules(module, max_codim, budget=DEFAULT_BUDGET):
-    """Census of invariant subspaces L of codimension <= max_codim by codim and
-    the rank of M/L: dim M/mM less the number of L's rows pivoting outside m*M."""
-    p, dim, top = module.p, module.dim, module.levels[1]
-    low = (1 << (module.lanes.w * top)) - 1
+    """Census of invariant subspaces K of codimension <= max_codim by codim and
+    the rank of M/K: the number of K^perp's rows pivoting in the top levels[1]
+    lanes, those of the e*_t outside m*M."""
+    p, dim = module.p, module.dim
+    low = (1 << (module.lanes.w * (dim - module.levels[1]))) - 1
 
-    def codim_rank(basis):
-        return dim - len(basis), top - sum(1 for b in basis if b & low)
+    def codim_rank(rows, s):
+        return len(rows), sum(1 for u in rows if not u & low)
 
     counts, _ = _walk(module, max_codim, codim_rank, budget, "submodule enumeration",
                       progress=SubmoduleCensus)
@@ -487,8 +485,8 @@ _DVR_CENSUS_CACHE = {}  # (parts, p) -> (counts, work the walk took)
 def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     """Counts of submodules of (+) F_p[T]/T^{lam_i} by (type, cotype) parts.
 
-    Types are read from rank drops of powers of T on the subspace and on the
-    quotient.  A cached census is returned only within the budget its walk
+    Types and cotypes are read off pivot counts and masked ranks of the
+    subspace's annihilator (see the module docstring).  A cached census is returned only within the budget its walk
     needed; past it the walk runs again and stops where a fresh one would.
     """
     require(0, budget=budget)
@@ -497,15 +495,27 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     if got is not None and got[1] <= budget:
         return got[0]
     model = _jordan_module(lam.parts, p)
-    gens, lanes, dim = model.compiled, model.lanes, model.dim
-    # dim T^j(M/K) = dim(K + m^j M) - dim K = (dim - levels[j]) + #pivots below it - dim K
-    lows = [(dim - s, (1 << (lanes.w * s)) - 1) for s in model.levels]
+    lanes, n, (tmap,) = model.lanes, model.dim, model.generators
+    w, mask = lanes.w, lanes.mask
+    # the conjugate cotype: dim M/(K + T^j M), rows pivoting in the top levels[j] lanes
+    lows = [(1 << (w * (n - s))) - 1 for s in model.levels[1:]]
+    # K[T^j] = K meet the span W of the e_t that T^j kills, of dim |W| less the
+    # rank of U on W's lanes, for 1 < j < lam_1; T^height e_t = 0
+    height = [0] * n
+    for t in reversed(range(n)):  # T moves t to a deeper, later one
+        height[t] = 1 + (height[tmap[t]] if tmap[t] is not None else 0)
+    kills = [(sum(1 for h in height if h <= j),
+              sum(mask << (w * (n - 1 - t)) for t, h in enumerate(height) if h <= j))
+             for j in range(2, max(height, default=0))]
 
-    def type_cotype(basis):
-        return _module_type(basis, gens, lanes), _parts(
-            [free - len(basis) + sum(1 for b in basis if b & low) for free, low in lows])
+    def type_cotype(rows, s):  # s is None only at the leaf K = 0
+        dims = [0, s or 0] + [size - len(_span((u & on for u in rows), lanes))
+                              for size, on in kills] + [n - len(rows)]
+        cots = [0] + [sum(1 for u in rows if not u & low) for low in lows]
+        return tuple(conjugate_parts(tuple(b - a for a, b in zip(c, c[1:]) if b > a))
+                     for c in (dims, cots))
 
-    got = _DVR_CENSUS_CACHE[key] = _walk(model, model.dim, type_cotype, budget, "DVR census")
+    got = _DVR_CENSUS_CACHE[key] = _walk(model, n, type_cotype, budget, "DVR census")
     return got[0]
 
 
@@ -519,23 +529,6 @@ def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
     if nu is None:
         return sum(c for (tm, _), c in census.items() if tm == mu.parts)
     return census.get((mu.parts, nu.parts), 0)
-
-
-def _module_type(basis, gens, lanes):
-    """Type of span(basis) as an F_p[T]-module, as a parts tuple, from the ranks
-    of T^j on it: its kernels are lane prefixes in height order, not in depth."""
-    dims, cur = [len(basis)], basis
-    while cur:
-        cur = _image(gens, cur, lanes).values()
-        dims.append(len(cur))
-    return _parts(dims)
-
-
-def _parts(dims):
-    """The parts of an F_p[T]-module N from dims[j] = dim T^j N, ending at 0:
-    dims[j] - dims[j+1] parts exceed j."""
-    drops = [a - b for a, b in zip(dims, dims[1:])]
-    return tuple(sum(1 for c in drops if c > i) for i in range(max(drops, default=0)))
 
 
 def surjective_homs_count(mu, d, p):

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -104,10 +104,15 @@ def test_echelon_basis_matches_reference_rref():
                 assert _key(rows, lanes, dim) == _reference_rref(vectors[:k + 1], p)
 
 
+def _image(gens, basis, lanes):
+    """Reduced echelon basis of sum_g g(span basis), for compiled generators."""
+    return oracle._span((oracle._apply(g, v, lanes) for g in gens for v in basis), lanes)
+
+
 def _reference_hyperplanes(basis, gens, lanes):
     """The invariant hyperplanes as the oracle first built them: m*L's echelon
     basis, a greedy complement of it in L by _add, then one _span per child."""
-    sub = oracle._image(gens, basis, lanes)
+    sub = _image(gens, basis, lanes)
     cur = dict(sub)
     comp = [v for v in basis if oracle._add(cur, v, lanes)]
     r = len(comp)
@@ -120,11 +125,33 @@ def _reference_hyperplanes(basis, gens, lanes):
             yield tuple(child[piv] for piv in sorted(child))
 
 
-def test_hyperplanes_match_reference_builder():
-    # the children built from L's rows are the old builder's, in its order, at
-    # the first 40 nodes of seeded walks over Jordan modules and local models
+def _canonical(vectors, lanes):
+    """The oracle's canonical key of span(vectors): its reduced rows by pivot."""
+    rows = oracle._span(vectors, lanes)
+    return tuple(rows[piv] for piv in sorted(rows))
+
+
+def _annihilator(module, rows):
+    """K = U^perp as a canonical key, for U = span(rows) in M^v with e*_t in lane
+    dim-1-t, solved from scratch on coordinate tuples."""
+    n, p, lanes = module.dim, module.p, module.lanes
+    dual = [tuple((u >> (lanes.w * (n - 1 - t))) & lanes.mask for t in range(n)) for u in rows]
+    rref = _reference_rref(dual, p)
+    pivots = [next(i for i, x in enumerate(r) if x) for r in rref]
+    kernel = []
+    for free in (f for f in range(n) if f not in pivots):
+        x = [0] * n
+        x[free] = 1
+        for piv, r in zip(pivots, rref):
+            x[piv] = -r[free] % p
+        kernel.append(lanes.pack(x))
+    return _canonical(kernel, lanes)
+
+
+def _seeded_walks():
+    """(module, max_codim): seeded Jordan modules and local models."""
     rng = random.Random(20261)
-    walks = []  # (module, max_codim)
+    walks = []
     for p, depth in ((2, 4), (3, 4), (5, 3), (131, 2)):
         shapes = [lam.parts for n in range(1, 3 if p == 131 else 5) for lam in partitions_of(n)]
         walks += [(oracle._jordan_module(rng.choice(shapes), p), depth) for _ in range(5)]
@@ -132,25 +159,53 @@ def test_hyperplanes_match_reference_builder():
             kind, m = rng.choice(("cusp", "node")), rng.randint(1, 2)
             d = rng.randint(1, 1 + (p == 2))
             walks.append((build_local_model((kind, m), d, 3, p, target), depth))
-    # each node's generator images are carried down from its parent, and at
-    # every node they are those computed afresh from its rows
+    return walks
+
+
+def test_hyperplanes_match_reference_builder():
+    # at the first 40 nodes of seeded walks over Jordan modules and local models,
+    # the children U + <v> of U = K^perp are canonical keys, one per line of
+    # (U:m)/U, and their annihilators are the invariant hyperplanes of K that
+    # the old builder makes from K's rows; s = dim (U:m)/U is dim K/mK
     nodes = 0
-    for model, max_codim in walks:
-        gens, lanes = model.compiled, model.lanes
-        full = model.full_basis()
-        stack, seen, stop = [(full, oracle._images(gens, full, lanes))], set(), nodes + 40
+    for model, max_codim in _seeded_walks():
+        gens, lanes, duals = model.compiled, model.lanes, oracle._duals(model)
+        stack, seen, stop = [()], set(), nodes + 40
         while stack and nodes < stop:
-            basis, images = stack.pop()
-            assert images == oracle._images(gens, basis, lanes), (model.generators, basis)
-            if model.dim - len(basis) >= max_codim:
+            rows = stack.pop()
+            assert _canonical(rows, lanes) == rows
+            if len(rows) >= max_codim:
                 continue
-            want = list(_reference_hyperplanes(basis, gens, lanes))
-            assert list(oracle._invariant_hyperplanes(basis, images, lanes)) == want, (
-                model.generators, model.p, basis)
+            basis = oracle._socle(rows, lanes, duals)
+            children = list(oracle._lines(rows, basis, lanes))
+            kernel = _annihilator(model, rows)
+            want = list(_reference_hyperplanes(kernel, gens, lanes))
+            assert len(basis) == len(kernel) - len(_image(gens, kernel, lanes)), (
+                model.generators, model.p, rows)
+            assert len(children) == len(want) == len(set(children))
+            assert {_annihilator(model, c) for c in children} == set(want), (
+                model.generators, model.p, rows)
             nodes += 1
-            stack.extend((c, oracle._carried(images, basis, c, lanes))
-                         for c in want if c not in seen and not seen.add(c))
+            stack.extend(c for c in children if c not in seen and not seen.add(c))
     assert nodes > 400
+
+
+def test_work_is_the_lines_of_the_expanded_nodes():
+    # every expanded node K has (p^s - 1)/(p - 1) children, s = dim K/mK, and
+    # each child visited is one unit of work; the expanded nodes are the
+    # distinct subspaces below max_codim
+    for model, max_codim in _seeded_walks():
+        sizes = []
+
+        def classify(rows, s):
+            if s is not None:
+                sizes.append(s)
+            return len(rows)
+
+        counts, work = oracle._walk(model, max_codim, classify, 10**7, "test")
+        p = model.p
+        assert work == sum((p ** s - 1) // (p - 1) for s in sizes)
+        assert len(sizes) == sum(c for codim, c in counts.items() if codim < max_codim)
 
 
 def test_census_codim_zero():
@@ -209,10 +264,10 @@ def _reference_type_cotype(module, basis):
     gens, lanes = module.compiled, module.lanes
     m_powers = [oracle._span(module.full_basis(), lanes)]
     while m_powers[-1]:
-        m_powers.append(oracle._image(gens, m_powers[-1].values(), lanes))
+        m_powers.append(_image(gens, m_powers[-1].values(), lanes))
     sub, cur = [len(basis)], basis
     while cur:
-        cur = oracle._image(gens, cur, lanes).values()
+        cur = _image(gens, cur, lanes).values()
         sub.append(len(cur))
     quo = [len(oracle._span(basis, lanes, mp)) - len(basis) for mp in m_powers]
     return tuple(Partition(a - b for a, b in zip(dims, dims[1:]) if a > b).conjugate().parts
@@ -220,20 +275,23 @@ def _reference_type_cotype(module, basis):
 
 
 def test_pivot_counts_match_spans(monkeypatch):
-    # the quotient rank and the cotype read off pivot counts equal their
-    # span-based reading at every subspace the walk visits, on seeded Jordan
-    # modules and local models under random basis permutations
+    # the quotient rank, the type and the cotype read off U = K^perp's pivot
+    # counts and masked ranks equal their span-based reading on K, built here
+    # from U, at every subspace the walk visits, on seeded Jordan modules and
+    # local models under random basis permutations
     rng, walk, jordan = random.Random(20267), oracle._walk, oracle._jordan_module
     seen = {"rank": 0, "cotype": 0}
 
     def checked_walk(module, max_codim, classify, *args, **kwargs):
-        def check(basis):
-            got = classify(basis)
+        def check(rows, s):
+            got, kernel = classify(rows, s), _annihilator(module, rows)
+            if s is not None:
+                assert s == len(kernel) - len(_image(module.compiled, kernel, module.lanes))
             if isinstance(got[1], tuple):
-                assert got == _reference_type_cotype(module, basis), (module.generators, basis)
+                assert got == _reference_type_cotype(module, kernel), (module.generators, rows)
                 seen["cotype"] += 1
             else:
-                assert got == (module.dim - len(basis), _reference_rank(module, basis))
+                assert got == (module.dim - len(kernel), _reference_rank(module, kernel))
                 seen["rank"] += 1
             return got
         return walk(module, max_codim, check, *args, **kwargs)
@@ -255,6 +313,51 @@ def test_pivot_counts_match_spans(monkeypatch):
                 model = shuffled(build_local_model((kind, m), d, 2 + (p == 2), p, target))
                 enumerate_submodules(model, 2 + (p == 2))
     assert seen["rank"] > 1000 and seen["cotype"] > 1000, seen
+
+
+def _every_subspace(dim, p):
+    """Every subspace of F_p^dim as the rows of its reduced echelon form, each
+    row 1 at its first nonzero coordinate and 0 at the other rows' firsts."""
+    for k in range(dim + 1):
+        for pivots in combinations(range(dim), k):
+            slots = [(i, j) for i, piv in enumerate(pivots)
+                     for j in range(piv + 1, dim) if j not in pivots]
+            for values in product(range(p), repeat=len(slots)):
+                rows = [[int(j == piv) for j in range(dim)] for piv in pivots]
+                for (i, j), x in zip(slots, values):
+                    rows[i][j] = x
+                yield rows
+
+
+def test_census_matches_every_subspace():
+    # an independent count: every subspace of a tiny model (p = 2 up to dim 6,
+    # p = 3 up to dim 4) as a reduced echelon form, the invariant ones kept and
+    # read by spans, against the walk's census and the DVR census
+    rng = random.Random(20263)
+    for p, size in ((2, 6), (3, 4)):
+        shapes = [lam for n in range(1, size + 1) for lam in partitions_of(n)]
+        models = [(lam, oracle._jordan_module(lam.parts, p)) for lam in rng.sample(shapes, 4)]
+        local = [build_local_model((kind, m), d, N, p, target)
+                 for kind in ("cusp", "node") for m in (1, 2) for d in (1, 2) for N in (2, 3)
+                 for target in ("free", "normalization", "max_ideal")]
+        models += [(None, model) for model in rng.sample([x for x in local if x.dim <= size], 4)]
+        for lam, model in models:
+            lanes, gens = model.lanes, model.compiled
+            census, dvr = {}, {}
+            for rows in _every_subspace(model.dim, p):
+                basis = [lanes.pack(r) for r in rows]
+                if len(oracle._span(basis + [oracle._apply(g, b, lanes) for g in gens
+                                             for b in basis], lanes)) > len(basis):
+                    continue
+                key = (model.dim - len(basis), _reference_rank(model, basis))
+                census[key] = census.get(key, 0) + 1
+                if lam is not None:
+                    key = _reference_type_cotype(model, basis)
+                    dvr[key] = dvr.get(key, 0) + 1
+            assert enumerate_submodules(model, model.dim).counts == census, model.generators
+            if lam is not None:
+                oracle._DVR_CENSUS_CACHE.pop((lam.parts, p), None)
+                assert dvr_type_cotype_census(lam, p) == dvr, (lam.parts, p)
 
 
 def test_census_budget():
@@ -290,8 +393,8 @@ def test_walk_budget_stops():
     oracle._DVR_CENSUS_CACHE.clear()
     with pytest.raises(BudgetExceededError) as stop:
         dvr_type_cotype_census(lam, 5, budget=900)
-    assert sum(stop.value.progress.values()) == 286
-    assert stop.value.progress[((2,), (2, 1))] == 150
+    assert sum(stop.value.progress.values()) == 219
+    assert stop.value.progress[((2,), (2, 1))] == 75
     oracle._DVR_CENSUS_CACHE.clear()
     assert sum(dvr_type_cotype_census(lam, 5, budget=1845).values()) == 426
 

@@ -463,6 +463,14 @@ def test_cusp_t2_check():
     assert cusp_t2_check(3, 4).passed
 
 
+def test_cusp_t2_check_seeded_sweep():
+    # past criterion 5's box (m <= 3, d <= 4): m <= 5, d <= 8
+    rng = random.Random(4)
+    for _ in range(8):
+        point = (rng.randint(1, 5), rng.randint(0, 8))
+        assert cusp_t2_check(*point).passed, point
+
+
 def test_node22_closed_form():
     assert node22_closed_form(0) == ONE
     assert str(node22_closed_form(1)) == "1 - t + q*t^2"
