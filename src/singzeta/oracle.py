@@ -21,13 +21,19 @@ nonzero lane; its rows sorted by pivot are its canonical key.
 One walk, _walk, counts the invariant subspaces K by their annihilators U =
 K^perp in the dual M^v, e*_t in lane dim-1-t (Macdonald, Symmetric Functions
 and Hall Polynomials, Ch. II 1).  K -> K^perp reverses inclusion and maps the
-invariant subspaces onto those stable under every transpose g^T, with codim K
-= dim U, so a node at codim c is c rows.  The children of U are U + <v> over
-the lines v of (U:m)/U, (U:m) = {v : g^T v in U for every g}: the annihilators
-of K's hyperplanes containing m*K, which are K's invariant hyperplanes, so
-s = dim (U:m)/U = dim K/mK.  A stable U of dimension c + 1 contains a stable U'
-of dimension c (a composition series of U under the g^T), and U = U' + <v>
-with v in (U':m), so the walk from U = 0 is exhaustive; the key dedups it.
+invariant subspaces onto those stable under every transpose g^T, with codim K =
+dim U, so a node at codim c is c rows.  The stable subspaces one dimension
+above U are U + <v> over the lines v of (U:m)/U, (U:m) = {v : g^T v in U for
+every g}: the annihilators of K's hyperplanes containing m*K, which are K's
+invariant hyperplanes, so s = dim (U:m)/U = dim K/mK.  A stable U of dimension
+c + 1 contains a stable U' of dimension c (a composition series of U under the
+g^T), and U = U' + <v> with v in (U':m), so the walk from U = 0 is exhaustive.
+It builds each U once, from its canonical parent U[1:], U's rows but the first:
+g(k) = t puts t deeper than k, so every g^T strictly raises a vector's lowest
+lane, m*U = sum g^T U is 0 at the first row's pivot, and U[1:] spans a stable
+hyperplane of U that contains m*U.  So the children of U are the U + <v> with v
+pivoting below U's first pivot (_lines), and the walk keeps no set of the
+subspaces it has seen.
 
 (U:m)/U is read off U's rows alone (_socle).  g^T e*_t has support {k : g(k) =
 t}, disjoint over t, and a v that is 0 at U's pivots pi lies in (U:m) iff g^T v
@@ -36,8 +42,9 @@ units e*_t, t of depth 0, in (U:m) for free, and at the hit set H, the g(pi)
 less the pivots: any other hit t is cancelled by its own coordinate, one k
 with g(k) = t, which gives v_t.  The candidates v^h, h in H, so built lie in
 (U:m) exactly on the kernel of their residuals: |H| <= c*G unknowns for G
-generators.  A child is one elimination of v's pivot from U's rows, made one
-at a time (_lines), so the budget stops a wide node at once.
+generators.  A child's key is (v, *U's rows), with no elimination, and a node
+is charged its lines before any child is built, so the budget stops a wide node
+at once.
 
 The readings are pivot counts.  Each row vanishes below its pivot, so U meets
 the span of its top k lanes in the rows pivoting there.  The top levels[j]
@@ -209,9 +216,6 @@ class FqModulePresentation:
             if any(t is not None for t in power):
                 raise ValueError("generator is not nilpotent")
 
-    def full_basis(self):
-        return tuple(1 << (self.lanes.w * i) for i in range(self.dim))
-
 
 def _compose(a, b):
     """The index map of a after b."""
@@ -324,33 +328,24 @@ def _socle(rows, lanes, duals):
 
 
 def _lines(rows, basis, lanes):
-    """The children U + <v> of U = span(rows), as keys: v = b_i0 + sum_{j > i0}
-    c_j b_j over _socle's basis, the c's in product order, is 1 at its pivot q
-    and 0 at U's, so a row u becomes u + (p - u_q) v and v goes in at q."""
-    p, w, mask, reduce, scale = lanes.p, lanes.w, lanes.mask, lanes.reduce, lanes.scale
-    order = sorted(basis)
-    vecs = [basis[q] for q in order]
+    """The children of U = span(rows), the U + <v> of which U is the canonical
+    parent: v = b_i0 + sum_{j > i0} c_j b_j over _socle's basis, the c's in
+    product order, for the b_i0 pivoting below rows[0].  v is 1 at its pivot and 0 at U's, and U's
+    rows are 0 below their pivots, so the child's key is (v, *rows)."""
+    p, reduce = lanes.p, lanes.reduce
+    vecs = [basis[q] for q in sorted(basis)]
+    # the b_i0 that start a child, a prefix, have a bit below rows[0]'s lowest
+    below = (rows[0] & -rows[0] if rows else 0) - 1
+    heads = sum(1 for b in vecs if b & below)
     # when digit j steps up and the digits after it wrap from p-1 to 0, v
     # gains the sum of the vectors from j onwards
     steps = [0]
     for b in reversed(vecs):
         steps.append(reduce(steps[-1] + b))
-    for i0, q in enumerate(order):
-        # only the rows pivoting below q, a prefix, can be nonzero at q
-        below, pos, hot = (1 << (w * q)) - 1, 0, []
-        for u in rows:
-            if not u & below:
-                break
-            if c := (u >> (w * q)) & mask:
-                hot.append((pos, u, p - c))
-            pos += 1
-        child = [*rows[:pos], 0, *rows[pos:]]
+    for i0 in range(heads):
         v, tail = vecs[i0], [0] * (len(vecs) - 1 - i0)
         while True:
-            child[pos] = v
-            for j, u, c in hot:
-                child[j] = reduce(u + (v if c == 1 else scale(c, v)))
-            yield tuple(child)
+            yield (v, *rows)
             j = len(tail) - 1
             while j >= 0 and tail[j] == p - 1:
                 tail[j], j = 0, j - 1
@@ -363,14 +358,14 @@ def _lines(rows, basis, lanes):
 def _walk(module, max_codim, classify, budget, what, progress=dict):
     """Counts of the invariant subspaces K of codim <= max_codim by
     classify(rows, s), rows the key of K^perp and s = dim K/mK, None where K
-    is not expanded, and the work (children visited) the walk took.
+    is not expanded, and the work (lines of the expanded nodes) the walk took.
 
-    Every child visited costs one unit of budget; past it, BudgetExceededError
-    carries progress(counts so far).  New children at codim max_codim are
-    counted after their parent's loop, in the order the stack would pop them."""
+    A node is charged its (p^s - 1)/(p - 1) lines when it is expanded, before
+    any child is built; past the budget, BudgetExceededError carries
+    progress(counts so far)."""
     require(0, budget=budget)
-    lanes, duals = module.lanes, _duals(module)
-    counts, visited, stack, work = {}, {()}, [()], 0
+    lanes, duals, p = module.lanes, _duals(module), module.p
+    counts, stack, work = {}, [()], 0
     while stack:
         rows = stack.pop()
         basis = _socle(rows, lanes, duals) if len(rows) < max_codim else None
@@ -378,18 +373,16 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
         counts[key] = counts.get(key, 0) + 1
         if basis is None:
             continue
-        leaves = []
-        keep = leaves.append if len(rows) + 1 == max_codim else stack.append
-        for work, child in enumerate(_lines(rows, basis, lanes), work + 1):
-            if work > budget:
-                raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
-                                          progress=progress(counts))
-            if child not in visited:
-                visited.add(child)
-                keep(child)
-        for child in reversed(leaves):
-            key = classify(child, None)
-            counts[key] = counts.get(key, 0) + 1
+        work += (p ** len(basis) - 1) // (p - 1)
+        if work > budget:
+            raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
+                                      progress=progress(counts))
+        if len(rows) + 1 < max_codim:
+            stack.extend(_lines(rows, basis, lanes))
+        else:  # the children are leaves, counted here and never stacked
+            for child in _lines(rows, basis, lanes):
+                key = classify(child, None)
+                counts[key] = counts.get(key, 0) + 1
     return counts, work
 
 
@@ -486,8 +479,9 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     """Counts of submodules of (+) F_p[T]/T^{lam_i} by (type, cotype) parts.
 
     Types and cotypes are read off pivot counts and masked ranks of the
-    subspace's annihilator (see the module docstring).  A cached census is returned only within the budget its walk
-    needed; past it the walk runs again and stops where a fresh one would.
+    subspace's annihilator (see the module docstring).  A cached census is
+    returned only within the budget its walk needed; past it the walk runs
+    again and stops where a fresh one would.
     """
     require(0, budget=budget)
     key = (lam.parts, p)

@@ -8,10 +8,12 @@ import re
 import subprocess
 import sys
 
-from singzeta import acceptance, cli
+import pytest
+
+from singzeta import acceptance, cli, oracle
 from singzeta.cli import dispatch, EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, _emit_reports
 from singzeta.laurent import LaurentPoly2
-from singzeta.report import VerificationReport
+from singzeta.report import BudgetExceededError, VerificationReport
 from singzeta.series import TruncSeries2
 from singzeta.tables import table_text
 
@@ -336,6 +338,21 @@ def test_budget_exit_code(capsys):
     code, _ = run(capsys, "oracle", "quot", "--family", "node", "--m", "1",
                   "--d", "2", "--p", "2", "--max-codim", "3", "--budget", "5")
     assert code == EXIT_BUDGET
+
+
+def test_wide_root_stops_before_its_children(capsys):
+    # the free cusp model at d = 6, p = 131 has a root of (131^6 - 1)/130
+    # lines; it is charged when expanded, so the walk stops with the root
+    # alone counted and exits 3 with one line
+    argv = ["oracle", "quot", "--family", "cusp", "--m", "1", "--d", "6", "--p", "131",
+            "--max-codim", "1", "--budget", "300000"]
+    assert dispatch(argv) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: submodule enumeration exceeded budget 300000\n"
+    with pytest.raises(BudgetExceededError) as stop:
+        oracle.quot_census("cusp", 1, 6, 131, 1, budget=300000)
+    assert stop.value.progress.counts == {(0, 0): 1}
 
 
 def test_fail_exit_path(capsys):

@@ -164,13 +164,14 @@ def _seeded_walks():
 
 def test_hyperplanes_match_reference_builder():
     # at the first 40 nodes of seeded walks over Jordan modules and local models,
-    # the children U + <v> of U = K^perp are canonical keys, one per line of
-    # (U:m)/U, and their annihilators are the invariant hyperplanes of K that
-    # the old builder makes from K's rows; s = dim (U:m)/U is dim K/mK
+    # the children of U = K^perp are canonical keys, (v, *rows) with v pivoting
+    # below U's first pivot, and they are exactly the annihilators of the
+    # invariant hyperplanes of K that the old builder makes from K's rows whose
+    # new pivot lies there; s = dim (U:m)/U is dim K/mK
     nodes = 0
     for model, max_codim in _seeded_walks():
         gens, lanes, duals = model.compiled, model.lanes, oracle._duals(model)
-        stack, seen, stop = [()], set(), nodes + 40
+        stack, stop = [()], nodes + 40
         while stack and nodes < stop:
             rows = stack.pop()
             assert _canonical(rows, lanes) == rows
@@ -179,21 +180,41 @@ def test_hyperplanes_match_reference_builder():
             basis = oracle._socle(rows, lanes, duals)
             children = list(oracle._lines(rows, basis, lanes))
             kernel = _annihilator(model, rows)
-            want = list(_reference_hyperplanes(kernel, gens, lanes))
             assert len(basis) == len(kernel) - len(_image(gens, kernel, lanes)), (
                 model.generators, model.p, rows)
-            assert len(children) == len(want) == len(set(children))
-            assert {_annihilator(model, c) for c in children} == set(want), (
-                model.generators, model.p, rows)
+            # rows compare by pivot as their lowest set bits do
+            want = {u for u in (_annihilator(model, h)
+                                for h in _reference_hyperplanes(kernel, gens, lanes))
+                    if not rows or u[0] & -u[0] < rows[0] & -rows[0]}
+            assert len(children) == len(set(children))
+            assert set(children) == want, (model.generators, model.p, rows)
+            assert all(child[1:] == rows for child in children)
             nodes += 1
-            stack.extend(c for c in children if c not in seen and not seen.add(c))
+            stack.extend(children)
     assert nodes > 400
 
 
+def test_walk_builds_each_subspace_once(monkeypatch):
+    # every subspace but the root is built by exactly one parent: over each
+    # seeded walk the children are pairwise distinct and number the subspaces
+    # counted less one
+    lines, built = oracle._lines, []
+
+    def recorded(*args):
+        for child in lines(*args):
+            built.append(child)
+            yield child
+
+    monkeypatch.setattr(oracle, "_lines", recorded)
+    for model, max_codim in _seeded_walks():
+        built.clear()
+        counts, _ = oracle._walk(model, max_codim, lambda rows, s: len(rows), 10**7, "test")
+        assert len(built) == len(set(built)) == sum(counts.values()) - 1, model.generators
+
+
 def test_work_is_the_lines_of_the_expanded_nodes():
-    # every expanded node K has (p^s - 1)/(p - 1) children, s = dim K/mK, and
-    # each child visited is one unit of work; the expanded nodes are the
-    # distinct subspaces below max_codim
+    # every expanded node K is charged its (p^s - 1)/(p - 1) lines, s = dim
+    # K/mK; the expanded nodes are the distinct subspaces below max_codim
     for model, max_codim in _seeded_walks():
         sizes = []
 
@@ -259,10 +280,15 @@ def _reference_rank(module, basis):
     return module.dim - len(hit) - len(oracle._span((v & outside for v in basis), lanes))
 
 
+def _full_basis(module):
+    """The module's basis vectors, packed: M itself as a spanning set."""
+    return tuple(1 << (module.lanes.w * i) for i in range(module.dim))
+
+
 def _reference_type_cotype(module, basis):
     """(type, cotype) of K = span(basis) by spans of T^j K and of K + m^j M."""
     gens, lanes = module.compiled, module.lanes
-    m_powers = [oracle._span(module.full_basis(), lanes)]
+    m_powers = [oracle._span(_full_basis(module), lanes)]
     while m_powers[-1]:
         m_powers.append(_image(gens, m_powers[-1].values(), lanes))
     sub, cur = [len(basis)], basis
@@ -400,9 +426,9 @@ def test_walk_budget_stops():
 
 
 def test_budget_stops_wide_node_at_once():
-    # the root of F_131^4 under T = 0 has (131^4 - 1)/130 children; they come
-    # lazily, so budget 10 stops at the 11th without building the others; the
-    # root is the only subspace counted, as children count when they are left
+    # the root of F_131^4 under T = 0 has (131^4 - 1)/130 lines; it is charged
+    # them when it is expanded, so budget 10 stops it before any child is
+    # built, and the root is the only subspace counted
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as stop:
@@ -412,6 +438,19 @@ def test_budget_stops_wide_node_at_once():
         tracemalloc.stop()
     assert stop.value.progress.counts == {(0, 0): 1}
     assert peak < 1 << 20
+
+
+def test_census_memory_is_bounded():
+    # the walk keeps no set of the subspaces it has seen, only its stack:
+    # 6393 subspaces peak in a few kB
+    tracemalloc.start()
+    try:
+        census = quot_census("node", 1, 3, 2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(census.counts.values()) == 6393
+    assert peak < 64 << 10
 
 
 def test_dvr_cache_keeps_budget():

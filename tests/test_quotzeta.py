@@ -478,6 +478,14 @@ def test_node22_closed_form():
         assert node22_check(d).passed
 
 
+def test_node22_check_seeded_sweep():
+    # past criterion 15's box (d <= 5): six seeded points with 6 <= d <= 25
+    rng = random.Random(4)
+    for _ in range(6):
+        d = rng.randint(6, 25)
+        assert node22_check(d).passed, d
+
+
 def test_node22_closed_form_matches_the_sum_as_written():
     for d in range(9):
         want = ZERO
