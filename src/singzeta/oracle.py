@@ -44,7 +44,10 @@ with g(k) = t, which gives v_t.  The candidates v^h, h in H, so built lie in
 (U:m) exactly on the kernel of their residuals: |H| <= c*G unknowns for G
 generators.  A child's key is (v, *U's rows), with no elimination, and a node
 is charged its lines before any child is built, so the budget stops a wide node
-at once.
+at once.  The leaves, at codim max_codim, are never built: a census reads a
+leaf only through its row count and pivots, and every child of a head b_i0 of
+the basis pivots where b_i0 does, so each head is classified once and its
+children are counted together.
 
 The readings are pivot counts.  Each row vanishes below its pivot, so U meets
 the span of its top k lanes in the rows pivoting there.  The top levels[j]
@@ -52,7 +55,9 @@ lanes are the e*_t that kill m^j M, so those rows count dim M/(K + m^j M): at
 j = 1 the rank of M/K; their steps over j are the conjugate of a DVR
 submodule's cotype.  Its type is the conjugate of the steps of dim K[T^j]: s
 at j = 1, and for j >= 2 the number of e_t with T^j e_t = 0 less the rank of U
-masked to their lanes.  Only prime fields are supported.
+masked to their lanes.  The DVR census counts the walk by these raw steps
+and conjugates each distinct key once, after the walk.  Only prime fields are
+supported.
 
 Hall counts are read off that census in one place, hall_count_oracle: the
 number of submodules of type mu, and cotype nu when given, of the DVR-module
@@ -60,6 +65,7 @@ of type lambda over F_p, which g^lambda_mu(p) and g^lambda_{mu nu}(p) must
 equal.
 """
 
+from functools import cached_property
 from itertools import product
 from math import gcd, isqrt, prod
 
@@ -178,8 +184,8 @@ class FqModulePresentation:
     or None for 0.  Generators must commute; for the local models they are also
     nilpotent (they lie in the maximal ideal); both are checked.  The basis is
     then sorted by depth, stably, so `generators` are the given maps renumbered
-    in depth order, and levels[j] is the number of vectors of depth < j; then
-    they are compiled.
+    in depth order, and levels[j] is the number of vectors of depth < j.
+    `compiled`, the maps as lane shifts for _apply, is built on first use.
     """
 
     def __init__(self, p, dim, generators):
@@ -187,34 +193,35 @@ class FqModulePresentation:
         self.p, self.dim = p, dim
         self.generators = [tuple(g) for g in generators]
         self._validate()
-        # reach is the basis of m^j M at step j; it shrinks to {} as g is nilpotent
+        # reach is the basis of m^j M at step j: it shrinks until it is stable,
+        # so within dim steps, and commuting generators are all nilpotent iff
+        # it reaches {}
         depth, reach = [0] * dim, set(range(dim))
-        while reach:
+        for _ in range(dim):
             reach = {g[k] for g in self.generators for k in reach if g[k] is not None}
             for k in reach:
                 depth[k] += 1
+        if reach:
+            raise ValueError("generator is not nilpotent")
         order = sorted(range(dim), key=depth.__getitem__)
         lane = {k: i for i, k in enumerate(order)}
         self.generators = [tuple(lane.get(g[k]) for k in order) for g in self.generators]
         self.levels = [sum(1 for x in depth if x < j) for j in range(max(depth, default=0) + 2)]
         self.lanes = _Lanes(p, dim)
-        self.compiled = [_compile(g, self.lanes.w) for g in self.generators]
+
+    @cached_property
+    def compiled(self):
+        return [_compile(g, self.lanes.w) for g in self.generators]
 
     def _validate(self):
         n = self.dim
         for g in self.generators:
             if len(g) != n or any(t is not None and not 0 <= t < n for t in g):
                 raise ValueError("generator is not an index map on %d basis vectors" % n)
-        for a in self.generators:
-            for b in self.generators:
+        for i, a in enumerate(self.generators):
+            for b in self.generators[i + 1:]:
                 if _compose(a, b) != _compose(b, a):
                     raise ValueError("generators do not commute")
-        for g in self.generators:
-            power = tuple(range(n))
-            for _ in range(n):
-                power = _compose(g, power)
-            if any(t is not None for t in power):
-                raise ValueError("generator is not nilpotent")
 
 
 def _compose(a, b):
@@ -327,16 +334,21 @@ def _socle(rows, lanes, duals):
     return basis
 
 
+def _heads(rows, basis):
+    """_socle's basis sorted by pivot, and the number of its b_i0 that pivot
+    below rows[0], a prefix: the heads of U's children."""
+    vecs = [basis[q] for q in sorted(basis)]
+    below = (rows[0] & -rows[0] if rows else 0) - 1  # the lanes below rows[0]'s pivot
+    return vecs, sum(1 for b in vecs if b & below)
+
+
 def _lines(rows, basis, lanes):
     """The children of U = span(rows), the U + <v> of which U is the canonical
     parent: v = b_i0 + sum_{j > i0} c_j b_j over _socle's basis, the c's in
-    product order, for the b_i0 pivoting below rows[0].  v is 1 at its pivot and 0 at U's, and U's
-    rows are 0 below their pivots, so the child's key is (v, *rows)."""
+    product order, for the heads b_i0.  v is 1 at its pivot, b_i0's, and 0 at
+    U's, and U's rows are 0 below their pivots, so the child's key is (v, *rows)."""
     p, reduce = lanes.p, lanes.reduce
-    vecs = [basis[q] for q in sorted(basis)]
-    # the b_i0 that start a child, a prefix, have a bit below rows[0]'s lowest
-    below = (rows[0] & -rows[0] if rows else 0) - 1
-    heads = sum(1 for b in vecs if b & below)
+    vecs, heads = _heads(rows, basis)
     # when digit j steps up and the digits after it wrap from p-1 to 0, v
     # gains the sum of the vectors from j onwards
     steps = [0]
@@ -362,7 +374,10 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
 
     A node is charged its (p^s - 1)/(p - 1) lines when it is expanded, before
     any child is built; past the budget, BudgetExceededError carries
-    progress(counts so far)."""
+    progress(counts so far).  The leaves, at codim max_codim, are not built:
+    a leaf's key must depend only on its row count and pivots, and the
+    p^(len(basis) - 1 - i0) children of one head b_i0 all have b_i0's pivot,
+    so each head is classified once, as (b_i0, *rows), for all of them."""
     require(0, budget=budget)
     lanes, duals, p = module.lanes, _duals(module), module.p
     counts, stack, work = {}, [()], 0
@@ -379,10 +394,11 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
                                       progress=progress(counts))
         if len(rows) + 1 < max_codim:
             stack.extend(_lines(rows, basis, lanes))
-        else:  # the children are leaves, counted here and never stacked
-            for child in _lines(rows, basis, lanes):
-                key = classify(child, None)
-                counts[key] = counts.get(key, 0) + 1
+            continue
+        vecs, heads = _heads(rows, basis)
+        for i0 in range(heads):
+            key = classify((vecs[i0], *rows), None)
+            counts[key] = counts.get(key, 0) + p ** (len(vecs) - 1 - i0)
     return counts, work
 
 
@@ -478,10 +494,12 @@ _DVR_CENSUS_CACHE = {}  # (parts, p) -> (counts, work the walk took)
 def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
     """Counts of submodules of (+) F_p[T]/T^{lam_i} by (type, cotype) parts.
 
-    Types and cotypes are read off pivot counts and masked ranks of the
-    subspace's annihilator (see the module docstring).  A cached census is
-    returned only within the budget its walk needed; past it the walk runs
-    again and stops where a fresh one would.
+    The walk counts the raw steps read off the subspace's annihilator, dim
+    K[T^j] over j and the cotype's pivot counts (see the module docstring);
+    types() conjugates them to (type, cotype) once per distinct key, after
+    the walk or, as its progress, where the budget stops it.  A cached
+    census is returned only within the budget its walk needed; past it the
+    walk runs again and stops where a fresh one would.
     """
     require(0, budget=budget)
     key = (lam.parts, p)
@@ -502,14 +520,21 @@ def dvr_type_cotype_census(lam, p, budget=DEFAULT_BUDGET):
               sum(mask << (w * (n - 1 - t)) for t, h in enumerate(height) if h <= j))
              for j in range(2, max(height, default=0))]
 
-    def type_cotype(rows, s):  # s is None only at the leaf K = 0
-        dims = [0, s or 0] + [size - len(_span((u & on for u in rows), lanes))
-                              for size, on in kills] + [n - len(rows)]
-        cots = [0] + [sum(1 for u in rows if not u & low) for low in lows]
-        return tuple(conjugate_parts(tuple(b - a for a, b in zip(c, c[1:]) if b > a))
-                     for c in (dims, cots))
+    def steps(rows, s):  # s is None only at the leaf K = 0
+        dims = [size - len(_span((u & on for u in rows), lanes)) for size, on in kills]
+        return ((s or 0, *dims, n - len(rows)),
+                tuple(sum(1 for u in rows if not u & low) for low in lows))
 
-    got = _DVR_CENSUS_CACHE[key] = _walk(model, n, type_cotype, budget, "DVR census")
+    def types(counts):  # dim K[T^j] and the cotype's pivot counts, conjugated
+        typed = {}
+        for raw, c in counts.items():
+            key = tuple(conjugate_parts(tuple(b - a for a, b in zip((0, *x), x) if b > a))
+                        for x in raw)
+            typed[key] = typed.get(key, 0) + c
+        return typed
+
+    counts, work = _walk(model, n, steps, budget, "DVR census", progress=types)
+    got = _DVR_CENSUS_CACHE[key] = types(counts), work
     return got[0]
 
 

@@ -435,6 +435,18 @@ def test_special_values_deep_in_the_identities():
     assert all(r.passed for r in special_values("node", 1, 60))
 
 
+def test_special_values_seeded_sweep():
+    # past criterion 14's box (u^21, m <= 3): both families, m <= 4, u_prec
+    # <= 60; only the node's t = -1 identity at m >= 2 is conjecture-level
+    rng = random.Random(4)
+    for _ in range(8):
+        kind, m, u_prec = rng.choice(("cusp", "node")), rng.randint(1, 4), rng.randint(1, 60)
+        for report in special_values(kind, m, u_prec):
+            conjectural = report.name == "special-node-minus1" and m >= 2
+            assert report.status == ("reported" if conjectural else "pass"), (
+                kind, m, u_prec, report.name)
+
+
 def test_special_values_build_one_numerator_per_call(monkeypatch):
     calls = []
     real = clzeta.cl_numerator

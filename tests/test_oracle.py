@@ -194,14 +194,44 @@ def test_hyperplanes_match_reference_builder():
     assert nodes > 400
 
 
+_LINES = oracle._lines  # kept for the tests that rebind oracle._lines
+
+
+def _leaf_walk(module, max_codim, classify, budget, what, progress=dict):
+    """_walk with every leaf built by _lines and classified on its own, as it
+    is built: the reference for counting leaves by head."""
+    lanes, duals, p = module.lanes, oracle._duals(module), module.p
+    counts, stack, work = {}, [()], 0
+    while stack:
+        rows = stack.pop()
+        basis = oracle._socle(rows, lanes, duals) if len(rows) < max_codim else None
+        key = classify(rows, None if basis is None else len(basis))
+        counts[key] = counts.get(key, 0) + 1
+        if basis is None:
+            continue
+        work += (p ** len(basis) - 1) // (p - 1)
+        if work > budget:
+            raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
+                                      progress=progress(counts))
+        children = _LINES(rows, basis, lanes)
+        if len(rows) + 1 < max_codim:
+            stack.extend(children)
+            continue
+        for child in children:
+            key = classify(child, None)
+            counts[key] = counts.get(key, 0) + 1
+    return counts, work
+
+
 def test_walk_builds_each_subspace_once(monkeypatch):
-    # every subspace but the root is built by exactly one parent: over each
-    # seeded walk the children are pairwise distinct and number the subspaces
-    # counted less one
-    lines, built = oracle._lines, []
+    # every subspace but the root is built by exactly one parent or counted
+    # once under its head: over each seeded walk the stacked children are
+    # pairwise distinct, lie below max_codim, and with the leaves counted by
+    # head number the subspaces counted less one
+    built = []
 
     def recorded(*args):
-        for child in lines(*args):
+        for child in _LINES(*args):
             built.append(child)
             yield child
 
@@ -209,7 +239,45 @@ def test_walk_builds_each_subspace_once(monkeypatch):
     for model, max_codim in _seeded_walks():
         built.clear()
         counts, _ = oracle._walk(model, max_codim, lambda rows, s: len(rows), 10**7, "test")
-        assert len(built) == len(set(built)) == sum(counts.values()) - 1, model.generators
+        assert len(built) == len(set(built)), model.generators
+        assert all(len(child) < max_codim for child in built), model.generators
+        assert len(built) + counts.get(max_codim, 0) == sum(counts.values()) - 1, model.generators
+
+
+def test_leaves_by_head_match_leaf_by_leaf_walk(monkeypatch):
+    # counting the leaves per head gives the counts and work of building and
+    # classifying each leaf, for every census's classify, and _lines is never
+    # entered at codim max_codim - 1, where the leaves are counted by head
+    walk, depth, walks = oracle._walk, [None], []
+
+    def guarded(rows, basis, lanes):
+        assert len(rows) + 1 < depth[0], (depth[0], rows)
+        return _LINES(rows, basis, lanes)
+
+    def compared(module, max_codim, classify, budget, what, progress=dict):
+        depth[0] = max_codim
+        got = walk(module, max_codim, classify, budget, what, progress)
+        want = _leaf_walk(module, max_codim, classify, budget, what, progress)
+        # the same counts in the same first-seen order, and the same work
+        assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), (
+            module.generators, module.p, max_codim)
+        walks.append(sum(got[0].values()))
+        return got
+
+    monkeypatch.setattr(oracle, "_lines", guarded)
+    for model, max_codim in _seeded_walks():
+        compared(model, max_codim, lambda rows, s: (len(rows), s), 10**7, "test")
+    monkeypatch.setattr(oracle, "_walk", compared)
+    for p, top in ((2, 3), (3, 2), (5, 2)):
+        for kind, m, module in product(("cusp", "node"), (1, 2),
+                                       ("free", "normalization", "max_ideal")):
+            for d in (1, 2):
+                quot_census(kind, m, d, p, top, module)
+    monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
+    for p, size in ((2, 5), (3, 5), (5, 4)):
+        for lam in (lam for n in range(1, size + 1) for lam in partitions_of(n)):
+            dvr_type_cotype_census(lam, p)
+    assert len(walks) == len(_seeded_walks()) + 72 + 2 * 18 + 11 and sum(walks) > 20000, sum(walks)
 
 
 def test_work_is_the_lines_of_the_expanded_nodes():
@@ -304,23 +372,26 @@ def test_pivot_counts_match_spans(monkeypatch):
     # the quotient rank, the type and the cotype read off U = K^perp's pivot
     # counts and masked ranks equal their span-based reading on K, built here
     # from U, at every subspace the walk visits, on seeded Jordan modules and
-    # local models under random basis permutations
-    rng, walk, jordan = random.Random(20267), oracle._walk, oracle._jordan_module
+    # local models under random basis permutations; the leaves too, each
+    # built by _lines in a leaf-by-leaf walk, and the DVR census's raw steps
+    # typed as its walk's progress types them
+    rng, jordan = random.Random(20267), oracle._jordan_module
     seen = {"rank": 0, "cotype": 0}
 
-    def checked_walk(module, max_codim, classify, *args, **kwargs):
+    def checked_walk(module, max_codim, classify, budget, what, progress=dict):
         def check(rows, s):
             got, kernel = classify(rows, s), _annihilator(module, rows)
             if s is not None:
                 assert s == len(kernel) - len(_image(module.compiled, kernel, module.lanes))
             if isinstance(got[1], tuple):
-                assert got == _reference_type_cotype(module, kernel), (module.generators, rows)
+                assert list(progress({got: 1})) == [_reference_type_cotype(module, kernel)], (
+                    module.generators, rows)
                 seen["cotype"] += 1
             else:
                 assert got == (module.dim - len(kernel), _reference_rank(module, kernel))
                 seen["rank"] += 1
             return got
-        return walk(module, max_codim, check, *args, **kwargs)
+        return _leaf_walk(module, max_codim, check, budget, what, progress)
 
     def shuffled(model):
         lane = list(range(model.dim))
