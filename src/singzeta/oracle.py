@@ -49,15 +49,35 @@ leaf only through its row count and pivots, and every child of a head b_i0 of
 the basis pivots where b_i0 does, so each head is classified once and its
 children are counted together.
 
+Nor is a killed subtree built.  A lane is killed when every lane map sends it
+to None, e*_t with g(e_t) = 0 for every g, so every g^T w is 0 there.  Let
+U's heads all pivot at killed lanes and let y in (U:m) pivot at the head
+b_i's lane pi.  If w lies in (U + <y>:m), g^T w = u_g + c_g y with u_g in U
+for each g; at pi, below U's pivots, g^T w and U's rows are 0 and y is 1,
+so c_g = 0 and w lies in (U:m).  So (U + <y>:m) = (U:m) contains y, the
+child's basis is U's less b_i, and the child's heads, the b_j with j < i,
+pivot at killed lanes too.  By induction U's subtree is the U + W, W with a
+reduced echelon basis over the b's whose pivot set J lies among the heads,
+and dim K/mK = s - |J| there, s = len(basis).  W's row at b_j takes any
+values at the basis vectors above b_j outside J, so the cell J holds
+p^free(J) subspaces, free(J) the sum of their numbers, and the cells with
+|J| = k hold p^(k(s-h)) [h, k]_p, for h heads.  A census reads these
+subspaces only through their row count, pivots and s, so each cell is
+classified once, on its representative rows (b_j1, ..., b_jk, *rows), and
+counted p^free(J) times.
+
 The readings are pivot counts.  Each row vanishes below its pivot, so U meets
 the span of its top k lanes in the rows pivoting there.  The top levels[j]
 lanes are the e*_t that kill m^j M, so those rows count dim M/(K + m^j M): at
 j = 1 the rank of M/K; their steps over j are the conjugate of a DVR
 submodule's cotype.  Its type is the conjugate of the steps of dim K[T^j]: s
 at j = 1, and for j >= 2 the number of e_t with T^j e_t = 0 less the rank of U
-masked to their lanes.  The DVR census counts the walk by these raw steps
-and conjugates each distinct key once, after the walk.  Only prime fields are
-supported.
+masked to their lanes.  In a killed subtree each masked rank gains exactly
+the added rows: their pivot lanes are killed, so T kills their e_t and they
+lie in every mask, and the rows pivot at distinct lanes below every lane
+where U's rows are nonzero.  The DVR census counts the walk by these raw
+steps and conjugates each distinct key once, after the walk.  Only prime
+fields are supported.
 
 Hall counts are read off that census in one place, hall_count_oracle: the
 number of submodules of type mu, and cotype nu when given, of the DVR-module
@@ -68,6 +88,7 @@ equal.
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .partitions import conjugate_parts
 from .report import BudgetExceededError, VerificationReport, require, timed
@@ -283,7 +304,9 @@ def _duals(module):
     i for the i-th g, the gathers of each g^T (lane of g(k) to lane of k in
     block i) and the pushes out of block i (lane of k to lane of g(k)) from
     each hit t's own coordinate, its first (g, k) with g(k) = t; the socle
-    units {lane: e*_t}, t of depth 0; all dim lanes; a _Lanes for G + 1 blocks."""
+    units (lane, e*_t), t of depth 0, by lane; the killed lanes, those every
+    lane map sends to None, as the lowest bit of each; all dim lanes; a
+    _Lanes for G + 1 blocks."""
     n, w, mask = module.dim, module.lanes.w, module.lanes.mask
     maps, gathers, pushes, own = [], {}, {}, set()
     for i, g in enumerate(module.generators):
@@ -295,17 +318,18 @@ def _duals(module):
                     own.add(t)
                     pushes[s] = pushes.get(s, 0) | mask << (w * (n - 1 - k + n * i))
         maps.append(tuple(None if t is None else n - 1 - t for t in reversed(g)))
-    units = {n - 1 - t: 1 << (w * (n - 1 - t)) for t in range(module.levels[1])}
-    return (maps, tuple(gathers.items()), tuple(pushes.items()), units,
+    units = tuple((q, 1 << (w * q)) for q in range(n - module.levels[1], n))
+    killed = sum(1 << (w * q) for q in range(n) if all(g[q] is None for g in maps))
+    return (maps, tuple(gathers.items()), tuple(pushes.items()), units, killed,
             (1 << (w * n)) - 1, _Lanes(module.p, n * len(maps) + n))
 
 
 def _socle(rows, lanes, duals):
-    """Reduced echelon basis {lane: v} of (U:m)/U for U = span(rows), each v 0
-    at U's pivots: the socle units off U's pivots, and the kernel of the hit
-    set's candidates v^h, solved by one _span of v^h in the top block over its
-    residuals g^T v^h - sum u_pi, block i for the i-th g."""
-    maps, gathers, pushes, units, full, wide = duals
+    """Reduced echelon basis of (U:m)/U for U = span(rows), sorted by pivot,
+    each v 0 at U's pivots: the kernel of the hit set's candidates v^h,
+    solved by one _span of v^h in the top block over its residuals g^T v^h -
+    sum u_pi, block i for the i-th g, then the socle units off U's pivots."""
+    maps, gathers, pushes, units, _, full, wide = duals
     w, mask, bits = lanes.w, lanes.mask, full.bit_length()
     at = {((u & -u).bit_length() - 1) // w: u for u in rows}  # pivot lane: row
     hits = {}  # lane of h: in block g, the sum of the rows u_pi with g(pi) = h
@@ -314,7 +338,6 @@ def _socle(rows, lanes, duals):
             h = g[q]
             if h is not None and h not in at:
                 hits[h] = wide.reduce(hits.get(h, 0) + (u << (bits * i)))
-    basis = {q: e for q, e in units.items() if q not in at}
     keep, cands = full, []
     for q in (*at, *hits):
         keep ^= mask << (w * q)
@@ -328,18 +351,18 @@ def _socle(rows, lanes, duals):
             img |= (v & m) << s
         cands.append(v << (bits * len(maps)) | wide.sub(img, sums))
     # rows pivoting in the top block have no residual: a reduced echelon basis
-    # of the kernel, 0 at depth-0 lanes, where the units are the only rows
+    # of the kernel, 0 at depth-0 lanes, so below the units, the only rows there
     top = len(maps) * (bits // w)
-    basis.update((q - top, x >> (w * top)) for q, x in _span(cands, wide).items() if q >= top)
+    basis = [x >> (w * top) for q, x in sorted(_span(cands, wide).items()) if q >= top]
+    basis += [e for q, e in units if q not in at]
     return basis
 
 
 def _heads(rows, basis):
-    """_socle's basis sorted by pivot, and the number of its b_i0 that pivot
-    below rows[0], a prefix: the heads of U's children."""
-    vecs = [basis[q] for q in sorted(basis)]
+    """The number of b_i0 in _socle's basis that pivot below rows[0], a
+    prefix: the heads of U's children."""
     below = (rows[0] & -rows[0] if rows else 0) - 1  # the lanes below rows[0]'s pivot
-    return vecs, sum(1 for b in vecs if b & below)
+    return sum(1 for b in basis if b & below)
 
 
 def _lines(rows, basis, lanes):
@@ -348,14 +371,13 @@ def _lines(rows, basis, lanes):
     product order, for the heads b_i0.  v is 1 at its pivot, b_i0's, and 0 at
     U's, and U's rows are 0 below their pivots, so the child's key is (v, *rows)."""
     p, reduce = lanes.p, lanes.reduce
-    vecs, heads = _heads(rows, basis)
     # when digit j steps up and the digits after it wrap from p-1 to 0, v
     # gains the sum of the vectors from j onwards
     steps = [0]
-    for b in reversed(vecs):
+    for b in reversed(basis):
         steps.append(reduce(steps[-1] + b))
-    for i0 in range(heads):
-        v, tail = vecs[i0], [0] * (len(vecs) - 1 - i0)
+    for i0 in range(_heads(rows, basis)):
+        v, tail = basis[i0], [0] * (len(basis) - 1 - i0)
         while True:
             yield (v, *rows)
             j = len(tail) - 1
@@ -367,6 +389,42 @@ def _lines(rows, basis, lanes):
             v = reduce(v + steps[len(tail) - j])
 
 
+def _cell_lines(p, s, heads, depth):
+    """The lines of the expanded nodes below U in a cell-counted subtree: the
+    U + W, dim W = k < depth, p^(k(s - heads)) [heads, k]_p of them, each
+    charged (p^(s-k) - 1)/(p - 1)."""
+    lines, nodes = 0, 1
+    for k in range(1, min(heads, depth - 1) + 1):
+        nodes = nodes * (p ** (heads - k + 1) - 1) // (p ** k - 1) * p ** (s - heads)
+        lines += nodes * (p ** (s - k) - 1) // (p - 1)
+    return lines
+
+
+def _cells(rows, basis, heads, depth, p):
+    """U's descendants down to depth more rows, one (rows, s, multiplicity)
+    per pivot set J of the heads, k = |J| >= 1, in the walk's order: the
+    representative rows (b_j1, ..., b_jk, *rows), j1 < ... < jk; s =
+    len(basis) - k, or None at k = depth, the leaves; and p^free(J), free(J)
+    the sum over j in J of the basis vectors above b_j outside J.  Each
+    expanded cell is followed by its own cells, the last head first, as the
+    stack pops; the leaves of one cell come in head order, as _lines builds
+    them."""
+    s, stack = len(basis), [(rows, heads, 0)]
+    while stack:
+        cell, limit, free = stack.pop()
+        k = len(cell) - len(rows)
+        if k:
+            yield cell, s - k, p ** free
+        # adding b_j below every chosen head frees the s - 1 - j vectors above
+        # it less the k chosen ones
+        children = (((basis[j], *cell), j, free + s - 1 - j - k) for j in range(limit))
+        if k + 1 < depth:
+            stack.extend(children)
+        else:
+            for leaf, _, f in children:
+                yield leaf, None, p ** f
+
+
 def _walk(module, max_codim, classify, budget, what, progress=dict):
     """Counts of the invariant subspaces K of codim <= max_codim by
     classify(rows, s), rows the key of K^perp and s = dim K/mK, None where K
@@ -374,12 +432,17 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
 
     A node is charged its (p^s - 1)/(p - 1) lines when it is expanded, before
     any child is built; past the budget, BudgetExceededError carries
-    progress(counts so far).  The leaves, at codim max_codim, are not built:
-    a leaf's key must depend only on its row count and pivots, and the
-    p^(len(basis) - 1 - i0) children of one head b_i0 all have b_i0's pivot,
-    so each head is classified once, as (b_i0, *rows), for all of them."""
+    progress(counts so far).  The leaves, at codim max_codim, are counted by
+    head, and the subtree of a node whose heads all pivot at killed lanes by
+    pivot cells (_cells; see the module docstring), so classify's key must
+    depend only on the row count, the pivots and s in both.  A subtree is
+    cell-counted only when its lines (_cell_lines) fit in what is left of
+    the budget, and is walked node by node otherwise, so the counts, their
+    first-seen order, the work and every stop are those of a walk that
+    builds every node."""
     require(0, budget=budget)
     lanes, duals, p = module.lanes, _duals(module), module.p
+    killed = duals[4]
     counts, stack, work = {}, [()], 0
     while stack:
         rows = stack.pop()
@@ -388,17 +451,25 @@ def _walk(module, max_codim, classify, budget, what, progress=dict):
         counts[key] = counts.get(key, 0) + 1
         if basis is None:
             continue
-        work += (p ** len(basis) - 1) // (p - 1)
+        s = len(basis)
+        work += (p ** s - 1) // (p - 1)
         if work > budget:
             raise BudgetExceededError("%s exceeded budget %d" % (what, budget),
                                       progress=progress(counts))
-        if len(rows) + 1 < max_codim:
+        depth, heads = max_codim - len(rows), _heads(rows, basis)
+        if depth == 1:  # the leaves, by head
+            for i0 in range(heads):
+                key = classify((basis[i0], *rows), None)
+                counts[key] = counts.get(key, 0) + p ** (s - 1 - i0)
+            continue
+        if (not all(b & -b & killed for b in basis[:heads])
+                or work + (lines := _cell_lines(p, s, heads, depth)) > budget):
             stack.extend(_lines(rows, basis, lanes))
             continue
-        vecs, heads = _heads(rows, basis)
-        for i0 in range(heads):
-            key = classify((vecs[i0], *rows), None)
-            counts[key] = counts.get(key, 0) + p ** (len(vecs) - 1 - i0)
+        work += lines
+        for cell, cs, mult in _cells(rows, basis, heads, depth, p):
+            key = classify(cell, cs)
+            counts[key] = counts.get(key, 0) + mult
     return counts, work
 
 
@@ -577,17 +648,13 @@ def surjective_homs_count(mu, d, p):
 # -- matrix-pair counting --------------------------------------------------------
 
 
-def _mat_mul(a, b, p):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-                 for row in a)
-
-
 def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
     """#{(A,B) in Mat_n(F_p)^2 : AB = BA, A^2 = B^3} by exhaustive search.
 
-    The A are grouped by A^2 once, so each B is tested only against the A with
-    A^2 = B^3; the budget still bounds the p^{2n^2} pairs up front."""
+    Each matrix's rows and columns are built once.  The A are grouped by A^2
+    once, so each B is tested only against the A with A^2 = B^3, and AB = BA
+    entry by entry, to the first difference; the budget still bounds the
+    p^{2n^2} pairs up front."""
     _require_prime(p)
     require(0, n=n, budget=budget)
     if p ** (2 * n * n) > budget:
@@ -595,16 +662,23 @@ def matrix_pair_count(n, p, budget=DEFAULT_BUDGET):
                                   % (p, 2 * n * n))
     if n == 0:
         return 1
-    mats = [tuple(flat[i:i + n] for i in range(0, n * n, n))
-            for flat in product(range(p), repeat=n * n)]
-    squares = {a: _mat_mul(a, a, p) for a in mats}
-    roots = {}  # A^2 -> the A
-    for a, sq in squares.items():
+
+    def times(rows, cols):
+        return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
+
+    mats = [(rows, tuple(zip(*rows))) for rows in (
+        tuple(flat[i:i + n] for i in range(0, n * n, n))
+        for flat in product(range(p), repeat=n * n))]
+    squares = [times(a, cols) for a, cols in mats]
+    roots = {}  # A^2 -> the A, with their columns
+    for a, sq in zip(mats, squares):
         roots.setdefault(sq, []).append(a)
     count = 0
-    for b in mats:
-        for a in roots.get(_mat_mul(squares[b], b, p), ()):
-            if _mat_mul(a, b, p) == _mat_mul(b, a, p):
+    for (b, b_cols), sq in zip(mats, squares):
+        for a, a_cols in roots.get(times(sq, b_cols), ()):
+            # (AB)_ij = a_i . b^j against (BA)_ij = b_i . a^j
+            if all(sum(map(mul, ra, cb)) % p == sum(map(mul, rb, ca)) % p
+                   for ra, rb in zip(a, b) for cb, ca in zip(b_cols, a_cols)):
                 count += 1
     return count
 

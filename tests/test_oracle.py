@@ -195,11 +195,12 @@ def test_hyperplanes_match_reference_builder():
 
 
 _LINES = oracle._lines  # kept for the tests that rebind oracle._lines
+_CELLS = oracle._cells  # and oracle._cells
 
 
 def _leaf_walk(module, max_codim, classify, budget, what, progress=dict):
-    """_walk with every leaf built by _lines and classified on its own, as it
-    is built: the reference for counting leaves by head."""
+    """_walk with every subspace built by _lines and classified on its own, as
+    it is built: the node-by-node reference for counting by cells."""
     lanes, duals, p = module.lanes, oracle._duals(module), module.p
     counts, stack, work = {}, [()], 0
     while stack:
@@ -223,11 +224,27 @@ def _leaf_walk(module, max_codim, classify, budget, what, progress=dict):
     return counts, work
 
 
+def _recording_cells(monkeypatch):
+    """Rebind oracle._cells to record each expanded cell's representative
+    rows with its multiplicity, in a dict the caller may clear."""
+    weights = {}
+
+    def recorded(*args):
+        for cell, s, mult in _CELLS(*args):
+            if s is not None:
+                weights[cell] = mult
+            yield cell, s, mult
+
+    monkeypatch.setattr(oracle, "_cells", recorded)
+    return weights
+
+
 def test_walk_builds_each_subspace_once(monkeypatch):
-    # every subspace but the root is built by exactly one parent or counted
-    # once under its head: over each seeded walk the stacked children are
-    # pairwise distinct, lie below max_codim, and with the leaves counted by
-    # head number the subspaces counted less one
+    # every subspace but the root is built by exactly one parent, counted
+    # once under its head or counted once in a cell: over each seeded walk
+    # the stacked children are pairwise distinct, lie below max_codim, and
+    # with the leaves and the expanded cells, each with its multiplicity,
+    # number the subspaces counted less one
     built = []
 
     def recorded(*args):
@@ -236,18 +253,23 @@ def test_walk_builds_each_subspace_once(monkeypatch):
             yield child
 
     monkeypatch.setattr(oracle, "_lines", recorded)
+    weights = _recording_cells(monkeypatch)
     for model, max_codim in _seeded_walks():
         built.clear()
+        weights.clear()
         counts, _ = oracle._walk(model, max_codim, lambda rows, s: len(rows), 10**7, "test")
         assert len(built) == len(set(built)), model.generators
         assert all(len(child) < max_codim for child in built), model.generators
-        assert len(built) + counts.get(max_codim, 0) == sum(counts.values()) - 1, model.generators
+        assert not set(built) & set(weights), model.generators
+        assert (len(built) + sum(weights.values()) + counts.get(max_codim, 0)
+                == sum(counts.values()) - 1), model.generators
 
 
 def test_leaves_by_head_match_leaf_by_leaf_walk(monkeypatch):
-    # counting the leaves per head gives the counts and work of building and
-    # classifying each leaf, for every census's classify, and _lines is never
-    # entered at codim max_codim - 1, where the leaves are counted by head
+    # counting the leaves per head and the killed subtrees by pivot cells
+    # gives the counts and work of building and classifying each subspace,
+    # for every census's classify, and _lines is never entered at codim
+    # max_codim - 1, where the leaves are counted by head
     walk, depth, walks = oracle._walk, [None], []
 
     def guarded(rows, basis, lanes):
@@ -264,9 +286,13 @@ def test_leaves_by_head_match_leaf_by_leaf_walk(monkeypatch):
         walks.append(sum(got[0].values()))
         return got
 
+    def pivots(rows, s):  # the finest key a cell may be classified by
+        return s, tuple((u & -u).bit_length() for u in rows)
+
     monkeypatch.setattr(oracle, "_lines", guarded)
     for model, max_codim in _seeded_walks():
         compared(model, max_codim, lambda rows, s: (len(rows), s), 10**7, "test")
+        compared(model, max_codim, pivots, 10**7, "test")
     monkeypatch.setattr(oracle, "_walk", compared)
     for p, top in ((2, 3), (3, 2), (5, 2)):
         for kind, m, module in product(("cusp", "node"), (1, 2),
@@ -274,27 +300,85 @@ def test_leaves_by_head_match_leaf_by_leaf_walk(monkeypatch):
             for d in (1, 2):
                 quot_census(kind, m, d, p, top, module)
     monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
-    for p, size in ((2, 5), (3, 5), (5, 4)):
+    for p, size in ((2, 6), (3, 5), (5, 4)):
         for lam in (lam for n in range(1, size + 1) for lam in partitions_of(n)):
             dvr_type_cotype_census(lam, p)
-    assert len(walks) == len(_seeded_walks()) + 72 + 2 * 18 + 11 and sum(walks) > 20000, sum(walks)
+    assert len(walks) == 2 * len(_seeded_walks()) + 72 + 29 + 18 + 11, len(walks)
+    assert sum(walks) > 20000, sum(walks)
 
 
-def test_work_is_the_lines_of_the_expanded_nodes():
+def _outcome(walk, args, budget):
+    """A walk's counts in first-seen order and work, or its stop's message and
+    progress, at one budget."""
+    module, max_codim, classify, what, progress = args
+    try:
+        counts, work = walk(module, max_codim, classify, budget, what, progress)
+    except BudgetExceededError as stop:
+        return "stop", str(stop), list(stop.progress.items())
+    return "done", list(counts.items()), work
+
+
+def test_cell_counted_walk_stops_as_node_walk(monkeypatch):
+    # at every budget from 0 to work + 1, a DVR census whose killed subtrees
+    # are cell-counted when they fit stops with the message and progress of
+    # the node-by-node walk, or returns its counts and work; budgets below
+    # work stop, the others do not
+    walk, walks = oracle._walk, []
+
+    def captured(module, max_codim, classify, budget, what, progress=dict):
+        walks.append((module, max_codim, classify, what, progress))
+        return walk(module, max_codim, classify, budget, what, progress)
+
+    monkeypatch.setattr(oracle, "_walk", captured)
+    monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
+    for parts, p in (((1, 1, 1, 1), 2), ((2, 1, 1), 3), ((2, 2, 1), 2), ((1, 1, 1), 5)):
+        dvr_type_cotype_census(Partition(parts), p)
+    assert len(walks) == 4
+    for args in walks:
+        work = _outcome(_leaf_walk, args, 10**7)[2]
+        stops = 0
+        for budget in range(work + 2):
+            got = _outcome(walk, args, budget)
+            assert got == _outcome(_leaf_walk, args, budget), (args[0].generators, budget)
+            stops += got[0] == "stop"
+        assert stops == work > 100, (args[0].generators, work)
+
+
+def test_killed_subtree_is_counted_by_cells(monkeypatch):
+    # under T = 0 every lane is killed, so lambda = 1^5 at p = 2 solves
+    # (U:m)/U at the root alone and counts all 374 subspaces of F_2^5 by cells
+    socle, calls = oracle._socle, []
+
+    def counted(rows, lanes, duals):
+        calls.append(rows)
+        return socle(rows, lanes, duals)
+
+    monkeypatch.setattr(oracle, "_socle", counted)
+    monkeypatch.setattr(oracle, "_DVR_CENSUS_CACHE", {})
+    census = dvr_type_cotype_census(Partition([1] * 5), 2)
+    assert calls == [()]
+    assert sum(census.values()) == 374
+
+
+def test_work_is_the_lines_of_the_expanded_nodes(monkeypatch):
     # every expanded node K is charged its (p^s - 1)/(p - 1) lines, s = dim
-    # K/mK; the expanded nodes are the distinct subspaces below max_codim
+    # K/mK; the expanded nodes are the distinct subspaces below max_codim,
+    # each cell counting its subspaces with its multiplicity
+    weights = _recording_cells(monkeypatch)
     for model, max_codim in _seeded_walks():
         sizes = []
+        weights.clear()
 
         def classify(rows, s):
             if s is not None:
-                sizes.append(s)
+                sizes.append((s, rows))
             return len(rows)
 
         counts, work = oracle._walk(model, max_codim, classify, 10**7, "test")
         p = model.p
-        assert work == sum((p ** s - 1) // (p - 1) for s in sizes)
-        assert len(sizes) == sum(c for codim, c in counts.items() if codim < max_codim)
+        assert work == sum(weights.get(rows, 1) * (p ** s - 1) // (p - 1) for s, rows in sizes)
+        assert sum(weights.get(rows, 1) for _, rows in sizes) == sum(
+            c for codim, c in counts.items() if codim < max_codim)
 
 
 def test_census_codim_zero():
@@ -638,6 +722,36 @@ def test_quot_coeffs_oracle_beyond_criterion_8_odd_primes():
         got = quot_coeffs_oracle(kind, m, d, p, N, module=module)
         want = [c.eval_int(p) for c in z_series(kind, m, d, N + 1, module=module)]
         assert [Fraction(x) for x in got] == want, (kind, m, d, p, N, module)
+
+
+def _reference_mat_mul(a, b, p):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+                 for row in a)
+
+
+def _reference_matrix_pair_count(n, p):
+    """#{(A,B) : AB = BA, A^2 = B^3} on tuple products, the A grouped by A^2
+    and each B tested against the A with A^2 = B^3, whole products compared."""
+    if n == 0:
+        return 1
+    mats = [tuple(flat[i:i + n] for i in range(0, n * n, n))
+            for flat in product(range(p), repeat=n * n)]
+    squares = {a: _reference_mat_mul(a, a, p) for a in mats}
+    roots = {}
+    for a, sq in squares.items():
+        roots.setdefault(sq, []).append(a)
+    count = 0
+    for b in mats:
+        for a in roots.get(_reference_mat_mul(squares[b], b, p), ()):
+            if _reference_mat_mul(a, b, p) == _reference_mat_mul(b, a, p):
+                count += 1
+    return count
+
+
+def test_matrix_pair_count_matches_tuple_products():
+    for n, p in [(n, p) for n in (0, 1, 2) for p in (2, 3, 5, 7)] + [(3, 2)]:
+        assert matrix_pair_count(n, p) == _reference_matrix_pair_count(n, p), (n, p)
 
 
 def test_matrix_pair_count_beyond_criterion_10():
