@@ -71,6 +71,7 @@ from math import comb
 from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio
 from .packed import lane_digits_into, qbinomial_ints
 from .partitions import Partition, conjugate_parts, iterate_box, partitions_of, subpartitions
+from .report import require
 
 
 # -- packed coefficients -------------------------------------------------------
@@ -272,6 +273,7 @@ def hall_box(m, d, mu):
     * (1/q;1/q)_d / (1/q;1/q)_{d-mu'_1} is exactly the q^-1-multinomial over
     the column gaps of mu together with d - mu'_1, so no division occurs.
     """
+    require(0, m=m, d=d)
     if not Partition.box(m, d).contains(mu):
         raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
     return _widened(lambda: _decode(_box_packed(m, d, mu)))
@@ -295,6 +297,7 @@ def surjection_count(d, mu):
     Equals q^{d|mu|} (1/q;1/q)_d / (1/q;1/q)_{d-mu'_1}; zero when mu needs more
     than d generators.
     """
+    require(0, d=d)
     top = mu.conj_part(1)
     if top > d:
         return ZERO

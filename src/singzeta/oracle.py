@@ -14,9 +14,10 @@ index map; one builder, _presentation, makes these for every model and sorts
 the basis by depth, the longest chain of generators that ends at a vector, so
 m^j M is spanned by the vectors from levels[j] up.  A vector is one int,
 coordinate i in bits [w*i, w*i + w) with 2^(w-1) >= p (_Lanes), by one path for
-every prime; index maps move lanes by masked shifts.  A subspace is a reduced
-echelon basis {pivot: row} (_add, _span), each row pivoting at its lowest
-nonzero lane; its rows sorted by pivot are its canonical key.
+every prime; the transposes g^T move lanes by _duals' masked shifts, the
+gathers and the pushes.  A subspace is a reduced echelon basis {pivot: row}
+(_add, _span), each row pivoting at its lowest nonzero lane; its rows sorted
+by pivot are its canonical key.
 
 One walk, _walk, counts the invariant subspaces K by their annihilators U =
 K^perp in the dual M^v, e*_t in lane dim-1-t (Macdonald, Symmetric Functions
@@ -82,10 +83,12 @@ fields are supported.
 Hall counts are read off that census in one place, hall_count_oracle: the
 number of submodules of type mu, and cotype nu when given, of the DVR-module
 of type lambda over F_p, which g^lambda_mu(p) and g^lambda_{mu nu}(p) must
-equal.
+equal.  The surjections R^d ->> M, which hall.surjection_count(d, mu) must
+count at q = p, are the d-tuples of elements of M that span it; by Nakayama
+they are those whose images span M/mM, the first levels[1] lanes of M, so
+surjective_homs_count tests each tuple by one _span of it masked to them.
 """
 
-from functools import cached_property
 from itertools import product
 from math import gcd, isqrt, prod
 from operator import mul
@@ -168,32 +171,6 @@ def _span(vectors, lanes, rows=()):
     return rows
 
 
-def _compile(g, w):
-    """An index map as groups of (mask, left, right) lane shifts; the sources of
-    one group go to distinct targets, so their shifted lanes OR together."""
-    groups = []  # (targets, {shift: mask of its sources})
-    for k, t in enumerate(g):
-        if t is not None:
-            group = next((gr for gr in groups if t not in gr[0]), None)
-            if group is None:
-                groups.append(group := (set(), {}))
-            group[0].add(t)
-            group[1][w * (t - k)] = group[1].get(w * (t - k), 0) | ((1 << w) - 1) << (w * k)
-    return tuple(tuple((mask, max(s, 0), max(-s, 0)) for s, mask in parts.items())
-                 for _, parts in groups)
-
-
-def _apply(g, vec, lanes):
-    """g(vec) for a compiled index map g; groups add, as their targets may meet."""
-    out = 0
-    for parts in g:
-        img = 0
-        for mask, left, right in parts:
-            img |= ((vec & mask) << left) >> right
-        out = lanes.reduce(out + img)
-    return out
-
-
 # -- module presentations ------------------------------------------------------
 
 
@@ -206,7 +183,6 @@ class FqModulePresentation:
     nilpotent (they lie in the maximal ideal); both are checked.  The basis is
     then sorted by depth, stably, so `generators` are the given maps renumbered
     in depth order, and levels[j] is the number of vectors of depth < j.
-    `compiled`, the maps as lane shifts for _apply, is built on first use.
     """
 
     def __init__(self, p, dim, generators):
@@ -229,10 +205,6 @@ class FqModulePresentation:
         self.generators = [tuple(lane.get(g[k]) for k in order) for g in self.generators]
         self.levels = [sum(1 for x in depth if x < j) for j in range(max(depth, default=0) + 2)]
         self.lanes = _Lanes(p, dim)
-
-    @cached_property
-    def compiled(self):
-        return [_compile(g, self.lanes.w) for g in self.generators]
 
     def _validate(self):
         n = self.dim
@@ -624,25 +596,16 @@ def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
 def surjective_homs_count(mu, d, p):
     """Exhaustive count of surjections R^d ->> M for M of type mu over F_p.
 
-    A hom is a d-tuple of elements of M; it is onto iff the T-closure of the
-    images spans.
+    A hom is a d-tuple of elements of M; by Nakayama it is onto iff the
+    images span M/mM, the first levels[1] lanes, so each element is masked
+    to them.
     """
-    dim = mu.size()
-    if dim == 0:
-        return 1
+    require(0, d=d)
     model = _jordan_module(mu.parts, p)
-    lanes, tmap = model.lanes, model.compiled[0]
-    elements = [lanes.pack(v) for v in product(range(p), repeat=dim)]
-    count = 0
-    for combo in product(elements, repeat=d):
-        vecs = []
-        for v in combo:
-            while v:
-                vecs.append(v)
-                v = _apply(tmap, v, lanes)
-        if len(_span(vecs, lanes)) == dim:
-            count += 1
-    return count
+    lanes, top = model.lanes, model.levels[1]
+    mask = (1 << (lanes.w * top)) - 1
+    elements = [lanes.pack(v) & mask for v in product(range(p), repeat=model.dim)]
+    return sum(1 for combo in product(elements, repeat=d) if len(_span(combo, lanes)) == top)
 
 
 # -- matrix-pair counting --------------------------------------------------------

@@ -268,3 +268,14 @@ def test_surjection_count_polynomial():
     # d=2, mu=(1): q^2 - 1 maps onto F_q
     assert surjection_count(2, P([1])) == Q * Q - ONE
     assert surjection_count(1, P([1, 1])) == ZERO
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: surjection_count(-1, P()), "d must be at least 0, got -1"),
+    (lambda: hall_box(1, -1, P()), "d must be at least 0, got -1"),
+    (lambda: hall_box(-1, 1, P()), "m must be at least 0, got -1"),
+], ids=["surjection_count-d", "hall_box-d", "hall_box-m"])
+def test_negative_sizes_are_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

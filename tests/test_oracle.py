@@ -14,6 +14,7 @@ from singzeta.oracle import (quot_census, FqModulePresentation, build_local_mode
                              surjective_homs_count)
 from singzeta.report import BudgetExceededError
 from singzeta.clzeta import matrix_count_formula, z_series
+from singzeta.hall import surjection_count
 from singzeta.laurent import ONE
 from singzeta.quotzeta import full_z
 
@@ -105,8 +106,8 @@ def test_echelon_basis_matches_reference_rref():
 
 
 def _image(gens, basis, lanes):
-    """Reduced echelon basis of sum_g g(span basis), for compiled generators."""
-    return oracle._span((oracle._apply(g, v, lanes) for g in gens for v in basis), lanes)
+    """Reduced echelon basis of sum_g g(span basis), for index maps g."""
+    return oracle._span((_apply(g, v, lanes) for g in gens for v in basis), lanes)
 
 
 def _reference_hyperplanes(basis, gens, lanes):
@@ -170,7 +171,7 @@ def test_hyperplanes_match_reference_builder():
     # new pivot lies there; s = dim (U:m)/U is dim K/mK
     nodes = 0
     for model, max_codim in _seeded_walks():
-        gens, lanes, duals = model.compiled, model.lanes, oracle._duals(model)
+        gens, lanes, duals = model.generators, model.lanes, oracle._duals(model)
         stack, stop = [()], nodes + 40
         while stack and nodes < stop:
             rows = stack.pop()
@@ -439,7 +440,7 @@ def _full_basis(module):
 
 def _reference_type_cotype(module, basis):
     """(type, cotype) of K = span(basis) by spans of T^j K and of K + m^j M."""
-    gens, lanes = module.compiled, module.lanes
+    gens, lanes = module.generators, module.lanes
     m_powers = [oracle._span(_full_basis(module), lanes)]
     while m_powers[-1]:
         m_powers.append(_image(gens, m_powers[-1].values(), lanes))
@@ -466,7 +467,7 @@ def test_pivot_counts_match_spans(monkeypatch):
         def check(rows, s):
             got, kernel = classify(rows, s), _annihilator(module, rows)
             if s is not None:
-                assert s == len(kernel) - len(_image(module.compiled, kernel, module.lanes))
+                assert s == len(kernel) - len(_image(module.generators, kernel, module.lanes))
             if isinstance(got[1], tuple):
                 assert list(progress({got: 1})) == [_reference_type_cotype(module, kernel)], (
                     module.generators, rows)
@@ -523,11 +524,11 @@ def test_census_matches_every_subspace():
                  for target in ("free", "normalization", "max_ideal")]
         models += [(None, model) for model in rng.sample([x for x in local if x.dim <= size], 4)]
         for lam, model in models:
-            lanes, gens = model.lanes, model.compiled
+            lanes, gens = model.lanes, model.generators
             census, dvr = {}, {}
             for rows in _every_subspace(model.dim, p):
                 basis = [lanes.pack(r) for r in rows]
-                if len(oracle._span(basis + [oracle._apply(g, b, lanes) for g in gens
+                if len(oracle._span(basis + [_apply(g, b, lanes) for g in gens
                                              for b in basis], lanes)) > len(basis):
                     continue
                 key = (model.dim - len(basis), _reference_rank(model, basis))
@@ -648,22 +649,10 @@ def _plain_apply(g, vec, p):
     return out
 
 
-def test_compiled_apply_matches_index_map():
-    # every model kind and target, Jordan modules, and three sources on one target
-    models = [build_local_model((kind, m), d, N, p, target)
-              for kind in ("cusp", "node") for target in ("free", "normalization", "max_ideal")
-              for m in (1, 2) for d in (1, 2) for N in (2, 3) for p in (2, 5)]
-    models += [oracle._jordan_module(parts, p, d)
-               for parts in ((1,), (3, 1), (2, 2, 1)) for p in (3, 131) for d in (1, 2)]
-    models.append(FqModulePresentation(3, 5, [(3, 3, 3, 4, None)]))
-    rng = random.Random(7)
-    for model in models:
-        p, lanes = model.p, model.lanes
-        for g, compiled in zip(model.generators, model.compiled):
-            for _ in range(10):
-                vec = [rng.randrange(p) for _ in range(model.dim)]
-                got = oracle._apply(compiled, lanes.pack(vec), lanes)
-                assert got == lanes.pack(_plain_apply(g, vec, p)), (model.generators, vec)
+def _apply(g, vec, lanes):
+    """g(vec) for an index map g on packed vectors, by _plain_apply."""
+    coords = [(vec >> (lanes.w * i)) & lanes.mask for i in range(len(g))]
+    return lanes.pack(_plain_apply(g, coords, lanes.p))
 
 
 def test_quot_census_sizing():
@@ -783,6 +772,46 @@ def test_surjective_homs_count():
     assert surjective_homs_count(Partition([1]), 2, 3) == 8
     assert surjective_homs_count(Partition([2]), 1, 2) == 2  # generators of Z/4-like module
     assert surjective_homs_count(Partition([1, 1]), 1, 2) == 0
+
+
+def _closure_surjections(mu, d, p):
+    """Surjections R^d ->> M for M of type mu, counted as the oracle first did:
+    a d-tuple of elements is onto iff the T-closure of its entries spans M."""
+    model = oracle._jordan_module(mu.parts, p)
+    lanes, (tmap,) = model.lanes, model.generators
+    elements = [lanes.pack(v) for v in product(range(p), repeat=model.dim)]
+    count = 0
+    for combo in product(elements, repeat=d):
+        vecs = []
+        for v in combo:
+            while v:
+                vecs.append(v)
+                v = _apply(tmap, v, lanes)
+        if len(oracle._span(vecs, lanes)) == model.dim:
+            count += 1
+    return count
+
+
+def test_surjections_on_top_lanes_match_closure_count():
+    # onto by Nakayama (a span of M/mM) against onto by T-closure (a span of
+    # M) and the closed form, at every point with p^(|mu| d) <= 4096
+    points = [(mu, d, p) for p in (2, 3, 5) for n in range(5) for mu in partitions_of(n)
+              for d in range(4) if p ** (n * d) <= 4096]
+    assert len(points) == 113
+    for mu, d, p in points:
+        got = surjective_homs_count(mu, d, p)
+        assert got == _closure_surjections(mu, d, p), (mu.parts, d, p)
+        assert got == surjection_count(d, mu).eval_int(p), (mu.parts, d, p)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((Partition(), 2, 4), "p must be prime, got 4"),
+    ((Partition([1]), -1, 2), "d must be at least 0, got -1"),
+])
+def test_surjective_homs_count_rejects(args, message):
+    with pytest.raises(ValueError) as err:
+        surjective_homs_count(*args)
+    assert str(err.value) == message
 
 
 def test_coh_quot_invariance():
