@@ -423,21 +423,13 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     mhilb = {dd: convert_rank(zq_long[:dd + 1], "quot_to_mhilb", u_prec, need)
              for dd in range(need)}
     with timed() as tm:
-        ok = True
-        disc = None
-        for dd in range(1, d_max + 1):
-            back = convert_rank([mhilb[r] for r in range(dd + 1)],
-                                "mhilb_to_quot", u_prec, t_prec)
-            direct = z_series("node", m, dd, t_prec)
-            for j in range(t_prec):
-                if back[j] != direct[j]:
-                    ok = False
-                    disc = (dd, j)
-                    break
-            if not ok:
-                break
-    reports.append(VerificationReport("conversion-roundtrip",
-                                      {"m": m, "d_max": d_max}, "pass" if ok else "fail",
+        # zq_long[dd] is Z_{R^dd} exactly to t-degree 2 need - 2 >= t_prec - 1
+        disc = next(((dd, j) for dd in range(1, d_max + 1)
+                     for back in [convert_rank([mhilb[r] for r in range(dd + 1)],
+                                               "mhilb_to_quot", u_prec, t_prec)]
+                     for j in range(t_prec) if back[j] != zq_long[dd][j]), None)
+    reports.append(VerificationReport("conversion-roundtrip", {"m": m, "d_max": d_max},
+                                      "pass" if disc is None else "fail",
                                       discrepancy=disc, wall_time=tm.elapsed))
     cl_a = convert_rank([mhilb[r] for r in range(t_prec)], "cl_from_mhilb", u_prec, t_prec)
     cl_b = convert_rank([z[:t_prec] for z in zq_long[:t_prec]], "cl_from_quot", u_prec, t_prec)
@@ -446,22 +438,14 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
     if with_oracle:
         with timed() as tm:
-            ok = True
-            disc = None
-            N = t_prec
-            for dd in range(1, d_max + 1):
-                got = oracle_mod.quot_coeffs_oracle("node", m, dd, 2, N,
-                                                    module="max_ideal", budget=budget)
-                for k in range(min(len(got), t_prec, N)):
-                    want = mhilb[dd][k].eval_int(2)
-                    if want != got[k]:
-                        ok = False
-                        disc = (dd, k)
-                        break
-                if not ok:
-                    break
+            # lazy: no census is built past the first rank that disagrees
+            disc = next(((dd, k) for dd in range(1, d_max + 1)
+                         for got in [oracle_mod.quot_coeffs_oracle(
+                             "node", m, dd, 2, t_prec, module="max_ideal", budget=budget)]
+                         for k in range(min(len(got), t_prec))
+                         if mhilb[dd][k].eval_int(2) != got[k]), None)
         reports.append(VerificationReport("conversion-oracle", {"m": m, "p": 2},
-                                          "pass" if ok else "fail",
+                                          "pass" if disc is None else "fail",
                                           discrepancy=disc, wall_time=tm.elapsed))
     return reports
 

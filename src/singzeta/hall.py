@@ -34,9 +34,16 @@ cached column products and inverses reach about 22 bits at |lambda| <= 6 and
 
 hall_skew, hall_box, hall_pair_expansion and hall_general decode from the
 packed values, each in one _widened call, which no packed value outlives.
-g^lambda_mu and the expansions {lambda: g^lambda_{mu nu}} are cached packed
-for the current lane width (_skew_packed, _pair_packed).  The packed format
-and that rule bind this module only: no other module reads a packed value.
+The packed values are cached for the current lane width.  Four functions
+memoize theirs with functools.cache, keyed on part tuples: g^lambda_mu
+(_skew_packed), the column products and their inverses (_times_columns,
+_column_inverse) and the expansions {lambda: g^lambda_{mu nu}}
+(_pair_packed).  The q-binomials [n r]_q sit in the table _BINOMS, filled a
+whole triangle r <= n <= top at a time.  When _W doubles, _widened empties
+_BINOMS and calls cache_clear() on each function of _PACKED_FUNCTIONS, a
+tuple bound where the four are defined, so a later rebinding of one of
+their names leaves no cache uncleared.  The packed format and that rule
+bind this module only: no other module reads a packed value.
 
 So the scans of criteria 6 and 7 live here too, each returning its first
 mismatch (case, lhs, rhs), both sides decoded, or None.  skew_cauchy_mismatch
@@ -66,6 +73,7 @@ factors, and returns the last-column states, which each caller folds in its
 own ring.
 """
 
+from functools import cache
 from math import comb
 
 from .laurent import LaurentPoly2, ZERO, qpoch_qinv_ratio
@@ -80,10 +88,7 @@ from .report import require
 # b a carried bound on the L1 norm of x(q); see the module docstring.
 
 _W = 64  # lane bits of every packed coefficient; doubled by _widened
-_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (packed.qbinomial_ints)
-_COLUMNS_CACHE = {}
-_COLUMN_INVERSE_CACHE = {}
-_PACKED_CACHES = (_BINOMS, _COLUMNS_CACHE, _COLUMN_INVERSE_CACHE)  # tables, built on first use
+_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (packed.qbinomial_ints), built on first use
 _PACKED_ONE = (1, 0, 1)
 _PACKED_ZERO = (0, 0, 0)
 
@@ -175,45 +180,35 @@ def _in_zq(g, error, args):
 
 
 def _widened(fn):
-    """fn(), recomputed with lanes of twice the bits (the packed tables and
-    the packed results of _skew_packed and _pair_packed cleared) for as long
-    as a carried bound does not fit.  fn must call no _widened itself: a
-    value it holds would outlive a doubling."""
+    """fn(), recomputed with lanes of twice the bits (_BINOMS and the
+    _PACKED_FUNCTIONS' caches cleared) for as long as a carried bound does
+    not fit.  fn must call no _widened itself: a value it holds would outlive
+    a doubling."""
     global _W
     while True:
         try:
             return fn()
         except _LaneOverflow:
             _W *= 2
-            for cache in _PACKED_CACHES + (_HALL_SKEW_CACHE, _HALL_PAIR_CACHE):
-                cache.clear()
+            _BINOMS.clear()
+            for cached in _PACKED_FUNCTIONS:
+                cached.cache_clear()
 
 
 # -- closed forms and column walks ---------------------------------------------
 
-_HALL_SKEW_CACHE = {}  # (lam.parts, mu.parts) -> packed g^lam_mu
-
-
 def hall_skew(lam, mu):
     """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda."""
-    return _widened(lambda: _decode(_skew_packed(lam, mu)))
-
-
-def _skew_packed(lam, mu):
-    """g^lam_mu packed; each pair is computed once per lane width, by
-    _skew_product, and cached."""
-    key = (lam.parts, mu.parts)
-    got = _HALL_SKEW_CACHE.get(key)
-    if got is None:
-        got = _HALL_SKEW_CACHE[key] = _skew_product(lam, mu)
-    return got
-
-
-def _skew_product(lam, mu):
     if not lam.contains(mu):
-        return _PACKED_ZERO
-    width = lam.part(1)
-    lc, mc = conjugate_parts(lam.parts) + (0,), conjugate_parts(mu.parts)
+        return ZERO
+    return _widened(lambda: _decode(_skew_packed(lam.parts, mu.parts)))
+
+
+@cache
+def _skew_packed(lam, mu):
+    """g^lam_mu packed, for part tuples mu inside lam; cached per lane width."""
+    lc, mc = conjugate_parts(lam) + (0,), conjugate_parts(mu)
+    width = len(lc) - 1
     mc += (0,) * (width + 1 - len(mc))
     return _in_zq(_binomial_product(sum(m * (l - m) for l, m in zip(lc, mc)),
                                     [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)]),
@@ -357,29 +352,25 @@ def _pieri(mu, m):
     return out
 
 
+@cache
 def _times_columns(mu, kappa):
     """u_mu times the column product u_(1^kappa'_1) ... u_(1^kappa'_k), by Pieri steps.
 
     Cached per (mu, kappa); the product is that of kappa without its last
     column, times the last column.
     """
-    key = (mu, kappa)
-    got = _COLUMNS_CACHE.get(key)
-    if got is None:
-        cols = conjugate_parts(kappa)
-        if len(cols) <= 1:
-            got = _pieri(mu, cols[0]) if cols else {mu: _PACKED_ONE}
-        else:
-            got = {}
-            rest = tuple(p - 1 if p == len(cols) else p for p in kappa)
-            for rho, c in _times_columns(mu, tuple(p for p in rest if p)).items():
-                for lam, g in _times_columns(rho, (1,) * cols[-1]).items():
-                    _add_into(got, lam, _mul(c, g))
-            got = _nonzero(got)
-        _COLUMNS_CACHE[key] = got
-    return got
+    cols = conjugate_parts(kappa)
+    if len(cols) <= 1:
+        return _pieri(mu, cols[0]) if cols else {mu: _PACKED_ONE}
+    got = {}
+    rest = tuple(p - 1 if p == len(cols) else p for p in kappa)
+    for rho, c in _times_columns(mu, tuple(p for p in rest if p)).items():
+        for lam, g in _times_columns(rho, (1,) * cols[-1]).items():
+            _add_into(got, lam, _mul(c, g))
+    return _nonzero(got)
 
 
+@cache
 def _column_inverse(nu):
     """{kappa: D_{nu kappa}} with u_nu = sum_kappa D_{nu kappa} (column product of kappa).
 
@@ -387,25 +378,18 @@ def _column_inverse(nu):
     coefficient exactly 1 at u_nu (Macdonald Ch. II Sec. 4), so the system is
     unitriangular and D follows by recursion over the lower terms.
     """
-    got = _COLUMN_INVERSE_CACHE.get(nu)
-    if got is None:
-        product = _times_columns((), nu)
-        lead = product.get(nu, _PACKED_ZERO)
-        if not _is_one(lead):
-            raise AssertionError("column product of %s has leading coefficient %s"
-                                 % (nu, _decode(lead)))
-        got = {nu: _PACKED_ONE}
-        for rho, a in product.items():
-            if rho != nu:
-                for kappa, d in _column_inverse(rho).items():
-                    x, e, b = _mul(a, d)
-                    _add_into(got, kappa, (-x, e, b))
-        got = _nonzero(got)
-        _COLUMN_INVERSE_CACHE[nu] = got
-    return got
-
-
-_HALL_PAIR_CACHE = {}  # (mu, nu) part tuples -> _pair_packed(mu, nu)
+    product = _times_columns((), nu)
+    lead = product.get(nu, _PACKED_ZERO)
+    if not _is_one(lead):
+        raise AssertionError("column product of %s has leading coefficient %s"
+                             % (nu, _decode(lead)))
+    got = {nu: _PACKED_ONE}
+    for rho, a in product.items():
+        if rho != nu:
+            for kappa, d in _column_inverse(rho).items():
+                x, e, b = _mul(a, d)
+                _add_into(got, kappa, (-x, e, b))
+    return _nonzero(got)
 
 
 def hall_pair_expansion(mu, nu):
@@ -415,6 +399,7 @@ def hall_pair_expansion(mu, nu):
                              for lam, g in _pair_packed(mu.parts, nu.parts).items()})
 
 
+@cache
 def _pair_packed(mu, nu):
     """{lam: packed g^lam_{mu nu}} on part tuples, lam with g = 0 left out;
     cached per lane width.
@@ -422,15 +407,16 @@ def _pair_packed(mu, nu):
     u_nu is written in column products by _column_inverse, and u_mu times each
     column product is a chain of Pieri steps.
     """
-    key = (mu, nu)
-    got = _HALL_PAIR_CACHE.get(key)
-    if got is None:
-        acc = {}
-        for kappa, d in _column_inverse(nu).items():
-            for lam, g in _times_columns(mu, kappa).items():
-                _add_into(acc, lam, _mul(d, g))
-        got = _HALL_PAIR_CACHE[key] = _nonzero(acc)
-    return got
+    acc = {}
+    for kappa, d in _column_inverse(nu).items():
+        for lam, g in _times_columns(mu, kappa).items():
+            _add_into(acc, lam, _mul(d, g))
+    return _nonzero(acc)
+
+
+# the packed values cached per lane width, which _widened clears; bound here,
+# so a caller that rebinds one of these names leaves the tuple as it is
+_PACKED_FUNCTIONS = (_skew_packed, _times_columns, _column_inverse, _pair_packed)
 
 
 def hall_general(lam, mu, nu):
@@ -466,7 +452,7 @@ def skew_cauchy_mismatch(m, d):
             lhs = {}
             for lam, _, cols in weights:
                 if lam.contains(mu):
-                    skew = _skew_packed(lam, mu)
+                    skew = _skew_packed(lam.parts, mu.parts)
                     for f, v in cols.items():
                         _add_into(lhs, f, _mul(v, skew))
             rhs = {mu.size(): g_mu}
@@ -483,8 +469,9 @@ def box_vs_skew_mismatch():
     def scan():
         for m in (1, 2, 3):
             for d in (1, 2, 3):
+                lam = (m,) * d
                 for mu in iterate_box(m, d):
-                    box, skew = _box_packed(m, d, mu), _skew_packed(Partition.box(m, d), mu)
+                    box, skew = _box_packed(m, d, mu), _skew_packed(lam, mu.parts)
                     if not _same(box, skew):
                         return (m, d, str(mu)), _decode(box), _decode(skew)
         return None
@@ -512,7 +499,7 @@ def completeness_mismatch():
             for lam in by_size[n]:
                 for mu in subpartitions(lam):
                     total = totals.get((lam.parts, mu.parts), _PACKED_ZERO)
-                    skew = _skew_packed(lam, mu)
+                    skew = _skew_packed(lam.parts, mu.parts)
                     if not _same(total, skew):
                         return (str(lam), str(mu)), _decode(total), _decode(skew)
         return None

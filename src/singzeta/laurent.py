@@ -8,6 +8,8 @@ order, used by every printed or serialized form, is lexicographic ascending by
 back.
 """
 
+from functools import cache
+
 
 class UnsupportedSubstitutionError(ValueError):
     """Raised when a substitution image is not a unit monomial."""
@@ -299,9 +301,7 @@ def qpochhammer(x, step, n):
     return result
 
 
-_QBINOM_CACHE = {(0, 0): ONE}
-
-
+@cache
 def qbinomial(n, r):
     """Gaussian binomial [n r]_q via the q-Pascal recurrence, memoized.
 
@@ -311,12 +311,7 @@ def qbinomial(n, r):
         raise ValueError("require 0 <= r <= n")
     if r == 0 or r == n:
         return ONE
-    key = (n, r)
-    got = _QBINOM_CACHE.get(key)
-    if got is None:
-        got = qbinomial(n - 1, r - 1) + LaurentPoly2.monomial(1, r, 0) * qbinomial(n - 1, r)
-        _QBINOM_CACHE[key] = got
-    return got
+    return qbinomial(n - 1, r - 1) + LaurentPoly2.monomial(1, r, 0) * qbinomial(n - 1, r)
 
 
 def qpoch_qinv_ratio(n, k):

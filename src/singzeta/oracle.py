@@ -593,14 +593,18 @@ def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
     return census.get((mu.parts, nu.parts), 0)
 
 
-def surjective_homs_count(mu, d, p):
+def surjective_homs_count(mu, d, p, budget=DEFAULT_BUDGET):
     """Exhaustive count of surjections R^d ->> M for M of type mu over F_p.
 
     A hom is a d-tuple of elements of M; by Nakayama it is onto iff the
     images span M/mM, the first levels[1] lanes, so each element is masked
-    to them.
+    to them.  The budget bounds the p^{|mu| d} tuples up front.
     """
-    require(0, d=d)
+    require(0, d=d, budget=budget)
+    _require_prime(p)
+    if p ** (mu.size() * d) > budget:
+        raise BudgetExceededError("surjection enumeration %d^%d exceeds budget"
+                                  % (p, mu.size() * d))
     model = _jordan_module(mu.parts, p)
     lanes, top = model.lanes, model.levels[1]
     mask = (1 << (lanes.w * top)) - 1

@@ -60,6 +60,8 @@ or k = m):
 each the L1 walk's value exactly, which each walk passes to lane_width.
 """
 
+from functools import cache
+
 from .laurent import LaurentPoly2, ZERO, ONE, Q, QINV, T
 from .hall import column_walk, skew_cauchy_mismatch
 from .packed import Packed, lane_width, qbinomial_ints
@@ -95,30 +97,22 @@ class SingularityFamily:
     __repr__ = __str__
 
 
-_NZ_CACHE = {}
-
-
-def _memo(key, build):
-    """_NZ_CACHE[key], built by build() on first use."""
-    if key not in _NZ_CACHE:
-        _NZ_CACHE[key] = build()
-    return _NZ_CACHE[key]
-
-
+@cache
 def nz_cusp_normalization(m, d):
     """NZ of the rank-d normalization module over the cusp germ."""
-    return _memo(("cusp-norm", m, d), lambda: _normalization_walk(m, d))
+    return _normalization_walk(m, d)
 
 
+@cache
 def nz_cusp_free(m, d):
     """NZ of the free rank-d module over the cusp germ: the t -> t^2 image."""
-    return _memo(("cusp-free", m, d),
-                 lambda: nz_cusp_normalization(m, d).substitute(Q, T * T))
+    return nz_cusp_normalization(m, d).substitute(Q, T * T)
 
 
+@cache
 def nz_node_normalization(m, d):
     """NZ of the rank-d normalization module over the node germ."""
-    return _memo(("node-norm", m, d), lambda: _normalization_walk(m, d, node=True))
+    return _normalization_walk(m, d, node=True)
 
 
 def _normalization_walk(m, d, node=False):
@@ -137,10 +131,11 @@ def _normalization_walk(m, d, node=False):
     return _check_poly(sum(states.values(), Packed({}, 0, one.w)).decode())
 
 
+@cache
 def nz_node_free(m, d):
     """NZ of the free rank-d module over the node germ, by the column walk of
     the module docstring."""
-    return _memo(("node-free", m, d), lambda: _node_free_walk(m, d))
+    return _node_free_walk(m, d)
 
 
 def _node_free_walk(m, d, t_prec=None):

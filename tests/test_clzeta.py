@@ -414,6 +414,36 @@ def test_conversion_check_seeded_sweep():
             assert report.status != "fail", (point, report.name)
 
 
+def test_conversion_check_names_the_first_bad_rank(monkeypatch):
+    # the round trip made wrong at rank 2, t^1, and the oracle at rank 2, t^2:
+    # each report names that first mismatch, and no census past rank 2 is built
+    real_convert, real_census = clzeta.convert_rank, clzeta.oracle_mod.quot_coeffs_oracle
+    censused = []
+
+    def convert(z_list, direction, u_prec, t_prec):
+        out = real_convert(z_list, direction, u_prec, t_prec)
+        if direction == "mhilb_to_quot" and len(z_list) == 3:
+            out[1] = out[1] + ONE
+        return out
+
+    def census(family, m, d, p, N, module, budget):
+        censused.append(d)
+        got = list(real_census(family, m, d, p, N, module=module, budget=budget))
+        if d == 2:
+            got[2] += 1
+        return got
+
+    monkeypatch.setattr(clzeta, "convert_rank", convert)
+    monkeypatch.setattr(clzeta.oracle_mod, "quot_coeffs_oracle", census)
+    reports = {r.name: r for r in clzeta.conversion_check(1, 3, 6, 4, with_oracle=True)}
+    assert (reports["conversion-roundtrip"].status,
+            reports["conversion-roundtrip"].discrepancy) == ("fail", (2, 1))
+    assert reports["conversion-cl-agreement"].status == "pass"
+    assert (reports["conversion-oracle"].status,
+            reports["conversion-oracle"].discrepancy) == ("fail", (2, 2))
+    assert censused == [1, 2]
+
+
 def test_matrix_count_formula_values():
     assert matrix_count_formula(0) == ONE
     assert matrix_count_formula(1) == Q

@@ -140,10 +140,12 @@ def test_hall_pair_expansion_matches_hall_littlewood_reference():
 
 def _restart(bits):
     """Start the packed Hall algebra over at lanes of the given bits, every
-    cache empty."""
+    cache empty.  The caches are cleared before the width is set, so no
+    value packed at the old width is left to be read at the new one."""
+    hall._BINOMS.clear()
+    for cached in hall._PACKED_FUNCTIONS:
+        cached.cache_clear()
     hall._W = bits
-    for cache in hall._PACKED_CACHES + (hall._HALL_PAIR_CACHE, hall._HALL_SKEW_CACHE):
-        cache.clear()
 
 
 @pytest.fixture
@@ -189,10 +191,11 @@ def test_closed_forms_widen_their_lanes(narrow_lanes):
 def test_import_builds_no_packed_table():
     # start-up stays free of packed work: the tables are built on first use
     code = ("import singzeta.cli; from singzeta import hall; "
-            "print(hall._W, [len(c) for c in hall._PACKED_CACHES])")
+            "print(hall._W, len(hall._BINOMS),"
+            " [f.cache_info().currsize for f in hall._PACKED_FUNCTIONS])")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hall.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "64 [0, 0, 0]\n"), out.stderr
+    assert (out.returncode, out.stdout) == (0, "64 0 [0, 0, 0, 0]\n"), out.stderr
 
 
 def test_hall_symmetry_small():

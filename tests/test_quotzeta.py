@@ -74,16 +74,16 @@ def _node_free_double_sum(m, d):
 def test_nz_node_free_matches_double_sum():
     for m in range(1, 6):
         for d in range(0, 7 - m):
-            quotzeta._NZ_CACHE.clear()
+            nz_node_free.cache_clear()
             assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
     # three seeded (m, d) just past that grid, where m + d = 7
     for m, d in random.Random(0).sample([(m, 7 - m) for m in range(1, 7)], 3):
-        quotzeta._NZ_CACHE.clear()
+        nz_node_free.cache_clear()
         assert nz_node_free(m, d).terms == _node_free_double_sum(m, d).terms, (m, d)
     # past the bench grid too: two independent sums, each on its own lanes
     # (86 and 49 bits at d = 30)
     for d in (*range(8), 20, 30):
-        quotzeta._NZ_CACHE.clear()
+        nz_node_free.cache_clear()
         assert nz_node_free(1, d) == node22_closed_form(d), d
 
 
@@ -153,11 +153,14 @@ def test_lane_bounds_are_the_l1_walks_in_closed_form():
 
 
 def test_nz_forms_reject_a_negative_m():
-    for form in (nz_cusp_normalization, nz_cusp_free, nz_node_normalization, nz_node_free):
+    forms = (nz_cusp_normalization, nz_cusp_free, nz_node_normalization, nz_node_free)
+    sizes = [form.cache_info().currsize for form in forms]
+    for form in forms:
         for d in (2, 3):
             with pytest.raises(ValueError, match="m must be at least 0, got -1"):
                 form(-1, d)
-    assert not [key for key in quotzeta._NZ_CACHE if key[1] < 0]
+    # a rejected call caches nothing
+    assert [form.cache_info().currsize for form in forms] == sizes
 
 
 def test_column_walk_from_top_0_counts_the_partitions_in_a_box():
@@ -189,8 +192,8 @@ def test_node_free_walk_makes_no_laurent_product(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly2, "__mul__", counting)
     monkeypatch.setattr(LaurentPoly2, "__rmul__", counting)
-    quotzeta._NZ_CACHE.clear()
     for form in (nz_node_free, nz_cusp_normalization, nz_node_normalization):
+        form.cache_clear()
         form(4, 4)
     assert len(calls) == 0
 
@@ -208,7 +211,8 @@ def test_normalization_walks_match_the_sums_over_mu():
     # the grid, and (4, 7) past the bench grid
     grid = [(m, d) for m in range(1, 7) for d in range(0, min(6, 9 - m) + 1)]
     for m, d in grid + [(4, 7)]:
-        quotzeta._NZ_CACHE.clear()
+        for form in (nz_cusp_normalization, nz_cusp_free, nz_node_normalization):
+            form.cache_clear()
         cusp = _normalization_sum(m, d, node=False)
         assert nz_cusp_normalization(m, d).terms == cusp.terms, (m, d)
         assert nz_cusp_free(m, d).terms == cusp.substitute(Q, T * T).terms, (m, d)
@@ -383,7 +387,7 @@ def _skew_packed_off_by_q(monkeypatch):
 
     def skew_packed(lam, mu):
         value = real(lam, mu)
-        if (lam.parts, mu.parts) == ((2, 1), (1,)):
+        if (lam, mu) == ((2, 1), (1,)):
             sums = {0: value}
             hall._add_into(sums, 0, (1, 1, 1))
             value = sums[0]
@@ -437,26 +441,14 @@ def test_skew_cauchy_makes_no_laurent_product(monkeypatch):
     assert len(calls) == 0
 
 
-def test_skew_cauchy_computes_each_pair_once(monkeypatch):
+def test_skew_cauchy_computes_each_pair_once():
     # criterion 6 asks for g^lam_mu 330 times over its nine boxes, for 175
     # distinct (lam, mu); the packed cache computes each of them once
     from singzeta import acceptance
-    asked, computed, ask, compute = [], [], hall._skew_packed, hall._skew_product
-
-    def asking(lam, mu):
-        asked.append((lam.parts, mu.parts))
-        return ask(lam, mu)
-
-    def computing(lam, mu):
-        computed.append((lam.parts, mu.parts))
-        return compute(lam, mu)
-
-    monkeypatch.setattr(hall, "_skew_packed", asking)
-    monkeypatch.setattr(hall, "_skew_product", computing)
-    monkeypatch.setattr(hall, "_HALL_SKEW_CACHE", {})
+    hall._skew_packed.cache_clear()
     assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
-    assert (len(asked), len(set(asked))) == (330, 175)
-    assert sorted(computed) == sorted(set(asked))
+    info = hall._skew_packed.cache_info()
+    assert (info.hits + info.misses, info.misses) == (330, 175)
 
 
 def test_cusp_t2_check():
