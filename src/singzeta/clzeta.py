@@ -405,6 +405,17 @@ def _assert_t_divisible(poly, d):
         raise AssertionError("expected divisibility by t^%d, found t^%d" % (d, low[0]))
 
 
+def _first_mismatch(d_max, sides):
+    """The first (rank, t-degree) at which the two sequences sides(rank) differ,
+    over ranks 1..d_max in order, or None; no rank past it is built."""
+    for dd in range(1, d_max + 1):
+        got, want = sides(dd)
+        for j, (a, b) in enumerate(zip(got, want)):
+            if a != b:
+                return dd, j
+    return None
+
+
 def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
                      budget=oracle_mod.DEFAULT_BUDGET):
     """Round-trip and cross-consistency checks of the conversion identities.
@@ -424,10 +435,9 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
              for dd in range(need)}
     with timed() as tm:
         # zq_long[dd] is Z_{R^dd} exactly to t-degree 2 need - 2 >= t_prec - 1
-        disc = next(((dd, j) for dd in range(1, d_max + 1)
-                     for back in [convert_rank([mhilb[r] for r in range(dd + 1)],
-                                               "mhilb_to_quot", u_prec, t_prec)]
-                     for j in range(t_prec) if back[j] != zq_long[dd][j]), None)
+        disc = _first_mismatch(d_max, lambda dd: (
+            convert_rank([mhilb[r] for r in range(dd + 1)], "mhilb_to_quot", u_prec, t_prec),
+            zq_long[dd][:t_prec]))
     reports.append(VerificationReport("conversion-roundtrip", {"m": m, "d_max": d_max},
                                       "pass" if disc is None else "fail",
                                       discrepancy=disc, wall_time=tm.elapsed))
@@ -438,12 +448,10 @@ def conversion_check(m, d_max, u_prec, t_prec, with_oracle=False,
     reports.append(compare_report("conversion-cl-agreement", {"m": m}, cl_a, cl_b))
     if with_oracle:
         with timed() as tm:
-            # lazy: no census is built past the first rank that disagrees
-            disc = next(((dd, k) for dd in range(1, d_max + 1)
-                         for got in [oracle_mod.quot_coeffs_oracle(
-                             "node", m, dd, 2, t_prec, module="max_ideal", budget=budget)]
-                         for k in range(min(len(got), t_prec))
-                         if mhilb[dd][k].eval_int(2) != got[k]), None)
+            disc = _first_mismatch(d_max, lambda dd: (
+                oracle_mod.quot_coeffs_oracle("node", m, dd, 2, t_prec,
+                                              module="max_ideal", budget=budget),
+                (mhilb[dd][k].eval_int(2) for k in range(t_prec))))
         reports.append(VerificationReport("conversion-oracle", {"m": m, "p": 2},
                                           "pass" if disc is None else "fail",
                                           discrepancy=disc, wall_time=tm.elapsed))

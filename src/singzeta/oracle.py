@@ -593,16 +593,16 @@ def hall_count_oracle(lam, mu, nu, p, budget=DEFAULT_BUDGET):
     return census.get((mu.parts, nu.parts), 0)
 
 
-def surjective_homs_count(mu, d, p, budget=DEFAULT_BUDGET):
+def surjective_homs_count(mu, d, p):
     """Exhaustive count of surjections R^d ->> M for M of type mu over F_p.
 
     A hom is a d-tuple of elements of M; by Nakayama it is onto iff the
     images span M/mM, the first levels[1] lanes, so each element is masked
-    to them.  The budget bounds the p^{|mu| d} tuples up front.
+    to them.  More than DEFAULT_BUDGET tuples p^{|mu| d} are refused up front.
     """
-    require(0, d=d, budget=budget)
+    require(0, d=d)
     _require_prime(p)
-    if p ** (mu.size() * d) > budget:
+    if p ** (mu.size() * d) > DEFAULT_BUDGET:
         raise BudgetExceededError("surjection enumeration %d^%d exceeds budget"
                                   % (p, mu.size() * d))
     model = _jordan_module(mu.parts, p)

@@ -814,12 +814,12 @@ def test_surjective_homs_count_rejects(args, message):
     assert str(err.value) == message
 
 
-def test_surjective_homs_count_refuses_past_its_budget():
-    # (2,2) over F_3 has 3^4 elements, so d = 3 means 3^12 = 531441 tuples:
+def test_surjective_homs_count_refuses_past_the_default_budget():
+    # (3,2) over F_3 has 3^5 elements, so d = 3 means 3^15 > 10^7 tuples:
     # refused before any is built
     with pytest.raises(BudgetExceededError) as err:
-        surjective_homs_count(Partition([2, 2]), 3, 3, budget=10**5)
-    assert str(err.value) == "surjection enumeration 3^12 exceeds budget"
+        surjective_homs_count(Partition([3, 2]), 3, 3)
+    assert str(err.value) == "surjection enumeration 3^15 exceeds budget"
 
 
 def test_coh_quot_invariance():
