@@ -198,7 +198,7 @@ def criterion_15_node22():
     """(2,2)-link closed forms: the finite sum and the 1-phi-1 series."""
     reports = [qz.node22_check(d) for d in range(0, 6)]
     series = cl_mod.node22_phi11(10, 6)
-    numerator = cl_mod.cl_series("node", 1, 10, 6).numerator
+    numerator = cl_mod.cl_numerator("node", 1, 10, 6)
     reports.append(compare_report("node22-phi11", {"window": (10, 6)},
                                   series, numerator))
     return reports

@@ -17,33 +17,32 @@ exact; every closed form is assembled division-free and asserted to land in
 Z[q].
 
 The Hall algebra, and the products of q^-1-binomials that hall_skew and
-hall_box are, run on ints at q = 2^_W (the ring of singzeta.packed, one
+hall_box are, run on ints at q = 2^w (the ring of singzeta.packed, one
 column).  A coefficient is a triple (x, e, b): the value is q^e x(q), so
 [n r]_{1/q} = q^{-r(n-r)} [n r]_q keeps its int from packed.qbinomial_ints;
 and b bounds the L1 norm of x, a product multiplying the bounds and a sum
 adding them.  These values outlive a call, in caches, so no walk sizes their
 lanes in advance; the bound is carried instead.  Every zero test, equality
 test, lowest-lane test (the Z[q] assertions, the leading coefficient 1 of a
-column product) and decode first checks it: while b < 2^(_W-1) the int is 0
+column product) and decode first checks it: while b < 2^(w-1) the int is 0
 only for the zero polynomial, so two values whose difference passes the
 check are equal exactly when that difference is 0 (_same).  If it does not
-fit, _W doubles, the packed caches are cleared and the call recomputes, so
-no input loses exactness or raises.  _W starts at 64 bits: the bounds of the
-cached column products and inverses reach about 22 bits at |lambda| <= 6 and
-51 at |lambda| <= 9.
+fit, _widened reruns the call at lanes of twice the bits, so no input loses
+exactness or raises.  Each call starts at _START_W = 64 bits: the bounds of
+the cached column products and inverses reach about 22 bits at
+|lambda| <= 6 and 51 at |lambda| <= 9.
 
 hall_skew, hall_box, hall_pair_expansion and hall_general decode from the
-packed values, each in one _widened call, which no packed value outlives.
-The packed values are cached for the current lane width.  Four functions
-memoize theirs with functools.cache, keyed on part tuples: g^lambda_mu
-(_skew_packed), the column products and their inverses (_times_columns,
-_column_inverse) and the expansions {lambda: g^lambda_{mu nu}}
-(_pair_packed).  The q-binomials [n r]_q sit in the table _BINOMS, filled a
-whole triangle r <= n <= top at a time.  When _W doubles, _widened empties
-_BINOMS and calls cache_clear() on each function of _PACKED_FUNCTIONS, a
-tuple bound where the four are defined, so a later rebinding of one of
-their names leaves no cache uncleared.  The packed format and that rule
-bind this module only: no other module reads a packed value.
+packed values, each in one _widened call.  The lane width w is an argument
+of every function that packs, compares or decodes, never module state.
+Five functions memoize theirs with functools.cache, keyed on part tuples
+and on w, their last argument: g^lambda_mu (_skew_packed), the column
+products and their inverses (_times_columns, _column_inverse), the
+expansions {lambda: g^lambda_{mu nu}} (_pair_packed) and the tables of
+[n r]_q for r <= n <= top (_binoms).  An entry holds at its own width, so
+a rerun at a wider one clears nothing: the entries at the narrower width
+are never read again.  The packed format binds this module only: no other
+module reads a packed value.
 
 So the scans of criteria 6 and 7 live here too, each returning its first
 mismatch (case, lhs, rhs), both sides decoded, or None.  skew_cauchy_mismatch
@@ -84,24 +83,23 @@ from .report import require
 
 # -- packed coefficients -------------------------------------------------------
 #
-# A packed coefficient (x, e, b) stands for q^e x(q), x read at q = 2^_W, with
+# A packed coefficient (x, e, b) stands for q^e x(q), x read at q = 2^w, with
 # b a carried bound on the L1 norm of x(q); see the module docstring.
 
-_W = 64  # lane bits of every packed coefficient; doubled by _widened
-_BINOMS = {}  # (n, r) -> [n r]_q at q = 2^_W (packed.qbinomial_ints), built on first use
+_START_W = 64  # the lane bits _widened starts each call at
 _PACKED_ONE = (1, 0, 1)
 _PACKED_ZERO = (0, 0, 0)
 
 
 class _LaneOverflow(Exception):
-    """A carried bound does not fit in the lanes of _W bits."""
+    """A carried bound does not fit in the lanes of w bits."""
 
 
 def _mul(a, b):
     return a[0] * b[0], a[1] + b[1], a[2] * b[2]
 
 
-def _add_into(acc, key, value):
+def _add_into(acc, key, value, w):
     """acc[key] += value on packed coefficients, the shifts aligned to the lower."""
     old = acc.get(key)
     if old is None:
@@ -110,89 +108,89 @@ def _add_into(acc, key, value):
     (x, e, b), (y, f, c) = old, value
     if e > f:
         x, e, y, f = y, f, x, e
-    acc[key] = x + (y << _W * (f - e)), e, b + c
+    acc[key] = x + (y << w * (f - e)), e, b + c
 
 
-def _lanes(v):
-    """v's int once its carried bound is checked: its lanes hold the
+def _lanes(v, w):
+    """v's int once its carried bound is checked: its w-bit lanes hold the
     coefficients exactly, so a zero test, a lowest-lane test or a decode of
     it is exact.  Raises _LaneOverflow otherwise."""
-    if v[2].bit_length() >= _W:
+    if v[2].bit_length() >= w:
         raise _LaneOverflow
     return v[0]
 
 
-def _same(a, b):
+def _same(a, b, w):
     """Whether the packed a and b are one polynomial: their difference, of
     bound at most the sum of theirs, is zero."""
     (x, e, c), (y, f, d) = a, b
     if e > f:
         x, e, y, f = y, f, x, e
-    return not _lanes((x - (y << _W * (f - e)), e, c + d))
+    return not _lanes((x - (y << w * (f - e)), e, c + d), w)
 
 
-def _low_lane(v):
+def _low_lane(v, w):
     """The q-exponent of v's lowest term (v != 0)."""
-    x = _lanes(v)
-    return ((x & -x).bit_length() - 1) // _W + v[1]
+    x = _lanes(v, w)
+    return ((x & -x).bit_length() - 1) // w + v[1]
 
 
-def _is_one(v):
-    x, e = _lanes(v), v[1]
-    return e <= 0 and x == 1 << _W * -e
+def _is_one(v, w):
+    x, e = _lanes(v, w), v[1]
+    return e <= 0 and x == 1 << w * -e
 
 
-def _decode(v):
-    return _decode_columns({0: v})
+def _decode(v, w):
+    return _decode_columns({0: v}, w)
 
 
-def _decode_columns(cols):
+def _decode_columns(cols, w):
     """{f: packed coefficient of t^f} as one LaurentPoly2 in q and t."""
     terms = {}
     for f, v in cols.items():
-        x = _lanes(v)
+        x = _lanes(v, w)
         if x:
-            lane_digits_into(terms, x, _W, v[1], f)
+            lane_digits_into(terms, x, w, v[1], f)
     return LaurentPoly2._adopt(terms)
 
 
-def _nonzero(acc):
-    return {key: v for key, v in acc.items() if _lanes(v)}
+def _nonzero(acc, w):
+    return {key: v for key, v in acc.items() if _lanes(v, w)}
 
 
-def _binomial_product(e, pairs):
+@cache
+def _binoms(top, w):
+    """{(n, r): [n r]_q at q = 2^w} for 0 <= r <= n <= top."""
+    return qbinomial_ints(top, w)
+
+
+def _binomial_product(e, pairs, w):
     """q^e prod [n r]_{1/q} over the pairs (n, r), packed: [n r]_{1/q} is
     q^{-r(n-r)} [n r]_q, of L1 norm C(n, r)."""
     x, b = 1, 1
     for n, r in pairs:
         if 0 < r < n:
-            if (n, r) not in _BINOMS:
-                _BINOMS.update(qbinomial_ints(n, _W))
-            x, e, b = x * _BINOMS[(n, r)], e - r * (n - r), b * comb(n, r)
+            x, e, b = x * _binoms(n, w)[n, r], e - r * (n - r), b * comb(n, r)
     return x, e, b
 
 
-def _in_zq(g, error, args):
+def _in_zq(g, error, args, w):
     """The packed g != 0, asserted to lie in Z[q] (else the error text error % args)."""
-    if _low_lane(g) < 0:
+    if _low_lane(g, w) < 0:
         raise AssertionError(error % args)
     return g
 
 
 def _widened(fn):
-    """fn(), recomputed with lanes of twice the bits (_BINOMS and the
-    _PACKED_FUNCTIONS' caches cleared) for as long as a carried bound does
-    not fit.  fn must call no _widened itself: a value it holds would outlive
-    a doubling."""
-    global _W
+    """fn(w) at w = _START_W, rerun at twice the bits for as long as a
+    carried bound does not fit.  Nothing is cleared: every cached packed
+    value is keyed on its w."""
+    w = _START_W
     while True:
         try:
-            return fn()
+            return fn(w)
         except _LaneOverflow:
-            _W *= 2
-            _BINOMS.clear()
-            for cached in _PACKED_FUNCTIONS:
-                cached.cache_clear()
+            w *= 2
 
 
 # -- closed forms and column walks ---------------------------------------------
@@ -201,18 +199,18 @@ def hall_skew(lam, mu):
     """The nu-summed Hall polynomial g^lambda_mu(q); 0 when mu is not inside lambda."""
     if not lam.contains(mu):
         return ZERO
-    return _widened(lambda: _decode(_skew_packed(lam.parts, mu.parts)))
+    return _widened(lambda w: _decode(_skew_packed(lam.parts, mu.parts, w), w))
 
 
 @cache
-def _skew_packed(lam, mu):
-    """g^lam_mu packed, for part tuples mu inside lam; cached per lane width."""
+def _skew_packed(lam, mu, w):
+    """g^lam_mu packed in w-bit lanes, for part tuples mu inside lam."""
     lc, mc = conjugate_parts(lam) + (0,), conjugate_parts(mu)
     width = len(lc) - 1
     mc += (0,) * (width + 1 - len(mc))
     return _in_zq(_binomial_product(sum(m * (l - m) for l, m in zip(lc, mc)),
-                                    [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)]),
-                  "hall_skew left Z[q]: %s, %s", (lam, mu))
+                                    [(lc[i] - mc[i + 1], lc[i] - mc[i]) for i in range(width)], w),
+                  "hall_skew left Z[q]: %s, %s", (lam, mu), w)
 
 
 def column_walk(columns, start, one, binoms, gap, column):
@@ -271,19 +269,19 @@ def hall_box(m, d, mu):
     require(0, m=m, d=d)
     if not Partition.box(m, d).contains(mu):
         raise ValueError("%s does not fit in the %dx%d box" % (mu, d, m))
-    return _widened(lambda: _decode(_box_packed(m, d, mu)))
+    return _widened(lambda w: _decode(_box_packed(m, d, mu, w), w))
 
 
-def _box_packed(m, d, mu):
-    """hall_box(m, d, mu) packed, for mu inside the box."""
+def _box_packed(m, d, mu, w):
+    """hall_box(m, d, mu) packed in w-bit lanes, for mu inside the box."""
     conj = conjugate_parts(mu.parts)
     gaps = [conj[i] - (conj[i + 1] if i + 1 < len(conj) else 0) for i in range(len(conj))]
     pairs, total = [], 0
     for a in gaps + [d - (conj[0] if conj else 0)]:
         total += a
         pairs.append((total, a))
-    return _in_zq(_binomial_product(d * mu.size() - sum(c * c for c in conj), pairs),
-                  "hall_box left Z[q]: m=%d d=%d %s", (m, d, mu))
+    return _in_zq(_binomial_product(d * mu.size() - sum(c * c for c in conj), pairs, w),
+                  "hall_box left Z[q]: m=%d d=%d %s", (m, d, mu), w)
 
 
 def surjection_count(d, mu):
@@ -333,7 +331,7 @@ def _vertical_strips(mu, m):
         yield tuple(p for p in lam if p)
 
 
-def _pieri(mu, m):
+def _pieri(mu, m, w):
     """u_mu times u_(1^m): {lam: g^lam_{mu (1^m)}(q)} by the vertical-strip Pieri rule,
 
         g^lam_{mu (1^m)} = q^{n(lam)-n(mu)-C(m,2)} prod_i [lam'_i-lam'_{i+1}, lam'_i-mu'_i]_{1/q}
@@ -347,83 +345,78 @@ def _pieri(mu, m):
         out[lam] = _in_zq(_binomial_product(
             _n_stat(lam) - _n_stat(mu) - m * (m - 1) // 2,
             [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
-             for i in range(len(lc) - 1)]),
-            "Pieri coefficient left Z[q]: %s, %s, %d", (lam, mu, m))
+             for i in range(len(lc) - 1)], w),
+            "Pieri coefficient left Z[q]: %s, %s, %d", (lam, mu, m), w)
     return out
 
 
 @cache
-def _times_columns(mu, kappa):
+def _times_columns(mu, kappa, w):
     """u_mu times the column product u_(1^kappa'_1) ... u_(1^kappa'_k), by Pieri steps.
 
-    Cached per (mu, kappa); the product is that of kappa without its last
+    Cached per (mu, kappa, w); the product is that of kappa without its last
     column, times the last column.
     """
     cols = conjugate_parts(kappa)
     if len(cols) <= 1:
-        return _pieri(mu, cols[0]) if cols else {mu: _PACKED_ONE}
+        return _pieri(mu, cols[0], w) if cols else {mu: _PACKED_ONE}
     got = {}
     rest = tuple(p - 1 if p == len(cols) else p for p in kappa)
-    for rho, c in _times_columns(mu, tuple(p for p in rest if p)).items():
-        for lam, g in _times_columns(rho, (1,) * cols[-1]).items():
-            _add_into(got, lam, _mul(c, g))
-    return _nonzero(got)
+    for rho, c in _times_columns(mu, tuple(p for p in rest if p), w).items():
+        for lam, g in _times_columns(rho, (1,) * cols[-1], w).items():
+            _add_into(got, lam, _mul(c, g), w)
+    return _nonzero(got, w)
 
 
 @cache
-def _column_inverse(nu):
+def _column_inverse(nu, w):
     """{kappa: D_{nu kappa}} with u_nu = sum_kappa D_{nu kappa} (column product of kappa).
 
     The column product of nu is u_nu plus dominance-lower terms, with
     coefficient exactly 1 at u_nu (Macdonald Ch. II Sec. 4), so the system is
     unitriangular and D follows by recursion over the lower terms.
     """
-    product = _times_columns((), nu)
+    product = _times_columns((), nu, w)
     lead = product.get(nu, _PACKED_ZERO)
-    if not _is_one(lead):
+    if not _is_one(lead, w):
         raise AssertionError("column product of %s has leading coefficient %s"
-                             % (nu, _decode(lead)))
+                             % (nu, _decode(lead, w)))
     got = {nu: _PACKED_ONE}
     for rho, a in product.items():
         if rho != nu:
-            for kappa, d in _column_inverse(rho).items():
+            for kappa, d in _column_inverse(rho, w).items():
                 x, e, b = _mul(a, d)
-                _add_into(got, kappa, (-x, e, b))
-    return _nonzero(got)
+                _add_into(got, kappa, (-x, e, b), w)
+    return _nonzero(got, w)
 
 
 def hall_pair_expansion(mu, nu):
     """{lambda: g^lambda_{mu nu}(q)}, the product u_mu u_nu in the Hall algebra;
     lambda with g = 0 are left out."""
-    return _widened(lambda: {Partition(lam): _decode(g)
-                             for lam, g in _pair_packed(mu.parts, nu.parts).items()})
+    return _widened(lambda w: {Partition(lam): _decode(g, w)
+                               for lam, g in _pair_packed(mu.parts, nu.parts, w).items()})
 
 
 @cache
-def _pair_packed(mu, nu):
-    """{lam: packed g^lam_{mu nu}} on part tuples, lam with g = 0 left out;
-    cached per lane width.
+def _pair_packed(mu, nu, w):
+    """{lam: g^lam_{mu nu} packed in w-bit lanes} on part tuples, lam with
+    g = 0 left out.
 
     u_nu is written in column products by _column_inverse, and u_mu times each
     column product is a chain of Pieri steps.
     """
     acc = {}
-    for kappa, d in _column_inverse(nu).items():
-        for lam, g in _times_columns(mu, kappa).items():
-            _add_into(acc, lam, _mul(d, g))
-    return _nonzero(acc)
-
-
-# the packed values cached per lane width, which _widened clears; bound here,
-# so a caller that rebinds one of these names leaves the tuple as it is
-_PACKED_FUNCTIONS = (_skew_packed, _times_columns, _column_inverse, _pair_packed)
+    for kappa, d in _column_inverse(nu, w).items():
+        for lam, g in _times_columns(mu, kappa, w).items():
+            _add_into(acc, lam, _mul(d, g), w)
+    return _nonzero(acc, w)
 
 
 def hall_general(lam, mu, nu):
     """g^lambda_{mu nu}(q); vanishes unless |lambda| = |mu|+|nu| and mu,nu inside
     lambda, as every lambda of the expansion of u_mu u_nu is such."""
     return _widened(
-        lambda: _decode(_pair_packed(mu.parts, nu.parts).get(lam.parts, _PACKED_ZERO)))
+        lambda w: _decode(_pair_packed(mu.parts, nu.parts, w).get(lam.parts, _PACKED_ZERO), w))
 
 
 # -- the scans of criteria 6 and 7 ---------------------------------------------
@@ -438,27 +431,27 @@ def skew_cauchy_mismatch(m, d):
     side sums g^lam_mu g_lam (-1)^r q^{C(r,2)} [n r]_q over lam and r with
     |lam| + r = f, n = d - lam'_m.
     """
-    def scan():
+    def scan(w):
         weights = []  # (lam, g_lam, {f: t^f column of g_lam t^|lam| (t;q)_{d-lam'_m}})
         for lam in iterate_box(m, d):
-            g, n = _box_packed(m, d, lam), d - lam.conj_part(m)
+            g, n = _box_packed(m, d, lam, w), d - lam.conj_part(m)
             cols = {}
             for r in range(n + 1):
                 # [n r]_q is q^{r(n-r)} [n r]_{1/q}
-                x, e, b = _mul(g, _binomial_product(r * (r - 1) // 2 + r * (n - r), [(n, r)]))
+                x, e, b = _mul(g, _binomial_product(r * (r - 1) // 2 + r * (n - r), [(n, r)], w))
                 cols[lam.size() + r] = (-x if r % 2 else x, e, b)
             weights.append((lam, g, cols))
         for mu, g_mu, _ in weights:
             lhs = {}
             for lam, _, cols in weights:
                 if lam.contains(mu):
-                    skew = _skew_packed(lam.parts, mu.parts)
+                    skew = _skew_packed(lam.parts, mu.parts, w)
                     for f, v in cols.items():
-                        _add_into(lhs, f, _mul(v, skew))
+                        _add_into(lhs, f, _mul(v, skew), w)
             rhs = {mu.size(): g_mu}
-            if not all(_same(lhs.get(f, _PACKED_ZERO), rhs.get(f, _PACKED_ZERO))
+            if not all(_same(lhs.get(f, _PACKED_ZERO), rhs.get(f, _PACKED_ZERO), w)
                        for f in lhs.keys() | rhs.keys()):
-                return mu, _decode_columns(lhs), _decode_columns(rhs)
+                return mu, _decode_columns(lhs, w), _decode_columns(rhs, w)
         return None
     return _widened(scan)
 
@@ -466,22 +459,22 @@ def skew_cauchy_mismatch(m, d):
 def box_vs_skew_mismatch():
     """The first (m, d, mu), m, d <= 3, where hall_box(m, d, mu) is not
     hall_skew((m^d), mu), as ((m, d, mu), box, skew), or None."""
-    def scan():
+    def scan(w):
         for m in (1, 2, 3):
             for d in (1, 2, 3):
                 lam = (m,) * d
                 for mu in iterate_box(m, d):
-                    box, skew = _box_packed(m, d, mu), _skew_packed(lam, mu.parts)
-                    if not _same(box, skew):
-                        return (m, d, str(mu)), _decode(box), _decode(skew)
+                    box, skew = _box_packed(m, d, mu, w), _skew_packed(lam, mu.parts, w)
+                    if not _same(box, skew, w):
+                        return (m, d, str(mu)), _decode(box, w), _decode(skew, w)
         return None
     return _widened(scan)
 
 
-def _pair_table(by_size):
-    """{(mu, nu): _pair_packed(mu, nu)} on part tuples, over the sizes of by_size."""
+def _pair_table(by_size, w):
+    """{(mu, nu): _pair_packed(mu, nu, w)} on part tuples, over the sizes of by_size."""
     top = len(by_size) - 1
-    return {(mu.parts, nu.parts): _pair_packed(mu.parts, nu.parts)
+    return {(mu.parts, nu.parts): _pair_packed(mu.parts, nu.parts, w)
             for a in range(top + 1) for mu in by_size[a]
             for b in range(top + 1 - a) for nu in by_size[b]}
 
@@ -489,19 +482,19 @@ def _pair_table(by_size):
 def completeness_mismatch():
     """The first (lam, mu), |lam| <= 6, where sum_nu g^lam_{mu nu} is not
     g^lam_mu, as ((lam, mu), sum, g^lam_mu), or None."""
-    def scan():
+    def scan(w):
         by_size = [partitions_of(n) for n in range(0, 7)]
         totals = {}  # (lam, mu) -> sum over nu of g^lam_{mu nu}
-        for (mu, _), expansion in _pair_table(by_size).items():
+        for (mu, _), expansion in _pair_table(by_size, w).items():
             for lam, g in expansion.items():
-                _add_into(totals, (lam, mu), g)
+                _add_into(totals, (lam, mu), g, w)
         for n in range(0, 7):
             for lam in by_size[n]:
                 for mu in subpartitions(lam):
                     total = totals.get((lam.parts, mu.parts), _PACKED_ZERO)
-                    skew = _skew_packed(lam.parts, mu.parts)
-                    if not _same(total, skew):
-                        return (str(lam), str(mu)), _decode(total), _decode(skew)
+                    skew = _skew_packed(lam.parts, mu.parts, w)
+                    if not _same(total, skew, w):
+                        return (str(lam), str(mu)), _decode(total, w), _decode(skew, w)
         return None
     return _widened(scan)
 
@@ -509,9 +502,9 @@ def completeness_mismatch():
 def symmetry_mismatch():
     """The first (lam, mu, nu), |lam| <= 6, where g^lam_{mu nu} is not
     g^lam_{nu mu}, as ((lam, mu, nu), g^lam_{mu nu}, g^lam_{nu mu}), or None."""
-    def scan():
+    def scan(w):
         by_size = [partitions_of(n) for n in range(0, 7)]
-        pairs = _pair_table(by_size)
+        pairs = _pair_table(by_size, w)
         for n in range(0, 7):
             sides = [(mu, nu, pairs[mu.parts, nu.parts], pairs[nu.parts, mu.parts])
                      for a in range(n + 1) for mu in by_size[a] for nu in by_size[n - a]]
@@ -519,7 +512,7 @@ def symmetry_mismatch():
                 for mu, nu, expansion, mirrored in sides:
                     g = expansion.get(lam.parts, _PACKED_ZERO)
                     mirror = mirrored.get(lam.parts, _PACKED_ZERO)
-                    if g is not mirror and not _same(g, mirror):
-                        return (str(lam), str(mu), str(nu)), _decode(g), _decode(mirror)
+                    if g is not mirror and not _same(g, mirror, w):
+                        return (str(lam), str(mu), str(nu)), _decode(g, w), _decode(mirror, w)
         return None
     return _widened(scan)

@@ -13,7 +13,7 @@ import time
 
 from singzeta import acceptance
 from singzeta.oracle import SubmoduleCensus
-from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fixture)
+from test_hall import lane_widths  # noqa: F401 (a fixture)
 
 
 def _run(label, fn, limit=None, **kw):
@@ -66,11 +66,11 @@ def _pair_packed_off_by(monkeypatch, exponent):
     hall = acceptance.hall_mod
     real = hall._pair_packed
 
-    def pair_packed(mu, nu):
-        value = real(mu, nu)
+    def pair_packed(mu, nu, w):
+        value = real(mu, nu, w)
         if (mu, nu) == ((1,), (1, 1)):
             value = dict(value)
-            hall._add_into(value, (2, 1), (1, exponent, 1))
+            hall._add_into(value, (2, 1), (1, exponent, 1), w)
         return value
 
     monkeypatch.setattr(hall, "_pair_packed", pair_packed)
@@ -87,15 +87,15 @@ def test_criterion_07_names_first_mismatch(monkeypatch):
     assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
 
 
-def test_criterion_07_widens_its_lanes(narrow_lanes, monkeypatch):
+def test_criterion_07_widens_its_lanes(lane_widths, monkeypatch):
     # 8-bit lanes overflow: criterion 7 passes at the widened lanes, and a
     # fault is still named there
     assert all(r.passed for r in acceptance.criterion_7_hall(with_oracle=False))
-    assert acceptance.hall_mod._W > 8
-    _restart(8)
+    assert max(lane_widths) > 8
+    lane_widths.clear()
     _pair_packed_off_by(monkeypatch, 2)
     reports = {r.name: r for r in acceptance.criterion_7_hall(with_oracle=False)}
-    assert acceptance.hall_mod._W > 8
+    assert min(lane_widths) == 8 and max(lane_widths) > 8
     assert reports["hall-completeness"].detail == str(("[2,1]", "[1]"))
     assert reports["hall-completeness"].discrepancy == (2, 0)
     assert reports["hall-symmetry"].detail == str(("[2,1]", "[1]", "[1,1]"))
@@ -107,11 +107,11 @@ def test_criterion_07_locates_first_mismatch(monkeypatch):
     hall = acceptance.hall_mod
     real_box = hall._box_packed
 
-    def box_packed(m, d, mu):
-        value = real_box(m, d, mu)
+    def box_packed(m, d, mu, w):
+        value = real_box(m, d, mu, w)
         if (m, d, mu.parts) == (2, 2, (2, 1)):
             sums = {0: value}
-            hall._add_into(sums, 0, (1, 1, 1))
+            hall._add_into(sums, 0, (1, 1, 1), w)
             value = sums[0]
         return value
 

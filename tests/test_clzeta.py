@@ -455,8 +455,11 @@ def test_special_values_quick():
     assert all(r.passed for r in reports)
     reports = special_values("cusp", 1, 9)
     assert all(r.passed for r in reports)
-    reports = special_values("node", 2, 9)
-    assert {r.name: r.status for r in reports}["special-node-minus1"] == "reported"
+    # the node's t = -1 identity is conjecture-level at m >= 2, so its report
+    # reads "reported" either way; its detail says whether the product agreed
+    for m in (2, 3, 4):
+        (report,) = [r for r in special_values("node", m, 13) if r.name == "special-node-minus1"]
+        assert (report.status, report.detail) == ("reported", "agrees"), m
 
 
 def test_special_values_deep_in_the_identities():

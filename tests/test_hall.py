@@ -9,7 +9,7 @@ import sys
 
 from singzeta import hall
 from singzeta.laurent import ZERO, ONE, Q, QINV, T, LaurentPoly2
-from singzeta.partitions import Partition, iterate_box, partitions_of
+from singzeta.partitions import Partition, iterate_box, partitions_of, subpartitions
 from singzeta.hall import (hall_skew, hall_box, hall_general,
                            surjection_count, hall_pair_expansion)
 from singzeta.oracle import hall_count_oracle, surjective_homs_count
@@ -138,52 +138,49 @@ def test_hall_pair_expansion_matches_hall_littlewood_reference():
                     assert hall_pair_expansion(mu, nu) == _hl_pair_expansion(mu, nu), (mu, nu)
 
 
-def _restart(bits):
-    """Start the packed Hall algebra over at lanes of the given bits, every
-    cache empty.  The caches are cleared before the width is set, so no
-    value packed at the old width is left to be read at the new one."""
-    hall._BINOMS.clear()
-    for cached in hall._PACKED_FUNCTIONS:
-        cached.cache_clear()
-    hall._W = bits
-
-
 @pytest.fixture
-def narrow_lanes():
-    """The packed Hall algebra restarted at 8-bit lanes; restored after."""
-    saved = hall._W
-    _restart(8)
-    yield
-    _restart(saved)
+def lane_widths(monkeypatch):
+    """The packed Hall algebra started at 8-bit lanes; returns the set of lane
+    widths its checks ran at, so a test can see that a call widened."""
+    monkeypatch.setattr(hall, "_START_W", 8)
+    seen = set()
+    lanes = hall._lanes
+
+    def recorded(v, w):
+        seen.add(w)
+        return lanes(v, w)
+
+    monkeypatch.setattr(hall, "_lanes", recorded)
+    return seen
 
 
-def test_hall_pair_expansion_widens_its_lanes(narrow_lanes):
+def test_hall_pair_expansion_widens_its_lanes(lane_widths):
     # 8-bit lanes overflow at once; every pair must come out as at 64 bits
     for n in range(8):
         for a in range(n + 1):
             for mu in partitions_of(a):
                 for nu in partitions_of(n - a):
                     assert hall_pair_expansion(mu, nu) == _hl_pair_expansion(mu, nu), (mu, nu)
-    assert hall._W > 8
+    assert max(lane_widths) > 8
 
 
-def test_hall_pair_expansion_at_size_nine_at_both_widths(narrow_lanes):
+def test_hall_pair_expansion_at_size_nine_at_both_widths(lane_widths, monkeypatch):
     # the column inverse of (8) carries a 45-bit bound, so 8-bit lanes double
     # three times; its large terms cancel down to two lambda
     mu, nu = P([1]), P([8])
     narrow = hall_pair_expansion(mu, nu)
-    assert hall._W == 64
-    _restart(64)
+    assert sorted(lane_widths) == [8, 16, 32, 64]
+    monkeypatch.setattr(hall, "_START_W", 64)
     assert hall_pair_expansion(mu, nu) == narrow == _hl_pair_expansion(mu, nu)
     assert narrow == {P([9]): ONE, P([8, 1]): Q}
 
 
-def test_closed_forms_widen_their_lanes(narrow_lanes):
+def test_closed_forms_widen_their_lanes(lane_widths, monkeypatch):
     # the box multinomials at d = 8 reach 2520, past 8-bit lanes
     boxes = [(m, d, mu) for m in (1, 2, 3) for d in (1, 3, 8) for mu in iterate_box(m, d)]
     narrow = [(hall_box(m, d, mu), hall_skew(P.box(m, d), mu)) for m, d, mu in boxes]
-    assert hall._W > 8
-    _restart(64)
+    assert max(lane_widths) > 8
+    monkeypatch.setattr(hall, "_START_W", 64)
     assert narrow == [(hall_box(m, d, mu), hall_skew(P.box(m, d), mu)) for m, d, mu in boxes]
     assert all(box == skew for box, skew in narrow)
 
@@ -191,11 +188,38 @@ def test_closed_forms_widen_their_lanes(narrow_lanes):
 def test_import_builds_no_packed_table():
     # start-up stays free of packed work: the tables are built on first use
     code = ("import singzeta.cli; from singzeta import hall; "
-            "print(hall._W, len(hall._BINOMS),"
-            " [f.cache_info().currsize for f in hall._PACKED_FUNCTIONS])")
+            "print(hall._START_W, [f.cache_info().currsize for f in (hall._binoms,"
+            " hall._skew_packed, hall._times_columns, hall._column_inverse, hall._pair_packed)])")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hall.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "64 0 [0, 0, 0, 0]\n"), out.stderr
+    assert (out.returncode, out.stdout) == (0, "64 [0, 0, 0, 0, 0]\n"), out.stderr
+
+
+def _recorded_skew_cases(monkeypatch):
+    """The (lam, mu) part tuples of every g^lam_mu the packed scans read."""
+    cases = []
+    skew_packed = hall._skew_packed
+
+    def recorded(lam, mu, w):
+        cases.append((lam, mu))
+        return skew_packed(lam, mu, w)
+
+    monkeypatch.setattr(hall, "_skew_packed", recorded)
+    return cases
+
+
+def test_criterion_07_scans_cover_their_ranges(monkeypatch):
+    # each passing scan compares every case of its range once: box-vs-skew the
+    # 62 (m, d, mu) with m, d <= 3, completeness every mu inside lam, |lam| <= 6
+    cases = _recorded_skew_cases(monkeypatch)
+    assert hall.box_vs_skew_mismatch() is None
+    assert len(cases) == 62
+    assert cases == [((m,) * d, mu.parts) for m in (1, 2, 3) for d in (1, 2, 3)
+                     for mu in iterate_box(m, d)]
+    cases.clear()
+    assert hall.completeness_mismatch() is None
+    assert cases == [(lam.parts, mu.parts) for n in range(7) for lam in partitions_of(n)
+                     for mu in subpartitions(lam)]
 
 
 def test_hall_symmetry_small():

@@ -1,8 +1,7 @@
 """hall's packed Hall coefficients stay inside hall.
 
-The packed (x, e, b) format and its widening rule (no packed value outlives
-a lane doubling) bind hall alone, so no other module of the package names a
-private attribute of hall.
+The packed (x, e, b) format and its lane widths bind hall alone, so no
+other module of the package names a private attribute of hall.
 """
 
 import ast

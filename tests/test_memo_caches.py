@@ -1,17 +1,18 @@
-"""Memoization goes through functools.cache, and hall's caches all die with a lane width.
+"""Memoization goes through functools.cache, and no module keeps mutable state by rebinding.
 
 A module-level dict that a function writes is a hand-rolled memo: its own
-get/miss/store block, with no cache_info() and no cache_clear().  Two are
+get/miss/store block, with no cache_info() and no cache_clear().  One is
 kept on purpose: oracle._DVR_CENSUS_CACHE, whose hits depend on the
-caller's budget, and hall._BINOMS, a table filled a whole triangle at a
-time.  Every other memo is a function wrapped by functools.cache.
+caller's budget.  Every other memo is a function wrapped by functools.cache.
 
 hall's packed values hold for one lane width only, so each cached function
-defined in hall must be in the tuple that hall._widened clears when the
-width doubles.
+defined in hall takes that width, w, as its last argument: an entry is keyed
+on the width it was packed at, and none is read at another.  No function
+rebinds a module name with a global statement.
 """
 
 import ast
+import inspect
 import pathlib
 
 import singzeta
@@ -19,7 +20,7 @@ from singzeta import hall
 
 SRC = pathlib.Path(singzeta.__file__).parent
 
-KEPT = {("oracle.py", "_DVR_CENSUS_CACHE"), ("hall.py", "_BINOMS")}
+KEPT = {("oracle.py", "_DVR_CENSUS_CACHE")}
 
 
 def _module_dicts(tree):
@@ -61,13 +62,17 @@ def _memo_dicts(trees):
                    for line, name in _written(function, _module_dicts(tree))})
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_module_dict_is_written_from_a_function():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     assert len(trees) >= 13
     found = _memo_dicts(trees)
     assert [(module, name) for module, _, name in found
             if (module, name) not in KEPT] == [], found
-    # the two kept dicts are still written where the scan can see them
+    # the kept dict is still written where the scan can see it
     assert {(module, name) for module, _, name in found} == KEPT
 
 
@@ -90,9 +95,17 @@ def test_the_write_scan_finds_each_form():
         ("m.py", 6, "_A"), ("m.py", 7, "_B"), ("m.py", 8, "_C"), ("m.py", 13, "_A")]
 
 
-def test_every_hall_cache_is_cleared_on_widening():
-    cached = {name for name, value in vars(hall).items()
+def test_no_global_statement():
+    found = ["%s:%d" % (module, node.lineno) for module, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_every_hall_cache_is_keyed_on_the_lane_width():
+    cached = {name: value for name, value in vars(hall).items()
               if getattr(value, "__module__", None) == "singzeta.hall"
               and hasattr(value, "cache_clear")}
-    assert cached == {fn.__name__ for fn in hall._PACKED_FUNCTIONS}
-    assert all(getattr(hall, fn.__name__) is fn for fn in hall._PACKED_FUNCTIONS)
+    assert set(cached) == {"_binoms", "_skew_packed", "_times_columns",
+                           "_column_inverse", "_pair_packed"}
+    assert [name for name, fn in cached.items()
+            if list(inspect.signature(fn).parameters)[-1] != "w"] == []

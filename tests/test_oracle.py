@@ -755,6 +755,9 @@ def test_matrix_pair_count():
     assert matrix_pair_count(1, 3) == 3
     with pytest.raises(BudgetExceededError):
         matrix_pair_count(3, 3, budget=100)
+    with pytest.raises(BudgetExceededError) as stop:
+        matrix_pair_count(2, 3, budget=1000)
+    assert stop.value.args == ("matrix enumeration 3^8 exceeds budget",)
     with pytest.raises(ValueError):
         matrix_pair_count(-1, 2)
 
@@ -825,6 +828,14 @@ def test_surjective_homs_count_refuses_past_the_default_budget():
 def test_coh_quot_invariance():
     rep = coh_quot_invariance_check("node", 1, 2, 1, 1, [1, 2, 3])
     assert rep.passed
+    # an integer value prints as its numerator alone
+    assert (rep.lhs, rep.detail, rep.rhs) == (
+        "1", "values 1, 1, 1", "[Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]")
+    # at r = 0 no quotient is counted: 0 has denominator 1, so the numerator
+    # and the denominator print differently
+    rep = coh_quot_invariance_check("node", 1, 2, 1, 0, [1, 2])
+    assert (rep.status, rep.lhs, rep.detail, rep.rhs) == (
+        "pass", "0", "values 0, 0", "[Fraction(0, 1), Fraction(0, 1)]")
     with pytest.raises(ValueError):
         coh_quot_invariance_check("node", 1, 2, 1, 2, [2])
     with pytest.raises(ValueError):

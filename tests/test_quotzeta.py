@@ -16,7 +16,7 @@ from singzeta.quotzeta import (SingularityFamily, nz, nz_cusp_free,
                                skew_cauchy_bounded_check, cusp_t2_check,
                                node22_closed_form, node22_check, m_limit_check,
                                positivity_scan)
-from test_hall import _restart, narrow_lanes  # noqa: F401 (narrow_lanes is a fixture)
+from test_hall import lane_widths  # noqa: F401 (a fixture)
 
 
 def test_family_constants():
@@ -385,11 +385,11 @@ def _skew_packed_off_by_q(monkeypatch):
     """Make the packed g^[2,1]_[1], which criterion 6 reads, q too high."""
     real = hall._skew_packed
 
-    def skew_packed(lam, mu):
-        value = real(lam, mu)
+    def skew_packed(lam, mu, w):
+        value = real(lam, mu, w)
         if (lam, mu) == ((2, 1), (1,)):
             sums = {0: value}
-            hall._add_into(sums, 0, (1, 1, 1))
+            hall._add_into(sums, 0, (1, 1, 1), w)
             value = sums[0]
         return value
 
@@ -407,19 +407,20 @@ def test_skew_cauchy_names_the_failing_mu(monkeypatch):
     assert rep.discrepancy == (1, 3)
 
 
-def test_skew_cauchy_widens_its_lanes(narrow_lanes, monkeypatch):
+def test_skew_cauchy_widens_its_lanes(lane_widths, monkeypatch):
     # 8-bit lanes overflow: criterion 6 passes at the widened lanes, and the
     # fault above is named there as at 64 bits (the box (3, 3) widens to 16)
     from singzeta import acceptance
     assert all(rep.passed for rep in acceptance.criterion_6_skew_cauchy())
-    assert hall._W > 8
+    assert max(lane_widths) > 8
     _skew_packed_off_by_q(monkeypatch)
     seen = []
     for bits in (64, 8):
-        _restart(bits)
+        monkeypatch.setattr(hall, "_START_W", bits)
+        lane_widths.clear()
         rep = skew_cauchy_bounded_check(3, 3)
         seen.append((rep.status, rep.params, rep.discrepancy, rep.lhs, rep.rhs))
-    assert hall._W > 8
+    assert sorted(lane_widths) == [8, 16]
     assert seen[0] == seen[1]
     assert seen[1][:3] == ("fail", {"m": 3, "d": 3, "mu": "[1]"}, (2, 3))
 
